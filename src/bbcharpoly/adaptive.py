@@ -21,6 +21,7 @@ retries once with fresh randomness on an internal failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -32,8 +33,6 @@ from .blackbox import (
     BlackBoxOperator,
     LowRankPerturbation,
     PolyOfMatrix,
-    ShiftedOperator,
-    det_blackbox,
     rank_blackbox,
     wiedemann_minpoly,
 )
@@ -45,7 +44,8 @@ from .multiplicity import (
     NoCandidateError,
     OccurrenceTable,
     SearchExplosionError,
-    _EchelonTracker,
+    _discriminate_by_det,
+    _log_system,
     combinatorial_search,
     index_calculus,
     nullities_to_occurrences,
@@ -87,7 +87,6 @@ class AdaptiveConfig:
     confidence_rounds: int = 2
     method: str = "auto"
     seed: int | None = None
-    jobs: int = 1
     trace_log: TraceLog | None = None
 
     def __post_init__(self):
@@ -349,12 +348,8 @@ def _alg5_multiplicities(A, profiles, cfg, rng, minpoly, ctx, subprime):
                     return nullity_comb_search(
                         A,
                         profiles,
-                        AdaptiveConfig(
-                            threshold=cfg.threshold,
-                            explosion_cap=1 << 62,
-                            confidence_rounds=cfg.confidence_rounds,
-                            method="nullity-comb",
-                            trace_log=cfg.trace_log,
+                        dataclasses.replace(
+                            cfg, explosion_cap=1 << 62, method="nullity-comb"
                         ),
                         rng,
                     )
@@ -370,8 +365,9 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng=None):
     The split s over the largest-degree factors minimizes the cost estimate
     2*m*n*Omega + (2/3)m^3 + 4*m^2*tau_s where m is the residual system
     dimension and tau_s the number of enumerated assignments; every
-    assignment shifts the right-hand side of the same eliminated system and
-    survivors are discriminated by the total-degree identity.
+    assignment shifts the right-hand side of the same eliminated system, and
+    the assignments that satisfy the total-degree identity are discriminated
+    by determinants.
     """
     if rng is None:
         rng = random.Random(cfg.seed)
@@ -446,90 +442,27 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng=None):
     for i in cheap:
         q_base = q_base * profiles[i].poly ** mults[i]
 
-    if not unknown:
-        candidates = [
-            dict(zip(enum_set, assign)) for assign in assignments
-        ]
-    else:
-        k = len(unknown)
-        chosen = []
-        used = set()
-        sampled = 0
-        tracker = _EchelonTracker(k, p)
-        while tracker.rank < k:
-            if sampled >= n:
-                raise AdaptiveError("hybrid system never reached full rank")
-            for _ in range(64 * (n + 4)):
-                lam = rng.randrange(q)
-                if lam in used:
-                    continue
-                if q_base(lam) == 0:
-                    continue
-                if any(profiles[i].poly(lam) == 0 for i in rest):
-                    continue
-                break
-            else:
-                raise AdaptiveError("could not sample an evaluation point")
-            used.add(lam)
-            sampled += 1
-            row = [ctx.dlog(profiles[i].poly(lam)) % p for i in unknown]
-            if tracker.try_add(row):
-                chosen.append((row, lam))
-        base_b = []
-        enum_logs = []  # per chosen row: logs of the enumerated factors
-        for row, lam in chosen:
-            det = int(det_blackbox(ShiftedOperator(A, lam), rng))
-            if det == 0:
-                raise AdaptiveError("determinant vanished at a guarded point")
-            base = (ctx.dlog(det) - ctx.dlog(q_base(lam))) % (q - 1) % p
-            base_b.append(base)
-            enum_logs.append([ctx.dlog(profiles[i].poly(lam)) % p for i in enum_set])
-        B = [row for row, _ in chosen]
-        candidates = []
-        for assign in assignments:
-            rhs = [
-                (base_b[r] - sum(a * lg for a, lg in zip(assign, enum_logs[r]))) % p
-                for r in range(k)
-            ]
-            try:
-                x = solve_mod_p(B, rhs, p)
-            except IndexCalculusFailure:
-                continue
-            cand = dict(zip(enum_set, assign))
-            cand.update(dict(zip(unknown, x)))
-            candidates.append(cand)
-
-    survivors = []
-    for cand in candidates:
-        total = known_degree + sum(
-            profiles[i].degree * cand[i] for i in rest
+    system = None
+    if unknown:
+        system = _log_system(
+            A, profiles, unknown, enum_set, q_base, ctx, p, rng, trace_log=cfg.trace_log
         )
-        if total == n:
-            survivors.append(cand)
-    max_rounds = 4 * n + 16
-    rounds = 0
-    while len(survivors) > 1:
-        if rounds >= max_rounds:
-            raise AdaptiveError("hybrid discrimination did not converge")
-        rounds += 1
-        lam = rng.randrange(q)
-        delta = int(det_blackbox(ShiftedOperator(A, lam), rng))
-        kept = []
-        for cand in survivors:
-            value = 1
-            for i in cheap:
-                value = value * pow(profiles[i].poly(lam), mults[i], q) % q
-            for i in rest:
-                value = value * pow(profiles[i].poly(lam), cand[i], q) % q
-            if value == delta:
-                kept.append(cand)
-        survivors = kept
-    if not survivors:
-        raise AdaptiveError("hybrid search eliminated every assignment")
-    winner = survivors[0]
-    for i in rest:
-        mults[i] = int(winner[i])
-    return [int(m) for m in mults]
+    candidates = []
+    for assign in assignments:
+        cand = list(mults)
+        for i, m in zip(enum_set, assign):
+            cand[i] = m
+        if system is not None:
+            # every assignment only shifts the right-hand side
+            rhs = [
+                (b - sum(a * lg for a, lg in zip(assign, logs))) % p
+                for b, logs in zip(system.rhs, system.enum_logs)
+            ]
+            for i, m in zip(unknown, solve_mod_p(system.tracker, rhs)):
+                cand[i] = m
+        if sum(prof.degree * m for prof, m in zip(profiles, cand)) == n:
+            candidates.append(tuple(cand))
+    return list(_discriminate_by_det(A, profiles, candidates, rng, cfg.trace_log))
 
 
 def _choose_method(A, profiles, cfg) -> tuple[str, int | None]:

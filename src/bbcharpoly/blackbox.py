@@ -376,22 +376,10 @@ class BerlekampMassey:
         return FieldPoly(rev, self.p)
 
 
-def berlekamp_massey(seq, p: int) -> FieldPoly:
-    bm = BerlekampMassey(p, len(seq))
-    for term in seq:
-        bm.add(term)
-    return bm.generator()
-
-
 def _annihilates(A: BlackBoxOperator, poly: FieldPoly, rng) -> bool:
-    """Check poly(A) * w == 0 for one fresh random w (Horner)."""
-    n, p = A.dimension, A.p
-    w = random_vector(n, p, rng)
-    coeffs = poly.coeffs
-    acc = coeffs[-1] * w % p
-    for i in range(len(coeffs) - 2, -1, -1):
-        acc = (A.apply(acc) + coeffs[i] * w) % p
-    return not acc.any()
+    """Check poly(A) * w == 0 for one fresh random w."""
+    w = random_vector(A.dimension, A.p, rng)
+    return not PolyOfMatrix(A, poly).apply(w).any()
 
 
 def wiedemann_minpoly(

@@ -2,7 +2,8 @@
 
 Subcommands: ``charpoly``, ``minpoly``, ``multiplicities``, ``sympower``,
 ``verify``.  Matrices are read in SMS format (``-`` for stdin), results go
-to stdout; ``--explain`` streams a JSON-lines decision trace to stderr.
+to stdout; ``--explain`` prints a JSON-lines decision trace to stderr when
+the run ends, whether it succeeded or failed.
 
 Exit codes: 0 success, 2 input error (including oracle refusals above the
 size caps), 3 computation failure, 4 verification mismatch.
@@ -158,21 +159,14 @@ def _field_modulus(args) -> int | None:
     return p
 
 
-def _make_cfg(args, trace_log) -> AdaptiveConfig:
+def _make_cfg(args) -> AdaptiveConfig:
     return AdaptiveConfig(
         threshold=args.threshold,
         confidence_rounds=args.confidence,
         method=args.method,
         seed=args.seed,
-        jobs=args.jobs,
-        trace_log=trace_log,
+        trace_log=args.trace_log,
     )
-
-
-def _emit_explain(trace_log):
-    if trace_log is not None:
-        for line in trace_log.lines():
-            print(line, file=sys.stderr)
 
 
 def _fresh_primes(count: int, avoid=()) -> list[int]:
@@ -218,29 +212,44 @@ def _verify_integer(matrix: SparseMatrix, charpoly: IntPoly, field_prime: int):
             )
 
 
+def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
+    """Characteristic polynomial over the chosen domain, checked against the
+    dense oracle when ``verify`` is set.
+
+    Returns (modulus or None, charpoly, method, factor rows); a row is
+    (factor, its multiplicity in the minimal polynomial or None over the
+    integers, its multiplicity in the characteristic polynomial).
+    """
+    cfg = _make_cfg(args)
+    p = _field_modulus(args)
+    if p is not None:
+        result = charpoly_with_details(matrix.operator(p), cfg)
+        poly, method = result.charpoly, result.method
+        rows = [
+            (pr.poly, pr.minpoly_mult, m)
+            for pr, m in zip(result.profiles, result.multiplicities)
+        ]
+        if verify:
+            _verify_field(matrix, p, poly)
+    else:
+        details = integer_charpoly_with_details(IntegerMatrix(matrix), cfg)
+        poly, method = details.charpoly, details.field_result.method
+        rows = [
+            (f, None, e) for f, e in zip(details.lifted_factors, details.lift_exponents)
+        ]
+        if verify:
+            _verify_integer(matrix, poly, details.field_prime)
+    return p, poly, method, rows
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_charpoly(args) -> int:
     matrix = _read_matrix(args.matrix)
-    trace_log = TraceLog() if args.explain else None
-    cfg = _make_cfg(args, trace_log)
-    p = _field_modulus(args)
-    if p is not None:
-        result = charpoly_with_details(matrix.operator(p), cfg)
-        poly = result.charpoly
-        factor_pairs = list(zip((pr.poly for pr in result.profiles), result.multiplicities))
-        method = result.method
-        if args.verify:
-            _verify_field(matrix, p, poly)
-    else:
-        details = integer_charpoly_with_details(IntegerMatrix(matrix), cfg)
-        poly = details.charpoly
-        factor_pairs = list(zip(details.lifted_factors, details.lift_exponents))
-        method = details.field_result.method
-        if args.verify:
-            _verify_integer(matrix, poly, details.field_prime)
+    p, poly, method, rows = _charpoly_run(args, matrix, args.verify)
+    factor_pairs = [(f, m) for f, _, m in rows]
     if args.output == "coeffs":
         print(poly.text())
     elif args.output == "factored":
@@ -258,14 +267,12 @@ def cmd_charpoly(args) -> int:
             ],
         }
         print(_json_out(payload))
-    _emit_explain(trace_log)
     return EXIT_OK
 
 
 def cmd_minpoly(args) -> int:
     matrix = _read_matrix(args.matrix)
-    trace_log = TraceLog() if args.explain else None
-    cfg = _make_cfg(args, trace_log)
+    cfg = _make_cfg(args)
     rng = random.Random(cfg.seed)
     p = _field_modulus(args)
     if p is not None:
@@ -325,33 +332,14 @@ def cmd_minpoly(args) -> int:
                 for coeffs, e in _sorted_factor_pairs(factor_pairs)
             ]
         print(_json_out(payload))
-    _emit_explain(trace_log)
     return EXIT_OK
 
 
 def cmd_multiplicities(args) -> int:
     matrix = _read_matrix(args.matrix)
-    trace_log = TraceLog() if args.explain else None
-    cfg = _make_cfg(args, trace_log)
-    p = _field_modulus(args)
-    if p is not None:
-        result = charpoly_with_details(matrix.operator(p), cfg)
-        rows = [
-            (_symmetric_coeffs(pr.poly), pr.degree, pr.minpoly_mult, m)
-            for pr, m in zip(result.profiles, result.multiplicities)
-        ]
-        if args.verify:
-            _verify_field(matrix, p, result.charpoly)
-        pairs = list(zip((pr.poly for pr in result.profiles), result.multiplicities))
-    else:
-        details = integer_charpoly_with_details(IntegerMatrix(matrix), cfg)
-        rows = [
-            (_symmetric_coeffs(f), f.degree, None, e)
-            for f, e in zip(details.lifted_factors, details.lift_exponents)
-        ]
-        if args.verify:
-            _verify_integer(matrix, details.charpoly, details.field_prime)
-        pairs = list(zip(details.lifted_factors, details.lift_exponents))
+    p, _, _, factors = _charpoly_run(args, matrix, args.verify)
+    rows = [(_symmetric_coeffs(f), f.degree, e, m) for f, e, m in factors]
+    pairs = [(f, m) for f, _, m in factors]
     rows.sort(key=lambda r: (r[1], tuple(-c for c in r[0])))
     if args.output == "coeffs":
         for coeffs, degree, minpoly_mult, mult in rows:
@@ -375,7 +363,6 @@ def cmd_multiplicities(args) -> int:
             ],
         }
         print(_json_out(payload))
-    _emit_explain(trace_log)
     return EXIT_OK
 
 
@@ -389,23 +376,16 @@ def cmd_sympower(args) -> int:
 
 def cmd_verify(args) -> int:
     matrix = _read_matrix(args.matrix)
-    trace_log = TraceLog() if args.explain else None
-    cfg = _make_cfg(args, trace_log)
-    p = _field_modulus(args)
+    p, _, _, _ = _charpoly_run(args, matrix, verify=True)
     if p is not None:
-        result = charpoly_with_details(matrix.operator(p), cfg)
-        _verify_field(matrix, p, result.charpoly)
         print(f"verify ok: charpoly mod {p} matches the dense oracle (n={matrix.n})")
     else:
-        details = integer_charpoly_with_details(IntegerMatrix(matrix), cfg)
-        _verify_integer(matrix, details.charpoly, details.field_prime)
         mode = (
             "dense CRT oracle"
             if matrix.n <= INTEGER_VERIFY_FULL_CAP
             else f"reduction mod {VERIFY_REDUCTION_PRIMES} fresh primes"
         )
         print(f"verify ok: integer charpoly matches the {mode} (n={matrix.n})")
-    _emit_explain(trace_log)
     return EXIT_OK
 
 
@@ -447,12 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=None, help="rng seed")
     common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker-count hint (current implementation runs sequentially)",
-    )
-    common.add_argument(
         "--explain",
         action="store_true",
         help="JSON-lines decision trace on stderr",
@@ -493,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one trace for the whole run, printed whether the run succeeds or fails
+    args.trace_log = TraceLog() if getattr(args, "explain", False) else None
     try:
         return args.func(args)
     except (
@@ -510,6 +486,10 @@ def main(argv=None) -> int:
     except _COMPUTE_ERRORS as err:
         print(f"bbcharpoly: computation failed: {err}", file=sys.stderr)
         return EXIT_COMPUTE
+    finally:
+        if args.trace_log is not None:
+            for line in args.trace_log.lines():
+                print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

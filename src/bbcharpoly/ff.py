@@ -304,10 +304,6 @@ class DlogContext:
         raise ArithmeticError("baby-step/giant-step exhausted")  # unreachable
 
 
-def dlog(ctx: DlogContext, a) -> int:
-    return ctx.dlog(a)
-
-
 def index_calculus_subprime(q: int, n: int) -> int | None:
     """Largest prime factor p of q-1 with p > n, or None if there is none.
 

@@ -17,6 +17,7 @@ logged and retried (three strikes raise with diagnostics).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -68,24 +69,6 @@ class IntegerMatrix:
 
     def trace(self) -> int:
         return self.matrix.diagonal_sum()
-
-
-@dataclass
-class LiftPlan:
-    """Prime and precision chosen for a Hensel lift: p**k > 2*bound."""
-
-    prime: int
-    exponent: int
-    bound: int
-
-    @classmethod
-    def for_bound(cls, prime: int, bound: int) -> "LiftPlan":
-        k = 1
-        modulus = prime
-        while modulus <= 2 * bound:
-            modulus *= prime
-            k += 1
-        return cls(prime, k, bound)
 
 
 def minpoly_coeff_bound(n: int, norm: int) -> int:
@@ -186,7 +169,18 @@ def integer_minpoly(
     )
 
 
-def _lift_parts(A: IntegerMatrix, minpoly_z: IntPoly, p: int, charpoly_mod_p: FieldPoly):
+def lift_charpoly(
+    A: IntegerMatrix, minpoly_z: IntPoly, p: int, charpoly_mod_p: FieldPoly
+) -> tuple[IntPoly, list[IntPoly], list[int]]:
+    """Reassemble the integer charpoly from its image mod one good prime.
+
+    Computes the squarefree part S of the integer minimal polynomial, a
+    gcd-free basis of (S, minpoly, charpoly) mod p expressing the charpoly,
+    Hensel-lifts the basis against S to precision p**k > 2*(coefficient
+    bound), and returns the product of lifted factors raised to their
+    exponents, with the lifted factors and the exponents.  Violations of the
+    good-prime conditions raise BadPrimeError.
+    """
     n = A.dimension
     if p <= n:
         raise BadPrimeError(f"prime {p} does not exceed the dimension {n}")
@@ -207,28 +201,14 @@ def _lift_parts(A: IntegerMatrix, minpoly_z: IntPoly, p: int, charpoly_mod_p: Fi
         residual = q
     if residual.degree != 0:
         raise BadPrimeError("basis does not cover the squarefree part")
-    plan = LiftPlan.for_bound(p, charpoly_coeff_bound(n, max(1, A.norm)))
-    lifted = hensel_lift_basis(S, list(basis.basis), p, plan.bound)
+    bound = charpoly_coeff_bound(n, max(1, A.norm))
+    lifted = hensel_lift_basis(S, list(basis.basis), p, bound)
     out = IntPoly.one()
     for g, mu in zip(lifted, basis.exponents):
         out = out * g**mu
     if out.degree != n:
         raise BadPrimeError(f"lifted product has degree {out.degree}, wanted {n}")
     return out, lifted, list(basis.exponents)
-
-
-def lift_charpoly(
-    A: IntegerMatrix, minpoly_z: IntPoly, p: int, charpoly_mod_p: FieldPoly
-) -> IntPoly:
-    """Reassemble the integer charpoly from its image mod one good prime.
-
-    Computes the squarefree part S of the integer minimal polynomial, a
-    gcd-free basis of (S, minpoly, charpoly) mod p expressing the charpoly,
-    Hensel-lifts the basis against S to precision p**k > 2*(coefficient
-    bound), and returns the product of lifted factors raised to their
-    exponents.  Violations of the good-prime conditions raise BadPrimeError.
-    """
-    return _lift_parts(A, minpoly_z, p, charpoly_mod_p)[0]
 
 
 def _field_prime_floor(n: int) -> int:
@@ -264,21 +244,14 @@ def integer_charpoly_with_details(
         q, _subprime = find_index_calculus_field(n, rng, min_q=floor)
         if q in bad:
             continue
-        field_cfg = AdaptiveConfig(
-            threshold=cfg.threshold,
-            explosion_cap=cfg.explosion_cap,
-            confidence_rounds=cfg.confidence_rounds,
-            method=cfg.method,
-            seed=rng.randrange(1 << 62),
-            trace_log=cfg.trace_log,
-        )
+        field_cfg = dataclasses.replace(cfg, seed=rng.randrange(1 << 62))
         try:
             field_result = charpoly_with_details(A.operator(q), field_cfg)
             if field_result.minpoly != minpoly_z.reduce(q):
                 raise BadPrimeError(
                     "field minimal polynomial differs from the integer reduction"
                 )
-            lifted, factors, exponents = _lift_parts(
+            lifted, factors, exponents = lift_charpoly(
                 A, minpoly_z, q, field_result.charpoly
             )
             if lifted.coefficient(n - 1) != -trace_z:

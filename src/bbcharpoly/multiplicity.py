@@ -23,13 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blackbox import (
-    BlackBoxOperator,
-    PolyOfMatrix,
-    ShiftedOperator,
-    det_blackbox,
-    rank_blackbox,
-)
+from .blackbox import BlackBoxOperator, ShiftedOperator, det_blackbox
 from .ff import DlogContext
 from .poly import Factorization, FieldPoly
 
@@ -49,10 +43,6 @@ class NoCandidateError(ArithmeticError):
 class IndexCalculusFailure(RuntimeError):
     """Discrete-log system did not reach full rank or failed validation."""
 
-    def __init__(self, message: str, rows_sampled: int = 0):
-        super().__init__(message)
-        self.rows_sampled = rows_sampled
-
 
 @dataclass
 class FactorProfile:
@@ -61,7 +51,6 @@ class FactorProfile:
     poly: FieldPoly
     degree: int
     minpoly_mult: int
-    char_mult: int | None = None
     trace_coeff: int = 0
 
     @classmethod
@@ -99,15 +88,6 @@ class OccurrenceTable:
             j += 1
         return j
 
-    def multiplicity(self, i: int) -> int:
-        counts = self.occurrences[i]
-        if set(counts) != set(range(1, self.profiles[i].minpoly_mult + 1)):
-            raise ValueError(f"occurrence counts for factor {i} are incomplete")
-        return sum(j * c for j, c in counts.items())
-
-    def multiplicities(self) -> list[int]:
-        return [self.multiplicity(i) for i in range(len(self.profiles))]
-
     def to_json_dict(self) -> dict:
         return {
             "factors": [
@@ -123,24 +103,6 @@ class OccurrenceTable:
                 for i, prof in enumerate(self.profiles)
             ]
         }
-
-
-def nullity_multiplicity(
-    A: BlackBoxOperator, P: FieldPoly, e: int, rng, repetitions: int = 2
-) -> int:
-    """Multiplicity of P via the nullity of P^e(A): m = (n - rank)/deg(P)."""
-    n = A.dimension
-    d = P.degree
-    for attempt in range(2):
-        r = rank_blackbox(
-            PolyOfMatrix(A, P, e), rng, repetitions=repetitions + attempt
-        )
-        nullity = n - r
-        if nullity % d == 0 and e <= nullity // d <= n // d:
-            return nullity // d
-    raise InconsistentNullityError(
-        f"nullity {nullity} of P^{e}(A) is not a valid multiple of deg(P)={d}"
-    )
 
 
 def nullities_to_occurrences(
@@ -206,10 +168,8 @@ def combinatorial_search(
     known: OccurrenceTable,
     rng,
     *,
-    trace_value: int | None = None,
     tail_counts: dict[int, int] | None = None,
     explosion_cap: int = 10**6,
-    max_det_rounds: int | None = None,
     trace_log=None,
 ) -> dict:
     """Complete the block census by branch-and-bound plus det discrimination.
@@ -225,8 +185,7 @@ def combinatorial_search(
     """
     profiles = list(profiles)
     n, p = A.dimension, A.p
-    if trace_value is None:
-        trace_value = int(A.trace())
+    trace_value = int(A.trace())
     known_slots = {
         (i, j): c
         for i in range(len(profiles))
@@ -305,11 +264,28 @@ def combinatorial_search(
             "no block census satisfies the degree and trace constraints"
         )
 
-    if max_det_rounds is None:
-        max_det_rounds = 4 * n + 16
+    winner = _discriminate_by_det(
+        A, profiles, dict.fromkeys(mult_vector(c) for c in survivors), rng, trace_log
+    )
+    chosen = min(c for c in survivors if mult_vector(c) == winner)
+    out = dict(known_slots)
+    for (i, j), v in zip(unknown, chosen):
+        out[(i, j)] = v
+    return out
+
+
+def _discriminate_by_det(A: BlackBoxOperator, profiles, vectors, rng, trace_log=None):
+    """The one multiplicity vector among distinct ``vectors`` that matches
+    det(lambda*I - A) = prod P_i(lambda)^m_i at random lambda.
+
+    Each round draws one lambda and takes one determinant; after 4n + 16
+    rounds with several survivors, or once none is left, it raises.
+    """
+    n, p = A.dimension, A.p
+    survivors = list(vectors)
     rounds = 0
-    while len({mult_vector(c) for c in survivors}) > 1:
-        if rounds >= max_det_rounds:
+    while len(survivors) > 1:
+        if rounds >= 4 * n + 16:
             raise NoCandidateError(
                 "determinant discrimination did not isolate a candidate"
             )
@@ -318,28 +294,18 @@ def combinatorial_search(
         delta = int(det_blackbox(ShiftedOperator(A, lam), rng))
         evals = [prof.poly(lam) for prof in profiles]
         kept = []
-        for cand in survivors:
-            mults = mult_vector(cand)
+        for mults in survivors:
             value = 1
             for ev, m in zip(evals, mults):
                 value = value * pow(ev, m, p) % p
             if value == delta:
-                kept.append(cand)
+                kept.append(mults)
         if trace_log is not None:
-            trace_log.emit(
-                "search-det", lam=lam, det=delta, survivors=len(kept)
-            )
+            trace_log.emit("search-det", lam=lam, det=delta, survivors=len(kept))
         survivors = kept
-        if not survivors:
-            raise NoCandidateError(
-                "determinant discrimination eliminated every candidate"
-            )
-
-    chosen = min(survivors)
-    out = dict(known_slots)
-    for (i, j), v in zip(unknown, chosen):
-        out[(i, j)] = v
-    return out
+    if not survivors:
+        raise NoCandidateError("determinant discrimination eliminated every candidate")
+    return survivors[0]
 
 
 @dataclass
@@ -350,27 +316,37 @@ class IndexCalculusResult:
 
 
 class _EchelonTracker:
-    """Incremental row elimination mod p, keeping the first independent rows."""
+    """Incremental row elimination mod p, keeping the first independent rows.
+
+    Each reduced row is stored with the combination of accepted input rows
+    that produced it, so ``solve_mod_p`` solves a system over the accepted
+    rows by back-substitution, without a second elimination.
+    """
 
     def __init__(self, width: int, p: int):
         self.p = p
         self.width = width
         self.rows: list[np.ndarray] = []  # reduced rows
+        self.combos: list[np.ndarray] = []  # reduced row = combo . accepted rows
         self.pivots: list[int] = []
 
     def try_add(self, row) -> bool:
         p = self.p
         w = np.array(row, dtype=np.int64) % p
-        for vec, piv in zip(self.rows, self.pivots):
+        combo = np.zeros(self.width, dtype=np.int64)
+        combo[self.rank] = 1
+        for vec, vec_combo, piv in zip(self.rows, self.combos, self.pivots):
             f = int(w[piv])
             if f:
                 w = (w - f * vec) % p
+                combo = (combo - f * vec_combo) % p
         nz = np.nonzero(w)[0]
         if len(nz) == 0:
             return False
         piv = int(nz[0])
-        w = w * pow(int(w[piv]), -1, p) % p
-        self.rows.append(w)
+        inv = pow(int(w[piv]), -1, p)
+        self.rows.append(w * inv % p)
+        self.combos.append(combo * inv % p)
         self.pivots.append(piv)
         return True
 
@@ -379,22 +355,88 @@ class _EchelonTracker:
         return len(self.rows)
 
 
-def solve_mod_p(rows, rhs, p: int) -> list[int]:
-    """Solve a square nonsingular system mod p by Gaussian elimination."""
-    k = len(rows)
-    M = [[int(x) % p for x in row] + [int(b) % p] for row, b in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if M[i][col]), None)
-        if piv is None:
-            raise IndexCalculusFailure("system matrix is singular mod p")
-        M[col], M[piv] = M[piv], M[col]
-        inv = pow(M[col][col], -1, p)
-        M[col] = [x * inv % p for x in M[col]]
-        for i in range(k):
-            if i != col and M[i][col]:
-                f = M[i][col]
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[col])]
-    return [M[i][k] for i in range(k)]
+def solve_mod_p(tracker: _EchelonTracker, rhs) -> list[int]:
+    """Solve (accepted rows of a full-rank tracker) x = rhs mod p.
+
+    The reduced rows are unit upper triangular in pivot order, so carrying
+    rhs through the recorded combinations and back-substituting costs O(k^2).
+    """
+    p, k = tracker.p, tracker.width
+    if tracker.rank != k:
+        raise IndexCalculusFailure("system matrix is singular mod p")
+    b = np.array(rhs, dtype=np.int64) % p
+    x = np.zeros(k, dtype=np.int64)
+    for row, combo, piv in reversed(list(zip(tracker.rows, tracker.combos, tracker.pivots))):
+        # x[piv] is still 0, and row is 0 at the earlier rows' unsolved pivots
+        x[piv] = (np.sum(combo * b % p) - np.sum(row * x % p)) % p
+    return [int(v) for v in x]
+
+
+@dataclass
+class _LogSystem:
+    """Full-rank discrete-log rows and their right-hand sides, per lambda."""
+
+    tracker: _EchelonTracker
+    lambdas: list[int]
+    rhs: list[int]  # log det(lambda*I - A) - log known(lambda), mod (q-1) mod p
+    enum_logs: list[list[int]]  # log P_i(lambda) mod p of the enumerated factors
+    rows_sampled: int
+
+
+def _log_system(
+    A: BlackBoxOperator,
+    profiles,
+    unknown,
+    enumerated,
+    known: FieldPoly,
+    ctx: DlogContext,
+    p: int,
+    rng,
+    *,
+    lambda_source=None,
+    trace_log=None,
+) -> _LogSystem:
+    """Rows log P_j(lambda) mod p, j in ``unknown``, at random lambda until
+    they reach full rank; determinants det(lambda*I - A) are then taken only
+    for the chosen rows, in order.
+
+    Each attempt draws one lambda (``rng.randrange(q)`` or the next item of
+    ``lambda_source``); it is kept when it is new and neither the known part
+    nor any unknown or enumerated factor vanishes there.  Fails after n rows
+    without full rank.
+    """
+    n, q = A.dimension, A.p
+    k = len(unknown)
+    guarded = [profiles[j].poly for j in (*unknown, *enumerated)]
+    tracker = _EchelonTracker(k, p)
+    lambdas: list[int] = []
+    rows_sampled = 0
+    used: set[int] = set()
+    while tracker.rank < k:
+        if rows_sampled >= n:
+            raise IndexCalculusFailure(f"no full-rank system after {rows_sampled} rows")
+        for _ in range(64 * (n + 4)):
+            lam = next(lambda_source) if lambda_source is not None else rng.randrange(q)
+            if lam not in used and known(lam) != 0 and all(f(lam) != 0 for f in guarded):
+                break
+        else:
+            raise IndexCalculusFailure("could not sample an evaluation point")
+        used.add(lam)
+        rows_sampled += 1
+        if tracker.try_add([ctx.dlog(profiles[j].poly(lam)) % p for j in unknown]):
+            lambdas.append(lam)
+        if trace_log is not None:
+            trace_log.emit("ic-row", lam=lam, rank=tracker.rank, rows=rows_sampled)
+    rhs, enum_logs = [], []
+    for lam in lambdas:
+        det = int(det_blackbox(ShiftedOperator(A, lam), rng))
+        if det == 0:
+            raise IndexCalculusFailure(
+                "determinant vanished at a guarded evaluation point"
+            )
+        rhs.append((ctx.dlog(det) - ctx.dlog(known(lam))) % (q - 1) % p)
+        enum_logs.append([ctx.dlog(profiles[i].poly(lam)) % p for i in enumerated])
+    return _LogSystem(tracker, lambdas, rhs, enum_logs, rows_sampled)
 
 
 def index_calculus(
@@ -418,8 +460,7 @@ def index_calculus(
     """
     profiles = list(profiles)
     unknown = list(unknown_indices)
-    k = len(unknown)
-    if k == 0:
+    if not unknown:
         raise ValueError("no unknown multiplicities to solve for")
     n = A.dimension
     q = A.p
@@ -427,57 +468,16 @@ def index_calculus(
         raise ValueError("dlog context field differs from the operator field")
     if (q - 1) % subprime != 0 or subprime <= n:
         raise ValueError("subprime must divide q-1 and exceed the dimension")
-    p = subprime
-    tracker = _EchelonTracker(k, p)
-    chosen: list[tuple[list[int], int, int]] = []  # (row, lambda, log gamma)
-    rows_sampled = 0
-    used_lambdas: set[int] = set()
-    while tracker.rank < k:
-        if rows_sampled >= n:
-            raise IndexCalculusFailure(
-                f"no full-rank system after {rows_sampled} rows",
-                rows_sampled=rows_sampled,
-            )
-        for _ in range(64 * (n + 4)):
-            lam = (
-                next(lambda_source) if lambda_source is not None else rng.randrange(q)
-            )
-            if lam in used_lambdas:
-                continue
-            alphas = [profiles[j].poly(lam) for j in unknown]
-            gamma = Q(lam)
-            if gamma != 0 and all(a != 0 for a in alphas):
-                break
-        else:
-            raise IndexCalculusFailure("could not sample an evaluation point")
-        used_lambdas.add(lam)
-        rows_sampled += 1
-        row = [ctx.dlog(a) % p for a in alphas]
-        log_gamma = ctx.dlog(gamma) % (q - 1) if gamma != 1 else 0
-        if tracker.try_add(row):
-            chosen.append((row, lam, log_gamma))
-        if trace_log is not None:
-            trace_log.emit(
-                "ic-row", lam=lam, rank=tracker.rank, rows=rows_sampled
-            )
-    rhs = []
-    for _, lam, log_gamma in chosen:
-        det = int(det_blackbox(ShiftedOperator(A, lam), rng))
-        if det == 0:
-            raise IndexCalculusFailure(
-                "determinant vanished at a guarded evaluation point",
-                rows_sampled=rows_sampled,
-            )
-        rhs.append((ctx.dlog(det) - log_gamma) % (q - 1) % p)
-    solution = solve_mod_p([row for row, _, _ in chosen], rhs, p)
-    mults = {j: int(x) for j, x in zip(unknown, solution)}
+    system = _log_system(
+        A, profiles, unknown, (), Q, ctx, subprime, rng,
+        lambda_source=lambda_source, trace_log=trace_log,
+    )
+    solution = solve_mod_p(system.tracker, system.rhs)
+    mults = dict(zip(unknown, solution))
     total = sum(profiles[j].degree * mults[j] for j in unknown)
     q_degree = Q.degree if Q.degree > 0 else 0
     if total + q_degree != n:
-        raise IndexCalculusFailure(
-            f"degree check failed: {total} + {q_degree} != {n}",
-            rows_sampled=rows_sampled,
-        )
+        raise IndexCalculusFailure(f"degree check failed: {total} + {q_degree} != {n}")
     if trace_log is not None:
-        trace_log.emit("ic-solved", rows=rows_sampled, multiplicities=mults)
-    return IndexCalculusResult(mults, rows_sampled, [lam for _, lam, _ in chosen])
+        trace_log.emit("ic-solved", rows=system.rows_sampled, multiplicities=mults)
+    return IndexCalculusResult(mults, system.rows_sampled, system.lambdas)

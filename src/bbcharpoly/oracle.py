@@ -253,18 +253,6 @@ def dense_integer_charpoly(matrix) -> IntPoly:
     return crt_combine(residues)
 
 
-def dense_multiplicity(matrix, p: int, factor_poly: FieldPoly) -> int:
-    """Multiplicity of an irreducible factor in the dense charpoly."""
-    cp = dense_charpoly(matrix, p)
-    count = 0
-    while True:
-        q, r = divmod(cp, factor_poly)
-        if not r.is_zero:
-            return count
-        cp = q
-        count += 1
-
-
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """Matrix product mod p without int64 overflow (column-blocked)."""
     n = A.shape[0]
@@ -284,7 +272,3 @@ def dense_poly_of_matrix(matrix, p: int, poly: FieldPoly) -> np.ndarray:
         acc = (acc + np.eye(n, dtype=np.int64) * poly.coeffs[i]) % p
     return acc
 
-
-def krylov_minpoly_check(matrix, p: int, candidate: FieldPoly) -> bool:
-    """Does the candidate annihilate the matrix (dense evaluation)?"""
-    return not dense_poly_of_matrix(matrix, p, candidate).any()

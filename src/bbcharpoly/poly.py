@@ -146,10 +146,6 @@ class FieldPoly:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -526,11 +522,6 @@ def pow_mod(base: FieldPoly, exponent: int, modulus: FieldPoly) -> FieldPoly:
         acc = (acc * acc) % modulus
         e >>= 1
     return result
-
-
-def eval_horner(f, x):
-    """Horner evaluation, shared entry point for both poly types."""
-    return f(x)
 
 
 def _bezout_mod_p(g: FieldPoly, h: FieldPoly):

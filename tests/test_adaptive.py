@@ -14,6 +14,7 @@ from bbcharpoly.adaptive import (
     nullity_comb_search,
 )
 from bbcharpoly.blackbox import (
+    CountingOperator,
     PolyOfMatrix,
     SparseMatrix,
     block_diagonal,
@@ -260,3 +261,58 @@ class TestInvfactDriver:
         want = {(-1 % p, 1): 4, (-3 % p, 1): 3}
         for prof, m in zip(profiles, got):
             assert want[prof.poly.coeffs] == m
+
+
+class TestPinnedWork:
+    """Exact apply counts of fixed-seed runs.
+
+    The counts were recorded once.  In this small field a projection or a
+    determinant fails often enough that the count depends on the values
+    drawn, so a change that adds, drops or reorders a random draw moves
+    some of them even when every characteristic polynomial stays right.
+    """
+
+    SEEDS = range(1, 7)
+    APPLIES = {  # (form, method) -> applies of the matrix, one per seed
+        (0, "auto"): [312, 355, 312, 312, 312, 312],
+        (0, "nullity-comb"): [1172, 1129, 1045, 1087, 1045, 1045],
+        (0, "index"): [312, 355, 312, 312, 312, 312],
+        (0, "hybrid"): [427, 312, 312, 312, 341, 355],
+        (0, "invfact"): [457, 457, 457, 457, 457, 457],
+        (1, "auto"): [575, 575, 575, 575, 654, 575],
+        (1, "nullity-comb"): [4589, 4823, 4591, 5205, 4591, 4819],
+        (1, "index"): [575, 575, 575, 575, 654, 575],
+        (1, "hybrid"): [575, 575, 575, 575, 575, 654],
+        (1, "invfact"): [575, 575, 575, 575, 654, 575],
+    }
+
+    @staticmethod
+    def forms(q):
+        # form 0: auto picks index with a discrete-log system, hybrid
+        # enumerates assignments; form 1: nine non-cheap factors, so hybrid
+        # solves a discrete-log system for each enumerated assignment
+        yield [
+            (linear(1, q), {1: 1}),
+            (linear(2, q), {1: 1}),
+            (linear(3, q), {1: 2, 2: 1}),
+            (linear(4, q), {2: 1}),
+            (linear(5, q), {1: 1, 3: 1}),
+            (linear(6, q), {1: 3}),
+        ]
+        yield [(linear(a, q), {1: 1, 2: 1}) for a in range(1, 10)]
+
+    @pytest.mark.parametrize("method", ["auto", "nullity-comb", "index", "hybrid", "invfact"])
+    def test_charpoly_and_apply_count(self, method):
+        q, _ = find_index_calculus_field(27)
+        for form, census in enumerate(self.forms(q)):
+            A, mults = planted_primary_form(census, q)
+            want = FieldPoly.one(q)
+            for (poly, _), m in zip(census, mults):
+                want = want * poly**m
+            applies = []
+            for seed in self.SEEDS:
+                op = CountingOperator(A.operator(q))
+                res = charpoly_with_details(op, AdaptiveConfig(seed=seed, method=method))
+                assert res.charpoly == want, f"form {form} seed {seed}"
+                applies.append(op.applies)
+            assert applies == self.APPLIES[form, method], f"form {form}"

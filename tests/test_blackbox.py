@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from bbcharpoly.blackbox import (
+    BerlekampMassey,
     CountingOperator,
     LowRankPerturbation,
     PolyOfMatrix,
     ShiftedOperator,
     SparseMatrix,
-    berlekamp_massey,
     block_diagonal,
     build_block_jordan,
     build_companion,
@@ -136,21 +136,27 @@ class TestOperatorCombinators:
 
 
 class TestBerlekampMassey:
+    @staticmethod
+    def generator(seq, p):
+        bm = BerlekampMassey(p, len(seq))
+        for term in seq:
+            bm.add(term)
+        return bm.generator()
+
     def test_fibonacci(self):
         p = 101
         seq = [1, 1]
         for _ in range(20):
             seq.append((seq[-1] + seq[-2]) % p)
-        gen = berlekamp_massey(seq, p)
-        assert gen == FieldPoly([-1, -1, 1], p)
+        assert self.generator(seq, p) == FieldPoly([-1, -1, 1], p)
 
     def test_geometric(self):
         p = 13
         seq = [pow(5, i, p) for i in range(10)]
-        assert berlekamp_massey(seq, p) == linear(5, p)
+        assert self.generator(seq, p) == linear(5, p)
 
     def test_zero_sequence(self):
-        assert berlekamp_massey([0] * 8, 7) == FieldPoly.one(7)
+        assert self.generator([0] * 8, 7) == FieldPoly.one(7)
 
 
 class TestWiedemann:

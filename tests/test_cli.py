@@ -330,7 +330,10 @@ class TestExitCodes:
         entries = "\n".join(f"{i} {i} 1" for i in range(1, n + 1))
         path = write(tmp_path, "big.sms", f"{n} {n} M\n{entries}\n0 0 0\n")
         code, _, err = run_cli(
-            capsys, "verify", "--field", "10007", "--seed", "1", path
+            capsys, "verify", "--field", "10007", "--seed", "1", "--explain", path
         )
         assert code == 2
         assert "refuses" in err
+        # the trace of the computation that ran is printed even though it failed
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert any(e["event"] == "method" for e in events)

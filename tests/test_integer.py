@@ -7,7 +7,6 @@ from bbcharpoly.blackbox import SparseMatrix, block_diagonal, build_companion
 from bbcharpoly.ff import next_prime
 from bbcharpoly.integer import (
     IntegerMatrix,
-    LiftPlan,
     charpoly_coeff_bound,
     integer_charpoly,
     integer_charpoly_with_details,
@@ -51,11 +50,6 @@ class TestBounds:
             cp = dense_integer_charpoly(m.to_dense())
             assert cp.max_abs() <= bound
 
-    def test_lift_plan(self):
-        plan = LiftPlan.for_bound(7, 1000)
-        assert 7**plan.exponent > 2000
-        assert 7 ** (plan.exponent - 1) <= 2000
-
 
 class TestIntegerMinpoly:
     def test_diag112(self):
@@ -91,20 +85,20 @@ class TestLiftCharpoly:
         minpoly_z = IntPoly([2, -3, 1])  # (X-1)(X-2)
         p = 7
         charpoly_mod_p = minpoly_z.reduce(p) * FieldPoly([-1, 1], p)
-        out = lift_charpoly(A, minpoly_z, p, charpoly_mod_p)
+        out = lift_charpoly(A, minpoly_z, p, charpoly_mod_p)[0]
         assert out == IntPoly([-2, 5, -4, 1])  # (X-1)^2 (X-2)
 
     def test_minpoly_equals_charpoly(self):
         f = IntPoly([1, -10, 1])
         A = IntegerMatrix(build_companion(f))
-        out = lift_charpoly(A, f, 13, f.reduce(13))
+        out = lift_charpoly(A, f, 13, f.reduce(13))[0]
         assert out == f
 
     def test_doubled_companion_block(self):
         f = IntPoly([1, -10, 1])
         C = build_companion(f)
         A = IntegerMatrix(block_diagonal([C, C]))
-        out = lift_charpoly(A, f, 13, (f.reduce(13) ** 2).monic())
+        out = lift_charpoly(A, f, 13, (f.reduce(13) ** 2).monic())[0]
         assert out == f * f
 
     def test_bad_prime_detected(self):

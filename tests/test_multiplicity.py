@@ -3,7 +3,9 @@ import random
 import pytest
 
 from bbcharpoly.blackbox import (
+    PolyOfMatrix,
     build_companion,
+    rank_blackbox,
     trace,
     wiedemann_minpoly,
 )
@@ -18,7 +20,6 @@ from bbcharpoly.multiplicity import (
     degree_trace_residual,
     index_calculus,
     nullities_to_occurrences,
-    nullity_multiplicity,
     profiles_from_factorization,
 )
 from bbcharpoly.oracle import dense_charpoly
@@ -38,20 +39,22 @@ def profile(poly, e):
 
 
 class TestNullityMultiplicity:
+    """nullity(P^e(A)) = m * deg(P) once e reaches P's minpoly multiplicity."""
+
     def test_planted_example(self):
         p = 7
         rng = random.Random(0)
         A, mults = planted_primary_form([(linear(1, p), {2: 1, 1: 1})], p)
         assert mults == [3]
-        got = nullity_multiplicity(A.operator(p), linear(1, p), 2, rng)
-        assert got == 3
+        op = A.operator(p)
+        assert op.dimension - rank_blackbox(PolyOfMatrix(op, linear(1, p), 2), rng) == 3
 
     def test_companion_full_degree(self):
         p = 101
         rng = random.Random(1)
         P = rand_irreducible(5, p, rng)
         A = build_companion(P).operator(p)
-        assert nullity_multiplicity(A, P, 1, rng) == 1
+        assert A.dimension - rank_blackbox(PolyOfMatrix(A, P, 1), rng) == 5
 
     def test_diag112(self):
         p = 11
@@ -59,8 +62,9 @@ class TestNullityMultiplicity:
         A, _ = planted_primary_form(
             [(linear(1, p), {1: 2}), (linear(2, p), {1: 1})], p
         )
-        assert nullity_multiplicity(A.operator(p), linear(2, p), 1, rng) == 1
-        assert nullity_multiplicity(A.operator(p), linear(1, p), 1, rng) == 2
+        op = A.operator(p)
+        assert op.dimension - rank_blackbox(PolyOfMatrix(op, linear(2, p)), rng) == 1
+        assert op.dimension - rank_blackbox(PolyOfMatrix(op, linear(1, p)), rng) == 2
 
 
 class TestNullitiesToOccurrences:

@@ -94,11 +94,8 @@ class TestArithmetic:
 
 class TestEvaluation:
     def test_eval_examples(self):
-        from bbcharpoly.poly import eval_horner
-
         # GF(11): (X^2 - 3X + 2)(4) = 16 - 12 + 2 = 6
         assert fp([2, -3, 1], 11)(4) == 6
-        assert eval_horner(fp([2, -3, 1], 11), 4) == 6
         f = fp([3, 5, 1], 11)
         assert f(0) == 3
         g = IntPoly([-2, 1]) * IntPoly([-1, 1]) ** 4
@@ -297,6 +294,17 @@ class TestHensel:
             assert sorted(g.reduce(p).coeffs for g in out) == sorted(
                 b.coeffs for b in basis
             )
+
+    def test_precision_is_smallest_power(self):
+        # bound 1000 with p = 7: 7^3 = 343 <= 2000 < 7^4 = 2401, so the lift
+        # works mod 2401 and recovers coefficients up to 1200 exactly
+        basis = [linear(1200, 7), linear(-1, 7)]
+        S = IntPoly([-1200, 1]) * IntPoly([1, 1])
+        assert hensel_lift_basis(S, basis, 7, 1000) == [IntPoly([-1200, 1]), IntPoly([1, 1])]
+        # -1201 is congruent to 1200 mod 2401: one step past the precision
+        basis = [linear(1201, 7), linear(-1, 7)]
+        S = IntPoly([-1201, 1]) * IntPoly([1, 1])
+        assert hensel_lift_basis(S, basis, 7, 1000)[0] == IntPoly([1200, 1])
 
     def test_bad_basis_rejected(self):
         with pytest.raises(ValueError):
