@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ff import PrimeField, PrimeFieldElem
-from .poly import FieldPoly, poly_lcm
+from .poly import FieldPoly, conv_mod, poly_lcm
 
 
 class MinpolyNotCertifiedError(ArithmeticError):
@@ -233,22 +233,14 @@ class LowRankPerturbation(BlackBoxOperator):
         return (self.base.apply(v) + uv) % p
 
 
-def _conv_mod(c: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """np.convolve(c, v) % p, splitting c when int64 could overflow."""
-    if (len(c) + len(v)) * p * p < (1 << 62):
-        return np.convolve(c, v) % p
-    ch, cl = c >> 16, c & 0xFFFF
-    return ((np.convolve(ch, v) % p << 16) + np.convolve(cl, v) % p) % p
-
-
 def _toeplitz_lower(c: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """Unit lower-triangular Toeplitz apply; c is the first column, c[0]=1."""
-    return _conv_mod(c, v, p)[: len(v)]
+    return conv_mod(c, v, p)[: len(v)]
 
 
 def _toeplitz_upper(c: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """Unit upper-triangular Toeplitz apply; c is the first row, c[0]=1."""
-    return _conv_mod(c[::-1], v, p)[len(v) - 1 :]
+    return conv_mod(c[::-1], v, p)[len(v) - 1 :]
 
 
 class _RankPreconditioner(BlackBoxOperator):
@@ -322,6 +314,9 @@ class CountingOperator(BlackBoxOperator):
     def apply(self, v: np.ndarray) -> np.ndarray:
         self.applies += 1
         return self.base.apply(v)
+
+    def trace(self) -> PrimeFieldElem:
+        return self.base.trace()
 
 
 class BerlekampMassey:

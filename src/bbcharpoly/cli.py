@@ -160,13 +160,16 @@ def _field_modulus(args) -> int | None:
 
 
 def _make_cfg(args) -> AdaptiveConfig:
-    return AdaptiveConfig(
-        threshold=args.threshold,
-        confidence_rounds=args.confidence,
-        method=args.method,
-        seed=args.seed,
-        trace_log=args.trace_log,
-    )
+    try:
+        return AdaptiveConfig(
+            threshold=args.threshold,
+            confidence_rounds=args.confidence,
+            method=args.method,
+            seed=args.seed,
+            trace_log=args.trace_log,
+        )
+    except ValueError as err:  # an out-of-range --threshold
+        raise UsageError(str(err))
 
 
 def _fresh_primes(count: int, avoid=()) -> list[int]:

@@ -9,10 +9,19 @@ On top of the ring arithmetic this module provides squarefree decomposition,
 Cantor-Zassenhaus factorization, pairwise-coprime (gcd-free) bases,
 multifactor quadratic Hensel lifting, and coefficientwise CRT reconstruction.
 
-Field multiplication is numpy convolution; when the modulus is large enough
-that ``len * p**2`` could overflow int64, one operand is split into 16-bit
-halves and the convolutions recombined.  Integer multiplication is schoolbook
-with Karatsuba above degree 64 (coefficients are big ints, numpy is no help).
+Field multiplication is numpy convolution (``conv_mod``).  When
+``(len(a) + len(b)) * p**2`` could overflow int64, one operand is split into
+16-bit halves and the convolutions recombined; at operand lengths where even
+the split sums could overflow (2^16 for p near 2^31) it raises OverflowError.
+Integer multiplication is schoolbook with Karatsuba above degree 64
+(coefficients are big ints, numpy is no help).
+
+Factoring over GF(p) works on int64 coefficient vectors.  Products modulo a
+fixed f are reduced with a Newton inverse of the reversed f computed once,
+two convolutions per reduction (``_Modulus``).  Distinct-degree splitting and
+Rabin's irreducibility test step through X^(p^d) mod f with the Frobenius
+matrix of f, one matrix-vector product per degree (``_frobenius``).  Euclid's
+algorithm keeps its remainders as arrays while they are long.
 """
 
 from __future__ import annotations
@@ -54,6 +63,34 @@ def _strip(coeffs):
     return coeffs[:n]
 
 
+def _check_split_sum(terms: int, p: int) -> None:
+    """Raise unless ``terms`` products of a residue mod p and a 16-bit half fit int64.
+
+    With p <= 2^32 both 16-bit halves of a residue are at most 2^16 - 1, so
+    each product is at most (p - 1) * (2^16 - 1) and the sum of ``terms`` of
+    them overflows int64 once it can reach 2^63 (length 2^16 for p near 2^31).
+    """
+    if terms * (p - 1) * 0xFFFF >= 1 << 63:
+        raise OverflowError(
+            f"a sum of {terms} split products mod {p} can overflow int64"
+        )
+
+
+def conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """np.convolve(a, b) % p for int64 arrays with entries in [0, p).
+
+    One output entry sums at most min(len(a), len(b)) products.  While
+    (len(a) + len(b)) * p^2 < 2^62 they are summed as they are; otherwise a is
+    split into 16-bit halves, which is exact up to the bound of
+    ``_check_split_sum`` and raises OverflowError beyond it.
+    """
+    if (len(a) + len(b)) * p * p < 1 << 62:
+        return np.convolve(a, b) % p
+    _check_split_sum(min(len(a), len(b)), p)
+    ah, al = a >> 16, a & 0xFFFF
+    return ((np.convolve(ah, b) % p << 16) + np.convolve(al, b) % p) % p
+
+
 def _mul_mod_lists(a, b, p):
     """Product of coefficient lists mod p."""
     if not a or not b:
@@ -67,15 +104,7 @@ def _mul_mod_lists(a, b, p):
         return _strip([c % p for c in out])
     av = np.asarray(a, dtype=np.int64)
     bv = np.asarray(b, dtype=np.int64)
-    length = len(a) + len(b) - 1
-    # int64 is safe while length * p^2 < 2^63; otherwise split b into
-    # 16-bit halves so partial products stay small.
-    if length * p * p < (1 << 62):
-        out = np.convolve(av, bv) % p
-    else:
-        bh, bl = bv >> 16, bv & 0xFFFF
-        out = ((np.convolve(av, bh) % p << 16) + np.convolve(av, bl) % p) % p
-    return _strip([int(c) for c in out])
+    return _strip(conv_mod(av, bv, p).tolist())
 
 
 def _divmod_mod_lists(a, b, p):
@@ -496,13 +525,45 @@ def _render_ascending(coeffs) -> str:
 
 
 def poly_gcd(f, g):
-    """Monic gcd over GF(p)."""
+    """Monic gcd over GF(p).
+
+    While the divisor has at least ``_NUMPY_CUTOFF`` coefficients both
+    remainders stay int64 arrays: each step takes the short quotient from the
+    leading coefficients alone and subtracts its product with the divisor in
+    one convolution.  Smaller remainders finish on coefficient lists.
+    """
     if f.p != g.p:
         raise ValueError(f"mixed moduli {f.p} and {g.p}")
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    p = f.p
+    a, b = f.coeffs, g.coeffs
+    if len(b) >= _NUMPY_CUTOFF:
+        a = np.array(a, dtype=np.int64)
+        b = np.array(b, dtype=np.int64)
+        while len(b) >= _NUMPY_CUTOFF:
+            db = len(b) - 1
+            r = a[:db]
+            m = len(a) - db  # quotient length
+            if m > 0:
+                # rev(q) = rev(a) / rev(b) mod X^m needs only the top m
+                # coefficients of each
+                ra = a[::-1][:m].tolist()
+                rb = b[::-1][:m].tolist()
+                inv = pow(rb[0], -1, p)
+                rq = []
+                for i, c in enumerate(ra):
+                    for j in range(max(0, i - len(rb) + 1), i):
+                        c -= rq[j] * rb[i - j]
+                    rq.append(c * inv % p)
+                q = np.array(rq[::-1], dtype=np.int64)
+                r = (r - conv_mod(q, b, p)[:db]) % p
+            n = len(r)
+            while n and r[n - 1] == 0:
+                n -= 1
+            a, b = b, r[:n]
+        a, b = a.tolist(), b.tolist()
+    while b:
+        a, b = b, _divmod_mod_lists(a, b, p)[1]
+    return FieldPoly(a, p, _trusted=True).monic()
 
 
 def poly_lcm(f, g):
@@ -511,17 +572,92 @@ def poly_lcm(f, g):
     return ((f * g) // poly_gcd(f, g)).monic()
 
 
+class _Modulus:
+    """Arithmetic on int64 coefficient vectors modulo a fixed f of degree n >= 1.
+
+    Vectors are reduced polynomials padded to length n.  A product has at
+    most 2n - 1 coefficients, so its quotient by the monic f has at most
+    n - 1, and rev(quotient) = rev(product) * rev(f)^-1 mod X^(n-1).  The
+    inverse is computed once by Newton iteration, after which every
+    reduction is two convolutions.
+    """
+
+    __slots__ = ("p", "n", "low", "inv")
+
+    def __init__(self, f: FieldPoly):
+        p, n = f.p, f.degree
+        f = np.array(f.monic().coeffs, dtype=np.int64)
+        self.p, self.n = p, n
+        self.low = f[:n]
+        rev = f[::-1]
+        inv = np.ones(1, dtype=np.int64)
+        while len(inv) < n - 1:
+            k = min(2 * len(inv), n - 1)
+            # inv <- inv * (2 - rev * inv) mod X^k doubles the precision
+            e = -conv_mod(rev[:k], inv, p)[:k] % p
+            e[0] = (e[0] + 2) % p
+            inv = conv_mod(inv, e, p)[:k]
+        self.inv = inv
+
+    def vector(self, g: FieldPoly) -> np.ndarray:
+        out = np.zeros(self.n, dtype=np.int64)
+        out[: len(g.coeffs)] = g.coeffs
+        return out
+
+    def poly(self, v: np.ndarray) -> FieldPoly:
+        return FieldPoly(_strip(v.tolist()), self.p, _trusted=True)
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        p, n = self.p, self.n
+        c = conv_mod(a, b, p)
+        m = len(c) - n
+        if m <= 0:
+            return c
+        q = conv_mod(c[: n - 1 : -1], self.inv[:m], p)[m - 1 :: -1]
+        return (c[:n] - conv_mod(q, self.low, p)[:n]) % p
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        result = np.zeros(self.n, dtype=np.int64)
+        result[0] = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
+
+
 def pow_mod(base: FieldPoly, exponent: int, modulus: FieldPoly) -> FieldPoly:
     """base**exponent mod modulus by square-and-multiply."""
-    result = FieldPoly.one(base.p)
     acc = base % modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = (result * acc) % modulus
-        acc = (acc * acc) % modulus
-        e >>= 1
-    return result
+    if modulus.degree < 1:
+        return FieldPoly.one(base.p) if exponent == 0 else acc
+    m = _Modulus(modulus)
+    return m.poly(m.pow(m.vector(acc), exponent))
+
+
+def _frobenius(m: _Modulus):
+    """The GF(p)-linear map h -> h^p mod f on vectors of ``m``, for n >= 2.
+
+    (sum h_i X^i)^p = sum h_i X^(ip), so the map is a product with the n x n
+    matrix whose row i is X^(ip) mod f: one power and n - 2 products to
+    build, then one int64 matrix-vector product per application.
+    """
+    p, n = m.p, m.n
+    x = np.zeros(n, dtype=np.int64)
+    x[1] = 1
+    xp = m.pow(x, p)
+    Q = np.zeros((n, n), dtype=np.int64)
+    Q[0, 0] = 1
+    Q[1] = xp
+    for i in range(2, n):
+        Q[i] = m.mul(Q[i - 1], xp)
+    if n * p * p < 1 << 62:
+        return lambda h: h @ Q % p
+    _check_split_sum(n, p)
+    qh, ql = Q >> 16, Q & 0xFFFF
+    return lambda h: ((h @ qh % p << 16) + h @ ql % p) % p
 
 
 def _bezout_mod_p(g: FieldPoly, h: FieldPoly):
@@ -667,20 +803,27 @@ class Factorization:
 
 
 def _distinct_degree(f: FieldPoly):
-    """Partial factorization of monic squarefree f into (product, degree) parts."""
+    """Partial factorization of monic squarefree f into (product, degree) parts.
+
+    h runs through X^(p^d) mod f by the Frobenius map of f; since the
+    remaining part v divides f, gcd(v, h - X) is gcd(v, X^(p^d) - X).
+    """
     p = f.p
     parts = []
     v = f
-    h = FieldPoly.x(p) % v
     d = 0
-    while v.degree >= 2 * (d + 1):
-        d += 1
-        h = pow_mod(h, p, v)
-        g = poly_gcd(v, h - FieldPoly.x(p))
-        if g.degree > 0:
-            parts.append((g, d))
-            v = v // g
-            h = h % v
+    if f.degree >= 2:
+        m = _Modulus(f)
+        frobenius = _frobenius(m)
+        x = FieldPoly.x(p)
+        h = m.vector(x)
+        while v.degree >= 2 * (d + 1):
+            d += 1
+            h = frobenius(h)
+            g = poly_gcd(v, m.poly(h) - x)
+            if g.degree > 0:
+                parts.append((g, d))
+                v = v // g
     if v.degree > 0:
         parts.append((v, v.degree))
     return parts
@@ -736,18 +879,16 @@ def is_irreducible(f: FieldPoly) -> bool:
     if d == 1:
         return True
     p = f.p
+    m = _Modulus(f)
+    frobenius = _frobenius(m)
     x = FieldPoly.x(p)
-    for r in factorize(d):
-        e = d // r
-        h = x % f
-        for _ in range(e):
-            h = pow_mod(h, p, f)
-        if poly_gcd(f, h - x).degree != 0:
+    checks = {d // r for r in factorize(d)}
+    h = m.vector(x)
+    for k in range(1, d + 1):
+        h = frobenius(h)
+        if k in checks and poly_gcd(f, m.poly(h) - x).degree != 0:
             return False
-    h = x % f
-    for _ in range(d):
-        h = pow_mod(h, p, f)
-    return (h - x % f).is_zero
+    return m.poly(h) == x
 
 
 # ---------------------------------------------------------------------------

@@ -274,16 +274,16 @@ class TestPinnedWork:
 
     SEEDS = range(1, 7)
     APPLIES = {  # (form, method) -> applies of the matrix, one per seed
-        (0, "auto"): [312, 355, 312, 312, 312, 312],
-        (0, "nullity-comb"): [1172, 1129, 1045, 1087, 1045, 1045],
-        (0, "index"): [312, 355, 312, 312, 312, 312],
-        (0, "hybrid"): [427, 312, 312, 312, 341, 355],
-        (0, "invfact"): [457, 457, 457, 457, 457, 457],
-        (1, "auto"): [575, 575, 575, 575, 654, 575],
-        (1, "nullity-comb"): [4589, 4823, 4591, 5205, 4591, 4819],
-        (1, "index"): [575, 575, 575, 575, 654, 575],
-        (1, "hybrid"): [575, 575, 575, 575, 575, 654],
-        (1, "invfact"): [575, 575, 575, 575, 654, 575],
+        (0, "auto"): [297, 340, 297, 297, 297, 297],
+        (0, "nullity-comb"): [1127, 1084, 1000, 1042, 1000, 1000],
+        (0, "index"): [297, 340, 297, 297, 297, 297],
+        (0, "hybrid"): [412, 297, 297, 297, 326, 340],
+        (0, "invfact"): [442, 442, 442, 442, 442, 442],
+        (1, "auto"): [548, 548, 548, 548, 627, 548],
+        (1, "nullity-comb"): [4508, 4742, 4510, 5124, 4510, 4738],
+        (1, "index"): [548, 548, 548, 548, 627, 548],
+        (1, "hybrid"): [548, 548, 548, 548, 548, 627],
+        (1, "invfact"): [548, 548, 548, 548, 627, 548],
     }
 
     @staticmethod

@@ -309,6 +309,15 @@ class TestTrace:
             op = SparseMatrix.from_dense(rows).operator(p)
             assert op.trace() == trace_generic(op)
 
+    def test_counting_operator_forwards_trace(self):
+        rng = random.Random(19)
+        p = 101
+        rows = [[rng.randrange(-9, 10) for _ in range(50)] for _ in range(50)]
+        base = SparseMatrix.from_dense(rows).operator(p)
+        op = CountingOperator(base)
+        assert op.trace() == base.trace()
+        assert op.applies == 0
+
 
 class TestConstructions:
     def test_companion_1x1(self):

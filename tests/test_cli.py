@@ -290,6 +290,14 @@ class TestExitCodes:
         assert code == 2
         assert "method" in err.lower() or "index" in err
 
+    def test_threshold_out_of_range(self, capsys, tmp_path):
+        path = write(tmp_path, "m.sms", DIAG112)
+        code, out, err = run_cli(
+            capsys, "charpoly", "--field", "101", "--threshold", "0", path
+        )
+        assert code == 2 and out == ""
+        assert err == "bbcharpoly: input error: threshold must be >= 1\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "charpoly", "--integer", "/nonexistent.sms")
         assert code == 2

@@ -1,0 +1,198 @@
+"""Property tests of the GF(p) kernels against the plain loops they replace.
+
+p = 2^31 - 1 makes every convolution and the Frobenius matrix-vector
+product take the 16-bit split path.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bbcharpoly.poly import (
+    FieldPoly,
+    _divmod_mod_lists,
+    _frobenius,
+    _Modulus,
+    conv_mod,
+    factor,
+    is_irreducible,
+    poly_gcd,
+)
+from helpers import rand_irreducible
+
+PRIMES = (3, 101, 65537, 1000003, (1 << 31) - 1)
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def field_polys(draw, p, min_degree=0, max_degree=60):
+    """A polynomial over GF(p) of degree in [min_degree, max_degree], max_degree < p."""
+    d = draw(st.integers(min_degree, min(max_degree, p - 1)))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    lead = draw(st.integers(1, p - 1))
+    return FieldPoly(coeffs + [lead], p)
+
+
+@st.composite
+def modulus_and_pair(draw):
+    p = draw(st.sampled_from(PRIMES))
+    f = draw(field_polys(p, min_degree=1))
+    a = draw(field_polys(p, max_degree=f.degree - 1)) % f
+    b = draw(field_polys(p, max_degree=f.degree - 1)) % f
+    return f, a, b
+
+
+def reference_gcd(f, g):
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def reference_pow(h, e, f):
+    result = FieldPoly.one(f.p) % f
+    while e:
+        if e & 1:
+            result = (result * h) % f
+        h = (h * h) % f
+        e >>= 1
+    return result
+
+
+class TestFixedModulus:
+    @SETTINGS
+    @given(modulus_and_pair())
+    def test_product_remainder_matches_long_division(self, case):
+        f, a, b = case
+        m = _Modulus(f)
+        product = (a * b).coeffs
+        want = _divmod_mod_lists(product, f.coeffs, f.p)[1]
+        assert m.poly(m.mul(m.vector(a), m.vector(b))).coeffs == tuple(want)
+
+    @SETTINGS
+    @given(modulus_and_pair())
+    def test_frobenius_is_pth_power(self, case):
+        f, h, _ = case
+        if f.degree < 2:
+            return
+        m = _Modulus(f)
+        got = m.poly(_frobenius(m)(m.vector(h)))
+        assert got == reference_pow(h, f.p, f)
+
+
+class TestGcd:
+    @SETTINGS
+    @given(st.data())
+    def test_divides_both_and_matches_list_euclid(self, data):
+        p = data.draw(st.sampled_from(PRIMES))
+        common = data.draw(field_polys(p, max_degree=20))
+        f = common * data.draw(field_polys(p, max_degree=40))
+        g = common * data.draw(field_polys(p, max_degree=40))
+        d = poly_gcd(f, g)
+        assert (f % d).is_zero and (g % d).is_zero
+        assert d == reference_gcd(f, g)
+        assert common.degree <= d.degree
+
+
+class TestFactor:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_expands_to_input_with_irreducible_factors(self, data):
+        p = data.draw(st.sampled_from(PRIMES))
+        f = data.draw(field_polys(p, min_degree=1))
+        if data.draw(st.booleans()) and 2 * f.degree < p and f.degree <= 30:
+            f = f * f
+        fac = factor(f, random.Random(data.draw(st.integers(0, 2**32))))
+        assert fac.expand() == f
+        assert all(is_irreducible(g) for g, _ in fac)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([p for p in PRIMES if p > 60]),
+        st.integers(1, 6),
+        st.integers(2, 4),
+        st.integers(0, 2**32),
+    )
+    def test_distinct_same_degree_irreducibles(self, p, d, count, seed):
+        # count irreducibles of degree d found at step d shrink the part
+        # that the later gcds run against; two of degree 2d + 1 stay behind
+        rng = random.Random(seed)
+        planted = set()
+        for degree, k in ((d, count), (2 * d + 1, 2)):
+            want = len(planted) + k
+            for _ in range(50 * k):
+                if len(planted) == want:
+                    break
+                planted.add(rand_irreducible(degree, p, rng))
+        f = FieldPoly.one(p)
+        for g in planted:
+            f = f * g
+        fac = factor(f, rng)
+        assert {g for g, _ in fac} == planted
+        assert all(e == 1 for _, e in fac)
+
+
+def reference_irreducible(f):
+    """Rabin's test with square-and-multiply powers of X."""
+    p, d = f.p, f.degree
+    x = FieldPoly.x(p)
+    h = x % f
+    powers = [h]
+    for _ in range(d):
+        h = reference_pow(h, p, f)
+        powers.append(h)
+    if powers[d] != x % f:
+        return False
+    r = 2
+    rest = d
+    while rest > 1:
+        if rest % r == 0:
+            if poly_gcd(f, powers[d // r] - x).degree != 0:
+                return False
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    return True
+
+
+@SETTINGS
+@given(st.data())
+def test_is_irreducible_matches_rabin_with_powers(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    f = data.draw(field_polys(p, min_degree=2, max_degree=8))
+    assert is_irreducible(f) == reference_irreducible(f)
+
+
+class TestConvolutionBound:
+    P = (1 << 31) - 1
+    # the shortest operand length at which a split sum can reach 2^63
+    LIMIT = -(-(1 << 63) // ((P - 1) * 0xFFFF))
+
+    @pytest.fixture
+    def convolve_calls(self, monkeypatch):
+        calls = []
+
+        def fake(a, b):
+            calls.append((len(a), len(b)))
+            return np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+
+        monkeypatch.setattr(np, "convolve", fake)
+        return calls
+
+    def test_limit_is_near_two_to_the_sixteen(self):
+        assert self.LIMIT == (1 << 16) + 2
+
+    def test_raises_at_the_bound_before_convolving(self, convolve_calls):
+        z = np.zeros(self.LIMIT, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            conv_mod(z, z, self.P)
+        assert convolve_calls == []
+
+    def test_splits_below_the_bound(self, convolve_calls):
+        z = np.zeros(self.LIMIT - 1, dtype=np.int64)
+        out = conv_mod(z, np.zeros(self.LIMIT + 5, dtype=np.int64), self.P)
+        assert len(out) == 2 * self.LIMIT + 3
+        assert len(convolve_calls) == 2  # the two 16-bit halves
