@@ -1,10 +1,14 @@
 """Black-box operators over GF(p) and the Wiedemann kernels.
 
 An operator exposes only its dimension and ``apply(vector)``; vectors are
-dense numpy int64 arrays with canonical entries in ``[0, p)``.  All mod-p
-reductions are arranged so no intermediate exceeds int64: elementwise
-products are reduced before summation, and sparse row sums use a cumsum
-whose total stays below ``nnz * p``.
+dense numpy int64 arrays with canonical entries in ``[0, p)``, and every
+apply returns a new canonical array and leaves its input unchanged.  The
+bounds below rely on that contract: a product of two canonical entries is at
+most (p - 1)^2.  Reduction is lazy: a kernel that sums ``terms`` products
+adds them raw and reduces once per output entry when
+``terms * (p - 1)^2 < 2^63`` (``_lazy_sum_fits``), so the sum cannot
+overflow int64.  Otherwise it reduces every product first, and a sparse row
+sum uses a cumsum whose total stays below ``nnz * p``.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
 sequences (with an annihilation certificate), rank and determinant via
@@ -33,7 +37,19 @@ def random_vector(n: int, p: int, rng) -> np.ndarray:
     return np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
 
 
+def _lazy_sum_fits(terms: int, p: int) -> bool:
+    """Whether ``terms`` raw products of residues mod p sum exactly in int64.
+
+    Each product of two entries in [0, p) is at most (p - 1)^2, so the sum
+    stays at most the int64 maximum 2^63 - 1 while terms * (p - 1)^2 < 2^63
+    (2 terms for p = 2^31 - 1, about 2^23 for p near 2^20).
+    """
+    return terms * (p - 1) ** 2 < 1 << 63
+
+
 def _dot_mod(u: np.ndarray, v: np.ndarray, p: int) -> int:
+    if _lazy_sum_fits(len(u), p):
+        return int(u @ v % p)
     # (u*v) % p keeps every summand < p; the sum then fits easily in int64.
     return int(np.sum(u * v % p) % p)
 
@@ -157,10 +173,25 @@ class SparseOperator(BlackBoxOperator):
         self._cols = np.array([c for _, c, _ in kept], dtype=np.int64)
         self._vals = np.array([v for _, _, v in kept], dtype=np.int64)
         self._diag = sum(v for r, c, v in kept if r == c) % p
+        lengths = np.diff(self._indptr)
+        self._lazy = _lazy_sum_fits(int(lengths.max(initial=0)), p)
+        # reduceat sums each row from its start to the next start, so it gets
+        # the starts of the nonempty rows only; their sums are scattered back
+        # when some row is empty.
+        nonempty = np.flatnonzero(lengths)
+        self._starts = self._indptr[nonempty]
+        self._rows = None if len(nonempty) == n else nonempty
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if len(self._vals) == 0:
             return np.zeros(self.dimension, dtype=np.int64)
+        if self._lazy:
+            sums = np.add.reduceat(self._vals * v[self._cols], self._starts) % self.p
+            if self._rows is None:
+                return sums
+            out = np.zeros(self.dimension, dtype=np.int64)
+            out[self._rows] = sums
+            return out
         t = self._vals * v[self._cols] % self.p
         c = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(t)))
         return (c[self._indptr[1:]] - c[self._indptr[:-1]]) % self.p
@@ -188,15 +219,21 @@ class PolyOfMatrix(BlackBoxOperator):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         p = self.p
-        coeffs = self.poly.coeffs
+        *low, lead = self.poly.coeffs
         w = v
         for _ in range(self.power):
-            src = w
-            acc = coeffs[-1] * src % p
-            for i in range(len(coeffs) - 2, -1, -1):
-                acc = (self.base.apply(acc) + coeffs[i] * src) % p
+            acc = w if lead == 1 else lead * w % p
+            for c in reversed(low):
+                acc = self.base.apply(acc)
+                if c:
+                    # Only t is written in place: w may be the caller's v and
+                    # acc belongs to the base operator's apply.
+                    t = c * w
+                    t += acc
+                    t %= p
+                    acc = t
             w = acc
-        return w
+        return w.copy() if w is v else w
 
 
 class ShiftedOperator(BlackBoxOperator):
@@ -225,9 +262,14 @@ class LowRankPerturbation(BlackBoxOperator):
         self.base = base
         self.U = U
         self.V = V
+        # V @ v sums n products per entry and U @ w sums r.
+        self._lazy = _lazy_sum_fits(max(n, r), base.p)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         p = self.p
+        if self._lazy:
+            uv = self.U @ (self.V @ v % p) % p
+            return (self.base.apply(v) + uv) % p
         w = np.sum(self.V * v[None, :] % p, axis=1) % p
         uv = np.sum(self.U * w[None, :] % p, axis=1) % p
         return (self.base.apply(v) + uv) % p
@@ -326,12 +368,15 @@ class BerlekampMassey:
         self.p = p
         self._seq = np.zeros(capacity, dtype=np.int64)
         self._C = np.zeros(capacity + 1, dtype=np.int64)
-        self._B = np.zeros(capacity + 1, dtype=np.int64)
         self._C[0] = 1
-        self._B[0] = 1
+        # B is C as it was before the last length change, cut to that L + 1
+        # entries; C is zero beyond its L, so nothing of B is lost.
+        self._B = np.ones(1, dtype=np.int64)
+        # A discrepancy sums L + 1 products and L never exceeds the capacity.
+        self._lazy = _lazy_sum_fits(capacity + 1, p)
         self.L = 0
         self._m = 1
-        self._b = 1
+        self._b_inv = 1  # inverse of the discrepancy at the last length change
         self.count = 0
         self._last_change = -1
 
@@ -340,23 +385,23 @@ class BerlekampMassey:
         i = self.count
         self._seq[i] = term % p
         window = self._seq[i - self.L : i + 1][::-1]
-        d = int(np.sum(self._C[: self.L + 1] * window % p) % p)
+        live = self._C[: self.L + 1]
+        if self._lazy:
+            d = int(live @ window % p)
+        else:
+            d = int(np.sum(live * window % p) % p)
         if d == 0:
             self._m += 1
-        elif 2 * self.L <= i:
-            snapshot = self._C.copy()
-            coef = d * pow(self._b, -1, p) % p
-            m = self._m
-            self._C[m:] = (self._C[m:] - coef * self._B[: len(self._B) - m]) % p
-            self.L = i + 1 - self.L
-            self._B = snapshot
-            self._b = d
-            self._m = 1
-            self._last_change = i
         else:
-            coef = d * pow(self._b, -1, p) % p
-            m = self._m
-            self._C[m:] = (self._C[m:] - coef * self._B[: len(self._B) - m]) % p
+            coef = d * self._b_inv % p
+            B, m = self._B, self._m
+            if 2 * self.L <= i:  # length change: C before this update becomes B
+                self._B, self._b_inv, self._m = live.copy(), pow(d, -1, p), 0
+                self.L = i + 1 - self.L
+            # m + len(B) = i + 2 - L_old <= capacity + 1, and deg(X^m B) is at
+            # most the new L, so C stays zero beyond L.
+            top = m + len(B)
+            self._C[m:top] = (self._C[m:top] - coef * B) % p
             self._m += 1
             self._last_change = i
         self.count += 1

@@ -54,7 +54,7 @@ class TestArithmetic:
 
     def test_large_prime_multiplication(self):
         # Exercises the 16-bit split path of the convolution.
-        p = (1 << 31) - 1  # not prime, but multiplication only needs a modulus
+        p = (1 << 31) - 1  # the Mersenne prime M31, the largest supported modulus
         rng = random.Random(2)
         a = [rng.randrange(p) for _ in range(40)]
         b = [rng.randrange(p) for _ in range(40)]
