@@ -7,8 +7,7 @@ bounds below rely on that contract: a product of two canonical entries is at
 most (p - 1)^2.  Reduction is lazy: a kernel that sums ``terms`` products
 adds them raw and reduces once per output entry when
 ``terms * (p - 1)^2 < 2^63`` (``_lazy_sum_fits``), so the sum cannot
-overflow int64.  Otherwise it reduces every product first, and a sparse row
-sum uses a cumsum whose total stays below ``nnz * p``.
+overflow int64.  Otherwise it reduces every product first.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
 sequences (with an annihilation certificate), rank and determinant via
@@ -169,32 +168,31 @@ class SparseOperator(BlackBoxOperator):
             indptr[r + 1] += 1
         for i in range(n):
             indptr[i + 1] += indptr[i]
-        self._indptr = np.array(indptr, dtype=np.int64)
+        indptr = np.array(indptr, dtype=np.int64)
         self._cols = np.array([c for _, c, _ in kept], dtype=np.int64)
         self._vals = np.array([v for _, _, v in kept], dtype=np.int64)
         self._diag = sum(v for r, c, v in kept if r == c) % p
-        lengths = np.diff(self._indptr)
+        lengths = np.diff(indptr)
         self._lazy = _lazy_sum_fits(int(lengths.max(initial=0)), p)
         # reduceat sums each row from its start to the next start, so it gets
         # the starts of the nonempty rows only; their sums are scattered back
         # when some row is empty.
         nonempty = np.flatnonzero(lengths)
-        self._starts = self._indptr[nonempty]
+        self._starts = indptr[nonempty]
         self._rows = None if len(nonempty) == n else nonempty
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if len(self._vals) == 0:
             return np.zeros(self.dimension, dtype=np.int64)
-        if self._lazy:
-            sums = np.add.reduceat(self._vals * v[self._cols], self._starts) % self.p
-            if self._rows is None:
-                return sums
-            out = np.zeros(self.dimension, dtype=np.int64)
-            out[self._rows] = sums
-            return out
-        t = self._vals * v[self._cols] % self.p
-        c = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(t)))
-        return (c[self._indptr[1:]] - c[self._indptr[:-1]]) % self.p
+        t = self._vals * v[self._cols]
+        if not self._lazy:
+            t %= self.p
+        sums = np.add.reduceat(t, self._starts) % self.p
+        if self._rows is None:
+            return sums
+        out = np.zeros(self.dimension, dtype=np.int64)
+        out[self._rows] = sums
+        return out
 
     def trace(self) -> PrimeFieldElem:
         return PrimeField(self.p)(self._diag)
@@ -226,12 +224,7 @@ class PolyOfMatrix(BlackBoxOperator):
             for c in reversed(low):
                 acc = self.base.apply(acc)
                 if c:
-                    # Only t is written in place: w may be the caller's v and
-                    # acc belongs to the base operator's apply.
-                    t = c * w
-                    t += acc
-                    t %= p
-                    acc = t
+                    acc = (acc + c * w) % p
             w = acc
         return w.copy() if w is v else w
 
@@ -372,8 +365,6 @@ class BerlekampMassey:
         # B is C as it was before the last length change, cut to that L + 1
         # entries; C is zero beyond its L, so nothing of B is lost.
         self._B = np.ones(1, dtype=np.int64)
-        # A discrepancy sums L + 1 products and L never exceeds the capacity.
-        self._lazy = _lazy_sum_fits(capacity + 1, p)
         self.L = 0
         self._m = 1
         self._b_inv = 1  # inverse of the discrepancy at the last length change
@@ -386,10 +377,7 @@ class BerlekampMassey:
         self._seq[i] = term % p
         window = self._seq[i - self.L : i + 1][::-1]
         live = self._C[: self.L + 1]
-        if self._lazy:
-            d = int(live @ window % p)
-        else:
-            d = int(np.sum(live * window % p) % p)
+        d = _dot_mod(live, window, p)
         if d == 0:
             self._m += 1
         else:

@@ -128,15 +128,22 @@ class TestLazyBound:
         w = reference_matvec(V, v, p)
         assert op.apply(v).tolist() == reference_matvec(U, w, p)
 
-    @pytest.mark.parametrize("p, capacity", [(P4, 3), (P4, 4), (M31, 1), (M31, 2)])
-    def test_berlekamp_massey_on_both_sides_of_the_flip(self, p, capacity):
-        rng = random.Random(capacity)
+    @pytest.mark.parametrize(
+        "p, length, edge", [(P4, 7, 4), (P4, 9, 5), (M31, 3, 2), (M31, 5, 3)]
+    )
+    def test_berlekamp_massey_on_both_sides_of_the_flip(self, p, length, edge):
+        # The discrepancy at a term sums L + 1 products; the runs must reach
+        # a sum of `edge` terms, the last lazy or the first reduced length.
+        rng = random.Random(length)
+        seen = set()
         for _ in range(50):
-            seq = [p - 1 - rng.randrange(3) for _ in range(capacity)]
-            bm = BerlekampMassey(p, capacity)
+            seq = [p - 1 - rng.randrange(3) for _ in range(length)]
+            bm = BerlekampMassey(p, length)
             for s in seq:
+                seen.add(bm.L + 1)
                 bm.add(s)
             assert bm.generator() == reference_generator(seq, p)
+        assert edge in seen
 
     @pytest.mark.parametrize("p", [M31, P4])
     def test_berlekamp_massey_long_sequences(self, p):
