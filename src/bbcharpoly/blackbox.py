@@ -10,10 +10,10 @@ adds them raw and reduces once per output entry when
 overflow int64.  Otherwise it reduces every product first.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
-sequences (with an annihilation certificate), rank and determinant via
-random diagonal preconditioning, and trace.  Rank estimates never exceed
-the true rank (any Berlekamp-Massey generator divides the true minimal
-polynomial), so repetition takes a max.
+sequences (with an annihilation certificate), rank and determinant via one
+random Toeplitz-diagonal preconditioner L * A * U * D, and trace.  Rank
+estimates never exceed the true rank (any Berlekamp-Massey generator
+divides the true minimal polynomial), so repetition takes a max.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ff import PrimeField, PrimeFieldElem
-from .poly import FieldPoly, conv_mod, poly_lcm
+from .poly import FieldPoly, _lazy_sum_fits, conv_mod, poly_lcm
 
 
 class MinpolyNotCertifiedError(ArithmeticError):
@@ -34,16 +34,6 @@ class DetNotCertifiedError(ArithmeticError):
 
 def random_vector(n: int, p: int, rng) -> np.ndarray:
     return np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-
-
-def _lazy_sum_fits(terms: int, p: int) -> bool:
-    """Whether ``terms`` raw products of residues mod p sum exactly in int64.
-
-    Each product of two entries in [0, p) is at most (p - 1)^2, so the sum
-    stays at most the int64 maximum 2^63 - 1 while terms * (p - 1)^2 < 2^63
-    (2 terms for p = 2^31 - 1, about 2^23 for p near 2^20).
-    """
-    return terms * (p - 1) ** 2 < 1 << 63
 
 
 def _dot_mod(u: np.ndarray, v: np.ndarray, p: int) -> int:
@@ -268,55 +258,26 @@ class LowRankPerturbation(BlackBoxOperator):
         return (self.base.apply(v) + uv) % p
 
 
-def _toeplitz_lower(c: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Unit lower-triangular Toeplitz apply; c is the first column, c[0]=1."""
-    return conv_mod(c, v, p)[: len(v)]
-
-
-def _toeplitz_upper(c: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Unit upper-triangular Toeplitz apply; c is the first row, c[0]=1."""
-    return conv_mod(c[::-1], v, p)[len(v) - 1 :]
-
-
-class _RankPreconditioner(BlackBoxOperator):
+class _Preconditioner(BlackBoxOperator):
     """L * A * U * D with unit-triangular Toeplitz L, U and a diagonal D.
 
-    The triangular pair forces a generic rank profile with high probability
-    (two-sided diagonals alone demonstrably fail on block-Jordan powers),
-    and the diagonal separates the nonzero eigenvalues, so the minimal
-    polynomial degree reveals the rank.
+    Serves both kernels.  Rank: the triangular pair forces a generic rank
+    profile with high probability (Kaltofen and Saunders, 1991; two-sided
+    diagonals alone demonstrably fail on block-Jordan powers), and D
+    separates the nonzero eigenvalues, so the minimal polynomial degree
+    reveals the rank.  Determinant: L and U are unit triangular, so
+    det = det(A) * det(D), and the Toeplitz-diagonal product makes the
+    spectrum of a nonsingular A nonderogatory with high probability (Chen,
+    Eberly, Kaltofen, Saunders, Turner and Villard, LAA 2002; a diagonal
+    alone fails persistently on identity-like blocks over small fields).
+    Reversing the index order turns L and U into the upper/lower pair those
+    arguments use.
     """
 
     def __init__(self, base: BlackBoxOperator, rng):
         n, p = base.dimension, base.p
-        super().__init__(n, p, cost=base.cost + 5 * n)
-        self.base = base
-        self.lc = np.array(
-            [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
-        )
-        self.uc = np.array(
-            [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
-        )
-        self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        w = self.d * v % self.p
-        w = _toeplitz_upper(self.uc, w, self.p)
-        w = self.base.apply(w)
-        return _toeplitz_lower(self.lc, w, self.p)
-
-
-class _DetPreconditioner(BlackBoxOperator):
-    """L * D * A * U; unit-triangular factors keep det = det(D) * det(A).
-
-    The diagonal makes the spectrum squarefree with high probability and the
-    Toeplitz sandwich breaks repeated-eigenvalue structure (a diagonal alone
-    fails persistently on identity-like blocks over small fields).
-    """
-
-    def __init__(self, base: BlackBoxOperator, rng):
-        n, p = base.dimension, base.p
-        super().__init__(n, p, cost=base.cost + 5 * n)
+        # two dense length-n convolutions and the diagonal scaling
+        super().__init__(n, p, cost=base.cost + 2 * n * n + n)
         self.base = base
         self.lc = np.array(
             [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
@@ -333,9 +294,11 @@ class _DetPreconditioner(BlackBoxOperator):
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        w = _toeplitz_upper(self.uc, v, self.p)
-        w = self.d * self.base.apply(w) % self.p
-        return _toeplitz_lower(self.lc, w, self.p)
+        n, p = self.dimension, self.p
+        w = self.d * v % p
+        w = conv_mod(self.uc[::-1], w, p)[n - 1 :]  # U: uc is its first row
+        w = self.base.apply(w)
+        return conv_mod(self.lc, w, p)[:n]  # L: lc is its first column
 
 
 class CountingOperator(BlackBoxOperator):
@@ -466,7 +429,7 @@ def rank_blackbox(
     streak = 0
     for _ in range(max_trials):
         try:
-            m = wiedemann_minpoly(_RankPreconditioner(A, rng), rng, confidence_rounds=1)
+            m = wiedemann_minpoly(_Preconditioner(A, rng), rng, confidence_rounds=1)
         except MinpolyNotCertifiedError:
             continue  # one-sided estimates make a skipped trial harmless
         est = m.degree - 1 if m.coefficient(0) == 0 else m.degree
@@ -493,7 +456,7 @@ def det_blackbox(A: BlackBoxOperator, rng, retries: int = 4) -> PrimeFieldElem:
     n, p = A.dimension, A.p
     field = PrimeField(p)
     for _ in range(retries):
-        pre = _DetPreconditioner(A, rng)
+        pre = _Preconditioner(A, rng)
         try:
             m = wiedemann_minpoly(pre, rng, confidence_rounds=1)
         except MinpolyNotCertifiedError:

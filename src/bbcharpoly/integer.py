@@ -107,16 +107,16 @@ def _random_minpoly_prime(rng, seen) -> int:
             return candidate
 
 
-def integer_minpoly(
-    A: IntegerMatrix, rng=None, confidence_rounds: int = 2, max_primes: int = 80
-) -> IntPoly:
+def integer_minpoly(A: IntegerMatrix, rng=None, confidence_rounds: int = 2) -> IntPoly:
     """Integer minimal polynomial by CRT over random word-size primes.
 
     Residues of less-than-maximal degree come from bad primes (or failed
     projections) and are discarded.  Termination: the symmetric-range
     reconstruction must stay unchanged while two further primes arrive, and
     one extra verification prime must reproduce it; a pathological spread of
-    degrees among the first 10 primes raises.
+    degrees among the first 10 primes raises.  The prime budget scales with
+    the coefficient bound: the primes it needs, plus 80 for bad primes and
+    the stability checks.
     """
     if rng is None:
         rng = random.Random()
@@ -126,6 +126,7 @@ def integer_minpoly(
     candidate = None
     stable = 0
     bit_cap = minpoly_coeff_bound(A.dimension, max(1, A.norm)) + 8
+    max_primes = -(-bit_cap // 28) + 80  # every prime exceeds 2^28
     for used in range(1, max_primes + 1):
         p = _random_minpoly_prime(rng, seen)
         residue = wiedemann_minpoly(A.operator(p), rng, confidence_rounds)

@@ -9,10 +9,12 @@ On top of the ring arithmetic this module provides squarefree decomposition,
 Cantor-Zassenhaus factorization, pairwise-coprime (gcd-free) bases,
 multifactor quadratic Hensel lifting, and coefficientwise CRT reconstruction.
 
-Field multiplication is numpy convolution (``conv_mod``).  When
-``(len(a) + len(b)) * p**2`` could overflow int64, one operand is split into
-16-bit halves and the convolutions recombined; at operand lengths where even
-the split sums could overflow (2^16 for p near 2^31) it raises OverflowError.
+Field multiplication is numpy convolution (``conv_mod``).  When the
+min(len(a), len(b)) products summed into one output entry could overflow
+int64 (``_lazy_sum_fits``, the one int64 sum rule shared with the black-box
+kernels), one operand is split into 16-bit halves and the convolutions
+recombined; at operand lengths where even the split sums could overflow
+(2^16 for p near 2^31) it raises OverflowError.
 Integer multiplication is schoolbook with Karatsuba above degree 64
 (coefficients are big ints, numpy is no help).
 
@@ -63,6 +65,16 @@ def _strip(coeffs):
     return coeffs[:n]
 
 
+def _lazy_sum_fits(terms: int, p: int) -> bool:
+    """Whether ``terms`` raw products of residues mod p sum exactly in int64.
+
+    Each product of two entries in [0, p) is at most (p - 1)^2, so the sum
+    stays at most the int64 maximum 2^63 - 1 while terms * (p - 1)^2 < 2^63
+    (2 terms for p = 2^31 - 1, about 2^23 for p near 2^20).
+    """
+    return terms * (p - 1) ** 2 < 1 << 63
+
+
 def _check_split_sum(terms: int, p: int) -> None:
     """Raise unless ``terms`` products of a residue mod p and a 16-bit half fit int64.
 
@@ -80,11 +92,11 @@ def conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """np.convolve(a, b) % p for int64 arrays with entries in [0, p).
 
     One output entry sums at most min(len(a), len(b)) products.  While
-    (len(a) + len(b)) * p^2 < 2^62 they are summed as they are; otherwise a is
-    split into 16-bit halves, which is exact up to the bound of
-    ``_check_split_sum`` and raises OverflowError beyond it.
+    ``_lazy_sum_fits`` holds for that many they are summed as they are;
+    otherwise a is split into 16-bit halves, which is exact up to the bound
+    of ``_check_split_sum`` and raises OverflowError beyond it.
     """
-    if (len(a) + len(b)) * p * p < 1 << 62:
+    if _lazy_sum_fits(min(len(a), len(b)), p):
         return np.convolve(a, b) % p
     _check_split_sum(min(len(a), len(b)), p)
     ah, al = a >> 16, a & 0xFFFF
@@ -257,12 +269,6 @@ class FieldPoly:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "FieldPoly":
-        """Multiply by X**k."""
-        if self.is_zero:
-            return self
-        return FieldPoly((0,) * k + self.coeffs, self.p, _trusted=True)
-
     def monic(self) -> "FieldPoly":
         if self.is_zero or self.coeffs[-1] == 1:
             return self
@@ -287,12 +293,6 @@ class FieldPoly:
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def lift(self, symmetric: bool = False) -> "IntPoly":
-        if symmetric:
-            half = self.p // 2
-            return IntPoly([c - self.p if c > half else c for c in self.coeffs])
-        return IntPoly(self.coeffs)
 
     def text(self) -> str:
         return _render_ascending(self.coeffs)
@@ -362,10 +362,6 @@ class IntPoly:
     @classmethod
     def one(cls):
         return cls((1,))
-
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -653,7 +649,7 @@ def _frobenius(m: _Modulus):
     Q[1] = xp
     for i in range(2, n):
         Q[i] = m.mul(Q[i - 1], xp)
-    if n * p * p < 1 << 62:
+    if _lazy_sum_fits(n, p):
         return lambda h: h @ Q % p
     _check_split_sum(n, p)
     qh, ql = Q >> 16, Q & 0xFFFF

@@ -20,9 +20,8 @@ from bbcharpoly.blackbox import (
     ShiftedOperator,
     SparseMatrix,
     _dot_mod,
-    _lazy_sum_fits,
 )
-from bbcharpoly.poly import FieldPoly
+from bbcharpoly.poly import FieldPoly, _lazy_sum_fits
 
 M31 = (1 << 31) - 1  # the Mersenne prime: 2 products of p - 1 fit, 3 do not
 P4 = 1358187923  # prime with 4 * (p - 1)^2 < 2^63 <= 5 * (p - 1)^2

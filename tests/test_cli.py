@@ -118,6 +118,14 @@ class TestCharpolyCommand:
         assert code == 0
         assert out == "(X-1)^2*(X-2)\n"
 
+    def test_integer_coefficients_past_2300_bits(self, capsys, tmp_path):
+        # companion matrix of X^3 + (2^2400 + 1) X + 1
+        c = (1 << 2400) + 1
+        path = write(tmp_path, "m.sms", f"3 3 M\n2 1 1\n3 2 1\n1 3 -1\n2 3 {-c}\n0 0 0\n")
+        code, out, _ = run_cli(capsys, "charpoly", "--integer", "--seed", "1", path)
+        assert code == 0
+        assert out == f"1 + {c}*X + X^3\n"
+
     def test_coeffs_field(self, capsys, tmp_path):
         path = write(tmp_path, "m.sms", DIAG112)
         code, out, _ = run_cli(

@@ -68,6 +68,13 @@ class TestIntegerMinpoly:
         A = IntegerMatrix(SparseMatrix(4, []))
         assert integer_minpoly(A, rng) == IntPoly([0, 1])
 
+    def test_prime_budget_scales_with_the_bound(self):
+        # A 2401-bit coefficient needs about 85 primes of 28-29 bits, past
+        # a fixed budget of 80 but inside the one derived from the bound.
+        rng = random.Random(5)
+        f = IntPoly([1, (1 << 2400) + 1, 0, 1])
+        assert integer_minpoly(IntegerMatrix(build_companion(f)), rng) == f
+
     def test_matches_dense_krylov_over_primes(self):
         rng = random.Random(4)
         for _ in range(5):

@@ -1,7 +1,8 @@
 """Property tests of the GF(p) kernels against the plain loops they replace.
 
-p = 2^31 - 1 makes every convolution and the Frobenius matrix-vector
-product take the 16-bit split path.
+p = 2^31 - 1 makes every convolution whose shorter operand has more than 2
+coefficients, and every Frobenius matrix-vector product of degree above 2,
+take the 16-bit split path.
 """
 
 import random
@@ -196,3 +197,26 @@ class TestConvolutionBound:
         out = conv_mod(z, np.zeros(self.LIMIT + 5, dtype=np.int64), self.P)
         assert len(out) == 2 * self.LIMIT + 3
         assert len(convolve_calls) == 2  # the two 16-bit halves
+
+    @pytest.mark.parametrize("short, calls", [(2, 1), (3, 2)])
+    def test_unsplit_while_the_lazy_sum_fits(self, monkeypatch, short, calls):
+        # An output entry sums `short` products of (p - 1)^2: 2 of them fit
+        # int64 at p = 2^31 - 1 and 3 do not, whatever the longer length.
+        real, seen = np.convolve, []
+
+        def counting(a, b):
+            seen.append((len(a), len(b)))
+            return real(a, b)
+
+        monkeypatch.setattr(np, "convolve", counting)
+        p, long = self.P, 9
+        for a, b in ((short, long), (long, short)):
+            seen.clear()
+            av = np.full(a, p - 1, dtype=np.int64)
+            bv = np.array([p - 1 - i for i in range(b)], dtype=np.int64)
+            want = [
+                sum(int(av[i]) * int(bv[k - i]) for i in range(a) if 0 <= k - i < b) % p
+                for k in range(a + b - 1)
+            ]
+            assert conv_mod(av, bv, p).tolist() == want
+            assert len(seen) == calls
