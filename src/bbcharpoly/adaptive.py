@@ -34,6 +34,7 @@ from .blackbox import (
     LowRankPerturbation,
     PolyOfMatrix,
     rank_blackbox,
+    rank_preconditioner,
     wiedemann_minpoly,
 )
 from .ff import DlogContext, PrimeField, index_calculus_subprime
@@ -135,7 +136,13 @@ def _compute_nullity(A, prof, j, rng, cfg, repetitions=2):
     op = PolyOfMatrix(A, prof.poly, j)
     r = rank_blackbox(op, rng, repetitions=repetitions)
     nu = A.dimension - r
-    cfg._emit("rank", factor=list(prof.poly.coeffs), power=j, nullity=nu)
+    cfg._emit(
+        "rank",
+        factor=list(prof.poly.coeffs),
+        power=j,
+        nullity=nu,
+        preconditioner=rank_preconditioner(op),
+    )
     return nu
 
 
@@ -383,7 +390,12 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng=None):
     for i in cheap:
         op = PolyOfMatrix(A, profiles[i].poly, 1)
         mults[i] = n - rank_blackbox(op, rng)
-        cfg._emit("hybrid-nullity", factor=i, multiplicity=mults[i])
+        cfg._emit(
+            "hybrid-nullity",
+            factor=i,
+            multiplicity=mults[i],
+            preconditioner=rank_preconditioner(op),
+        )
     rest = sorted(
         (i for i in range(len(profiles)) if mults[i] is None),
         key=lambda i: profiles[i].degree,

@@ -10,10 +10,12 @@ adds them raw and reduces once per output entry when
 overflow int64.  Otherwise it reduces every product first.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
-sequences (with an annihilation certificate), rank and determinant via one
-random Toeplitz-diagonal preconditioner L * A * U * D, and trace.  Rank
-estimates never exceed the true rank (any Berlekamp-Massey generator
-divides the true minimal polynomial), so repetition takes a max.
+sequences (with an annihilation certificate), rank and determinant via a
+random Toeplitz-diagonal preconditioner L * A * U * D, and trace.  A
+symmetric operator's rank takes the cheaper D * A where the field is large
+enough (``rank_preconditioner``).  Rank estimates never exceed the true rank
+(any Berlekamp-Massey generator divides the true minimal polynomial), so
+repetition takes a max.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ def _dot_mod(u: np.ndarray, v: np.ndarray, p: int) -> int:
 class BlackBoxOperator:
     """Linear map known only through matrix-vector products."""
 
-    def __init__(self, dimension: int, p: int, cost: int):
+    def __init__(self, dimension: int, p: int, cost: int, symmetric: bool = False):
         self.dimension = dimension
         self.p = p
         self.cost = cost  # estimated scalar operations per apply
+        self.symmetric = symmetric  # a true value promises A^T = A
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -80,27 +83,32 @@ def trace(A, p: int | None = None) -> PrimeFieldElem:
 
 
 class SparseMatrix:
-    """Row-sorted nonzero triples with per-row offsets; integer entries."""
+    """Row-sorted nonzero triples with per-row offsets; integer entries.
 
-    __slots__ = ("n", "entries", "indptr")
+    ``symmetric`` records, from one O(nnz) pass at construction, whether the
+    integer matrix equals its transpose (then so does every reduction mod p).
+    """
+
+    __slots__ = ("n", "entries", "indptr", "symmetric")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(sorted(entries))
-        seen = set()
+        values = {}
         indptr = [0] * (n + 1)
         for row, col, val in self.entries:
             if not (0 <= row < n and 0 <= col < n):
                 raise ValueError(f"entry ({row}, {col}) outside {n}x{n}")
             if val == 0:
                 raise ValueError(f"explicit zero stored at ({row}, {col})")
-            if (row, col) in seen:
+            if (row, col) in values:
                 raise ValueError(f"duplicate entry at ({row}, {col})")
-            seen.add((row, col))
+            values[row, col] = val
             indptr[row + 1] += 1
         for i in range(n):
             indptr[i + 1] += indptr[i]
         self.indptr = tuple(indptr)
+        self.symmetric = all(values.get((c, r)) == v for (r, c), v in values.items())
 
     @classmethod
     def from_dense(cls, rows) -> "SparseMatrix":
@@ -151,7 +159,9 @@ class SparseOperator(BlackBoxOperator):
 
     def __init__(self, matrix: SparseMatrix, p: int):
         kept = [(r, c, v % p) for r, c, v in matrix.entries if v % p]
-        super().__init__(matrix.n, p, cost=2 * len(kept) + matrix.n)
+        super().__init__(
+            matrix.n, p, cost=2 * len(kept) + matrix.n, symmetric=matrix.symmetric
+        )
         n = matrix.n
         indptr = [0] * (n + 1)
         for r, _, _ in kept:
@@ -200,6 +210,7 @@ class PolyOfMatrix(BlackBoxOperator):
             base.dimension,
             base.p,
             cost=power * poly.degree * base.cost + 2 * base.dimension,
+            symmetric=base.symmetric,
         )
         self.base = base
         self.poly = poly
@@ -223,7 +234,12 @@ class ShiftedOperator(BlackBoxOperator):
     """lambda*I - A."""
 
     def __init__(self, base: BlackBoxOperator, shift: int):
-        super().__init__(base.dimension, base.p, cost=base.cost + 2 * base.dimension)
+        super().__init__(
+            base.dimension,
+            base.p,
+            cost=base.cost + 2 * base.dimension,
+            symmetric=base.symmetric,
+        )
         self.base = base
         self.shift = shift % base.p
 
@@ -301,11 +317,56 @@ class _Preconditioner(BlackBoxOperator):
         return conv_mod(self.lc, w, p)[:n]  # L: lc is its first column
 
 
+class _DiagonalPreconditioner(BlackBoxOperator):
+    """D * A for a symmetric A, with a random nonsingular diagonal D (rank only).
+
+    Let A be symmetric of rank r over GF(q), q odd, and the d_i uniform in
+    GF(q)*.  Then the minimal polynomial of D * A is X^[r < n] times a
+    polynomial of degree r with a nonzero constant term, so it reveals r,
+    except with probability at most r/(q-1) + r(r-1)/(2(q-1)) = r(r+1)/(2(q-1)).
+
+    Proof.  A symmetric matrix of rank r has a nonsingular r x r principal
+    submatrix M; with its indices first, A = F^T M F for F = [I_r | W].  So
+    D * A = X * Y with X = D F^T and Y = M F, and its nonzero Jordan blocks
+    are those of the r x r matrix C = Y * X = M * (F D F^T).
+    (i) Index one.  By Cauchy-Binet det(F D F^T) = sum over r-sets S of
+    det(F_S)^2 * prod_{i in S} d_i, a nonzero form of degree r in d (S = the
+    first r indices has coefficient 1); by Schwartz-Zippel it vanishes with
+    probability at most r/(q-1).  Otherwise C is invertible, rank(A D A) = r
+    and the eigenvalue 0 of D * A is semisimple.
+    (ii) Cyclic on the range.  C is cyclic iff det[v, Cv, ..., C^(r-1) v] is
+    nonzero for some v; as a polynomial in d it has degree r(r-1)/2, so by
+    Schwartz-Zippel it fails with probability at most r(r-1)/(2(q-1)) once
+    it is a nonzero polynomial.  It is: at d = (d', 0), C = M * D', and M * D'
+    has r distinct eigenvalues for some diagonal D' over the algebraic
+    closure.  Induct on a pivot block P of M: a nonzero diagonal entry a, or,
+    when M's diagonal is zero, some [[0, b], [b, 0]]; its Schur complement S
+    is symmetric and invertible.  Take D' = diag(D_P, e * D_S).  Over the
+    power series in e the characteristic polynomial of M * D' factors
+    (Hensel) into one part reducing to that of P * D_P, with roots a * x or
+    +-b * sqrt(xy) (distinct, as q is odd), and one whose roots are e times
+    those of S * D_S, distinct and nonzero by induction.  For a diagonal A
+    the r(r-1)/(2(q-1)) is the birthday bound for two equal d_i.  This is
+    the symmetric diagonal-preconditioner statement of Chen, Eberly,
+    Kaltofen, Saunders, Turner and Villard (LAA 2002), after Eberly and
+    Kaltofen (ISSAC 1997).
+    """
+
+    def __init__(self, base: BlackBoxOperator, rng):
+        n, p = base.dimension, base.p
+        super().__init__(n, p, cost=base.cost + n)  # one diagonal scaling
+        self.base = base
+        self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.d * self.base.apply(v) % self.p
+
+
 class CountingOperator(BlackBoxOperator):
     """Wrapper that counts applies; used for cost accounting."""
 
     def __init__(self, base: BlackBoxOperator):
-        super().__init__(base.dimension, base.p, base.cost)
+        super().__init__(base.dimension, base.p, base.cost, base.symmetric)
         self.base = base
         self.applies = 0
 
@@ -383,9 +444,10 @@ def wiedemann_minpoly(
 
     Berlekamp-Massey generators of the projected sequences u . A^i v always
     divide the true minimal polynomial, so the lcm over rounds can only grow
-    toward it.  A result of full degree n needs no certificate; otherwise a
-    random annihilation check must pass, and failing it buys extra rounds up
-    to three times confidence_rounds before giving up.
+    toward it.  A result of full degree n is the minimal polynomial and
+    returns at once, in any round; otherwise, after confidence_rounds rounds,
+    a random annihilation check must pass, and failing it buys extra rounds
+    up to three times confidence_rounds before giving up.
     """
     n, p = A.dimension, A.p
     result = FieldPoly.one(p)
@@ -405,9 +467,9 @@ def wiedemann_minpoly(
         gen = bm.generator()
         if gen.degree > 0:
             result = poly_lcm(result, gen) if result.degree > 0 else gen
+        if result.degree == n:
+            return result  # a degree-n divisor of the minpoly is the minpoly
         if rounds >= needed:
-            if result.degree == n:
-                return result  # maximal-degree divisor is the minpoly itself
             if result.degree >= 1 and _annihilates(A, result, rng):
                 return result
             needed = rounds + 1
@@ -416,20 +478,42 @@ def wiedemann_minpoly(
     )
 
 
+def rank_preconditioner(A: BlackBoxOperator) -> str:
+    """The preconditioner `rank_blackbox` uses for A: "diagonal" or "toeplitz".
+
+    D * A serves a symmetric A once 2n(n+1) <= q - 1, where its per-trial
+    failure bound r(r+1)/(2(q-1)) is at most 1/4.  Below that a diagonal A
+    with repeated eigenvalues meets the birthday bound too often.
+    """
+    n = A.dimension
+    return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
+
+
 def rank_blackbox(
     A: BlackBoxOperator, rng, repetitions: int = 2, max_trials: int = 8
 ) -> int:
-    """Rank via minpoly of a Toeplitz/diagonal-preconditioned operator.
+    """Rank via the minimal polynomial of a randomly preconditioned operator.
 
-    Estimates only err low (any certified minpoly divides the true one), so
-    the max over trials is kept; sampling stops after `repetitions`
-    consecutive trials without improvement.
+    Each trial preconditions A (see `rank_preconditioner`) so that, except
+    with small probability, the minimal polynomial m has degree rank(A) plus
+    one when A is singular.  For rank r over GF(q) one trial fails with
+    probability at most r(r+1)/(2(q-1)) on the diagonal path D * A (proved
+    in `_DiagonalPreconditioner`), and at most r(r+1)/q + r(r+1)/(2(q-1)) on
+    the Toeplitz path L * A * U * D: the first term for the generic rank
+    profile of L * A * U (Kaltofen and Saunders, 1991), the second for D, by
+    the same argument with 1 x 1 pivots.  In GF(2) and GF(3) that bound says
+    nothing and estimates do come out low with no signal; that scope is
+    still open.  Estimates only err low (any certified minpoly divides the
+    true one), so the max over trials is kept; sampling stops after
+    `repetitions` consecutive trials without improvement.
     """
+    diagonal = rank_preconditioner(A) == "diagonal"
     best = None
     streak = 0
     for _ in range(max_trials):
+        pre = _DiagonalPreconditioner(A, rng) if diagonal else _Preconditioner(A, rng)
         try:
-            m = wiedemann_minpoly(_Preconditioner(A, rng), rng, confidence_rounds=1)
+            m = wiedemann_minpoly(pre, rng, confidence_rounds=1)
         except MinpolyNotCertifiedError:
             continue  # one-sided estimates make a skipped trial harmless
         est = m.degree - 1 if m.coefficient(0) == 0 else m.degree

@@ -68,6 +68,37 @@ class Graph:
         return out
 
 
+def rook_graph(side: int) -> Graph:
+    """Cells of a side x side grid, adjacent when they share a row or column;
+    vertex side * i + j is cell (i, j)."""
+    n = side * side
+    return Graph.from_edges(
+        n,
+        (
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if a // side == b // side or a % side == b % side
+        ),
+    )
+
+
+def shrikhande_graph() -> Graph:
+    """Cayley graph of Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)};
+    vertex 4i + j is (i, j).  Like the 4 x 4 rook graph it is SRG(16, 6, 2, 2),
+    but a vertex's neighbourhood is a 6-cycle, not two triangles."""
+    steps = ((1, 0), (0, 1), (1, 1))
+    return Graph.from_edges(
+        16,
+        (
+            (4 * i + j, 4 * ((i + di) % 4) + (j + dj) % 4)
+            for i in range(4)
+            for j in range(4)
+            for di, dj in steps
+        ),
+    )
+
+
 def symmetric_power(graph: Graph, k: int) -> Graph:
     """Graph on the k-subsets, adjacent when the symmetric difference is an
     edge; vertices are indexed in lexicographic subset order."""

@@ -19,7 +19,7 @@ from bbcharpoly.blackbox import (
 )
 from bbcharpoly.cli import main
 from bbcharpoly.ff import DlogContext, PrimeField, find_index_calculus_field, index_calculus_subprime
-from bbcharpoly.graphs import Graph, symmetric_power
+from bbcharpoly.graphs import Graph, rook_graph, symmetric_power
 from bbcharpoly.integer import IntegerMatrix, integer_charpoly
 from bbcharpoly.multiplicity import (
     IndexCalculusFailure,
@@ -43,18 +43,6 @@ from helpers import (
 
 def report(number, text):
     print(f"\nACCEPTANCE {number}: PASS - {text}")
-
-
-def rook_graph(side=4):
-    n = side * side
-    edges = set()
-    for a in range(n):
-        ra, ca = divmod(a, side)
-        for b in range(a + 1, n):
-            rb, cb = divmod(b, side)
-            if ra == rb or ca == cb:
-                edges.add((a, b))
-    return Graph(n, frozenset(edges))
 
 
 def test_criterion_1_field_oracle_equivalence():

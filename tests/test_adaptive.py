@@ -278,12 +278,12 @@ class TestPinnedWork:
         (0, "nullity-comb"): [1127, 1084, 1000, 1042, 1000, 1000],
         (0, "index"): [297, 297, 297, 297, 297, 297],
         (0, "hybrid"): [412, 297, 297, 297, 326, 340],
-        (0, "invfact"): [442, 442, 442, 442, 442, 442],
-        (1, "auto"): [548, 548, 548, 548, 627, 548],
+        (0, "invfact"): [326, 326, 326, 355, 326, 384],
+        (1, "auto"): [442, 336, 336, 336, 521, 389],
         (1, "nullity-comb"): [4508, 4742, 4510, 5124, 4510, 4738],
-        (1, "index"): [548, 548, 548, 548, 627, 548],
+        (1, "index"): [442, 336, 336, 336, 521, 389],
         (1, "hybrid"): [627, 548, 627, 548, 548, 548],
-        (1, "invfact"): [548, 548, 548, 548, 627, 548],
+        (1, "invfact"): [442, 336, 336, 336, 521, 389],
     }
 
     @staticmethod

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from bbcharpoly import blackbox
 from bbcharpoly.blackbox import (
     BerlekampMassey,
     CountingOperator,
@@ -16,6 +17,7 @@ from bbcharpoly.blackbox import (
     det_blackbox,
     rank_blackbox,
     random_vector,
+    rank_preconditioner,
     trace,
     trace_generic,
     wiedemann_minpoly,
@@ -133,6 +135,73 @@ class TestOperatorCombinators:
         op = PolyOfMatrix(base, f, 2)
         op.apply(random_vector(n, p, rng))
         assert base.applies == f.degree * 2
+
+
+class TestSymmetry:
+    SYM = SparseMatrix(3, [(0, 1, -5), (1, 0, -5), (0, 2, 3), (2, 0, 3), (2, 2, 7)])
+
+    def test_integer_symmetric_detected(self):
+        assert self.SYM.symmetric
+        assert self.SYM.operator(101).symmetric
+        assert diag_matrix([1, 1, 2]).symmetric
+        assert SparseMatrix(2, []).symmetric
+
+    def test_asymmetric_not_detected(self):
+        assert not SparseMatrix(3, [(0, 1, 2), (1, 0, 3)]).symmetric
+        assert not SparseMatrix(3, [(0, 1, 2)]).symmetric
+        assert not SparseMatrix(3, [(0, 1, 2), (1, 0, 3)]).operator(101).symmetric
+
+    def test_wrappers_keep_it(self):
+        p = 101
+        for matrix, want in ((self.SYM, True), (build_companion(linear(2, p) ** 3), False)):
+            op = matrix.operator(p)
+            assert PolyOfMatrix(op, linear(4, p), 2).symmetric is want
+            assert ShiftedOperator(op, 3).symmetric is want
+            assert CountingOperator(op).symmetric is want
+            assert CountingOperator(ShiftedOperator(PolyOfMatrix(op, linear(1, p)), 5)).symmetric is want
+
+    def test_perturbation_and_preconditioners_drop_it(self):
+        p, rng = 101, random.Random(3)
+        op = self.SYM.operator(p)
+        U = np.ones((3, 1), dtype=np.int64)
+        V = np.ones((1, 3), dtype=np.int64)
+        assert not LowRankPerturbation(op, U, V).symmetric
+        assert not blackbox._Preconditioner(op, rng).symmetric
+        assert not blackbox._DiagonalPreconditioner(op, rng).symmetric
+
+    def test_diagonal_path_boundary(self, monkeypatch):
+        # n = 2: 2n(n+1) = 12, so GF(13) is the smallest field the diagonal
+        # path admits and GF(11) falls back to Toeplitz.
+        built = []
+
+        class Diagonal(blackbox._DiagonalPreconditioner):
+            def __init__(self, base, rng):
+                built.append("diagonal")
+                super().__init__(base, rng)
+
+        class Toeplitz(blackbox._Preconditioner):
+            def __init__(self, base, rng):
+                built.append("toeplitz")
+                super().__init__(base, rng)
+
+        monkeypatch.setattr(blackbox, "_DiagonalPreconditioner", Diagonal)
+        monkeypatch.setattr(blackbox, "_Preconditioner", Toeplitz)
+        sym = SparseMatrix(2, [(0, 1, 1), (1, 0, 1)])
+        asym = SparseMatrix(2, [(0, 1, 1)])
+        for matrix, q, want in (
+            (sym, 13, "diagonal"),
+            (sym, 11, "toeplitz"),
+            (asym, 13, "toeplitz"),
+        ):
+            built.clear()
+            op = matrix.operator(q)
+            assert rank_preconditioner(op) == want
+            assert rank_blackbox(op, random.Random(1)) <= dense_rank(matrix.to_dense(), q)
+            assert built and set(built) == {want}
+
+    def test_diagonal_cost(self):
+        op = self.SYM.operator(101)
+        assert blackbox._DiagonalPreconditioner(op, random.Random(1)).cost == op.cost + 3
 
 
 class TestBerlekampMassey:

@@ -1,11 +1,20 @@
 import json
 import math
+from itertools import combinations
 
 import pytest
 
 from bbcharpoly.blackbox import SparseMatrix
 from bbcharpoly.cli import main
-from bbcharpoly.graphs import Graph, GraphInputError, symmetric_power
+from bbcharpoly.adaptive import AdaptiveConfig
+from bbcharpoly.graphs import (
+    Graph,
+    GraphInputError,
+    rook_graph,
+    shrikhande_graph,
+    symmetric_power,
+)
+from bbcharpoly.integer import IntegerMatrix, integer_charpoly
 from bbcharpoly.sms import SmsFormatError, emit_sms, parse_sms
 
 
@@ -23,19 +32,6 @@ def write(tmp_path, name, text):
 
 DIAG112 = "3 3 M\n1 1 1\n2 2 1\n3 3 2\n0 0 0\n"
 PATH3 = "3 3 M\n1 2 1\n2 1 1\n2 3 1\n3 2 1\n0 0 0\n"
-
-
-def rook_graph(side=4):
-    """Vertices are cells of a side x side grid; same row or column = edge."""
-    n = side * side
-    edges = set()
-    for a in range(n):
-        ra, ca = divmod(a, side)
-        for b in range(a + 1, n):
-            rb, cb = divmod(b, side)
-            if ra == rb or ca == cb:
-                edges.add((a, b))
-    return Graph(n, frozenset(edges))
 
 
 class TestSms:
@@ -109,6 +105,39 @@ class TestGraphs:
     def test_adjacency_roundtrip(self):
         g = Graph.from_edges(5, [(0, 4), (1, 2), (3, 4)])
         assert Graph.from_adjacency(g.adjacency()) == g
+
+    def test_rook_and_shrikhande_squares_are_cospectral(self):
+        """Two non-isomorphic SRG(16, 6, 2, 2) whose symmetric squares share
+        an integer characteristic polynomial (their cubes do not; see
+        experiments/srg_cubes.py)."""
+        graphs = (rook_graph(4), shrikhande_graph())
+        local = []
+        for g in graphs:
+            nbrs = g.neighbors()
+            assert g.vertex_count == 16 and all(len(nb) == 6 for nb in nbrs)
+            for a in range(16):
+                for b in range(a + 1, 16):
+                    assert len(nbrs[a] & nbrs[b]) == 2  # lambda = mu = 2
+            # each neighbourhood is 2-regular on six vertices: 2K3 when it
+            # holds two triangles, C6 when it holds none
+            shapes = set()
+            for v in range(16):
+                inside = {u: nbrs[u] & nbrs[v] for u in nbrs[v]}
+                triangles = sum(
+                    c in inside[b] for a, b, c in combinations(sorted(inside), 3)
+                    if b in inside[a] and c in inside[a]
+                )
+                shapes.add((tuple(len(w) for w in inside.values()), triangles))
+            local.append(shapes)
+        assert local == [{((2,) * 6, 2)}, {((2,) * 6, 0)}]  # not isomorphic
+        squares = [
+            integer_charpoly(
+                IntegerMatrix(symmetric_power(g, 2).adjacency()), AdaptiveConfig(seed=1)
+            )
+            for g in graphs
+        ]
+        assert squares[0].degree == 120
+        assert squares[0] == squares[1]
 
 
 class TestCharpolyCommand:
@@ -270,6 +299,23 @@ class TestOtherCommands:
         assert lines
         events = [json.loads(line) for line in lines]
         assert any(e["event"] == "method" for e in events)
+
+    def test_explain_rank_names_its_preconditioner(self, capsys, tmp_path):
+        # diag(1, 1, 2) is symmetric; one off-diagonal entry makes it not
+        for text, want in (
+            (DIAG112, "diagonal"),
+            ("3 3 M\n1 1 1\n1 3 1\n2 2 1\n3 3 2\n0 0 0\n", "toeplitz"),
+        ):
+            path = write(tmp_path, "m.sms", text)
+            for method, event in (("nullity-comb", "rank"), ("hybrid", "hybrid-nullity")):
+                code, _, err = run_cli(
+                    capsys, "charpoly", "--field", "101", "--seed", "8",
+                    "--method", method, "--explain", path,
+                )
+                assert code == 0
+                events = [json.loads(line) for line in err.splitlines() if line.strip()]
+                ranks = [e for e in events if e["event"] == event]
+                assert ranks and all(e["preconditioner"] == want for e in ranks)
 
 
 class TestExitCodes:

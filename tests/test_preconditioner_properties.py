@@ -1,4 +1,4 @@
-"""The Toeplitz-diagonal preconditioner and its two kernels against dense oracles.
+"""Both rank preconditioners and the two kernels against dense oracles.
 
 Inputs are structured where preconditioning is known to be needed: sparse
 matrices with empty rows, powers of nilpotent block-Jordan matrices and of
@@ -7,6 +7,11 @@ identity-like blocks of one repeated eigenvalue, and lambda*I - A at an
 eigenvalue lambda of A.  The rng seed is part of each example.  At
 p = 2^31 - 1 the Toeplitz convolutions inside the preconditioner take the
 16-bit split path of ``conv_mod``.
+
+Symmetric inputs, which the diagonal preconditioner D * A serves where the
+field admits it, are Gram and congruence matrices X^T M X, diagonals with
+repeated entries, sums of isotropic rank-one nilpotents v v^T with
+v^T v = 0 (p = 1 mod 4), P(A)^j, and A - lambda*I at an eigenvalue.
 """
 
 import random
@@ -21,11 +26,13 @@ from bbcharpoly.blackbox import (
     PolyOfMatrix,
     ShiftedOperator,
     SparseMatrix,
+    _DiagonalPreconditioner,
     _Preconditioner,
     block_diagonal,
     build_block_jordan,
     det_blackbox,
     rank_blackbox,
+    rank_preconditioner,
 )
 from bbcharpoly.oracle import dense_det, dense_poly_of_matrix, dense_rank
 from bbcharpoly.poly import FieldPoly
@@ -103,6 +110,109 @@ def structured_case(draw, primes):
         for i, row in enumerate(matrix.to_dense())
     ]
     return p, rows, ShiftedOperator(matrix.operator(p), lam)
+
+
+def _congruence(n, k, p, rng, gram):
+    """X^T M X mod p for a random k x n matrix X, M = I or random symmetric."""
+    X = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(k)]
+    M = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            M[a][b] = M[b][a] = int(a == b) if gram else rng.randrange(p)
+    MX = [[sum(M[a][c] * X[c][j] for c in range(k)) % p for j in range(n)] for a in range(k)]
+    return [[sum(X[a][i] * MX[a][j] for a in range(k)) % p for j in range(n)] for i in range(n)]
+
+
+def _isotropic_sum(n, p, rng):
+    """Sum of rank-one v v^T, v^T v = 0, on disjoint supports: A^2 = 0."""
+    i = next(pow(g, (p - 1) // 4, p) for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+    assert i * i % p == p - 1
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[0] * n for _ in range(n)]
+    pos = 0
+    while pos + 2 <= n and (pos == 0 or rng.random() < 0.7):
+        v = [0] * n
+        for _ in range(rng.randrange(1, (n - pos) // 2 + 1)):
+            a = rng.randrange(1, p)
+            v[order[pos]], v[order[pos + 1]] = a, a * i % p
+            pos += 2
+        for r in range(n):
+            for c in range(n):
+                rows[r][c] = (rows[r][c] + v[r] * v[c]) % p
+    return rows
+
+
+@st.composite
+def symmetric_case(draw, primes):
+    """(p, dense rows mod p, operator) for a symmetric operator, n <= MAX_N.
+
+    A base matrix S, then S itself, P(S + lam*I)^j with x - lam dividing P,
+    or lam*I - (S + lam*I); lam is an eigenvalue whenever S is singular.
+    """
+    p = draw(st.sampled_from(primes))
+    kinds = ["gram", "congruence", "repeated-diagonal"]
+    if p % 4 == 1:
+        kinds.append("isotropic")
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(2 if kind == "isotropic" else 1, MAX_N))
+    rng = random.Random(draw(SEEDS))
+    if kind == "repeated-diagonal":
+        pool = [rng.randrange(p) for _ in range(draw(st.integers(1, 3)))]
+        rows = [[rng.choice(pool) if i == j else 0 for j in range(n)] for i in range(n)]
+    elif kind == "isotropic":
+        rows = _isotropic_sum(n, p, rng)
+    else:
+        rows = _congruence(n, draw(st.integers(1, n)), p, rng, gram=kind == "gram")
+    wrapper = draw(st.sampled_from(["none", "poly-power", "shifted"]))
+    lam = rng.randrange(p)
+    if wrapper != "none":
+        rows = [[(x + lam * (i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    op = SparseMatrix.from_dense(rows).operator(p)
+    assert op.symmetric
+    if wrapper == "shifted":
+        rows = [[((lam if i == j else 0) - x) % p for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        return p, rows, ShiftedOperator(op, lam)
+    if wrapper == "poly-power":
+        poly = linear(lam, p)
+        if draw(st.booleans()):
+            poly = poly * linear(rng.randrange(p), p)
+        e = draw(st.integers(1, 3))
+        return p, dense_poly_of_matrix(rows, p, poly**e).tolist(), PolyOfMatrix(op, poly, e)
+    return p, rows, op
+
+
+@SETTINGS
+@given(symmetric_case(ANY), SEEDS)
+def test_diagonal_preconditioner_is_d_a(case, seed):
+    p, rows, op = case
+    n = len(rows)
+    pre = _DiagonalPreconditioner(op, random.Random(seed))
+    d = list(map(int, pre.d))
+    assert all(0 < x < p for x in d)
+    v = [random.Random(seed + 1).randrange(p) for _ in range(n)]
+    w = [d[i] * sum(a * x for a, x in zip(row, v)) % p for i, row in enumerate(rows)]
+    assert pre.apply(np.array(v, dtype=np.int64)).tolist() == w
+    assert pre.cost == op.cost + n
+
+
+@SETTINGS
+@given(symmetric_case(ANY), SEEDS)
+def test_symmetric_rank_never_exceeds_dense(case, seed):
+    p, rows, op = case
+    try:
+        got = rank_blackbox(op, random.Random(seed))
+    except MinpolyNotCertifiedError:
+        return  # no estimate at all is not an overestimate
+    assert got <= dense_rank(rows, p)
+
+
+@SETTINGS
+@given(symmetric_case(LARGE), SEEDS)
+def test_symmetric_rank_equals_dense_in_large_fields(case, seed):
+    p, rows, op = case
+    assert rank_preconditioner(op) == "diagonal"
+    assert rank_blackbox(op, random.Random(seed)) == dense_rank(rows, p)
 
 
 @SETTINGS
