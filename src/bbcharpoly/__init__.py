@@ -39,11 +39,10 @@ from .blackbox import (
     build_companion,
     det_blackbox,
     rank_blackbox,
-    trace,
     wiedemann_minpoly,
 )
 from .adaptive import AdaptiveConfig, blackbox_charpoly_field
-from .integer import IntegerMatrix, integer_charpoly, integer_minpoly
+from .integer import integer_charpoly, integer_minpoly
 
 __version__ = "0.1.0"
 
@@ -56,7 +55,6 @@ __all__ = [
     "FieldPoly",
     "GcdFreeBasis",
     "IntPoly",
-    "IntegerMatrix",
     "LowRankPerturbation",
     "PolyOfMatrix",
     "PrimeField",
@@ -79,6 +77,5 @@ __all__ = [
     "poly_gcd",
     "rank_blackbox",
     "squarefree_part",
-    "trace",
     "wiedemann_minpoly",
 ]

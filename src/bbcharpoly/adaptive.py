@@ -85,7 +85,6 @@ class TraceLog:
 class AdaptiveConfig:
     threshold: int = 5
     explosion_cap: int = 10**6
-    confidence_rounds: int = 2
     method: str = "auto"
     seed: int | None = None
     trace_log: TraceLog | None = None
@@ -146,15 +145,13 @@ def _compute_nullity(A, prof, j, rng, cfg, repetitions=2):
     return nu
 
 
-def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng=None):
+def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng):
     """Kernel dimensions until at most T slots remain, then search.
 
     Slots (i, j), j <= e_i, are processed by increasing j*d_i.  For each
     factor one extra nullity beyond its computed prefix pins the residual
     block total, which prunes the search sharply.
     """
-    if rng is None:
-        rng = random.Random(cfg.seed)
     profiles = list(profiles)
     slots = [
         (prof.degree * j, i, j)
@@ -228,29 +225,24 @@ def invariant_factor(
     j: int,
     rng,
     *,
-    minpoly: FieldPoly | None = None,
-    previous: FieldPoly | None = None,
-    reps: int = 2,
-    max_retries: int = 3,
-    confidence_rounds: int = 2,
+    minpoly: FieldPoly,
+    previous: FieldPoly,
 ) -> FieldPoly:
     """j-th invariant factor via rank-(j-1) random additive perturbations.
 
-    Intersects gcd(minpoly(A), minpoly(A + U V)) over `reps` draws; the
-    result must divide the previous invariant factor, else fresh factors are
-    drawn.
+    Intersects gcd(minpoly(A), minpoly(A + U V)) over two draws; the result
+    must divide the previous invariant factor, else fresh factors are drawn,
+    up to three times.
     """
     if j < 1:
         raise ValueError("invariant factor index must be >= 1")
-    if minpoly is None:
-        minpoly = wiedemann_minpoly(A, rng, confidence_rounds)
     if j == 1:
         return minpoly
     n, p = A.dimension, A.p
     r = j - 1
-    for _ in range(max_retries):
+    for _ in range(3):
         acc = None
-        for _ in range(reps):
+        for _ in range(2):
             U = np.array(
                 [[rng.randrange(p) for _ in range(r)] for _ in range(n)],
                 dtype=np.int64,
@@ -259,12 +251,10 @@ def invariant_factor(
                 [[rng.randrange(p) for _ in range(n)] for _ in range(r)],
                 dtype=np.int64,
             )
-            perturbed = wiedemann_minpoly(
-                LowRankPerturbation(A, U, V), rng, confidence_rounds
-            )
+            perturbed = wiedemann_minpoly(LowRankPerturbation(A, U, V), rng)
             g = poly_gcd(minpoly, perturbed)
             acc = g if acc is None else poly_gcd(acc, g)
-        if previous is None or (previous % acc).is_zero:
+        if (previous % acc).is_zero:
             return acc
     raise AdaptiveError(
         f"invariant factor {j} failed the divisibility chain check"
@@ -285,14 +275,7 @@ def _peel_invariant_factors(A, profiles, cfg, rng, minpoly, stop_size, max_iters
             raise AdaptiveError(
                 f"invariant-factor loop exceeded {max_iters} iterations"
             )
-        fj = invariant_factor(
-            A,
-            j,
-            rng,
-            minpoly=minpoly,
-            previous=previous,
-            confidence_rounds=cfg.confidence_rounds,
-        )
+        fj = invariant_factor(A, j, rng, minpoly=minpoly, previous=previous)
         cfg._emit("invfact", index=j, degree=fj.degree)
         for i in sorted(live):
             alpha = 0
@@ -365,7 +348,7 @@ def _alg5_multiplicities(A, profiles, cfg, rng, minpoly, ctx, subprime):
     return mults
 
 
-def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng=None):
+def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
     """Kernel dimensions for cheap factors, enumeration for the big ones,
     one shared elimination for the rest.
 
@@ -376,8 +359,6 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng=None):
     the assignments that satisfy the total-degree identity are discriminated
     by determinants.
     """
-    if rng is None:
-        rng = random.Random(cfg.seed)
     profiles = list(profiles)
     n, q = A.dimension, A.p
     p = subprime
@@ -508,7 +489,7 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
     last_error = None
     for attempt in range(2):
         try:
-            minpoly = wiedemann_minpoly(A, rng, cfg.confidence_rounds)
+            minpoly = wiedemann_minpoly(A, rng)
             fac = factor(minpoly, rng)
             profiles = profiles_from_factorization(fac)
             if sum(pr.degree * pr.minpoly_mult for pr in profiles) == n:

@@ -58,44 +58,29 @@ class BlackBoxOperator:
         raise NotImplementedError
 
     def trace(self) -> PrimeFieldElem:
-        return trace_generic(self)
-
-
-def trace_generic(A: BlackBoxOperator) -> PrimeFieldElem:
-    """Trace via n applies of unit vectors."""
-    n, p = A.dimension, A.p
-    total = 0
-    e = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        e[i] = 1
-        total += int(A.apply(e)[i])
-        e[i] = 0
-    return PrimeField(p)(total)
-
-
-def trace(A, p: int | None = None) -> PrimeFieldElem:
-    """Trace of an operator, or of a SparseMatrix reduced mod p."""
-    if isinstance(A, SparseMatrix):
-        if p is None:
-            raise ValueError("trace of a SparseMatrix needs a modulus")
-        return PrimeField(p)(A.diagonal_sum())
-    return A.trace()
+        """Trace via n applies of unit vectors."""
+        total = 0
+        e = np.zeros(self.dimension, dtype=np.int64)
+        for i in range(self.dimension):
+            e[i] = 1
+            total += int(self.apply(e)[i])
+            e[i] = 0
+        return PrimeField(self.p)(total)
 
 
 class SparseMatrix:
-    """Row-sorted nonzero triples with per-row offsets; integer entries.
+    """Row-sorted nonzero triples; integer entries.
 
     ``symmetric`` records, from one O(nnz) pass at construction, whether the
     integer matrix equals its transpose (then so does every reduction mod p).
     """
 
-    __slots__ = ("n", "entries", "indptr", "symmetric")
+    __slots__ = ("n", "entries", "symmetric")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(sorted(entries))
         values = {}
-        indptr = [0] * (n + 1)
         for row, col, val in self.entries:
             if not (0 <= row < n and 0 <= col < n):
                 raise ValueError(f"entry ({row}, {col}) outside {n}x{n}")
@@ -104,10 +89,6 @@ class SparseMatrix:
             if (row, col) in values:
                 raise ValueError(f"duplicate entry at ({row}, {col})")
             values[row, col] = val
-            indptr[row + 1] += 1
-        for i in range(n):
-            indptr[i + 1] += indptr[i]
-        self.indptr = tuple(indptr)
         self.symmetric = all(values.get((c, r)) == v for (r, c), v in values.items())
 
     @classmethod
@@ -393,7 +374,6 @@ class BerlekampMassey:
         self._m = 1
         self._b_inv = 1  # inverse of the discrepancy at the last length change
         self.count = 0
-        self._last_change = -1
 
     def add(self, term: int):
         p = self.p
@@ -415,12 +395,7 @@ class BerlekampMassey:
             top = m + len(B)
             self._C[m:top] = (self._C[m:top] - coef * B) % p
             self._m += 1
-            self._last_change = i
         self.count += 1
-
-    @property
-    def stable_for(self) -> int:
-        return self.count - 1 - self._last_change
 
     def generator(self) -> FieldPoly:
         """Monic minimal generator: X^L * C(1/X)."""
@@ -435,10 +410,7 @@ def _annihilates(A: BlackBoxOperator, poly: FieldPoly, rng) -> bool:
 
 
 def wiedemann_minpoly(
-    A: BlackBoxOperator,
-    rng,
-    confidence_rounds: int = 2,
-    early_termination: bool = False,
+    A: BlackBoxOperator, rng, confidence_rounds: int = 2
 ) -> FieldPoly:
     """Minimal polynomial of A with an annihilation certificate.
 
@@ -460,8 +432,6 @@ def wiedemann_minpoly(
         w = v
         for i in range(2 * n):
             bm.add(_dot_mod(u, w, p))
-            if early_termination and bm.L > 0 and bm.stable_for >= 2 * bm.L + 10:
-                break
             if i < 2 * n - 1:
                 w = A.apply(w)
         gen = bm.generator()
@@ -489,9 +459,7 @@ def rank_preconditioner(A: BlackBoxOperator) -> str:
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
 
 
-def rank_blackbox(
-    A: BlackBoxOperator, rng, repetitions: int = 2, max_trials: int = 8
-) -> int:
+def rank_blackbox(A: BlackBoxOperator, rng, repetitions: int = 2) -> int:
     """Rank via the minimal polynomial of a randomly preconditioned operator.
 
     Each trial preconditions A (see `rank_preconditioner`) so that, except
@@ -505,12 +473,12 @@ def rank_blackbox(
     nothing and estimates do come out low with no signal; that scope is
     still open.  Estimates only err low (any certified minpoly divides the
     true one), so the max over trials is kept; sampling stops after
-    `repetitions` consecutive trials without improvement.
+    `repetitions` consecutive trials without improvement, or after 8 trials.
     """
     diagonal = rank_preconditioner(A) == "diagonal"
     best = None
     streak = 0
-    for _ in range(max_trials):
+    for _ in range(8):
         pre = _DiagonalPreconditioner(A, rng) if diagonal else _Preconditioner(A, rng)
         try:
             m = wiedemann_minpoly(pre, rng, confidence_rounds=1)
@@ -529,17 +497,17 @@ def rank_blackbox(
     return best
 
 
-def det_blackbox(A: BlackBoxOperator, rng, retries: int = 4) -> PrimeFieldElem:
+def det_blackbox(A: BlackBoxOperator, rng) -> PrimeFieldElem:
     """Determinant via minpoly of a det-preserving preconditioned operator.
 
     A full-degree minpoly certifies det = (-1)^n * c0 / det(D); any X factor
     certifies singularity (the generator divides the true minpoly, so X | m
     implies 0 is an eigenvalue of the preconditioned operator, hence of A up
-    to the invertible factors).
+    to the invertible factors).  Four preconditioners are tried.
     """
     n, p = A.dimension, A.p
     field = PrimeField(p)
-    for _ in range(retries):
+    for _ in range(4):
         pre = _Preconditioner(A, rng)
         try:
             m = wiedemann_minpoly(pre, rng, confidence_rounds=1)
@@ -551,7 +519,7 @@ def det_blackbox(A: BlackBoxOperator, rng, retries: int = 4) -> PrimeFieldElem:
             det_scaled = m.coefficient(0) if n % 2 == 0 else -m.coefficient(0)
             return field(det_scaled * pow(pre.det_diag(), -1, p))
     raise DetNotCertifiedError(
-        f"determinant not certified after {retries} preconditioned attempts"
+        "determinant not certified after 4 preconditioned attempts"
     )
 
 
@@ -569,14 +537,9 @@ def build_companion(poly) -> SparseMatrix:
     """Companion matrix: subdiagonal ones, last column -a_i."""
     if not poly.is_monic:
         raise ValueError("companion matrix needs a monic polynomial")
-    d = poly.degree
-    if d < 1:
+    if poly.degree < 1:
         raise ValueError("companion matrix needs degree >= 1")
-    entries = [(i + 1, i, 1) for i in range(d - 1)]
-    for i, v in enumerate(_negated_coeffs(poly)):
-        if v:
-            entries.append((i, d - 1, v))
-    return SparseMatrix(d, entries)
+    return build_block_jordan(poly, 1)
 
 
 def build_block_jordan(poly, k: int) -> SparseMatrix:

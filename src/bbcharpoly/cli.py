@@ -34,7 +34,6 @@ from .ff import is_prime, next_prime
 from .graphs import Graph, GraphInputError, symmetric_power
 from .integer import (
     IntegerCharpolyError,
-    IntegerMatrix,
     integer_charpoly_with_details,
     integer_minpoly,
 )
@@ -163,7 +162,6 @@ def _make_cfg(args) -> AdaptiveConfig:
     try:
         return AdaptiveConfig(
             threshold=args.threshold,
-            confidence_rounds=args.confidence,
             method=args.method,
             seed=args.seed,
             trace_log=args.trace_log,
@@ -235,7 +233,7 @@ def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
         if verify:
             _verify_field(matrix, p, poly)
     else:
-        details = integer_charpoly_with_details(IntegerMatrix(matrix), cfg)
+        details = integer_charpoly_with_details(matrix, cfg)
         poly, method = details.charpoly, details.field_result.method
         rows = [
             (f, None, e) for f, e in zip(details.lifted_factors, details.lift_exponents)
@@ -278,25 +276,22 @@ def cmd_minpoly(args) -> int:
     cfg = _make_cfg(args)
     rng = random.Random(cfg.seed)
     p = _field_modulus(args)
+    if args.verify and matrix.n > FIELD_VERIFY_CAP:
+        raise UsageError(f"--verify refuses n > {FIELD_VERIFY_CAP} (n = {matrix.n})")
+    if p is None and args.output == "factored":
+        raise UsageError(
+            "factored output of the integer minimal polynomial is not supported"
+        )
     if p is not None:
-        poly = wiedemann_minpoly(matrix.operator(p), rng, cfg.confidence_rounds)
-        if args.verify:
-            if matrix.n > FIELD_VERIFY_CAP:
-                raise UsageError(
-                    f"--verify refuses n > {FIELD_VERIFY_CAP} (n = {matrix.n})"
-                )
-            if poly != dense_minpoly(matrix.to_dense(), p):
-                raise VerificationMismatch("minpoly disagrees with the dense oracle")
+        poly = wiedemann_minpoly(matrix.operator(p), rng)
+        if args.verify and poly != dense_minpoly(matrix.to_dense(), p):
+            raise VerificationMismatch("minpoly disagrees with the dense oracle")
         factor_pairs = None
         if args.output in ("factored", "json"):
             factor_pairs = [(f, m) for f, m in factor(poly, rng)]
     else:
-        poly = integer_minpoly(IntegerMatrix(matrix), rng, cfg.confidence_rounds)
+        poly = integer_minpoly(matrix, rng)
         if args.verify:
-            if matrix.n > FIELD_VERIFY_CAP:
-                raise UsageError(
-                    f"--verify refuses n > {FIELD_VERIFY_CAP} (n = {matrix.n})"
-                )
             # The dense minpoly of a reduction always divides the reduced
             # integer minpoly; equality can fail at (rare) bad primes, so
             # demand divisibility everywhere and degree equality somewhere.
@@ -313,10 +308,6 @@ def cmd_minpoly(args) -> int:
                 raise VerificationMismatch(
                     "every reduction had a smaller dense minpoly degree"
                 )
-        if args.output == "factored":
-            raise UsageError(
-                "factored output of the integer minimal polynomial is not supported"
-            )
         factor_pairs = None
     if args.output == "coeffs":
         print(poly.text())
@@ -421,12 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threshold", type=int, default=5, help="combinatorial threshold T"
-    )
-    common.add_argument(
-        "--confidence",
-        type=int,
-        default=2,
-        help="independent projection rounds per minimal polynomial",
     )
     common.add_argument("--seed", type=int, default=None, help="rng seed")
     common.add_argument(

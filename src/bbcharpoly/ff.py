@@ -225,17 +225,6 @@ class PrimeFieldElem:
         return f"{self.value} (mod {self.field.p})"
 
 
-def element_order(a: int, q: int) -> int:
-    """Multiplicative order of ``a`` in GF(q)*."""
-    if a % q == 0:
-        raise ValueError("zero has no multiplicative order")
-    order = q - 1
-    for r in factorize(q - 1):
-        while order % r == 0 and pow(a, order // r, q) == 1:
-            order //= r
-    return order
-
-
 def find_generator(q) -> PrimeFieldElem:
     """Smallest generator of GF(q)*, certified by checking g^((q-1)/r) != 1
     for every prime r dividing q-1."""
@@ -249,7 +238,7 @@ def find_generator(q) -> PrimeFieldElem:
 
 
 class DlogContext:
-    """Discrete logarithms to a fixed generator of GF(q)*.
+    """Discrete logarithms to the smallest generator of GF(q)*.
 
     Small fields (q < 2**20) get a full exponent table; larger ones use
     baby-step/giant-step.  Lookups are read-only once constructed.
@@ -257,16 +246,11 @@ class DlogContext:
 
     __slots__ = ("field", "generator", "_table", "_baby", "_giant_step", "_m")
 
-    def __init__(self, field: PrimeField, generator: PrimeFieldElem | int | None = None):
+    def __init__(self, field: PrimeField):
         self.field = field
         q = field.p
-        if generator is None:
-            g = find_generator(field).value
-        else:
-            g = int(generator) % q
-            if element_order(g, q) != q - 1:
-                raise ValueError(f"{g} does not generate GF({q})*")
-        self.generator = PrimeFieldElem(g, field)
+        self.generator = find_generator(field)
+        g = self.generator.value
         self._table = None
         self._baby = None
         if q < DLOG_TABLE_LIMIT:

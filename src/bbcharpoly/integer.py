@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .adaptive import AdaptiveConfig, CharpolyResult, charpoly_with_details
-from .blackbox import SparseMatrix, SparseOperator, wiedemann_minpoly
+from .blackbox import SparseMatrix, wiedemann_minpoly
 from .ff import find_index_calculus_field, is_prime
 from .poly import (
     BadPrimeError,
@@ -48,27 +48,6 @@ class IntegerCharpolyError(ArithmeticError):
         super().__init__(
             message + (f" (bad primes tried: {self.bad_primes})" if bad_primes else "")
         )
-
-
-@dataclass
-class IntegerMatrix:
-    """Sparse square matrix over Z; the recorded norm is max |entry|."""
-
-    matrix: SparseMatrix
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.n
-
-    @property
-    def norm(self) -> int:
-        return self.matrix.max_abs()
-
-    def operator(self, p: int) -> SparseOperator:
-        return self.matrix.operator(p)
-
-    def trace(self) -> int:
-        return self.matrix.diagonal_sum()
 
 
 def minpoly_coeff_bound(n: int, norm: int) -> int:
@@ -107,29 +86,29 @@ def _random_minpoly_prime(rng, seen) -> int:
             return candidate
 
 
-def integer_minpoly(A: IntegerMatrix, rng=None, confidence_rounds: int = 2) -> IntPoly:
-    """Integer minimal polynomial by CRT over random word-size primes.
+def integer_minpoly(A: SparseMatrix, rng) -> IntPoly:
+    """Integer minimal polynomial of A by CRT over random word-size primes.
 
     Residues of less-than-maximal degree come from bad primes (or failed
     projections) and are discarded.  Termination: the symmetric-range
-    reconstruction must stay unchanged while two further primes arrive, and
-    one extra verification prime must reproduce it; a pathological spread of
-    degrees among the first 10 primes raises.  The prime budget scales with
-    the coefficient bound: the primes it needs, plus 80 for bad primes and
-    the stability checks.
+    reconstruction must stay unchanged while two further primes arrive (one,
+    once the primes' product is past the coefficient bound), and one extra
+    verification prime must reproduce it; a failed verification keeps the
+    verification residue when it has full degree and restarts the count.  A
+    pathological spread of degrees among the first 10 primes raises.  The
+    prime budget scales with the coefficient bound: the primes it needs, plus
+    80 for bad primes and the stability checks.
     """
-    if rng is None:
-        rng = random.Random()
     seen: set[int] = set()
     group: list[FieldPoly] = []
     degrees_seen: list[int] = []
     candidate = None
     stable = 0
-    bit_cap = minpoly_coeff_bound(A.dimension, max(1, A.norm)) + 8
+    bit_cap = minpoly_coeff_bound(A.n, max(1, A.max_abs())) + 8
     max_primes = -(-bit_cap // 28) + 80  # every prime exceeds 2^28
     for used in range(1, max_primes + 1):
         p = _random_minpoly_prime(rng, seen)
-        residue = wiedemann_minpoly(A.operator(p), rng, confidence_rounds)
+        residue = wiedemann_minpoly(A.operator(p), rng)
         degrees_seen.append(residue.degree)
         if used == 10:
             top = max(degrees_seen)
@@ -150,28 +129,23 @@ def integer_minpoly(A: IntegerMatrix, rng=None, confidence_rounds: int = 2) -> I
         else:
             stable = 0
         candidate = new_candidate
-        if stable >= 2:
+        past_bound = sum(g.p.bit_length() for g in group) > bit_cap
+        if stable >= 2 or (stable >= 1 and past_bound):
             p_verify = _random_minpoly_prime(rng, seen)
-            check = wiedemann_minpoly(A.operator(p_verify), rng, confidence_rounds)
+            check = wiedemann_minpoly(A.operator(p_verify), rng)
             if check == candidate.reduce(p_verify):
                 return candidate
             if check.degree == group[0].degree:
                 group.append(check)
                 candidate = crt_combine(group)
             stable = 0
-        if sum(g.p.bit_length() for g in group) > bit_cap and stable >= 1:
-            # past the worst-case coefficient bound: accept after one verify
-            p_verify = _random_minpoly_prime(rng, seen)
-            check = wiedemann_minpoly(A.operator(p_verify), rng, confidence_rounds)
-            if check == candidate.reduce(p_verify):
-                return candidate
     raise IntegerCharpolyError(
         f"integer minimal polynomial did not stabilize after {max_primes} primes"
     )
 
 
 def lift_charpoly(
-    A: IntegerMatrix, minpoly_z: IntPoly, p: int, charpoly_mod_p: FieldPoly
+    A: SparseMatrix, minpoly_z: IntPoly, p: int, charpoly_mod_p: FieldPoly
 ) -> tuple[IntPoly, list[IntPoly], list[int]]:
     """Reassemble the integer charpoly from its image mod one good prime.
 
@@ -182,7 +156,7 @@ def lift_charpoly(
     exponents, with the lifted factors and the exponents.  Violations of the
     good-prime conditions raise BadPrimeError.
     """
-    n = A.dimension
+    n = A.n
     if p <= n:
         raise BadPrimeError(f"prime {p} does not exceed the dimension {n}")
     if charpoly_mod_p.degree != n:
@@ -202,7 +176,7 @@ def lift_charpoly(
         residual = q
     if residual.degree != 0:
         raise BadPrimeError("basis does not cover the squarefree part")
-    bound = charpoly_coeff_bound(n, max(1, A.norm))
+    bound = charpoly_coeff_bound(n, max(1, A.max_abs()))
     lifted = hensel_lift_basis(S, list(basis.basis), p, bound)
     out = IntPoly.one()
     for g, mu in zip(lifted, basis.exponents):
@@ -230,14 +204,14 @@ class IntegerCharpolyResult:
 
 
 def integer_charpoly_with_details(
-    A: IntegerMatrix, cfg: AdaptiveConfig | None = None
+    A: SparseMatrix, cfg: AdaptiveConfig | None = None
 ) -> IntegerCharpolyResult:
     if cfg is None:
         cfg = AdaptiveConfig()
     rng = random.Random(cfg.seed)
-    n = A.dimension
-    minpoly_z = integer_minpoly(A, rng, cfg.confidence_rounds)
-    trace_z = A.trace()
+    n = A.n
+    minpoly_z = integer_minpoly(A, rng)
+    trace_z = A.diagonal_sum()
     floor = _field_prime_floor(n)
     bad: list[int] = []
     last_reason = None
@@ -276,6 +250,6 @@ def integer_charpoly_with_details(
     )
 
 
-def integer_charpoly(A: IntegerMatrix, cfg: AdaptiveConfig | None = None) -> IntPoly:
+def integer_charpoly(A: SparseMatrix, cfg: AdaptiveConfig | None = None) -> IntPoly:
     """Characteristic polynomial of a sparse integer matrix (black-box)."""
     return integer_charpoly_with_details(A, cfg).charpoly

@@ -312,7 +312,6 @@ def _discriminate_by_det(A: BlackBoxOperator, profiles, vectors, rng, trace_log=
 class IndexCalculusResult:
     multiplicities: dict[int, int]
     rows_sampled: int
-    lambdas: list[int]
 
 
 class _EchelonTracker:
@@ -377,7 +376,6 @@ class _LogSystem:
     """Full-rank discrete-log rows and their right-hand sides, per lambda."""
 
     tracker: _EchelonTracker
-    lambdas: list[int]
     rhs: list[int]  # log det(lambda*I - A) - log known(lambda), mod (q-1) mod p
     enum_logs: list[list[int]]  # log P_i(lambda) mod p of the enumerated factors
     rows_sampled: int
@@ -393,16 +391,15 @@ def _log_system(
     p: int,
     rng,
     *,
-    lambda_source=None,
     trace_log=None,
 ) -> _LogSystem:
     """Rows log P_j(lambda) mod p, j in ``unknown``, at random lambda until
     they reach full rank; determinants det(lambda*I - A) are then taken only
     for the chosen rows, in order.
 
-    Each attempt draws one lambda (``rng.randrange(q)`` or the next item of
-    ``lambda_source``); it is kept when it is new and neither the known part
-    nor any unknown or enumerated factor vanishes there.  Fails after n rows
+    Each attempt draws one lambda with ``rng.randrange(q)``; it is kept when
+    it is new and neither the known part nor any unknown or enumerated factor
+    vanishes there.  Fails after n rows
     without full rank.
     """
     n, q = A.dimension, A.p
@@ -416,7 +413,7 @@ def _log_system(
         if rows_sampled >= n:
             raise IndexCalculusFailure(f"no full-rank system after {rows_sampled} rows")
         for _ in range(64 * (n + 4)):
-            lam = next(lambda_source) if lambda_source is not None else rng.randrange(q)
+            lam = rng.randrange(q)
             if lam not in used and known(lam) != 0 and all(f(lam) != 0 for f in guarded):
                 break
         else:
@@ -436,7 +433,7 @@ def _log_system(
             )
         rhs.append((ctx.dlog(det) - ctx.dlog(known(lam))) % (q - 1) % p)
         enum_logs.append([ctx.dlog(profiles[i].poly(lam)) % p for i in enumerated])
-    return _LogSystem(tracker, lambdas, rhs, enum_logs, rows_sampled)
+    return _LogSystem(tracker, rhs, enum_logs, rows_sampled)
 
 
 def index_calculus(
@@ -448,7 +445,6 @@ def index_calculus(
     subprime: int,
     rng,
     *,
-    lambda_source=None,
     trace_log=None,
 ) -> IndexCalculusResult:
     """Multiplicities of the unresolved factors via a discrete-log system.
@@ -469,8 +465,7 @@ def index_calculus(
     if (q - 1) % subprime != 0 or subprime <= n:
         raise ValueError("subprime must divide q-1 and exceed the dimension")
     system = _log_system(
-        A, profiles, unknown, (), Q, ctx, subprime, rng,
-        lambda_source=lambda_source, trace_log=trace_log,
+        A, profiles, unknown, (), Q, ctx, subprime, rng, trace_log=trace_log
     )
     solution = solve_mod_p(system.tracker, system.rhs)
     mults = dict(zip(unknown, solution))
@@ -480,4 +475,4 @@ def index_calculus(
         raise IndexCalculusFailure(f"degree check failed: {total} + {q_degree} != {n}")
     if trace_log is not None:
         trace_log.emit("ic-solved", rows=system.rows_sampled, multiplicities=mults)
-    return IndexCalculusResult(mults, system.rows_sampled, system.lambdas)
+    return IndexCalculusResult(mults, system.rows_sampled)

@@ -20,7 +20,7 @@ from bbcharpoly.blackbox import (
 from bbcharpoly.cli import main
 from bbcharpoly.ff import DlogContext, PrimeField, find_index_calculus_field, index_calculus_subprime
 from bbcharpoly.graphs import Graph, rook_graph, symmetric_power
-from bbcharpoly.integer import IntegerMatrix, integer_charpoly
+from bbcharpoly.integer import integer_charpoly
 from bbcharpoly.multiplicity import (
     IndexCalculusFailure,
     index_calculus,
@@ -81,7 +81,7 @@ def test_criterion_2_integer_oracle_equivalence():
     for trial in range(matrices):
         n = rng.randrange(2, 41)
         m = random_sparse_integer_matrix(n, rng)
-        got = integer_charpoly(IntegerMatrix(m), AdaptiveConfig(seed=trial))
+        got = integer_charpoly(m, AdaptiveConfig(seed=trial))
         want = dense_integer_charpoly(m.to_dense())
         assert got == want, f"mismatch at n={n}, trial={trial}"
     elapsed = time.monotonic() - start
@@ -219,7 +219,7 @@ def test_criterion_6_trace_degree_identities():
     for trial in range(10):
         n = rng.randrange(2, 25)
         m = random_sparse_integer_matrix(n, rng)
-        cp = integer_charpoly(IntegerMatrix(m), AdaptiveConfig(seed=trial))
+        cp = integer_charpoly(m, AdaptiveConfig(seed=trial))
         assert cp.degree == n
         assert cp.coefficient(n - 1) == -m.diagonal_sum()
         checked += 1

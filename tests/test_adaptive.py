@@ -71,7 +71,7 @@ class TestInvariantFactor:
         p = 101
         rng = random.Random(2)
         op = diag([1, 1, 2], p).operator(p)
-        f1 = invariant_factor(op, 1, rng)
+        f1 = wiedemann_minpoly(op, rng)
         assert f1 == linear(1, p) * linear(2, p)
         f2 = invariant_factor(op, 2, rng, minpoly=f1, previous=f1)
         assert f2 == linear(1, p)
@@ -91,7 +91,7 @@ class TestInvariantFactor:
         f = (g * rand_irreducible(2, p, rng)).monic()
         A = block_diagonal([build_companion(f), build_companion(g)])
         op = A.operator(p)
-        f1 = invariant_factor(op, 1, rng)
+        f1 = wiedemann_minpoly(op, rng)
         assert f1 == f
         f2 = invariant_factor(op, 2, rng, minpoly=f1, previous=f1)
         assert f2 == g
@@ -105,13 +105,12 @@ class TestInvariantFactor:
             dense = A.to_dense()
             want = dense_invariant_factors(dense, p)
             op = A.operator(p)
-            got = []
-            prev = None
             minpoly = wiedemann_minpoly(op, rng)
-            for j in range(1, len(want) + 1):
-                fj = invariant_factor(op, j, rng, minpoly=minpoly, previous=prev)
-                got.append(fj)
-                prev = fj
+            got = [minpoly]
+            for j in range(2, len(want) + 1):
+                got.append(
+                    invariant_factor(op, j, rng, minpoly=minpoly, previous=got[-1])
+                )
             assert got == want
             prod = FieldPoly.one(p)
             for fj in got:

@@ -14,7 +14,7 @@ from bbcharpoly.graphs import (
     shrikhande_graph,
     symmetric_power,
 )
-from bbcharpoly.integer import IntegerMatrix, integer_charpoly
+from bbcharpoly.integer import integer_charpoly
 from bbcharpoly.sms import SmsFormatError, emit_sms, parse_sms
 
 
@@ -132,7 +132,7 @@ class TestGraphs:
         assert local == [{((2,) * 6, 2)}, {((2,) * 6, 0)}]  # not isomorphic
         squares = [
             integer_charpoly(
-                IntegerMatrix(symmetric_power(g, 2).adjacency()), AdaptiveConfig(seed=1)
+                symmetric_power(g, 2).adjacency(), AdaptiveConfig(seed=1)
             )
             for g in graphs
         ]
@@ -230,6 +230,31 @@ class TestOtherCommands:
         )
         assert code == 2
         assert "factored" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--integer", "--output", "factored"), "factored output"),
+            (("--integer", "--verify"), "--verify refuses n > 300 (n = 301)"),
+            (("--field", "10007", "--verify"), "--verify refuses n > 300 (n = 301)"),
+        ],
+    )
+    def test_minpoly_refusals_do_no_work(
+        self, capsys, tmp_path, monkeypatch, flags, message
+    ):
+        from bbcharpoly import cli
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a refused run computed a minimal polynomial")
+
+        monkeypatch.setattr(cli, "integer_minpoly", boom)
+        monkeypatch.setattr(cli, "wiedemann_minpoly", boom)
+        n = 301
+        entries = "\n".join(f"{i} {i} 1" for i in range(1, n + 1))
+        path = write(tmp_path, "big.sms", f"{n} {n} M\n{entries}\n0 0 0\n")
+        code, _, err = run_cli(capsys, "minpoly", *flags, path)
+        assert code == 2
+        assert message in err
 
     def test_minpoly_field_factored(self, capsys, tmp_path):
         path = write(tmp_path, "m.sms", DIAG112)

@@ -5,8 +5,8 @@ import pytest
 from bbcharpoly.adaptive import AdaptiveConfig
 from bbcharpoly.blackbox import SparseMatrix, block_diagonal, build_companion
 from bbcharpoly.ff import next_prime
+from bbcharpoly.graphs import rook_graph, symmetric_power
 from bbcharpoly.integer import (
-    IntegerMatrix,
     charpoly_coeff_bound,
     integer_charpoly,
     integer_charpoly_with_details,
@@ -22,9 +22,7 @@ from helpers import random_sparse_integer_matrix
 
 def int_diag(values):
     n = len(values)
-    return IntegerMatrix(
-        SparseMatrix(n, [(i, i, v) for i, v in enumerate(values) if v])
-    )
+    return SparseMatrix(n, [(i, i, v) for i, v in enumerate(values) if v])
 
 
 class TestBounds:
@@ -60,12 +58,12 @@ class TestIntegerMinpoly:
     def test_companion(self):
         rng = random.Random(2)
         f = IntPoly([1, -10, 1])
-        A = IntegerMatrix(build_companion(f))
+        A = build_companion(f)
         assert integer_minpoly(A, rng) == f
 
     def test_zero_matrix(self):
         rng = random.Random(3)
-        A = IntegerMatrix(SparseMatrix(4, []))
+        A = SparseMatrix(4, [])
         assert integer_minpoly(A, rng) == IntPoly([0, 1])
 
     def test_prime_budget_scales_with_the_bound(self):
@@ -73,15 +71,14 @@ class TestIntegerMinpoly:
         # a fixed budget of 80 but inside the one derived from the bound.
         rng = random.Random(5)
         f = IntPoly([1, (1 << 2400) + 1, 0, 1])
-        assert integer_minpoly(IntegerMatrix(build_companion(f)), rng) == f
+        assert integer_minpoly(build_companion(f), rng) == f
 
     def test_matches_dense_krylov_over_primes(self):
         rng = random.Random(4)
         for _ in range(5):
             n = rng.randrange(2, 16)
             m = random_sparse_integer_matrix(n, rng)
-            A = IntegerMatrix(m)
-            mp = integer_minpoly(A, rng)
+            mp = integer_minpoly(m, rng)
             for p in (10007, 65537, next_prime(1 << 20)):
                 assert mp.reduce(p) == dense_minpoly(m.to_dense(), p)
 
@@ -97,14 +94,14 @@ class TestLiftCharpoly:
 
     def test_minpoly_equals_charpoly(self):
         f = IntPoly([1, -10, 1])
-        A = IntegerMatrix(build_companion(f))
+        A = build_companion(f)
         out = lift_charpoly(A, f, 13, f.reduce(13))[0]
         assert out == f
 
     def test_doubled_companion_block(self):
         f = IntPoly([1, -10, 1])
         C = build_companion(f)
-        A = IntegerMatrix(block_diagonal([C, C]))
+        A = block_diagonal([C, C])
         out = lift_charpoly(A, f, 13, (f.reduce(13) ** 2).monic())[0]
         assert out == f * f
 
@@ -127,7 +124,7 @@ class TestIntegerCharpoly:
         assert integer_charpoly(A, AdaptiveConfig(seed=5)) == IntPoly([-2, 5, -4, 1])
 
     def test_zero_matrix(self):
-        A = IntegerMatrix(SparseMatrix(5, []))
+        A = SparseMatrix(5, [])
         got = integer_charpoly(A, AdaptiveConfig(seed=6))
         assert got == IntPoly([0, 0, 0, 0, 0, 1])
 
@@ -136,8 +133,7 @@ class TestIntegerCharpoly:
         for trial in range(6):
             n = rng.randrange(2, 20)
             m = random_sparse_integer_matrix(n, rng)
-            A = IntegerMatrix(m)
-            got = integer_charpoly(A, AdaptiveConfig(seed=trial))
+            got = integer_charpoly(m, AdaptiveConfig(seed=trial))
             assert got == dense_integer_charpoly(m.to_dense())
 
     def test_trace_and_divisibility_invariants(self):
@@ -145,21 +141,19 @@ class TestIntegerCharpoly:
         for trial in range(4):
             n = rng.randrange(2, 16)
             m = random_sparse_integer_matrix(n, rng)
-            A = IntegerMatrix(m)
-            details = integer_charpoly_with_details(A, AdaptiveConfig(seed=trial))
+            details = integer_charpoly_with_details(m, AdaptiveConfig(seed=trial))
             cp = details.charpoly
             assert cp.degree == n
-            assert cp.coefficient(n - 1) == -A.trace()
+            assert cp.coefficient(n - 1) == -m.diagonal_sum()
             q, r = divmod(cp, details.minpoly)
             assert r.is_zero
-            bound = charpoly_coeff_bound(n, max(1, A.norm))
+            bound = charpoly_coeff_bound(n, max(1, m.max_abs()))
             assert cp.max_abs() <= bound
 
     def test_reduction_matches_dense_mod_fresh_primes(self):
         rng = random.Random(9)
         m = random_sparse_integer_matrix(12, rng)
-        A = IntegerMatrix(m)
-        cp = integer_charpoly(A, AdaptiveConfig(seed=9))
+        cp = integer_charpoly(m, AdaptiveConfig(seed=9))
         prime = 1 << 21
         for _ in range(10):
             prime = next_prime(prime)
@@ -172,3 +166,52 @@ class TestIntegerCharpoly:
             (f.coeffs, e) for f, e in zip(details.lifted_factors, details.lift_exponents)
         )
         assert pairs == [((-2, 1), 1), ((-1, 1), 2)]
+
+
+class TestPinnedDraws:
+    """Field prime, bad primes and field method of fixed-seed integer runs.
+
+    The values were recorded once.  The integer pipeline draws the CRT
+    primes, the field prime and the field seed from one generator, so a
+    change that adds, drops or reorders a random draw moves some of them
+    even when every characteristic polynomial stays right.
+    """
+
+    SEEDS = range(1, 7)
+    RECORDED = {  # matrix -> (field prime, bad primes, field method), per seed
+        "rook-square": [
+            (5477, [], "nullity-comb"),
+            (5821, [], "nullity-comb"),
+            (5783, [], "nullity-comb"),
+            (5477, [], "nullity-comb"),
+            (5333, [], "nullity-comb"),
+            (5479, [], "nullity-comb"),
+        ],
+        "random-sparse": [
+            (4231, [], "trivial"),
+            (4219, [], "trivial"),
+            (4129, [], "trivial"),
+            (4219, [], "trivial"),
+            (5003, [], "trivial"),
+            (4241, [], "trivial"),
+        ],
+    }
+
+    @staticmethod
+    def matrix(name):
+        if name == "rook-square":  # symmetric square of the 3x3 rook graph, n = 36
+            return symmetric_power(rook_graph(3), 2).adjacency()
+        return random_sparse_integer_matrix(14, random.Random(2024))
+
+    @pytest.mark.parametrize("name", ["rook-square", "random-sparse"])
+    def test_charpoly_and_draws(self, name):
+        m = self.matrix(name)
+        want = dense_integer_charpoly(m.to_dense())
+        got = []
+        for seed in self.SEEDS:
+            details = integer_charpoly_with_details(m, AdaptiveConfig(seed=seed))
+            assert details.charpoly == want
+            got.append(
+                (details.field_prime, details.bad_primes, details.field_result.method)
+            )
+        assert got == self.RECORDED[name]

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from bbcharpoly.adaptive import TraceLog
 from bbcharpoly.blackbox import (
     PolyOfMatrix,
     build_companion,
     rank_blackbox,
-    trace,
     wiedemann_minpoly,
 )
 from bbcharpoly.ff import DlogContext, PrimeField, find_index_calculus_field
@@ -115,7 +115,7 @@ class TestDegreeTraceResidual:
         ]
         A, mults = planted_primary_form(blocks, p)
         profiles = [profile(poly, max(c)) for poly, c in blocks]
-        tr = int(trace(A, p=p))
+        tr = int(A.operator(p).trace())
         assert degree_trace_residual(mults, profiles, A.n, tr, p) == (0, 0)
         bumped = [mults[0] + 1, mults[1]]
         gap = degree_trace_residual(bumped, profiles, A.n, tr, p)[0]
@@ -198,15 +198,31 @@ class TestCombinatorialSearch:
             combinatorial_search(A.operator(p), profiles, known, rng)
 
 
+class FirstDraws(random.Random):
+    """random.Random whose first randrange calls return fixed values; the
+    seeded stream starts only after them."""
+
+    def __init__(self, seed, first):
+        super().__init__(seed)
+        self.first = list(first)
+
+    def randrange(self, *args):
+        if self.first:
+            return self.first.pop(0)
+        return super().randrange(*args)
+
+
 class TestIndexCalculus:
     def test_frozen_worked_example(self):
-        p_field = PrimeField(11)
-        rng = random.Random(11)
+        # lambda = 3, 4 are the first two draws; generator 2 of GF(11)*
+        rng = FirstDraws(11, [3, 4])
         A, _ = planted_primary_form(
             [(linear(1, 11), {1: 2}), (linear(2, 11), {1: 1})], 11
         )
         profiles = [profile(linear(1, 11), 1), profile(linear(2, 11), 1)]
-        ctx = DlogContext(p_field, generator=2)
+        ctx = DlogContext(PrimeField(11))
+        assert int(ctx.generator) == 2
+        log = TraceLog()
         out = index_calculus(
             A.operator(11),
             profiles,
@@ -215,11 +231,11 @@ class TestIndexCalculus:
             ctx,
             5,
             rng,
-            lambda_source=iter([3, 4]),
+            trace_log=log,
         )
         assert out.multiplicities == {0: 2, 1: 1}
         assert out.rows_sampled == 2
-        assert out.lambdas == [3, 4]
+        assert [e["lam"] for e in log.events if e["event"] == "ic-row"] == [3, 4]
 
     def test_single_unknown(self):
         q, p = find_index_calculus_field(6)
