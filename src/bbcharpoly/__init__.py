@@ -10,8 +10,6 @@ lifting a gcd-free basis of the squarefree part of the minimal polynomial.
 
 from .ff import (
     DlogContext,
-    PrimeField,
-    PrimeFieldElem,
     find_generator,
     find_index_calculus_field,
     is_prime,
@@ -57,8 +55,6 @@ __all__ = [
     "IntPoly",
     "LowRankPerturbation",
     "PolyOfMatrix",
-    "PrimeField",
-    "PrimeFieldElem",
     "ShiftedOperator",
     "SparseMatrix",
     "blackbox_charpoly_field",

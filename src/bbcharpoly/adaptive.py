@@ -37,7 +37,7 @@ from .blackbox import (
     rank_preconditioner,
     wiedemann_minpoly,
 )
-from .ff import DlogContext, PrimeField, index_calculus_subprime
+from .ff import DlogContext, check_modulus, index_calculus_subprime
 from .multiplicity import (
     FactorProfile,
     InconsistentNullityError,
@@ -53,7 +53,7 @@ from .multiplicity import (
     profiles_from_factorization,
     solve_mod_p,
 )
-from .poly import FieldPoly, factor, poly_gcd
+from .poly import FieldPoly, divide_out, factor, poly_gcd
 
 METHODS = ("auto", "nullity-comb", "index", "hybrid", "invfact")
 
@@ -126,7 +126,7 @@ def _validate(A: BlackBoxOperator, profiles, mults) -> FieldPoly:
     cp = _charpoly_from(profiles, mults, p)
     if cp.degree != n:
         raise AdaptiveError(f"charpoly degree {cp.degree} != {n}")
-    if (cp.coefficient(n - 1) + int(A.trace())) % p != 0:
+    if (cp.coefficient(n - 1) + A.trace()) % p != 0:
         raise AdaptiveError("trace identity violated")
     return cp
 
@@ -278,14 +278,7 @@ def _peel_invariant_factors(A, profiles, cfg, rng, minpoly, stop_size, max_iters
         fj = invariant_factor(A, j, rng, minpoly=minpoly, previous=previous)
         cfg._emit("invfact", index=j, degree=fj.degree)
         for i in sorted(live):
-            alpha = 0
-            rest = fj
-            while True:
-                q, rem = divmod(rest, profiles[i].poly)
-                if not rem.is_zero:
-                    break
-                rest = q
-                alpha += 1
+            alpha, _ = divide_out(fj, profiles[i].poly)
             if alpha == 0:
                 live.discard(i)
             else:
@@ -481,11 +474,15 @@ def _choose_method(A, profiles, cfg) -> tuple[str, int | None]:
 
 
 def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None):
-    """Run the adaptive pipeline; returns a CharpolyResult."""
+    """Run the adaptive pipeline; returns a CharpolyResult.
+
+    Raises ValueError before any draw or apply unless A.p is an odd prime
+    <= 2**31.
+    """
+    n, q = A.dimension, check_modulus(A.p)
     if cfg is None:
         cfg = AdaptiveConfig()
     rng = random.Random(cfg.seed)
-    n, q = A.dimension, A.p
     last_error = None
     for attempt in range(2):
         try:
@@ -500,7 +497,7 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
             method, subprime = _choose_method(A, profiles, cfg)
             cfg._emit("method", chosen=method, factors=len(profiles))
             if method in ("index", "hybrid"):
-                ctx = DlogContext(PrimeField(q))
+                ctx = DlogContext(q)
             if method == "nullity-comb":
                 mults = nullity_comb_search(A, profiles, cfg, rng)
             elif method == "index":

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ff import PrimeField, PrimeFieldElem
 from .poly import FieldPoly, _lazy_sum_fits, conv_mod, poly_lcm
 
 
@@ -57,15 +56,15 @@ class BlackBoxOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def trace(self) -> PrimeFieldElem:
-        """Trace via n applies of unit vectors."""
+    def trace(self) -> int:
+        """Trace in [0, p) via n applies of unit vectors."""
         total = 0
         e = np.zeros(self.dimension, dtype=np.int64)
         for i in range(self.dimension):
             e[i] = 1
             total += int(self.apply(e)[i])
             e[i] = 0
-        return PrimeField(self.p)(total)
+        return total % self.p
 
 
 class SparseMatrix:
@@ -175,8 +174,8 @@ class SparseOperator(BlackBoxOperator):
         out[self._rows] = sums
         return out
 
-    def trace(self) -> PrimeFieldElem:
-        return PrimeField(self.p)(self._diag)
+    def trace(self) -> int:
+        return self._diag
 
 
 class PolyOfMatrix(BlackBoxOperator):
@@ -355,7 +354,7 @@ class CountingOperator(BlackBoxOperator):
         self.applies += 1
         return self.base.apply(v)
 
-    def trace(self) -> PrimeFieldElem:
+    def trace(self) -> int:
         return self.base.trace()
 
 
@@ -497,7 +496,7 @@ def rank_blackbox(A: BlackBoxOperator, rng, repetitions: int = 2) -> int:
     return best
 
 
-def det_blackbox(A: BlackBoxOperator, rng) -> PrimeFieldElem:
+def det_blackbox(A: BlackBoxOperator, rng) -> int:
     """Determinant via minpoly of a det-preserving preconditioned operator.
 
     A full-degree minpoly certifies det = (-1)^n * c0 / det(D); any X factor
@@ -506,7 +505,6 @@ def det_blackbox(A: BlackBoxOperator, rng) -> PrimeFieldElem:
     to the invertible factors).  Four preconditioners are tried.
     """
     n, p = A.dimension, A.p
-    field = PrimeField(p)
     for _ in range(4):
         pre = _Preconditioner(A, rng)
         try:
@@ -514,10 +512,10 @@ def det_blackbox(A: BlackBoxOperator, rng) -> PrimeFieldElem:
         except MinpolyNotCertifiedError:
             continue
         if m.coefficient(0) == 0:
-            return field.zero
+            return 0
         if m.degree == n:
             det_scaled = m.coefficient(0) if n % 2 == 0 else -m.coefficient(0)
-            return field(det_scaled * pow(pre.det_diag(), -1, p))
+            return det_scaled * pow(pre.det_diag(), -1, p) % p
     raise DetNotCertifiedError(
         "determinant not certified after 4 preconditioned attempts"
     )

@@ -30,7 +30,7 @@ from .blackbox import (
     SparseMatrix,
     wiedemann_minpoly,
 )
-from .ff import is_prime, next_prime
+from .ff import check_modulus, next_prime
 from .graphs import Graph, GraphInputError, symmetric_power
 from .integer import (
     IntegerCharpolyError,
@@ -152,10 +152,10 @@ def _field_modulus(args) -> int | None:
         return None
     if args.field is None:
         return None  # integer mode is the default
-    p = args.field
-    if p == 2 or p > (1 << 31) or not is_prime(p):
-        raise UsageError(f"--field needs an odd prime <= 2^31, got {p}")
-    return p
+    try:
+        return check_modulus(args.field)
+    except ValueError as err:
+        raise UsageError(f"--field: {err}")
 
 
 def _make_cfg(args) -> AdaptiveConfig:

@@ -1,9 +1,11 @@
-"""Prime-field arithmetic, prime search, generators and discrete logarithms.
+"""Prime search, the modulus check, generators and discrete logarithms.
 
-A field element is a canonical integer in ``[0, p-1]``; every operation
-re-canonicalizes.  Moduli are odd primes of at most 2**31, checked with a
-deterministic Miller-Rabin test (the chosen witness set is exact far beyond
-the word-size range).
+A GF(p) scalar is a plain int in ``[0, p)``; there is no element type.
+``check_modulus`` holds the one rule for a modulus, an odd prime of at most
+2**31 (deterministic Miller-Rabin, whose witness set is exact far beyond the
+word-size range).  It runs where a modulus enters the program: the CLI's
+``--field``, ``adaptive.charpoly_with_details`` and ``find_generator`` (so
+``DlogContext``).  The black-box kernels take any modulus.
 
 Discrete logarithms use a full exponent table when the field is small
 (q < 2**20) and baby-step/giant-step above that, so large fields stay usable
@@ -19,10 +21,6 @@ DLOG_TABLE_LIMIT = 1 << 20
 
 # Exact for all n < 3.3 * 10**24 (covers the word-size range many times over).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class FieldMismatchError(ValueError):
-    """Operands belong to different prime fields."""
 
 
 def is_prime(n: int) -> bool:
@@ -98,143 +96,22 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-class PrimeField:
-    """The field GF(p) for an odd prime p <= 2**31."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int):
-            raise TypeError("modulus must be an int")
-        if p == 2 or p > WORD_PRIME_LIMIT or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime <= 2**31, got {p}")
-        self.p = p
-
-    def __call__(self, value: int) -> "PrimeFieldElem":
-        return PrimeFieldElem(value % self.p, self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-    @property
-    def zero(self) -> "PrimeFieldElem":
-        return PrimeFieldElem(0, self)
-
-    @property
-    def one(self) -> "PrimeFieldElem":
-        return PrimeFieldElem(1, self)
+def check_modulus(p: int) -> int:
+    """Return p, or raise ValueError naming p unless p is an odd prime <= 2**31."""
+    if not isinstance(p, int) or p == 2 or p > WORD_PRIME_LIMIT or not is_prime(p):
+        raise ValueError(f"modulus must be an odd prime <= 2**31, got {p}")
+    return p
 
 
-class PrimeFieldElem:
-    """Element of GF(p), stored as its canonical representative."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, PrimeFieldElem):
-            if other.field.p != self.field.p:
-                raise FieldMismatchError(
-                    f"GF({self.field.p}) vs GF({other.field.p})"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem((self.value + v) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem((self.value - v) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem((v - self.value) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.value * v % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.field.p})")
-        return PrimeFieldElem(
-            self.value * pow(v, -1, self.field.p) % self.field.p, self.field
-        )
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(v, self.field) / self
-
-    def __neg__(self):
-        return PrimeFieldElem(-self.value % self.field.p, self.field)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0 and self.value == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.field.p})")
-        return PrimeFieldElem(pow(self.value, exponent, self.field.p), self.field)
-
-    def inverse(self) -> "PrimeFieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.field.p})")
-        return PrimeFieldElem(pow(self.value, -1, self.field.p), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PrimeFieldElem):
-            return self.field.p == other.field.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-
-def find_generator(q) -> PrimeFieldElem:
+def find_generator(q: int) -> int:
     """Smallest generator of GF(q)*, certified by checking g^((q-1)/r) != 1
     for every prime r dividing q-1."""
-    field = q if isinstance(q, PrimeField) else PrimeField(q)
-    p = field.p
-    radicals = list(factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in radicals):
-            return PrimeFieldElem(g, field)
-    raise ValueError(f"no generator found for GF({p})")  # unreachable for prime p
+    check_modulus(q)
+    radicals = list(factorize(q - 1))
+    for g in range(2, q):
+        if all(pow(g, (q - 1) // r, q) != 1 for r in radicals):
+            return g
+    raise ValueError(f"no generator found for GF({q})")  # unreachable for prime q
 
 
 class DlogContext:
@@ -244,13 +121,11 @@ class DlogContext:
     baby-step/giant-step.  Lookups are read-only once constructed.
     """
 
-    __slots__ = ("field", "generator", "_table", "_baby", "_giant_step", "_m")
+    __slots__ = ("q", "generator", "_table", "_baby", "_giant_step", "_m")
 
-    def __init__(self, field: PrimeField):
-        self.field = field
-        q = field.p
-        self.generator = find_generator(field)
-        g = self.generator.value
+    def __init__(self, q: int):
+        self.q = q
+        self.generator = g = find_generator(q)
         self._table = None
         self._baby = None
         if q < DLOG_TABLE_LIMIT:
@@ -271,10 +146,10 @@ class DlogContext:
             self._giant_step = pow(g, -m, q)
             self._m = m
 
-    def dlog(self, a) -> int:
+    def dlog(self, a: int) -> int:
         """Exponent e in [0, q-2] with generator**e == a; rejects a == 0."""
-        q = self.field.p
-        value = int(a) % q
+        q = self.q
+        value = a % q
         if value == 0:
             raise ValueError("discrete log of zero")
         if self._table is not None:

@@ -156,7 +156,7 @@ def degree_trace_residual(multiplicities, profiles, n: int, trace_value: int, p:
         m * prof.degree for m, prof in zip(multiplicities, profiles)
     )
     trace_gap = (
-        int(trace_value)
+        trace_value
         + sum(m * prof.trace_coeff for m, prof in zip(multiplicities, profiles))
     ) % p
     return deg_gap, trace_gap
@@ -185,7 +185,7 @@ def combinatorial_search(
     """
     profiles = list(profiles)
     n, p = A.dimension, A.p
-    trace_value = int(A.trace())
+    trace_value = A.trace()
     known_slots = {
         (i, j): c
         for i in range(len(profiles))
@@ -291,7 +291,7 @@ def _discriminate_by_det(A: BlackBoxOperator, profiles, vectors, rng, trace_log=
             )
         rounds += 1
         lam = rng.randrange(p)
-        delta = int(det_blackbox(ShiftedOperator(A, lam), rng))
+        delta = det_blackbox(ShiftedOperator(A, lam), rng)
         evals = [prof.poly(lam) for prof in profiles]
         kept = []
         for mults in survivors:
@@ -426,7 +426,7 @@ def _log_system(
             trace_log.emit("ic-row", lam=lam, rank=tracker.rank, rows=rows_sampled)
     rhs, enum_logs = [], []
     for lam in lambdas:
-        det = int(det_blackbox(ShiftedOperator(A, lam), rng))
+        det = det_blackbox(ShiftedOperator(A, lam), rng)
         if det == 0:
             raise IndexCalculusFailure(
                 "determinant vanished at a guarded evaluation point"
@@ -460,7 +460,7 @@ def index_calculus(
         raise ValueError("no unknown multiplicities to solve for")
     n = A.dimension
     q = A.p
-    if ctx.field.p != q:
+    if ctx.q != q:
         raise ValueError("dlog context field differs from the operator field")
     if (q - 1) % subprime != 0 or subprime <= n:
         raise ValueError("subprime must divide q-1 and exceed the dimension")

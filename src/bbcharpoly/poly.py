@@ -108,12 +108,7 @@ def _mul_mod_lists(a, b, p):
     if not a or not b:
         return []
     if min(len(a), len(b)) < _NUMPY_CUTOFF:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return _strip([c % p for c in out])
+        return _strip([c % p for c in _imul_lists(a, b)])
     av = np.asarray(a, dtype=np.int64)
     bv = np.asarray(b, dtype=np.int64)
     return _strip(conv_mod(av, bv, p).tolist())
@@ -125,19 +120,10 @@ def _divmod_mod_lists(a, b, p):
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
+    if len(a) < 2 * _NUMPY_CUTOFF:
+        return _long_division(a, b, p)
     inv_lead = pow(b[-1], -1, p)
     db = len(b) - 1
-    if len(a) < 2 * _NUMPY_CUTOFF:
-        rem = list(a)
-        quot = [0] * (len(a) - db)
-        for k in range(len(a) - db - 1, -1, -1):
-            c = rem[k + db] % p
-            if c:
-                q = c * inv_lead % p
-                quot[k] = q
-                for j in range(db + 1):
-                    rem[k + j] = (rem[k + j] - q * b[j]) % p
-        return _strip(quot), _strip([c % p for c in rem[:db]])
     rem = np.asarray(a, dtype=np.int64)
     bv = np.asarray(b, dtype=np.int64)
     quot = np.zeros(len(a) - db, dtype=np.int64)
@@ -148,6 +134,41 @@ def _divmod_mod_lists(a, b, p):
             quot[k] = q
             rem[k : k + db + 1] = (rem[k : k + db + 1] - q * bv) % p
     return _strip([int(c) for c in quot]), _strip([int(c) % p for c in rem[:db]])
+
+
+def _long_division(a, b, m):
+    """(quotient, remainder) of Python-int coefficient lists mod m.
+
+    The leading coefficient of b must be invertible mod m; m may be composite
+    (a monic divisor mod p^k).
+    """
+    inv_lead = pow(b[-1], -1, m)
+    db = len(b) - 1
+    rem = [c % m for c in a]
+    if len(rem) <= db:
+        return [], _strip(rem)
+    quot = [0] * (len(rem) - db)
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db] % m
+        if c:
+            q = c * inv_lead % m
+            quot[k] = q
+            for j in range(db + 1):
+                rem[k + j] = (rem[k + j] - q * b[j]) % m
+    return _strip(quot), _strip(rem[:db])
+
+
+def _power(base, e: int, one):
+    """base**e by square-and-multiply, starting from ``one``."""
+    if e < 0:
+        raise ValueError("negative polynomial power")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
 
 
 class FieldPoly:
@@ -258,16 +279,7 @@ class FieldPoly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = FieldPoly.one(self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, FieldPoly.one(self.p))
 
     def monic(self) -> "FieldPoly":
         if self.is_zero or self.coeffs[-1] == 1:
@@ -421,16 +433,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, IntPoly.one())
 
     def __divmod__(self, other):
         """Division over Z; the divisor must be monic or divide exactly."""
@@ -906,6 +909,20 @@ class GcdFreeBasis:
         return out
 
 
+def divide_out(f, g):
+    """(e, f // g**e) for the largest e with g**e dividing f.
+
+    f is nonzero and g non-constant, so the loop ends.
+    """
+    e = 0
+    while True:
+        q, r = divmod(f, g)
+        if not r.is_zero:
+            return e, f
+        f = q
+        e += 1
+
+
 def gcd_free_basis(polys, target: FieldPoly) -> GcdFreeBasis:
     """Pairwise-coprime refinement of ``polys`` with exponents for ``target``.
 
@@ -945,13 +962,7 @@ def gcd_free_basis(polys, target: FieldPoly) -> GcdFreeBasis:
     exponents = []
     residual = target.monic()
     for g in items:
-        e = 0
-        while True:
-            q, r = divmod(residual, g)
-            if not r.is_zero:
-                break
-            residual = q
-            e += 1
+        e, residual = divide_out(residual, g)
         exponents.append(e)
     if residual.degree > 0:
         raise BadPrimeError(
@@ -989,24 +1000,6 @@ def _zadd(a, b, m):
     return _zmod(out, m)
 
 
-def _zdivmod_monic(a, b, m):
-    """Division by a monic divisor with coefficients mod m."""
-    if not b or b[-1] != 1:
-        raise ValueError("modular division needs a monic divisor")
-    rem = [c % m for c in a]
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], _strip(rem)
-    quot = [0] * (len(rem) - db)
-    for k in range(len(rem) - db - 1, -1, -1):
-        c = rem[k + db] % m
-        if c:
-            quot[k] = c
-            for j in range(db + 1):
-                rem[k + j] = (rem[k + j] - c * b[j]) % m
-    return _strip(quot), _strip(rem[:db])
-
-
 def _hensel_pair(f, g, h, s, t, p: int, target_modulus: int):
     """Quadratically lift f = g*h from mod p to mod target_modulus.
 
@@ -1017,11 +1010,11 @@ def _hensel_pair(f, g, h, s, t, p: int, target_modulus: int):
     while m < target_modulus:
         m2 = min(m * m, target_modulus)
         e = _zsub(_zmod(f, m2), _zmul(g, h, m2), m2)
-        q, r = _zdivmod_monic(_zmul(s, e, m2), h, m2)
+        q, r = _long_division(_zmul(s, e, m2), h, m2)
         g = _zadd(g, _zadd(_zmul(t, e, m2), _zmul(q, g, m2), m2), m2)
         h = _zadd(h, r, m2)
         b = _zsub(_zadd(_zmul(s, g, m2), _zmul(t, h, m2), m2), [1], m2)
-        c, d = _zdivmod_monic(_zmul(s, b, m2), h, m2)
+        c, d = _long_division(_zmul(s, b, m2), h, m2)
         s = _zsub(s, d, m2)
         t = _zsub(t, _zadd(_zmul(t, b, m2), _zmul(c, g, m2), m2), m2)
         m = m2

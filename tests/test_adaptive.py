@@ -22,7 +22,7 @@ from bbcharpoly.blackbox import (
     random_vector,
     wiedemann_minpoly,
 )
-from bbcharpoly.ff import DlogContext, PrimeField, find_index_calculus_field
+from bbcharpoly.ff import DlogContext, find_index_calculus_field
 from bbcharpoly.multiplicity import profiles_from_factorization
 from bbcharpoly.oracle import dense_charpoly, dense_invariant_factors
 from bbcharpoly.poly import FieldPoly, factor
@@ -119,6 +119,14 @@ class TestInvariantFactor:
 
 
 class TestDrivers:
+    @pytest.mark.parametrize("p", [9, 15, 2, 4, (1 << 31) + 11])
+    def test_modulus_checked_before_any_apply(self, p):
+        rows = [[1, 2, 0, 0], [0, 3, 1, 0], [5, 0, 0, 1], [0, 0, 7, 2]]
+        op = CountingOperator(SparseMatrix.from_dense(rows).operator(p))
+        with pytest.raises(ValueError, match=f"got {p}$"):
+            charpoly_with_details(op, AdaptiveConfig(seed=1))
+        assert op.applies == 0
+
     def test_companion_trivial_path(self):
         rng = random.Random(6)
         p = 10007
@@ -211,7 +219,7 @@ class TestHybrid:
         minpoly = wiedemann_minpoly(op, rng)
         profiles = profiles_from_factorization(factor(minpoly, rng))
         cfg = AdaptiveConfig(seed=13)
-        ctx = DlogContext(PrimeField(q))
+        ctx = DlogContext(q)
         got = hybrid_multiplicities(op, profiles, cfg, ctx, p, rng)
         want = {(-2 % q, 1): 4, (-3 % q, 1): 3, (-5 % q, 1): 2}
         for prof, m in zip(profiles, got):
@@ -235,7 +243,7 @@ class TestHybrid:
         minpoly = wiedemann_minpoly(op, rng)
         profiles = profiles_from_factorization(factor(minpoly, rng))
         cfg = AdaptiveConfig(seed=14)
-        got = hybrid_multiplicities(op, profiles, cfg, DlogContext(PrimeField(q)), p, rng)
+        got = hybrid_multiplicities(op, profiles, cfg, DlogContext(q), p, rng)
         want = {f.coeffs: m for f, m in zip(polys, mults)}
         for prof, m in zip(profiles, got):
             assert want[prof.poly.coeffs] == m

@@ -308,16 +308,23 @@ class TestRank:
             assert rank_blackbox(op, rng) == dense_rank(rows, p)
 
 
+def scalar(x, p):
+    """x, after checking that it is a plain int in [0, p)."""
+    assert type(x) is int and 0 <= x < p
+    return x
+
+
 class TestDet:
     def test_shifted_diag_example(self):
         rng = random.Random(14)
         A = diag_matrix([1, 2]).operator(7)
-        assert int(det_blackbox(ShiftedOperator(A, 3), rng)) == 2
+        assert scalar(det_blackbox(ShiftedOperator(A, 3), rng), 7) == 2
 
     def test_singular(self):
         rng = random.Random(15)
         rows = [[1, 2, 3], [0, 0, 0], [4, 5, 6]]
-        assert int(det_blackbox(SparseMatrix.from_dense(rows).operator(101), rng)) == 0
+        det = det_blackbox(SparseMatrix.from_dense(rows).operator(101), rng)
+        assert scalar(det, 101) == 0
 
     def test_random_vs_dense(self):
         rng = random.Random(16)
@@ -325,7 +332,7 @@ class TestDet:
         n = 20
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         got = det_blackbox(SparseMatrix.from_dense(rows).operator(p), rng)
-        assert int(got) == dense_det(rows, p)
+        assert scalar(got, p) == dense_det(rows, p)
 
     def test_eigenvalue_sweep(self):
         rng = random.Random(17)
@@ -336,13 +343,13 @@ class TestDet:
             want = 1
             for e in eigs:
                 want = want * (lam - e) % p
-            assert int(det_blackbox(ShiftedOperator(A, lam), rng)) == want
+            assert scalar(det_blackbox(ShiftedOperator(A, lam), rng), p) == want
 
 
 class TestTrace:
     def test_identity(self):
         A = diag_matrix([1] * 12)
-        assert int(A.operator(101).trace()) == 12
+        assert scalar(A.operator(101).trace(), 101) == 12
 
     def test_displayed_example_matrix(self):
         # 7x7 block matrix with diagonal (0,0,0,0,6,0,2): trace 8
@@ -358,7 +365,7 @@ class TestTrace:
         m = SparseMatrix.from_dense(rows)
         assert m.diagonal_sum() == 8
         for p in (5, 7, 101):
-            assert int(m.operator(p).trace()) == 8 % p
+            assert scalar(m.operator(p).trace(), p) == 8 % p
 
     def test_fast_path_equals_generic(self):
         rng = random.Random(18)
@@ -367,7 +374,7 @@ class TestTrace:
             n = rng.randrange(1, 10)
             rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
             op = SparseMatrix.from_dense(rows).operator(p)
-            assert op.trace() == BlackBoxOperator.trace(op)
+            assert op.trace() == scalar(BlackBoxOperator.trace(op), p)
 
     def test_counting_operator_forwards_trace(self):
         rng = random.Random(19)
@@ -375,7 +382,7 @@ class TestTrace:
         rows = [[rng.randrange(-9, 10) for _ in range(50)] for _ in range(50)]
         base = SparseMatrix.from_dense(rows).operator(p)
         op = CountingOperator(base)
-        assert op.trace() == base.trace()
+        assert scalar(op.trace(), p) == base.trace()
         assert op.applies == 0
 
 

@@ -358,8 +358,10 @@ class TestExitCodes:
 
     def test_bad_field(self, capsys, tmp_path):
         path = write(tmp_path, "m.sms", DIAG112)
-        code, _, err = run_cli(capsys, "charpoly", "--field", "10", path)
-        assert code == 2
+        for bad in ("10", "9", "2"):
+            code, _, err = run_cli(capsys, "charpoly", "--field", bad, path)
+            assert code == 2
+            assert "--field" in err and f"got {bad}" in err
 
     def test_method_unavailable(self, capsys, tmp_path):
         path = write(tmp_path, "m.sms", DIAG112)
