@@ -20,19 +20,21 @@ Integer multiplication is schoolbook with Karatsuba above degree 64
 
 Factoring over GF(p) works on int64 coefficient vectors.  Products modulo a
 fixed f are reduced with a Newton inverse of the reversed f computed once,
-two convolutions per reduction (``_Modulus``).  Distinct-degree splitting and
-Rabin's irreducibility test step through X^(p^d) mod f with the Frobenius
-matrix of f, one matrix-vector product per degree (``_frobenius``).  Euclid's
+two convolutions per reduction (``_Modulus``).  Distinct-degree splitting,
+also the irreducibility test, steps through X^(p^d) mod f with the Frobenius
+matrix of f (``_frobenius``) and takes one gcd per block of degrees.  Euclid's
 algorithm keeps its remainders as arrays while they are long.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .ff import factorize, next_prime
+from .ff import next_prime
 
 _KARATSUBA_CUTOFF = 64
 _NUMPY_CUTOFF = 16
@@ -804,8 +806,14 @@ class Factorization:
 def _distinct_degree(f: FieldPoly):
     """Partial factorization of monic squarefree f into (product, degree) parts.
 
-    h runs through X^(p^d) mod f by the Frobenius map of f; since the
-    remaining part v divides f, gcd(v, h - X) is gcd(v, X^(p^d) - X).
+    One part per factor degree, ascending; h_e = X^(p^e) mod f comes from
+    the Frobenius map of f.  A block is B = max(1, isqrt(deg f // 2)) degrees
+    e = d+1 .. top: one gcd of the rest v with the product of the h_e - X
+    mod f is G, the factors of v of degree in (d, top] (all of v when the
+    product is 0), split by gcd(G, h_e - X) for ascending e < top until
+    deg G < 2e leaves one irreducible.  So the parts, and the draws
+    ``_equal_degree`` makes on them, are those of one gcd per degree (von
+    zur Gathen and Shoup 1992).
     """
     p = f.p
     parts = []
@@ -814,15 +822,27 @@ def _distinct_degree(f: FieldPoly):
     if f.degree >= 2:
         m = _Modulus(f)
         frobenius = _frobenius(m)
-        x = FieldPoly.x(p)
-        h = m.vector(x)
+        block = max(1, math.isqrt(f.degree // 2))
+        x = h = m.vector(FieldPoly.x(p))
         while v.degree >= 2 * (d + 1):
-            d += 1
-            h = frobenius(h)
-            g = poly_gcd(v, m.poly(h) - x)
-            if g.degree > 0:
-                parts.append((g, d))
-                v = v // g
+            top = min(d + block, v.degree // 2)
+            shifted = []
+            for _ in range(d + 1, top + 1):
+                h = frobenius(h)
+                shifted.append((h - x) % p)
+            G = poly_gcd(v, m.poly(reduce(m.mul, shifted)))
+            if G.degree > 0:
+                v = v // G
+                for e, hx in enumerate(shifted, d + 1):
+                    if G.degree < 2 * e:
+                        break
+                    g = G if e == top else poly_gcd(G, m.poly(hx))
+                    if g.degree > 0:
+                        parts.append((g, e))
+                        G = G // g
+                if G.degree > 0:
+                    parts.append((G, G.degree))
+            d = top
     if v.degree > 0:
         parts.append((v, v.degree))
     return parts
@@ -854,8 +874,8 @@ def _equal_degree(f: FieldPoly, d: int, rng):
 def factor(f: FieldPoly, rng) -> Factorization:
     """Complete factorization into monic irreducibles with multiplicities.
 
-    Squarefree decomposition, then distinct-degree splitting with
-    gcd(f, X^(p^d) - X), then Cantor-Zassenhaus equal-degree splitting.
+    Squarefree decomposition, then distinct-degree splitting with one gcd
+    per block of degrees, then Cantor-Zassenhaus equal-degree splitting.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -871,23 +891,12 @@ def factor(f: FieldPoly, rng) -> Factorization:
 
 
 def is_irreducible(f: FieldPoly) -> bool:
-    """Rabin's test: X^(p^d) == X mod f and gcd(f, X^(p^(d/r)) - X) = 1."""
-    d = f.degree
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    p = f.p
-    m = _Modulus(f)
-    frobenius = _frobenius(m)
-    x = FieldPoly.x(p)
-    checks = {d // r for r in factorize(d)}
-    h = m.vector(x)
-    for k in range(1, d + 1):
-        h = frobenius(h)
-        if k in checks and poly_gcd(f, m.poly(h) - x).degree != 0:
-            return False
-    return m.poly(h) == x
+    """Whether distinct-degree splitting leaves f whole.
+
+    A reducible f has a factor of degree <= deg f / 2, repeated or not, and
+    some block of ``_distinct_degree`` splits it off.
+    """
+    return f.degree >= 1 and _distinct_degree(f.monic()) == [(f.monic(), f.degree)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -185,6 +186,57 @@ class TestFactor:
             linear(9, p): 1,
         }
 
+
+
+class TestPinnedFactor:
+    """Factor lists and generator use of ``factor`` on fixed random polynomials.
+
+    The values were recorded once.  The factor list depends on f alone; the
+    64 bits drawn right after the call pin every draw Cantor-Zassenhaus made,
+    so a change to the parts handed to ``_equal_degree``, or to their order,
+    moves them even when every factorization stays right.
+    """
+
+    RECORDED = {  # (p, degree) -> ([(degree, multiplicity)], factor digest, next 64 bits)
+        (1000003, 40): ([(13, 1), (27, 1)], "afa035607d38df04", 6128465579050963553),
+        (1000003, 120): (
+            [(1, 1), (3, 1), (3, 1), (113, 1)],
+            "a76e68747066dbb6",
+            3254919039099025116,
+        ),
+        (1000003, 400): (
+            [(1, 1), (1, 1), (1, 1), (11, 1), (12, 1), (15, 1), (46, 1), (145, 1), (168, 1)],
+            "424d97db241b20e5",
+            14644053278653229583,
+        ),
+        (2147483647, 40): (
+            [(1, 1), (1, 1), (1, 1), (2, 1), (3, 1), (4, 1), (28, 1)],
+            "9b4cb20da78a67e9",
+            10661093198177804632,
+        ),
+        (2147483647, 120): (
+            [(1, 1), (1, 1), (5, 1), (6, 1), (29, 1), (78, 1)],
+            "efad359d26a42e36",
+            16110642283668599391,
+        ),
+        (2147483647, 400): (
+            [(1, 1), (1, 1), (5, 1), (7, 1), (8, 1), (28, 1), (87, 1), (91, 1), (172, 1)],
+            "e0366a321916eaab",
+            15171740154097094495,
+        ),
+    }
+
+    @pytest.mark.parametrize("p, degree", sorted(RECORDED))
+    def test_factor_list_and_draws(self, p, degree):
+        coeffs = random.Random(degree)
+        f = fp([coeffs.randrange(p) for _ in range(degree)] + [1], p)
+        rng = random.Random(degree + 1)
+        fac = factor(f, rng)
+        assert fac.expand() == f
+        shape = [(g.degree, e) for g, e in fac]
+        listing = repr([(g.coeffs, e) for g, e in fac]).encode()
+        digest = hashlib.sha256(listing).hexdigest()[:16]
+        assert (shape, digest, rng.getrandbits(64)) == self.RECORDED[(p, degree)]
 
 class TestGcdFreeBasis:
     def test_spec_example(self):

@@ -5,6 +5,7 @@ coefficients, and every Frobenius matrix-vector product of degree above 2,
 take the 16-bit split path.
 """
 
+import math
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from bbcharpoly.poly import (
     FieldPoly,
+    _distinct_degree,
     _divmod_mod_lists,
     _frobenius,
     _Modulus,
@@ -21,6 +23,7 @@ from bbcharpoly.poly import (
     factor,
     is_irreducible,
     poly_gcd,
+    pow_mod,
 )
 from helpers import rand_irreducible
 
@@ -134,6 +137,97 @@ class TestFactor:
         fac = factor(f, rng)
         assert {g for g, _ in fac} == planted
         assert all(e == 1 for _, e in fac)
+
+
+def reference_distinct_degree(f):
+    """The per-degree loop: one gcd(v, X^(p^d) - X) for every degree d."""
+    p = f.p
+    parts = []
+    v = f
+    d = 0
+    if f.degree >= 2:
+        m = _Modulus(f)
+        frobenius = _frobenius(m)
+        x = FieldPoly.x(p)
+        h = m.vector(x)
+        while v.degree >= 2 * (d + 1):
+            d += 1
+            h = frobenius(h)
+            g = poly_gcd(v, m.poly(h) - x)
+            if g.degree > 0:
+                parts.append((g, d))
+                v = v // g
+    if v.degree > 0:
+        parts.append((v, v.degree))
+    return parts
+
+
+def planted(degrees, p, seed):
+    """Product of distinct random monic irreducibles of the given degrees."""
+    rng = random.Random(seed)
+    factors = set()
+    for d in degrees:
+        want = len(factors) + 1
+        while len(factors) < want:
+            factors.add(rand_irreducible(d, p, rng))
+    f = FieldPoly.one(p)
+    for g in factors:
+        f = f * g
+    return f
+
+
+def block_size(f):
+    return max(1, math.isqrt(f.degree // 2))
+
+
+class TestDistinctDegreeBlocks:
+    """Blocked splitting gives the parts of the per-degree loop, in its order."""
+
+    LARGE = [p for p in PRIMES if p > 60]
+    seeds = st.integers(0, 2**32)
+
+    def check(self, degrees, p, seed):
+        f = planted(degrees, p, seed)
+        assert _distinct_degree(f) == reference_distinct_degree(f)
+        return f
+
+    @SETTINGS
+    @given(st.sampled_from(LARGE), st.integers(2, 12), seeds)
+    def test_all_linear_block_product_is_zero(self, p, count, seed):
+        f = self.check([1] * count, p, seed)
+        # X^p = X mod f, so h_1 - X and the first block's product are 0
+        assert pow_mod(FieldPoly.x(p), p, f) == FieldPoly.x(p)
+
+    @SETTINGS
+    @given(st.sampled_from(LARGE), st.integers(1, 2), seeds)
+    def test_degrees_e_and_2e_in_one_block(self, p, e, seed):
+        linear = 8 * e * e - 3 * e
+        f = self.check([e, 2 * e] + [1] * linear, p, seed)
+        assert 2 * e <= block_size(f)
+
+    @SETTINGS
+    @given(st.sampled_from(LARGE), st.integers(2, 4), st.integers(0, 3), seeds)
+    def test_factors_on_both_sides_of_a_block_edge(self, p, edge, extra, seed):
+        linear = 2 * edge * edge - 2 * edge - 1 + extra
+        f = self.check([edge, edge + 1] + [1] * linear, p, seed)
+        assert block_size(f) == edge
+
+    @SETTINGS
+    @given(st.sampled_from(LARGE), st.integers(1, 30), seeds)
+    def test_single_irreducible(self, p, d, seed):
+        f = self.check([d], p, seed)
+        assert _distinct_degree(f) == [(f, d)]
+
+    @SETTINGS
+    @given(st.sampled_from(LARGE), st.integers(1, 3), st.integers(1, 3), seeds)
+    def test_degrees_two_and_three(self, p, twos, threes, seed):
+        self.check([2] * twos + [3] * threes, p, seed)
+
+    @SETTINGS
+    @given(st.lists(st.integers(1, 8), min_size=1, max_size=8), seeds)
+    def test_split_frobenius_products(self, degrees, seed):
+        # at p = 2^31 - 1 every Frobenius product of degree above 2 splits
+        self.check(degrees, (1 << 31) - 1, seed)
 
 
 def reference_irreducible(f):
