@@ -132,14 +132,23 @@ def _validate(A: BlackBoxOperator, profiles, mults) -> FieldPoly:
 
 
 def _compute_nullity(A, prof, j, rng, cfg, repetitions=2):
+    """Nullity of f(A)^j for the factor f of ``prof``.
+
+    f^e divides the certified minimal polynomial, which divides the true one,
+    so some Jordan block of f has size at least e: the nullity is at least
+    d * min(j, e), and rank n - d * min(j, e) is a proven ceiling.  (A ceiling
+    taken from an estimated nullity would not be: those err high.)
+    """
     op = PolyOfMatrix(A, prof.poly, j)
-    r = rank_blackbox(op, rng, repetitions=repetitions)
+    ceiling = A.dimension - prof.degree * min(j, prof.minpoly_mult)
+    r = rank_blackbox(op, rng, repetitions=repetitions, ceiling=ceiling)
     nu = A.dimension - r
     cfg._emit(
         "rank",
         factor=list(prof.poly.coeffs),
         power=j,
         nullity=nu,
+        ceiling=ceiling,
         preconditioner=rank_preconditioner(op),
     )
     return nu
@@ -362,12 +371,14 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
         if prof.degree == 1 and prof.minpoly_mult == 1
     ]
     for i in cheap:
+        # the factor divides the minimal polynomial, so A - a is singular
         op = PolyOfMatrix(A, profiles[i].poly, 1)
-        mults[i] = n - rank_blackbox(op, rng)
+        mults[i] = n - rank_blackbox(op, rng, ceiling=n - 1)
         cfg._emit(
             "hybrid-nullity",
             factor=i,
             multiplicity=mults[i],
+            ceiling=n - 1,
             preconditioner=rank_preconditioner(op),
         )
     rest = sorted(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import FieldPoly, _lazy_sum_fits, conv_mod, poly_lcm
+from .poly import FieldPoly, _lazy_sum_fits, _lazy_sum_terms, conv_mod, poly_lcm
 
 
 class MinpolyNotCertifiedError(ArithmeticError):
@@ -37,8 +37,12 @@ def random_vector(n: int, p: int, rng) -> np.ndarray:
     return np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
 
 
-def _dot_mod(u: np.ndarray, v: np.ndarray, p: int) -> int:
-    if _lazy_sum_fits(len(u), p):
+def _dot_mod(u: np.ndarray, v: np.ndarray, p: int, lazy: bool | None = None) -> int:
+    """u . v mod p; ``lazy`` is ``_lazy_sum_fits(len(u), p)`` unless the
+    caller has decided it once for many dots."""
+    if lazy is None:
+        lazy = _lazy_sum_fits(len(u), p)
+    if lazy:
         return int(u @ v % p)
     # (u*v) % p keeps every summand < p; the sum then fits easily in int64.
     return int(np.sum(u * v % p) % p)
@@ -359,10 +363,16 @@ class CountingOperator(BlackBoxOperator):
 
 
 class BerlekampMassey:
-    """Incremental minimal linear recurrence of a sequence over GF(p)."""
+    """Incremental minimal linear recurrence of a sequence over GF(p).
+
+    ``zeros`` counts the zero discrepancies in a row that end the sequence so
+    far: the terms the current generator already predicted.
+    """
 
     def __init__(self, p: int, capacity: int):
         self.p = p
+        # the discrepancy sums L + 1 products; lazily while L + 1 fits
+        self._lazy_terms = _lazy_sum_terms(p)
         self._seq = np.zeros(capacity, dtype=np.int64)
         self._C = np.zeros(capacity + 1, dtype=np.int64)
         self._C[0] = 1
@@ -373,6 +383,7 @@ class BerlekampMassey:
         self._m = 1
         self._b_inv = 1  # inverse of the discrepancy at the last length change
         self.count = 0
+        self.zeros = 0
 
     def add(self, term: int):
         p = self.p
@@ -380,10 +391,12 @@ class BerlekampMassey:
         self._seq[i] = term % p
         window = self._seq[i - self.L : i + 1][::-1]
         live = self._C[: self.L + 1]
-        d = _dot_mod(live, window, p)
+        d = _dot_mod(live, window, p, self.L < self._lazy_terms)
         if d == 0:
             self._m += 1
+            self.zeros += 1
         else:
+            self.zeros = 0
             coef = d * self._b_inv % p
             B, m = self._B, self._m
             if 2 * self.L <= i:  # length change: C before this update becomes B
@@ -408,36 +421,71 @@ def _annihilates(A: BlackBoxOperator, poly: FieldPoly, rng) -> bool:
     return not PolyOfMatrix(A, poly).apply(w).any()
 
 
+# A round ends once this many discrepancies in a row are zero and the
+# sequence is that much longer than twice the generator's degree (early
+# termination: Kaltofen and Lee, JSC 2003; Eberly, ISSAC 2003).
+_EARLY_STOP = 8
+# A run of z zeros before the generator is complete came about p^-z of the
+# time in GF(3) and GF(5) (run 8: 2 of 4,747 early-ended GF(3) rounds), so
+# the run must also reach p^z >= 2^_EARLY_STOP_BITS; that lengthens it only
+# below p = 32.
+_EARLY_STOP_BITS = 40
+
+
+def _early_stop_run(p: int) -> int:
+    return max(_EARLY_STOP, -(-_EARLY_STOP_BITS // (p.bit_length() - 1)))
+
+
 def wiedemann_minpoly(
-    A: BlackBoxOperator, rng, confidence_rounds: int = 2
+    A: BlackBoxOperator,
+    rng,
+    confidence_rounds: int = 2,
+    degree_bound: int | None = None,
 ) -> FieldPoly:
     """Minimal polynomial of A with an annihilation certificate.
 
-    Berlekamp-Massey generators of the projected sequences u . A^i v always
-    divide the true minimal polynomial, so the lcm over rounds can only grow
-    toward it.  A result of full degree n is the minimal polynomial and
-    returns at once, in any round; otherwise, after confidence_rounds rounds,
-    a random annihilation check must pass, and failing it buys extra rounds
-    up to three times confidence_rounds before giving up.
+    Berlekamp-Massey generators of the projected sequences u . A^i v divide
+    the true minimal polynomial, so the lcm over rounds can only grow toward
+    it.  ``degree_bound`` D (default n) must be a proven bound on the degree
+    of A's minimal polynomial.  Two facts cut the work of a round:
+
+    * a sequence with a generator of degree at most D is fixed by its first
+      2D terms, so a round takes at most 2D terms; and a degree-D divisor of
+      a polynomial of degree at most D is that polynomial, so a result of
+      degree D returns at once, in any round, with no certificate;
+    * a round ends early once z discrepancies in a row are zero and at
+      least 2L + z terms are in, L the generator's degree, z = 8 (longer
+      below p = 32, see ``_early_stop_run``).  A generator cut off this way
+      can only be wrong if z discrepancies vanished by chance.
+
+    Every other result, below D, is returned only after confidence_rounds
+    rounds and a random annihilation check; failing it buys extra rounds up
+    to three times confidence_rounds before giving up.
     """
     n, p = A.dimension, A.p
+    bound = n if degree_bound is None else degree_bound
+    terms = 2 * bound
+    lazy = _lazy_sum_fits(n, p)
+    run = _early_stop_run(p)
     result = FieldPoly.one(p)
     max_rounds = max(3 * confidence_rounds, confidence_rounds + 2)
     needed = confidence_rounds
     for rounds in range(1, max_rounds + 1):
         u = random_vector(n, p, rng)
         v = random_vector(n, p, rng)
-        bm = BerlekampMassey(p, 2 * n)
+        bm = BerlekampMassey(p, terms)
         w = v
-        for i in range(2 * n):
-            bm.add(_dot_mod(u, w, p))
-            if i < 2 * n - 1:
+        for i in range(terms):
+            bm.add(_dot_mod(u, w, p, lazy))
+            if bm.zeros >= run and bm.count >= 2 * bm.L + run:
+                break
+            if i < terms - 1:
                 w = A.apply(w)
         gen = bm.generator()
         if gen.degree > 0:
             result = poly_lcm(result, gen) if result.degree > 0 else gen
-        if result.degree == n:
-            return result  # a degree-n divisor of the minpoly is the minpoly
+        if result.degree == bound:
+            return result
         if rounds >= needed:
             if result.degree >= 1 and _annihilates(A, result, rng):
                 return result
@@ -458,7 +506,9 @@ def rank_preconditioner(A: BlackBoxOperator) -> str:
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
 
 
-def rank_blackbox(A: BlackBoxOperator, rng, repetitions: int = 2) -> int:
+def rank_blackbox(
+    A: BlackBoxOperator, rng, repetitions: int = 2, ceiling: int | None = None
+) -> int:
     """Rank via the minimal polynomial of a randomly preconditioned operator.
 
     Each trial preconditions A (see `rank_preconditioner`) so that, except
@@ -473,14 +523,24 @@ def rank_blackbox(A: BlackBoxOperator, rng, repetitions: int = 2) -> int:
     still open.  Estimates only err low (any certified minpoly divides the
     true one), so the max over trials is kept; sampling stops after
     `repetitions` consecutive trials without improvement, or after 8 trials.
+
+    ``ceiling`` c (default n) must be a proven bound on rank(A).  Two facts
+    use it: an operator of rank r < n has a minimal polynomial of degree at
+    most r + 1 (X times that of its restriction to its range), so each trial
+    passes min(c + 1, n) to `wiedemann_minpoly` as its degree bound; and no
+    estimate exceeds rank(A) <= c, so sampling stops at an estimate of c.
     """
+    n = A.dimension
+    c = n if ceiling is None else ceiling
     diagonal = rank_preconditioner(A) == "diagonal"
     best = None
     streak = 0
     for _ in range(8):
         pre = _DiagonalPreconditioner(A, rng) if diagonal else _Preconditioner(A, rng)
         try:
-            m = wiedemann_minpoly(pre, rng, confidence_rounds=1)
+            m = wiedemann_minpoly(
+                pre, rng, confidence_rounds=1, degree_bound=min(c + 1, n)
+            )
         except MinpolyNotCertifiedError:
             continue  # one-sided estimates make a skipped trial harmless
         est = m.degree - 1 if m.coefficient(0) == 0 else m.degree
@@ -489,7 +549,7 @@ def rank_blackbox(A: BlackBoxOperator, rng, repetitions: int = 2) -> int:
             streak = 1
         else:
             streak += 1
-        if streak >= max(1, repetitions):
+        if best >= c or streak >= max(1, repetitions):
             break
     if best is None:
         raise MinpolyNotCertifiedError("rank estimation produced no usable trial")

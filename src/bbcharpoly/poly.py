@@ -67,14 +67,20 @@ def _strip(coeffs):
     return coeffs[:n]
 
 
-def _lazy_sum_fits(terms: int, p: int) -> bool:
-    """Whether ``terms`` raw products of residues mod p sum exactly in int64.
+def _lazy_sum_terms(p: int) -> int:
+    """The most raw products of residues mod p that sum exactly in int64.
 
-    Each product of two entries in [0, p) is at most (p - 1)^2, so the sum
-    stays at most the int64 maximum 2^63 - 1 while terms * (p - 1)^2 < 2^63
-    (2 terms for p = 2^31 - 1, about 2^23 for p near 2^20).
+    Each product of two entries in [0, p) is at most (p - 1)^2, so a sum of
+    ``terms`` of them stays at most the int64 maximum 2^63 - 1 while
+    terms * (p - 1)^2 < 2^63 (2 terms for p = 2^31 - 1, about 2^23 for p
+    near 2^20).
     """
-    return terms * (p - 1) ** 2 < 1 << 63
+    return ((1 << 63) - 1) // (p - 1) ** 2
+
+
+def _lazy_sum_fits(terms: int, p: int) -> bool:
+    """Whether ``terms`` raw products of residues mod p sum exactly in int64."""
+    return terms <= _lazy_sum_terms(p)
 
 
 def _check_split_sum(terms: int, p: int) -> None:

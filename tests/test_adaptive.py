@@ -281,16 +281,16 @@ class TestPinnedWork:
 
     SEEDS = range(1, 7)
     APPLIES = {  # (form, method) -> applies of the matrix, one per seed
-        (0, "auto"): [297, 297, 297, 297, 297, 297],
-        (0, "nullity-comb"): [1127, 1084, 1000, 1042, 1000, 1000],
-        (0, "index"): [297, 297, 297, 297, 297, 297],
-        (0, "hybrid"): [412, 297, 297, 297, 326, 340],
-        (0, "invfact"): [326, 326, 326, 355, 326, 384],
-        (1, "auto"): [442, 336, 336, 336, 521, 389],
-        (1, "nullity-comb"): [4508, 4742, 4510, 5124, 4510, 4738],
-        (1, "index"): [442, 336, 336, 336, 521, 389],
-        (1, "hybrid"): [627, 548, 627, 548, 548, 548],
-        (1, "invfact"): [442, 336, 336, 336, 521, 389],
+        (0, "auto"): [291, 293, 293, 293, 293, 293],
+        (0, "nullity-comb"): [816, 775, 775, 817, 817, 775],
+        (0, "index"): [291, 293, 293, 293, 293, 293],
+        (0, "hybrid"): [262, 235, 278, 235, 235, 336],
+        (0, "invfact"): [320, 322, 322, 351, 322, 380],
+        (1, "auto"): [422, 316, 316, 314, 499, 369],
+        (1, "nullity-comb"): [4412, 4646, 4418, 5010, 4416, 4638],
+        (1, "index"): [422, 316, 316, 314, 499, 369],
+        (1, "hybrid"): [607, 528, 607, 526, 526, 528],
+        (1, "invfact"): [422, 316, 316, 314, 499, 369],
     }
 
     @staticmethod

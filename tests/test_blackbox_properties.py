@@ -4,23 +4,38 @@ A kernel that sums ``terms`` raw products of residues takes the lazy path
 only while terms * (p - 1)^2 < 2^63.  The bound tests put all-(p - 1)
 inputs on both sides of that flip, where a lazy sum one step past it wraps
 int64 and gives a wrong residue; the property tests cover random operators.
+
+The last section checks the early-terminated minimal polynomial and the rank
+ceiling against the dense oracle on operators whose minimal polynomial has
+low degree, where a round stops long before 2n terms.
 """
 
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbcharpoly import blackbox
 from bbcharpoly.blackbox import (
     BerlekampMassey,
+    CountingOperator,
     LowRankPerturbation,
+    MinpolyNotCertifiedError,
     PolyOfMatrix,
     ShiftedOperator,
     SparseMatrix,
     _dot_mod,
+    _early_stop_run,
+    block_diagonal,
+    build_block_jordan,
+    build_companion,
+    rank_blackbox,
+    wiedemann_minpoly,
 )
+from bbcharpoly.oracle import dense_minpoly, dense_rank
 from bbcharpoly.poly import FieldPoly, _lazy_sum_fits
 
 M31 = (1 << 31) - 1  # the Mersenne prime: 2 products of p - 1 fit, 3 do not
@@ -239,3 +254,153 @@ def test_low_rank_matches_dense(case, data):
     uvv = reference_matvec(U, reference_matvec(V, v, p), p)
     want = [(y + z) % p for y, z in zip(reference_matvec(rows, v, p), uvv)]
     check_apply(LowRankPerturbation(matrix.operator(p), vec(U), vec(V)), v, want)
+
+
+# ---------------------------------------------------------------------------
+# Early termination and rank ceilings on low-degree minimal polynomials
+
+LOW_FIELDS = (3, 5, 101, 65537)
+EXACT = 65537  # from here on one trial is exact with high probability
+SEEDS = st.integers(0, (1 << 32) - 1)
+
+
+@st.composite
+def low_degree_case(draw):
+    """(p, dense rows mod p, SparseMatrix) with a minimal polynomial of low
+    degree, its rows and columns permuted: a scalar matrix, a diagonal of at
+    most three repeated values, nilpotent Jordan blocks, or repeated
+    companion blocks of one polynomial of degree at most 4."""
+    p = draw(st.sampled_from(LOW_FIELDS))
+    kind = draw(st.sampled_from(["scalar", "diagonal", "nilpotent", "companion"]))
+    if kind in ("scalar", "diagonal"):
+        n = draw(st.integers(1, 40))
+        distinct = 1 if kind == "scalar" else 3
+        pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=distinct))
+        values = [draw(st.sampled_from(pool)) for _ in range(n)]
+        matrix = SparseMatrix(n, [(i, i, a) for i, a in enumerate(values) if a])
+    elif kind == "nilpotent":
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+        x = FieldPoly.x(p)
+        matrix = block_diagonal([build_block_jordan(x, k) for k in sizes])
+    else:
+        d = draw(st.integers(1, 4))
+        f = FieldPoly(draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1], p)
+        matrix = block_diagonal([build_companion(f)] * draw(st.integers(1, 40 // d)))
+    perm = draw(st.permutations(range(matrix.n)))
+    matrix = SparseMatrix(matrix.n, [(perm[r], perm[c], v) for r, c, v in matrix.entries])
+    return p, [[x % p for x in row] for row in matrix.to_dense()], matrix
+
+
+@contextmanager
+def counted_trials():
+    """Record the degree bound of every `wiedemann_minpoly` call that
+    `rank_blackbox` makes."""
+    bounds = []
+    real = blackbox.wiedemann_minpoly
+
+    def counting(*args, degree_bound=None, **kwargs):
+        bounds.append(degree_bound)
+        return real(*args, degree_bound=degree_bound, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackbox, "wiedemann_minpoly", counting)
+        yield bounds
+
+
+@SETTINGS
+@given(low_degree_case(), SEEDS)
+def test_minpoly_divides_dense(case, seed):
+    p, rows, matrix = case
+    try:
+        got = wiedemann_minpoly(matrix.operator(p), random.Random(seed))
+    except MinpolyNotCertifiedError:
+        return  # no answer is not a wrong answer
+    want = dense_minpoly(rows, p)
+    assert (want % got).is_zero
+    if p >= EXACT:
+        assert got == want
+
+
+@SETTINGS
+@given(low_degree_case().filter(lambda case: case[0] >= EXACT), SEEDS)
+def test_round_stops_once_the_generator_settles(case, seed):
+    # A round's sequence has a generator of degree at most d, so it is
+    # settled by term 2d and stops run terms later, not at 2n; one round is
+    # exact here, and its certificate takes d more applies.
+    p, rows, matrix = case
+    n, d = matrix.n, dense_minpoly(rows, p).degree
+    op = CountingOperator(matrix.operator(p))
+    got = wiedemann_minpoly(op, random.Random(seed), confidence_rounds=1)
+    assert got.degree == d
+    certificate = d if d < n else 0
+    terms = min(2 * d + _early_stop_run(p), 2 * n)
+    assert op.applies <= terms - 1 + certificate
+    if terms < 2 * n:
+        assert op.applies - certificate < 2 * n - 1  # the round stopped early
+
+
+@st.composite
+def rank_case(draw):
+    """(p, dense rows, operator, proven ceiling): a low-degree case or
+    A - a for a diagonal entry a, with a ceiling between the rank and n."""
+    p, rows, matrix = draw(low_degree_case())
+    op = matrix.operator(p)
+    if draw(st.booleans()):
+        a = rows[0][0]
+        op = ShiftedOperator(op, a)
+        rows = [
+            [((a if i == j else 0) - x) % p for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    rank = dense_rank(rows, p)
+    return p, rows, op, draw(st.integers(rank, len(rows)))
+
+
+@SETTINGS
+@given(rank_case(), SEEDS)
+def test_rank_under_a_ceiling_never_exceeds_dense(case, seed):
+    p, rows, op, ceiling = case
+    try:
+        got = rank_blackbox(op, random.Random(seed), ceiling=ceiling)
+    except MinpolyNotCertifiedError:
+        return  # no estimate at all is not an overestimate
+    assert got <= dense_rank(rows, p)
+    if p >= EXACT:
+        assert got == dense_rank(rows, p)
+
+
+@SETTINGS
+@given(rank_case(), SEEDS)
+def test_rank_at_its_ceiling_takes_one_trial(case, seed):
+    # A first trial that reaches the ceiling ends the call; where its first
+    # round is exact that is 2(c + 1) - 1 applies for a degree bound of
+    # c + 1, or 2n - 1 for a full rank.
+    p, rows, op, _ = case
+    c = dense_rank(rows, p)
+    counted = CountingOperator(op)
+    with counted_trials() as bounds:
+        try:
+            got = rank_blackbox(counted, random.Random(seed), ceiling=c)
+        except MinpolyNotCertifiedError:
+            assert p < EXACT
+            return
+    assert bounds[0] == min(c + 1, len(rows))
+    assert got <= c
+    if p >= EXACT:
+        assert got == c
+        assert len(bounds) == 1
+        assert counted.applies <= 2 * (c + 1)
+
+
+@SETTINGS
+@given(rank_case(), SEEDS)
+def test_ceiling_n_is_no_ceiling(case, seed):
+    p, rows, op, _ = case
+    n = len(rows)
+    try:
+        want = rank_blackbox(op, random.Random(seed))
+    except MinpolyNotCertifiedError:
+        with pytest.raises(MinpolyNotCertifiedError):
+            rank_blackbox(op, random.Random(seed), ceiling=n)
+        return
+    assert rank_blackbox(op, random.Random(seed), ceiling=n) == want

@@ -7,10 +7,14 @@ integer matrices.  Each matrix goes through ``charpoly`` and
 ``multiplicities`` with every method and every output form, and through
 ``minpoly`` with every output form.  Every run prints its exit code and a
 sha256 of its stdout and stderr (the ``--explain`` trace and any error
-message); the last line is a digest of all runs.
+message).  The last two lines are digests of all runs: ``answers`` covers
+each run's label, exit code and stdout only, and ``final`` covers the
+per-run lines, stderr included.
 
 A change that must leave seeded output byte-identical leaves the final
-digest unchanged.  The script takes no flags and imports ``bbcharpoly`` from
+digest unchanged.  A change that may move random draws, and so the
+draw-dependent ``--explain`` fields, but no answer leaves the answers digest
+unchanged.  The script takes no flags and imports ``bbcharpoly`` from
 ``PYTHONPATH``, so one copy of it compares two source trees:
 
     PYTHONPATH=src python3 tools/seeded_cli_digest.py
@@ -163,7 +167,7 @@ def run(argv, text: str):
     finally:
         sys.stdin = stdin
     digest = hashlib.sha256((out.getvalue() + "\0" + err.getvalue()).encode())
-    return code, digest.hexdigest()
+    return code, out.getvalue(), digest.hexdigest()
 
 
 def runs():
@@ -180,15 +184,19 @@ def runs():
             yield f"{name} n={n} minpoly {output}", argv, text
 
 
-def digest_all() -> str:
-    total = hashlib.sha256()
+def digest_all() -> tuple[str, str]:
+    """(answers digest, final digest) over every run."""
+    total, answers = hashlib.sha256(), hashlib.sha256()
     for label, argv, text in runs():
-        code, digest = run(argv, text)
+        code, stdout, digest = run(argv, text)
         line = f"{label} exit={code} {digest}"
         print(line, flush=True)
         total.update(line.encode() + b"\n")
-    return total.hexdigest()
+        answers.update(f"{label}\0{code}\0{stdout}\0".encode())
+    return answers.hexdigest(), total.hexdigest()
 
 
 if __name__ == "__main__":
-    print(f"final {digest_all()}")
+    answers, final = digest_all()
+    print(f"answers {answers}")
+    print(f"final {final}")
