@@ -282,14 +282,14 @@ class TestPinnedWork:
     SEEDS = range(1, 7)
     APPLIES = {  # (form, method) -> applies of the matrix, one per seed
         (0, "auto"): [291, 293, 293, 293, 293, 293],
-        (0, "nullity-comb"): [816, 775, 775, 817, 817, 775],
+        (0, "nullity-comb"): [593, 595, 653, 595, 595, 595],
         (0, "index"): [291, 293, 293, 293, 293, 293],
-        (0, "hybrid"): [262, 235, 278, 235, 235, 336],
+        (0, "hybrid"): [207, 209, 238, 209, 267, 209],
         (0, "invfact"): [320, 322, 322, 351, 322, 380],
         (1, "auto"): [422, 316, 316, 314, 499, 369],
-        (1, "nullity-comb"): [4412, 4646, 4418, 5010, 4416, 4638],
+        (1, "nullity-comb"): [3049, 7132, 2996, 2892, 2892, 2894],
         (1, "index"): [422, 316, 316, 314, 499, 369],
-        (1, "hybrid"): [607, 528, 607, 526, 526, 528],
+        (1, "hybrid"): [581, 528, 634, 526, 526, 528],
         (1, "invfact"): [422, 316, 316, 314, 499, 369],
     }
 

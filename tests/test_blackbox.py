@@ -282,6 +282,16 @@ class TestRank:
         rng = random.Random(11)
         assert rank_blackbox(SparseMatrix(5, []).operator(101), rng) == 0
 
+    def test_all_zero_sequence_estimates_zero(self, monkeypatch):
+        # Zero projections give an all-zero sequence and the generator 1:
+        # each trial estimates 0, and no trial raises.
+        def zeros(n, p, rng):
+            return np.zeros(n, dtype=np.int64)
+
+        monkeypatch.setattr(blackbox, "random_vector", zeros)
+        A = SparseMatrix.from_dense([[1, 2], [3, 4]]).operator(101)
+        assert rank_blackbox(A, random.Random(1)) == 0
+
     def test_random_rank_product(self):
         rng = random.Random(12)
         p = 10007

@@ -5,9 +5,11 @@ only while terms * (p - 1)^2 < 2^63.  The bound tests put all-(p - 1)
 inputs on both sides of that flip, where a lazy sum one step past it wraps
 int64 and gives a wrong residue; the property tests cover random operators.
 
-The last section checks the early-terminated minimal polynomial and the rank
-ceiling against the dense oracle on operators whose minimal polynomial has
-low degree, where a round stops long before 2n terms.
+The next section checks the early-terminated minimal polynomial and the
+rank ceiling against the dense oracle on operators whose minimal polynomial
+has low degree, where a round stops long before 2n terms.  The last one
+checks that the annihilation certificate guards every certified minimal
+polynomial below degree n, and no rank or determinant trial.
 """
 
 import random
@@ -19,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcharpoly import blackbox
+from bbcharpoly.adaptive import AdaptiveConfig, charpoly_with_details, invariant_factor
 from bbcharpoly.blackbox import (
     BerlekampMassey,
     CountingOperator,
+    DetNotCertifiedError,
     LowRankPerturbation,
     MinpolyNotCertifiedError,
     PolyOfMatrix,
@@ -32,11 +36,15 @@ from bbcharpoly.blackbox import (
     block_diagonal,
     build_block_jordan,
     build_companion,
+    det_blackbox,
     rank_blackbox,
     wiedemann_minpoly,
 )
-from bbcharpoly.oracle import dense_minpoly, dense_rank
+from bbcharpoly.cli import main
+from bbcharpoly.integer import integer_minpoly
+from bbcharpoly.oracle import dense_det, dense_minpoly, dense_rank
 from bbcharpoly.poly import FieldPoly, _lazy_sum_fits
+from bbcharpoly.sms import emit_sms
 
 M31 = (1 << 31) - 1  # the Mersenne prime: 2 products of p - 1 fit, 3 do not
 P4 = 1358187923  # prime with 4 * (p - 1)^2 < 2^63 <= 5 * (p - 1)^2
@@ -293,14 +301,14 @@ def low_degree_case(draw):
 
 @contextmanager
 def counted_trials():
-    """Record the degree bound of every `wiedemann_minpoly` call that
+    """Record the trial bound of every `wiedemann_minpoly` call that
     `rank_blackbox` makes."""
     bounds = []
     real = blackbox.wiedemann_minpoly
 
-    def counting(*args, degree_bound=None, **kwargs):
-        bounds.append(degree_bound)
-        return real(*args, degree_bound=degree_bound, **kwargs)
+    def counting(*args, trial_bound=None, **kwargs):
+        bounds.append(trial_bound)
+        return real(*args, trial_bound=trial_bound, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blackbox, "wiedemann_minpoly", counting)
@@ -326,17 +334,16 @@ def test_minpoly_divides_dense(case, seed):
 def test_round_stops_once_the_generator_settles(case, seed):
     # A round's sequence has a generator of degree at most d, so it is
     # settled by term 2d and stops run terms later, not at 2n; one round is
-    # exact here, and its certificate takes d more applies.
+    # exact here, and a trial round takes no certificate.
     p, rows, matrix = case
-    n, d = matrix.n, dense_minpoly(rows, p).degree
+    n, want = matrix.n, dense_minpoly(rows, p)
     op = CountingOperator(matrix.operator(p))
-    got = wiedemann_minpoly(op, random.Random(seed), confidence_rounds=1)
-    assert got.degree == d
-    certificate = d if d < n else 0
-    terms = min(2 * d + _early_stop_run(p), 2 * n)
-    assert op.applies <= terms - 1 + certificate
+    got = wiedemann_minpoly(op, random.Random(seed), trial_bound=n)
+    assert got == want
+    terms = min(2 * want.degree + _early_stop_run(p), 2 * n)
+    assert op.applies <= terms - 1
     if terms < 2 * n:
-        assert op.applies - certificate < 2 * n - 1  # the round stopped early
+        assert op.applies < 2 * n - 1  # the round stopped early
 
 
 @st.composite
@@ -360,10 +367,7 @@ def rank_case(draw):
 @given(rank_case(), SEEDS)
 def test_rank_under_a_ceiling_never_exceeds_dense(case, seed):
     p, rows, op, ceiling = case
-    try:
-        got = rank_blackbox(op, random.Random(seed), ceiling=ceiling)
-    except MinpolyNotCertifiedError:
-        return  # no estimate at all is not an overestimate
+    got = rank_blackbox(op, random.Random(seed), ceiling=ceiling)
     assert got <= dense_rank(rows, p)
     if p >= EXACT:
         assert got == dense_rank(rows, p)
@@ -379,11 +383,7 @@ def test_rank_at_its_ceiling_takes_one_trial(case, seed):
     c = dense_rank(rows, p)
     counted = CountingOperator(op)
     with counted_trials() as bounds:
-        try:
-            got = rank_blackbox(counted, random.Random(seed), ceiling=c)
-        except MinpolyNotCertifiedError:
-            assert p < EXACT
-            return
+        got = rank_blackbox(counted, random.Random(seed), ceiling=c)
     assert bounds[0] == min(c + 1, len(rows))
     assert got <= c
     if p >= EXACT:
@@ -396,11 +396,74 @@ def test_rank_at_its_ceiling_takes_one_trial(case, seed):
 @given(rank_case(), SEEDS)
 def test_ceiling_n_is_no_ceiling(case, seed):
     p, rows, op, _ = case
-    n = len(rows)
-    try:
-        want = rank_blackbox(op, random.Random(seed))
-    except MinpolyNotCertifiedError:
-        with pytest.raises(MinpolyNotCertifiedError):
-            rank_blackbox(op, random.Random(seed), ceiling=n)
-        return
-    assert rank_blackbox(op, random.Random(seed), ceiling=n) == want
+    want = rank_blackbox(op, random.Random(seed))
+    assert rank_blackbox(op, random.Random(seed), ceiling=len(rows)) == want
+
+
+# ---------------------------------------------------------------------------
+# Certificates guard only the minimal polynomials that are returned
+
+
+@contextmanager
+def counted_certificates():
+    """Record the polynomial of every `_annihilates` check."""
+    checked = []
+    real = blackbox._annihilates
+
+    def counting(A, poly, rng):
+        checked.append(poly)
+        return real(A, poly, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackbox, "_annihilates", counting)
+        yield checked
+
+
+@SETTINGS
+@given(rank_case(), SEEDS)
+def test_rank_and_det_take_no_certificate(case, seed):
+    p, rows, op, ceiling = case
+    rng = random.Random(seed)
+    with counted_certificates() as checked:
+        assert rank_blackbox(op, rng, ceiling=ceiling) <= dense_rank(rows, p)
+        try:
+            assert det_blackbox(op, rng) == dense_det(rows, p)
+        except DetNotCertifiedError:
+            pass
+    assert checked == []
+
+
+@SETTINGS
+@given(low_degree_case(), SEEDS)
+def test_certified_minpoly_below_n_passed_a_certificate(case, seed):
+    p, rows, matrix = case
+    with counted_certificates() as checked:
+        try:
+            got = wiedemann_minpoly(matrix.operator(p), random.Random(seed))
+        except MinpolyNotCertifiedError:
+            return  # no answer is not a wrong answer
+    if got.degree < matrix.n:
+        assert checked[-1] == got
+
+
+def test_certified_callers_take_a_certificate(tmp_path, capsys):
+    # Each certified caller meets a minimal polynomial of degree 2 < n = 6.
+    p = 101
+    diagonal = SparseMatrix(6, [(i, i, 1 + i % 2) for i in range(6)])
+    op = diagonal.operator(p)
+    want = dense_minpoly(diagonal.to_dense(), p)
+    with counted_certificates() as checked:
+        charpoly_with_details(op, AdaptiveConfig(seed=1))
+    assert want in checked
+    with counted_certificates() as checked:
+        integer_minpoly(diagonal, random.Random(1))
+    assert any(poly.degree == 2 for poly in checked)
+    with counted_certificates() as checked:
+        invariant_factor(op, 2, random.Random(1), minpoly=want, previous=want)
+    assert checked  # A + U V has a minimal polynomial of degree at most 4
+    path = tmp_path / "m.sms"
+    path.write_text(emit_sms(diagonal))
+    with counted_certificates() as checked:
+        assert main(["minpoly", "--field", str(p), "--seed", "1", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert want in checked
