@@ -31,7 +31,9 @@ import numpy as np
 
 from .blackbox import (
     BlackBoxOperator,
+    DetNotCertifiedError,
     LowRankPerturbation,
+    MinpolyNotCertifiedError,
     PolyOfMatrix,
     rank_blackbox,
     rank_preconditioner,
@@ -131,18 +133,20 @@ def _validate(A: BlackBoxOperator, profiles, mults) -> FieldPoly:
     return cp
 
 
-def _compute_nullity(A, prof, j, rng, cfg, repetitions=2):
+def _compute_nullity(A, prof, j, rng, cfg, previous=None):
     """Nullity of f(A)^j for the factor f of ``prof``.
 
     f^e divides the certified minimal polynomial, which divides the true one,
     so some Jordan block of f has size at least e: the nullity is at least
     d * min(j, e), and rank n - d * min(j, e) is a proven ceiling.  (A ceiling
-    taken from an estimated nullity would not be: those err high.)
+    taken from an estimated nullity would not be: those err high.)  So a
+    smaller ``previous`` estimate of the same nullity is kept.
     """
     op = PolyOfMatrix(A, prof.poly, j)
     ceiling = A.dimension - prof.degree * min(j, prof.minpoly_mult)
-    r = rank_blackbox(op, rng, repetitions=repetitions, ceiling=ceiling)
-    nu = A.dimension - r
+    nu = A.dimension - rank_blackbox(op, rng, ceiling=ceiling)
+    if previous is not None:
+        nu = min(nu, previous)
     cfg._emit(
         "rank",
         factor=list(prof.poly.coeffs),
@@ -220,12 +224,12 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
         except (InconsistentNullityError, NoCandidateError, AdaptiveError):
             if attempt == 1:
                 raise
-            # recompute every nullity with more repetitions and retry
+            # estimate every nullity once more, keep the smaller, and retry
             for i, prof in enumerate(profiles):
                 table.occurrences[i].clear()
-                for j in list(table.nullities[i]):
+                for j, nu in table.nullities[i].items():
                     table.nullities[i][j] = _compute_nullity(
-                        A, prof, j, rng, cfg, repetitions=3
+                        A, prof, j, rng, cfg, previous=nu
                     )
 
 
@@ -527,8 +531,10 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
             raise
         except (
             AdaptiveError,
+            DetNotCertifiedError,
             InconsistentNullityError,
             IndexCalculusFailure,
+            MinpolyNotCertifiedError,
             NoCandidateError,
             SearchExplosionError,
         ) as err:

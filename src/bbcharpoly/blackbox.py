@@ -439,6 +439,7 @@ def _early_stop_run(p: int) -> int:
 
 
 _CERTIFIED_ROUNDS = 6  # rounds before a certified minimal polynomial gives up
+_RANK_STREAK = 2  # trials a best rank estimate stands before sampling stops
 
 
 def wiedemann_minpoly(
@@ -504,9 +505,7 @@ def rank_preconditioner(A: BlackBoxOperator) -> str:
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
 
 
-def rank_blackbox(
-    A: BlackBoxOperator, rng, repetitions: int = 2, ceiling: int | None = None
-) -> int:
+def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     """Rank via the minimal polynomial of a randomly preconditioned operator.
 
     Each trial preconditions A (see `rank_preconditioner`) so that, except
@@ -521,8 +520,9 @@ def rank_blackbox(
     still open.  On the test suite's rank strategies (400 derandomized
     examples each) 104 of 502 calls at p <= 5 came out low, and none of
     the 698 at p >= 59.  Estimates only err low (see below), so the max
-    over trials is kept; sampling stops after `repetitions` consecutive
-    trials without improvement, or after 8 trials.
+    over trials is kept; sampling stops once the best estimate has stood for
+    ``_RANK_STREAK`` trials in a row (the one that set it included), or
+    after 8 trials.
 
     ``ceiling`` c (default n) must be a proven bound on rank(A).  An
     operator of rank r < n has a minimal polynomial of degree at most r + 1
@@ -559,7 +559,7 @@ def rank_blackbox(
             streak = 1
         else:
             streak += 1
-        if best >= c or streak >= max(1, repetitions):
+        if best >= c or streak >= _RANK_STREAK:
             break
     return best
 

@@ -18,12 +18,16 @@ recombined; at operand lengths where even the split sums could overflow
 Integer multiplication is schoolbook with Karatsuba above degree 64
 (coefficients are big ints, numpy is no help).
 
+Division over GF(p) has one array kernel, ``_divmod_arrays``: a reversed
+series quotient, then one convolution for the remainder.  Euclid's algorithm
+uses it while its remainders are long; short lists, and the moduli p^k of
+the Hensel lift, take ``_long_division``.
+
 Factoring over GF(p) works on int64 coefficient vectors.  Products modulo a
-fixed f are reduced with a Newton inverse of the reversed f computed once,
+fixed f are reduced with the Newton inverse of the reversed f computed once,
 two convolutions per reduction (``_Modulus``).  Distinct-degree splitting,
 also the irreducibility test, steps through X^(p^d) mod f with the Frobenius
-matrix of f (``_frobenius``) and takes one gcd per block of degrees.  Euclid's
-algorithm keeps its remainders as arrays while they are long.
+matrix of f (``_frobenius``) and takes one gcd per block of degrees.
 """
 
 from __future__ import annotations
@@ -37,7 +41,17 @@ import numpy as np
 from .ff import next_prime
 
 _KARATSUBA_CUTOFF = 64
-_NUMPY_CUTOFF = 16
+# Crossovers from tools/poly_kernel_sizes.py, in us at p = 1000003 / 2^31 - 1.
+# Dividends of 32 go to arrays: they win for a divisor of 16 (28 / 82 against
+# 59 / 105) and lose for one of 2 (45 / 49 against 29 / 41).
+_ARRAY_DIVISION_CUTOFF = 32
+# An array Euclid step with a divisor of 16 loses at 1000003 and ties at
+# 2^31 - 1 (16 / 19 against 10 / 20); with one of 32 it wins (14 / 19 against
+# 19 / 41).
+_GCD_ARRAY_CUTOFF = 16
+# The Newton quotient beats the recurrence at 31 coefficients with a divisor
+# of 31 (78 against 105 at 1000003), not with one of 2 (69 against 44).
+_NEWTON_CUTOFF = 32
 
 
 class BadPrimeError(ArithmeticError):
@@ -115,33 +129,62 @@ def _mul_mod_lists(a, b, p):
     """Product of coefficient lists mod p."""
     if not a or not b:
         return []
-    if min(len(a), len(b)) < _NUMPY_CUTOFF:
-        return _strip([c % p for c in _imul_lists(a, b)])
     av = np.asarray(a, dtype=np.int64)
     bv = np.asarray(b, dtype=np.int64)
     return _strip(conv_mod(av, bv, p).tolist())
+
+
+def _series_inverse(s: np.ndarray, p: int) -> np.ndarray:
+    """s^-1 mod X^len(s) over GF(p), for int64 s with s[0] nonzero.
+
+    Each Newton step inv <- inv * (2 - s * inv) mod X^k doubles the correct
+    coefficients; pad s with zeros to the precision wanted.
+    """
+    inv = np.array([pow(int(s[0]), -1, p)], dtype=np.int64)
+    while len(inv) < len(s):
+        k = min(2 * len(inv), len(s))
+        e = -conv_mod(s[:k], inv, p)[:k] % p
+        e[0] = (e[0] + 2) % p
+        inv = conv_mod(inv, e, p)[:k]
+    return inv
+
+
+def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
+    """(quotient, remainder) of stripped int64 coefficient arrays mod p; b nonzero.
+
+    The quotient q has m = len(a) - deg b coefficients and rev(q) = rev(a) /
+    rev(b) mod X^m, from the top m of each: by the series recurrence below
+    ``_NEWTON_CUTOFF`` (Euclid's steps have m = 1 or 2), else by Newton.
+    """
+    db = len(b) - 1
+    m = len(a) - db
+    if m <= 0:
+        return a[:0], a
+    ra = a[::-1][:m]
+    if m < _NEWTON_CUTOFF:
+        ra, rb = ra.tolist(), b[::-1][:m].tolist()
+        inv = pow(rb[0], -1, p)
+        rq = []
+        for i, c in enumerate(ra):
+            for j in range(max(0, i - len(rb) + 1), i):
+                c -= rq[j] * rb[i - j]
+            rq.append(c * inv % p)
+        q = np.array(rq[::-1], dtype=np.int64)
+    else:
+        rb = np.zeros(m, dtype=np.int64)
+        rb[: len(b)] = b[::-1][:m]
+        q = conv_mod(ra, _series_inverse(rb, p), p)[m - 1 :: -1]
+    return q, _strip((a[:db] - conv_mod(q, b, p)[:db]) % p)
 
 
 def _divmod_mod_lists(a, b, p):
     """(quotient, remainder) of coefficient lists mod p; b nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [], list(a)
-    if len(a) < 2 * _NUMPY_CUTOFF:
+    if len(a) < _ARRAY_DIVISION_CUTOFF:
         return _long_division(a, b, p)
-    inv_lead = pow(b[-1], -1, p)
-    db = len(b) - 1
-    rem = np.asarray(a, dtype=np.int64)
-    bv = np.asarray(b, dtype=np.int64)
-    quot = np.zeros(len(a) - db, dtype=np.int64)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = int(rem[k + db]) % p
-        if c:
-            q = c * inv_lead % p
-            quot[k] = q
-            rem[k : k + db + 1] = (rem[k : k + db + 1] - q * bv) % p
-    return _strip([int(c) for c in quot]), _strip([int(c) % p for c in rem[:db]])
+    q, r = _divmod_arrays(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    return q.tolist(), r.tolist()
 
 
 def _long_division(a, b, m):
@@ -179,10 +222,57 @@ def _power(base, e: int, one):
     return result
 
 
-class FieldPoly:
+class _Poly:
+    """The methods FieldPoly and IntPoly share.
+
+    A subclass keeps a stripped ``coeffs`` tuple and defines ``_check``,
+    ``+``, unary ``-`` and ``divmod``, which the operations here are written in.
+    """
+
+    __slots__ = ("coeffs",)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    @property
+    def leading(self) -> int:
+        return self.coeffs[-1] if self.coeffs else 0
+
+    def coefficient(self, i: int) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def text(self) -> str:
+        return _render_ascending(self.coeffs)
+
+    def __sub__(self, other):
+        o = self._check(other)
+        if o is NotImplemented:
+            return o
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+
+class FieldPoly(_Poly):
     """Dense polynomial over GF(p), constant term first, no trailing zeros."""
 
-    __slots__ = ("coeffs", "p")
+    __slots__ = ("p",)
 
     def __init__(self, coeffs, p: int, _trusted: bool = False):
         if _trusted:
@@ -207,22 +297,6 @@ class FieldPoly:
     def constant(cls, c, p):
         return cls((c,), p)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def _check(self, other) -> "FieldPoly":
         if isinstance(other, FieldPoly):
             if other.p != self.p:
@@ -245,15 +319,6 @@ class FieldPoly:
         return FieldPoly(_strip(out), self.p, _trusted=True)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return FieldPoly(
@@ -280,12 +345,6 @@ class FieldPoly:
             FieldPoly(r, self.p, _trusted=True),
         )
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __pow__(self, e: int):
         return _power(self, e, FieldPoly.one(self.p))
 
@@ -310,12 +369,6 @@ class FieldPoly:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.p
         return acc
-
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def text(self) -> str:
-        return _render_ascending(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldPoly):
@@ -367,10 +420,10 @@ def _imul_lists(a, b):
     return out
 
 
-class IntPoly:
+class IntPoly(_Poly):
     """Dense polynomial over Z with arbitrary-precision coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs):
         self.coeffs = tuple(_strip([int(c) for c in coeffs]))
@@ -382,22 +435,6 @@ class IntPoly:
     @classmethod
     def one(cls):
         return cls((1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def _check(self, other):
         if isinstance(other, IntPoly):
@@ -419,15 +456,6 @@ class IntPoly:
         return IntPoly(out)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return IntPoly(tuple(-c for c in self.coeffs))
@@ -469,12 +497,6 @@ class IntPoly:
                     rem[k + j] -= q * o.coeffs[j]
         return IntPoly(quot), IntPoly(rem[:db])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -484,17 +506,11 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def reduce(self, p: int) -> FieldPoly:
         return FieldPoly([c % p for c in self.coeffs], p)
 
     def max_abs(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
-
-    def text(self) -> str:
-        return _render_ascending(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPoly):
@@ -534,39 +550,20 @@ def _render_ascending(coeffs) -> str:
 def poly_gcd(f, g):
     """Monic gcd over GF(p).
 
-    While the divisor has at least ``_NUMPY_CUTOFF`` coefficients both
-    remainders stay int64 arrays: each step takes the short quotient from the
-    leading coefficients alone and subtracts its product with the divisor in
-    one convolution.  Smaller remainders finish on coefficient lists.
+    While the divisor has at least ``_GCD_ARRAY_CUTOFF`` coefficients both
+    remainders stay int64 arrays and each step is one `_divmod_arrays` (a
+    short quotient from the series recurrence, then one convolution).
+    Smaller remainders finish on coefficient lists.
     """
     if f.p != g.p:
         raise ValueError(f"mixed moduli {f.p} and {g.p}")
     p = f.p
     a, b = f.coeffs, g.coeffs
-    if len(b) >= _NUMPY_CUTOFF:
+    if len(b) >= _GCD_ARRAY_CUTOFF:
         a = np.array(a, dtype=np.int64)
         b = np.array(b, dtype=np.int64)
-        while len(b) >= _NUMPY_CUTOFF:
-            db = len(b) - 1
-            r = a[:db]
-            m = len(a) - db  # quotient length
-            if m > 0:
-                # rev(q) = rev(a) / rev(b) mod X^m needs only the top m
-                # coefficients of each
-                ra = a[::-1][:m].tolist()
-                rb = b[::-1][:m].tolist()
-                inv = pow(rb[0], -1, p)
-                rq = []
-                for i, c in enumerate(ra):
-                    for j in range(max(0, i - len(rb) + 1), i):
-                        c -= rq[j] * rb[i - j]
-                    rq.append(c * inv % p)
-                q = np.array(rq[::-1], dtype=np.int64)
-                r = (r - conv_mod(q, b, p)[:db]) % p
-            n = len(r)
-            while n and r[n - 1] == 0:
-                n -= 1
-            a, b = b, r[:n]
+        while len(b) >= _GCD_ARRAY_CUTOFF:
+            a, b = b, _divmod_arrays(a, b, p)[1]
         a, b = a.tolist(), b.tolist()
     while b:
         a, b = b, _divmod_mod_lists(a, b, p)[1]
@@ -583,10 +580,11 @@ class _Modulus:
     """Arithmetic on int64 coefficient vectors modulo a fixed f of degree n >= 1.
 
     Vectors are reduced polynomials padded to length n.  A product has at
-    most 2n - 1 coefficients, so its quotient by the monic f has at most
-    n - 1, and rev(quotient) = rev(product) * rev(f)^-1 mod X^(n-1).  The
-    inverse is computed once by Newton iteration, after which every
-    reduction is two convolutions.
+    most 2n - 1 coefficients, so its quotient by the monic f has m <= n - 1,
+    and rev(quotient) = rev(product) * rev(f)^-1 mod X^m, as in
+    `_divmod_arrays`.  The inverse mod X^n, which holds every such prefix,
+    comes once from `_series_inverse`, after which every reduction is two
+    convolutions.
     """
 
     __slots__ = ("p", "n", "low", "inv")
@@ -596,15 +594,7 @@ class _Modulus:
         f = np.array(f.monic().coeffs, dtype=np.int64)
         self.p, self.n = p, n
         self.low = f[:n]
-        rev = f[::-1]
-        inv = np.ones(1, dtype=np.int64)
-        while len(inv) < n - 1:
-            k = min(2 * len(inv), n - 1)
-            # inv <- inv * (2 - rev * inv) mod X^k doubles the precision
-            e = -conv_mod(rev[:k], inv, p)[:k] % p
-            e[0] = (e[0] + 2) % p
-            inv = conv_mod(inv, e, p)[:k]
-        self.inv = inv
+        self.inv = _series_inverse(f[::-1][:n], p)
 
     def vector(self, g: FieldPoly) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.int64)

@@ -14,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcharpoly.poly import (
+    _ARRAY_DIVISION_CUTOFF,
+    _NEWTON_CUTOFF,
     FieldPoly,
     _distinct_degree,
-    _divmod_mod_lists,
+    _divmod_arrays,
     _frobenius,
+    _long_division,
     _Modulus,
     conv_mod,
     factor,
@@ -50,10 +53,10 @@ def modulus_and_pair(draw):
 
 
 def reference_gcd(f, g):
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        a, b = b, _long_division(a, b, f.p)[1]
+    return FieldPoly(a, f.p).monic()
 
 
 def reference_pow(h, e, f):
@@ -73,7 +76,7 @@ class TestFixedModulus:
         f, a, b = case
         m = _Modulus(f)
         product = (a * b).coeffs
-        want = _divmod_mod_lists(product, f.coeffs, f.p)[1]
+        want = _long_division(product, f.coeffs, f.p)[1]
         assert m.poly(m.mul(m.vector(a), m.vector(b))).coeffs == tuple(want)
 
     @SETTINGS
@@ -85,6 +88,69 @@ class TestFixedModulus:
         m = _Modulus(f)
         got = m.poly(_frobenius(m)(m.vector(h)))
         assert got == reference_pow(h, f.p, f)
+
+
+def coefficient_lists(p, length):
+    """A stripped coefficient list of exactly ``length`` entries mod p."""
+    if length == 0:
+        return st.just([])
+    return st.tuples(
+        st.lists(st.integers(0, p - 1), min_size=length - 1, max_size=length - 1),
+        st.integers(1, p - 1),
+    ).map(lambda t: t[0] + [t[1]])
+
+
+class TestDivision:
+    """divmod, // and % at each kernel edge against `_long_division`.
+
+    Each case also divides with `_divmod_arrays` directly, so the
+    recurrence/Newton edge is met whichever side of the list/array cutoff
+    its dividend falls on.  p = 2^31 - 1 takes the split convolutions.
+    """
+
+    PRIMES = (3, 101, 1000003, (1 << 31) - 1)
+
+    def check(self, data, len_a, len_b):
+        p = data.draw(st.sampled_from(self.PRIMES))
+        a = data.draw(coefficient_lists(p, len_a))
+        b = data.draw(coefficient_lists(p, len_b))
+        q, r = _long_division(a, b, p)
+        f, g = FieldPoly(a, p), FieldPoly(b, p)
+        assert divmod(f, g) == (FieldPoly(q, p), FieldPoly(r, p))
+        assert f // g == FieldPoly(q, p)
+        assert f % g == FieldPoly(r, p)
+        av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        qv, rv = _divmod_arrays(av, bv, p)
+        assert (qv.tolist(), rv.tolist()) == (q, r)
+
+    @SETTINGS
+    @given(st.data())
+    def test_list_array_cutoff(self, data):
+        c = _ARRAY_DIVISION_CUTOFF
+        len_a = data.draw(st.sampled_from([c - 1, c, c + 1]))
+        self.check(data, len_a, data.draw(st.integers(1, len_a)))
+
+    @SETTINGS
+    @given(st.data())
+    def test_recurrence_newton_cutoff(self, data):
+        k = _NEWTON_CUTOFF
+        m = data.draw(st.sampled_from([k - 1, k, k + 1]))
+        len_b = data.draw(st.integers(1, 2 * k))
+        self.check(data, m + len_b - 1, len_b)
+
+    @SETTINGS
+    @given(st.data())
+    def test_divisor_shorter_than_quotient(self, data):
+        # rev(b) has fewer terms than the quotient and is padded with zeros
+        len_b = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(len_b + 1, 3 * _NEWTON_CUTOFF))
+        self.check(data, m + len_b - 1, len_b)
+
+    @SETTINGS
+    @given(st.data())
+    def test_no_quotient(self, data):
+        len_b = data.draw(st.integers(1, 2 * _ARRAY_DIVISION_CUTOFF))
+        self.check(data, data.draw(st.integers(0, len_b - 1)), len_b)
 
 
 class TestGcd:

@@ -1,0 +1,134 @@
+"""Timings of the GF(p) division and product kernels at and around their cutoffs.
+
+Prints microseconds per call (the best of five timing repeats) for
+p = 1000003 and p = 2^31 - 1, where convolutions longer than two terms take
+the 16-bit split path:
+
+* ``division``: `_divmod_mod_lists` on coefficient lists by `_long_division`
+  and by the array kernel (list conversions included), for dividend lengths
+  around ``_ARRAY_DIVISION_CUTOFF``;
+* ``gcd step``: one Euclid step (quotient length 2) on lists by
+  `_long_division` and on arrays by `_divmod_arrays`, for divisor lengths
+  around ``_GCD_ARRAY_CUTOFF``;
+* ``quotient``: `_divmod_arrays` by the series recurrence and by the Newton
+  inverse, for quotient lengths around ``_NEWTON_CUTOFF`` and at the sizes
+  of the kernel's design table;
+* ``product``: `_mul_mod_lists` (one convolution) against a schoolbook
+  product of lists reduced mod p, by the shorter operand's length.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 tools/poly_kernel_sizes.py
+"""
+
+from __future__ import annotations
+
+import random
+import timeit
+
+import numpy as np
+
+from bbcharpoly import poly
+
+PRIMES = (1000003, (1 << 31) - 1)
+
+
+def usec(fn) -> float:
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(5, number)) / number * 1e6
+
+
+def operands(len_a: int, len_b: int, p: int, rng):
+    """Random coefficient lists of the given lengths with nonzero leads."""
+    a = [rng.randrange(p) for _ in range(len_a - 1)] + [rng.randrange(1, p)]
+    b = [rng.randrange(p) for _ in range(len_b - 1)] + [rng.randrange(1, p)]
+    return a, b
+
+
+def quotient_by(newton: bool, a, b, p):
+    """`_divmod_arrays` with its recurrence/Newton choice forced."""
+    saved = poly._NEWTON_CUTOFF
+    poly._NEWTON_CUTOFF = 0 if newton else 1 << 30
+    try:
+        av = np.array(a, dtype=np.int64)
+        bv = np.array(b, dtype=np.int64)
+        return usec(lambda: poly._divmod_arrays(av, bv, p))
+    finally:
+        poly._NEWTON_CUTOFF = saved
+
+
+def row(label, cells):
+    print(f"{label:>14}" + "".join(f"{c:>12.1f}" for c in cells))
+
+
+def main() -> None:
+    rng = random.Random(1)
+    for p in PRIMES:
+        print(f"p = {p}, microseconds per call")
+
+        c = poly._ARRAY_DIVISION_CUTOFF
+        print(f"\ndivision (len a, len b); _ARRAY_DIVISION_CUTOFF = {c}")
+        print(f"{'sizes':>14}{'list':>12}{'array':>12}")
+        for len_a in (c - 1, c, c + 1):
+            for len_b in (2, len_a // 2, len_a - 1):
+                a, b = operands(len_a, len_b, p, rng)
+
+                def array_path():
+                    q, r = poly._divmod_arrays(
+                        np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p
+                    )
+                    return q.tolist(), r.tolist()
+
+                row(
+                    f"({len_a}, {len_b})",
+                    [usec(lambda: poly._long_division(a, b, p)), usec(array_path)],
+                )
+
+        c = poly._GCD_ARRAY_CUTOFF
+        print(f"\ngcd step (len b + 1, len b); _GCD_ARRAY_CUTOFF = {c}")
+        print(f"{'sizes':>14}{'list':>12}{'array':>12}")
+        for len_b in (c // 2, c - 1, c, c + 1, 2 * c):
+            a, b = operands(len_b + 1, len_b, p, rng)
+            av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+            row(
+                f"({len_b + 1}, {len_b})",
+                [
+                    usec(lambda: poly._long_division(a, b, p)),
+                    usec(lambda: poly._divmod_arrays(av, bv, p)),
+                ],
+            )
+
+        c = poly._NEWTON_CUTOFF
+        print(f"\nquotient (len a, len b), m = len a - len b + 1; _NEWTON_CUTOFF = {c}")
+        print(f"{'sizes':>14}{'list':>12}{'recurrence':>12}{'Newton':>12}")
+        sizes = [(m + len_b - 1, len_b) for m in (c - 1, c, c + 1) for len_b in (2, m)]
+        sizes += [(4, 2), (31, 16), (31, 2), (60, 30), (121, 120), (121, 60)]
+        sizes += [(240, 120), (801, 400)]
+        for len_a, len_b in sizes:
+            a, b = operands(len_a, len_b, p, rng)
+            row(
+                f"({len_a}, {len_b})",
+                [
+                    usec(lambda: poly._long_division(a, b, p)),
+                    quotient_by(False, a, b, p),
+                    quotient_by(True, a, b, p),
+                ],
+            )
+
+        print("\nproduct, by the shorter operand's length L (the other is 2L)")
+        print(f"{'L':>14}{'schoolbook':>12}{'conv_mod':>12}")
+        for length in (3, 5, 8, 15, 16, 32):
+            a, b = operands(2 * length, length, p, rng)
+            row(
+                str(length),
+                [
+                    usec(lambda: poly._strip([x % p for x in poly._imul_lists(a, b)])),
+                    usec(lambda: poly._mul_mod_lists(a, b, p)),
+                ],
+            )
+        print()
+
+
+if __name__ == "__main__":
+    main()
