@@ -10,15 +10,16 @@ interface, exactly as a user would:
     bbcharpoly charpoly --integer --verify --explain --output json cube.sms
 
 and reports, per graph, the method ``auto`` chose, the wall time of each
-stage, the rank calls and their preconditioner, and then which factors of the
-two polynomials differ.
+stage, the rank calls, the preconditioner that served the rank and
+determinant calls, and then which factors of the two polynomials differ.
 
 Run from the repository root:
 
     python experiments/srg_cubes.py [--seed N] [--k K]
 
-Each cube takes tens of seconds, which is why this comparison is not part of
-the test suite.
+With ``--verify`` the rook cube takes about 20 s; the test suite pins its
+polynomial as a digest and computes only the Shrikhande cube
+(``tests/test_cli.py``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def run_graph(name: str, graph, k: int, seed: int, workdir: str) -> dict:
     payload = json.loads(out)
     events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
     ranks = [e for e in events if e["event"] == "rank"]
+    methods = [e for e in events if e["event"] == "method" and "preconditioner" in e]
     return {
         "graph": name,
         "n": payload["degree"],
@@ -80,7 +82,7 @@ def run_graph(name: str, graph, k: int, seed: int, workdir: str) -> dict:
         "sympower_s": round(power_s, 2),
         "charpoly_s": round(charpoly_s, 2),
         "rank_calls": len(ranks),
-        "preconditioners": sorted({e["preconditioner"] for e in ranks}),
+        "preconditioners": sorted({e["preconditioner"] for e in methods}),
         "coeffs": payload["coeffs"],
         "factors": {tuple(f["coeffs"]): f["exponent"] for f in payload["factors"]},
     }

@@ -35,8 +35,8 @@ from .blackbox import (
     LowRankPerturbation,
     MinpolyNotCertifiedError,
     PolyOfMatrix,
+    preconditioner,
     rank_blackbox,
-    rank_preconditioner,
     wiedemann_minpoly,
 )
 from .ff import DlogContext, check_modulus, index_calculus_subprime
@@ -148,12 +148,7 @@ def _compute_nullity(A, prof, j, rng, cfg, previous=None):
     if previous is not None:
         nu = min(nu, previous)
     cfg._emit(
-        "rank",
-        factor=list(prof.poly.coeffs),
-        power=j,
-        nullity=nu,
-        ceiling=ceiling,
-        preconditioner=rank_preconditioner(op),
+        "rank", factor=list(prof.poly.coeffs), power=j, nullity=nu, ceiling=ceiling
     )
     return nu
 
@@ -378,13 +373,7 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
         # the factor divides the minimal polynomial, so A - a is singular
         op = PolyOfMatrix(A, profiles[i].poly, 1)
         mults[i] = n - rank_blackbox(op, rng, ceiling=n - 1)
-        cfg._emit(
-            "hybrid-nullity",
-            factor=i,
-            multiplicity=mults[i],
-            ceiling=n - 1,
-            preconditioner=rank_preconditioner(op),
-        )
+        cfg._emit("hybrid-nullity", factor=i, multiplicity=mults[i], ceiling=n - 1)
     rest = sorted(
         (i for i in range(len(profiles)) if mults[i] is None),
         key=lambda i: profiles[i].degree,
@@ -510,7 +499,14 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
                 cp = _validate(A, profiles, mults)
                 return CharpolyResult(cp, minpoly, profiles, mults, "trivial")
             method, subprime = _choose_method(A, profiles, cfg)
-            cfg._emit("method", chosen=method, factors=len(profiles))
+            # every rank and determinant call wraps A in P^j(A) or lambda*I - A,
+            # which keep A's symmetry, n and p, and so its preconditioner
+            cfg._emit(
+                "method",
+                chosen=method,
+                factors=len(profiles),
+                preconditioner=preconditioner(A),
+            )
             if method in ("index", "hybrid"):
                 ctx = DlogContext(q)
             if method == "nullity-comb":

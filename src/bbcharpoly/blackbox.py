@@ -10,9 +10,10 @@ adds them raw and reduces once per output entry when
 overflow int64.  Otherwise it reduces every product first.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
-sequences, rank and determinant via a random Toeplitz-diagonal
-preconditioner L * A * U * D, and trace.  A symmetric operator's rank takes
-the cheaper D * A where the field is large enough (``rank_preconditioner``).
+sequences, rank and determinant via a random preconditioner L * A * U * D
+(`_Preconditioner`), and trace.  One rule, ``preconditioner``, picks for
+both kernels: a symmetric operator takes L = U = I, the cheaper A * D, where
+the field is large enough, and every other operator takes Toeplitz L and U.
 Only a minimal polynomial that is returned carries the annihilation
 certificate.  A rank or determinant trial reads its answer from one
 uncertified round's generator: a determinant from a generator whose degree
@@ -260,56 +261,43 @@ class LowRankPerturbation(BlackBoxOperator):
         return (self.base.apply(v) + uv) % p
 
 
+def preconditioner(A: BlackBoxOperator) -> str:
+    """The kind of `_Preconditioner` that rank and determinant calls on A
+    take: "diagonal" or "toeplitz".
+
+    A * D serves a symmetric A once 2n(n+1) <= q - 1, where its per-trial
+    failure bound r(r+1)/(2(q-1)) is at most 1/4 for every rank r <= n.
+    Below that a diagonal A with repeated eigenvalues meets the birthday
+    bound too often.
+    """
+    n = A.dimension
+    return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
+
+
 class _Preconditioner(BlackBoxOperator):
     """L * A * U * D with unit-triangular Toeplitz L, U and a diagonal D.
 
-    Serves both kernels.  Rank: the triangular pair forces a generic rank
-    profile with high probability (Kaltofen and Saunders, 1991; two-sided
-    diagonals alone demonstrably fail on block-Jordan powers), and D
-    separates the nonzero eigenvalues, so the minimal polynomial degree
-    reveals the rank.  Determinant: L and U are unit triangular, so
-    det = det(A) * det(D), and the Toeplitz-diagonal product makes the
-    spectrum of a nonsingular A nonderogatory with high probability (Chen,
-    Eberly, Kaltofen, Saunders, Turner and Villard, LAA 2002; a diagonal
-    alone fails persistently on identity-like blocks over small fields).
-    Reversing the index order turns L and U into the upper/lower pair those
-    arguments use.
-    """
+    Serves both kernels; ``preconditioner(A)`` picks its kind.  ``toeplitz``
+    draws L, U and D.  ``diagonal`` draws only D and takes L = U = I, that
+    is A * D (``lc`` and ``uc`` are None).
 
-    def __init__(self, base: BlackBoxOperator, rng):
-        n, p = base.dimension, base.p
-        # two dense length-n convolutions and the diagonal scaling
-        super().__init__(n, p, cost=base.cost + 2 * n * n + n)
-        self.base = base
-        self.lc = np.array(
-            [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
-        )
-        self.uc = np.array(
-            [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
-        )
-        self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
+    Toeplitz.  Rank: the triangular pair forces a generic rank profile with
+    high probability (Kaltofen and Saunders, 1991; two-sided diagonals alone
+    demonstrably fail on block-Jordan powers), and D separates the nonzero
+    eigenvalues, so the minimal polynomial degree reveals the rank.
+    Determinant: L and U are unit triangular, so det = det(A) * det(D), and
+    the Toeplitz-diagonal product makes the spectrum of a nonsingular A
+    nonderogatory with high probability (Chen, Eberly, Kaltofen, Saunders,
+    Turner and Villard, LAA 2002; a diagonal alone fails persistently on
+    identity-like blocks over small fields).  Reversing the index order
+    turns L and U into the upper/lower pair those arguments use.
 
-    def det_diag(self) -> int:
-        out = 1
-        for entry in self.d:
-            out = out * int(entry) % self.p
-        return out
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        n, p = self.dimension, self.p
-        w = self.d * v % p
-        w = conv_mod(self.uc[::-1], w, p)[n - 1 :]  # U: uc is its first row
-        w = self.base.apply(w)
-        return conv_mod(self.lc, w, p)[:n]  # L: lc is its first column
-
-
-class _DiagonalPreconditioner(BlackBoxOperator):
-    """D * A for a symmetric A, with a random nonsingular diagonal D (rank only).
-
-    Let A be symmetric of rank r over GF(q), q odd, and the d_i uniform in
-    GF(q)*.  Then the minimal polynomial of D * A is X^[r < n] times a
-    polynomial of degree r with a nonzero constant term, so it reveals r,
-    except with probability at most r/(q-1) + r(r-1)/(2(q-1)) = r(r+1)/(2(q-1)).
+    Diagonal, for a symmetric A of rank r over GF(q), q odd, and the d_i
+    uniform in GF(q)*.  A * D = D^-1 (D * A) D, so A * D and D * A have the
+    same minimal polynomial and rank.  That minimal polynomial is X^[r < n]
+    times a polynomial of degree r with a nonzero constant term, so it
+    reveals r, except with probability at most r/(q-1) + r(r-1)/(2(q-1)) =
+    r(r+1)/(2(q-1)).
 
     Proof.  A symmetric matrix of rank r has a nonsingular r x r principal
     submatrix M; with its indices first, A = F^T M F for F = [I_r | W].  So
@@ -336,16 +324,40 @@ class _DiagonalPreconditioner(BlackBoxOperator):
     the symmetric diagonal-preconditioner statement of Chen, Eberly,
     Kaltofen, Saunders, Turner and Villard (LAA 2002), after Eberly and
     Kaltofen (ISSAC 1997).
+    At r = n, C = A * D itself (F = I), so A * D is cyclic except with
+    probability at most n(n-1)/(2(q-1)), and det(A * D) = det(A) * det(D).
     """
 
     def __init__(self, base: BlackBoxOperator, rng):
         n, p = base.dimension, base.p
-        super().__init__(n, p, cost=base.cost + n)  # one diagonal scaling
+        toeplitz = preconditioner(base) == "toeplitz"
+        # the diagonal scaling, and for Toeplitz two dense length-n convolutions
+        super().__init__(n, p, cost=base.cost + n + (2 * n * n if toeplitz else 0))
         self.base = base
+        self.lc = self.uc = None
+        if toeplitz:
+            self.lc = np.array(
+                [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
+            )
+            self.uc = np.array(
+                [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
+            )
         self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
 
+    def det_diag(self) -> int:
+        out = 1
+        for entry in self.d:
+            out = out * int(entry) % self.p
+        return out
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.d * self.base.apply(v) % self.p
+        n, p = self.dimension, self.p
+        w = self.d * v % p
+        if self.lc is None:
+            return self.base.apply(w)
+        w = conv_mod(self.uc[::-1], w, p)[n - 1 :]  # U: uc is its first row
+        w = self.base.apply(w)
+        return conv_mod(self.lc, w, p)[:n]  # L: lc is its first column
 
 
 class CountingOperator(BlackBoxOperator):
@@ -494,28 +506,17 @@ def wiedemann_minpoly(
     )
 
 
-def rank_preconditioner(A: BlackBoxOperator) -> str:
-    """The preconditioner `rank_blackbox` uses for A: "diagonal" or "toeplitz".
-
-    D * A serves a symmetric A once 2n(n+1) <= q - 1, where its per-trial
-    failure bound r(r+1)/(2(q-1)) is at most 1/4.  Below that a diagonal A
-    with repeated eigenvalues meets the birthday bound too often.
-    """
-    n = A.dimension
-    return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
-
-
 def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     """Rank via the minimal polynomial of a randomly preconditioned operator.
 
-    Each trial preconditions A (see `rank_preconditioner`) so that, except
-    with small probability, the minimal polynomial m has degree rank(A) plus
-    one when A is singular.  For rank r over GF(q) one trial fails with
-    probability at most r(r+1)/(2(q-1)) on the diagonal path D * A (proved
-    in `_DiagonalPreconditioner`), and at most r(r+1)/q + r(r+1)/(2(q-1)) on
-    the Toeplitz path L * A * U * D: the first term for the generic rank
-    profile of L * A * U (Kaltofen and Saunders, 1991), the second for D, by
-    the same argument with 1 x 1 pivots.  In GF(2) and GF(3) that bound says
+    Each trial wraps A in a fresh `_Preconditioner`, so that, except with
+    small probability, the minimal polynomial m has degree rank(A) plus one
+    when A is singular.  For rank r over GF(q) one trial fails with
+    probability at most r(r+1)/(2(q-1)) on the diagonal path A * D (proved
+    in `_Preconditioner`), and at most r(r+1)/q + r(r+1)/(2(q-1)) on the
+    Toeplitz path L * A * U * D: the first term for the generic rank profile
+    of L * A * U (Kaltofen and Saunders, 1991), the second for D, by the
+    same argument with 1 x 1 pivots.  In GF(2) and GF(3) that bound says
     nothing and estimates do come out low with no signal; that scope is
     still open.  On the test suite's rank strategies (400 derandomized
     examples each) 104 of 502 calls at p <= 5 came out low, and none of
@@ -546,11 +547,10 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     """
     n = A.dimension
     c = n if ceiling is None else ceiling
-    diagonal = rank_preconditioner(A) == "diagonal"
     best = 0
     streak = 0
     for _ in range(8):
-        pre = _DiagonalPreconditioner(A, rng) if diagonal else _Preconditioner(A, rng)
+        pre = _Preconditioner(A, rng)
         m = wiedemann_minpoly(pre, rng, trial_bound=min(c + 1, n))
         # m = 1 (a zero sequence) has m(0) = 1 and so estimates 0
         est = m.degree - 1 if m.coefficient(0) == 0 else m.degree
@@ -567,12 +567,13 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
 def det_blackbox(A: BlackBoxOperator, rng) -> int:
     """Determinant via minpoly of a det-preserving preconditioned operator.
 
-    Each attempt reads one uncertified round's generator m (trial bound n),
-    which divides the true minpoly of the preconditioned operator.  Degree
-    n certifies m as that minpoly and det = (-1)^n * c0 / det(D); any X
-    factor certifies singularity (0 is then an eigenvalue of the
-    preconditioned operator, hence of A up to the invertible factors).
-    Anything else moves on to a fresh preconditioner; four are tried.
+    Each attempt wraps A in a fresh `_Preconditioner` and reads one
+    uncertified round's generator m (trial bound n), which divides the true
+    minpoly of the preconditioned operator.  Degree n certifies m as that
+    minpoly and det = (-1)^n * c0 / det(D); any X factor certifies
+    singularity (0 is then an eigenvalue of the preconditioned operator,
+    hence of A up to the invertible factors).  Anything else moves on to a
+    fresh preconditioner; four are tried.
     """
     n, p = A.dimension, A.p
     for _ in range(4):

@@ -20,8 +20,9 @@ Integer multiplication is schoolbook with Karatsuba above degree 64
 
 Division over GF(p) has one array kernel, ``_divmod_arrays``: a reversed
 series quotient, then one convolution for the remainder.  Euclid's algorithm
-uses it while its remainders are long; short lists, and the moduli p^k of
-the Hensel lift, take ``_long_division``.
+uses it while its remainders are long; list divisions whose work (quotient
+length times divisor length) is small, and the moduli p^k of the Hensel
+lift, take ``_long_division``.
 
 Factoring over GF(p) works on int64 coefficient vectors.  Products modulo a
 fixed f are reduced with the Newton inverse of the reversed f computed once,
@@ -42,9 +43,15 @@ from .ff import next_prime
 
 _KARATSUBA_CUTOFF = 64
 # Crossovers from tools/poly_kernel_sizes.py, in us at p = 1000003 / 2^31 - 1.
-# Dividends of 32 go to arrays: they win for a divisor of 16 (28 / 82 against
-# 59 / 105) and lose for one of 2 (45 / 49 against 29 / 41).
-_ARRAY_DIVISION_CUTOFF = 32
+# Long division takes about m * len(b) steps for a quotient of m
+# coefficients; the array kernel about _ARRAY_STEPS_PER_COEFF per quotient
+# coefficient plus _ARRAY_FIXED_STEPS.  So lists divide while
+# m * (len(b) - _ARRAY_STEPS_PER_COEFF) < _ARRAY_FIXED_STEPS: a divisor of at
+# most 7 coefficients at every m ((801, 2): 702 / 1,252 against 1,481 /
+# 3,148), but a quotient of 2 only up to a divisor of 38 ((79, 78): arrays
+# 26 / 22 against 37 / 56).  At the edge the two are about even.
+_ARRAY_STEPS_PER_COEFF = 7
+_ARRAY_FIXED_STEPS = 64
 # An array Euclid step with a divisor of 16 loses at 1000003 and ties at
 # 2^31 - 1 (16 / 19 against 10 / 20); with one of 32 it wins (14 / 19 against
 # 19 / 41).
@@ -60,18 +67,6 @@ class BadPrimeError(ArithmeticError):
 
 class FieldTooSmallError(ValueError):
     """Squarefree machinery needs p > deg(f); pick a larger field."""
-
-
-class CrtDegreeMismatchError(ValueError):
-    """CRT residues disagree in degree; carries the minority residues."""
-
-    def __init__(self, minority_indices, minority_moduli):
-        self.minority_indices = list(minority_indices)
-        self.minority_moduli = list(minority_moduli)
-        super().__init__(
-            "degree mismatch among CRT residues; minority residues at "
-            f"indices {self.minority_indices} (moduli {self.minority_moduli})"
-        )
 
 
 def _strip(coeffs):
@@ -181,7 +176,8 @@ def _divmod_mod_lists(a, b, p):
     """(quotient, remainder) of coefficient lists mod p; b nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < _ARRAY_DIVISION_CUTOFF:
+    m = len(a) - len(b) + 1  # quotient length
+    if m * (len(b) - _ARRAY_STEPS_PER_COEFF) < _ARRAY_FIXED_STEPS:
         return _long_division(a, b, p)
     q, r = _divmod_arrays(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
     return q.tolist(), r.tolist()
@@ -1085,8 +1081,8 @@ def hensel_lift_basis(S: IntPoly, basis, p: int, precision_bound: int):
 def crt_combine(residues) -> IntPoly:
     """Coefficientwise CRT of monic residues into the symmetric range.
 
-    All residues must be monic of equal degree; on a degree mismatch the
-    minority-degree residues are reported (they came from bad primes).
+    All residues must be monic of equal degree: callers group residues by
+    degree first, so a mismatch is a caller error.
     """
     residues = list(residues)
     if not residues:
@@ -1094,18 +1090,12 @@ def crt_combine(residues) -> IntPoly:
     moduli = [r.p for r in residues]
     if len(set(moduli)) != len(moduli):
         raise ValueError("crt_combine needs pairwise distinct prime moduli")
-    degrees = [r.degree for r in residues]
-    counts: dict[int, int] = {}
-    for d in degrees:
-        counts[d] = counts.get(d, 0) + 1
-    majority_degree = max(counts, key=lambda d: (counts[d], d))
-    if counts[majority_degree] != len(residues):
-        minority = [i for i, d in enumerate(degrees) if d != majority_degree]
-        raise CrtDegreeMismatchError(minority, [moduli[i] for i in minority])
+    if len({r.degree for r in residues}) != 1:
+        raise ValueError("crt_combine needs residues of equal degree")
     for r in residues:
         if not r.is_monic:
             raise ValueError("crt_combine expects monic residues")
-    width = majority_degree + 1
+    width = residues[0].degree + 1
     coeffs = list(residues[0].coeffs) + [0] * (width - len(residues[0].coeffs))
     modulus = residues[0].p
     for r in residues[1:]:

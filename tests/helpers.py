@@ -1,7 +1,19 @@
 """Shared constructions for the test suite."""
 
+import hashlib
+
 from bbcharpoly.blackbox import SparseMatrix, block_diagonal, build_block_jordan
 from bbcharpoly.poly import FieldPoly, is_irreducible
+
+
+# sha256 of the integer characteristic polynomial of the 4 x 4 rook graph's
+# symmetric cube (n = 560) under `coeffs_digest`; acceptance 8 computes it.
+ROOK_CUBE_CHARPOLY_SHA256 = "4f2069ff7eb8ea166567170e20eb5b45bb4a0df66b9c791078b992f7ec86d202"
+
+
+def coeffs_digest(coeffs) -> str:
+    """sha256 of integer coefficients, constant term first, comma-joined."""
+    return hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
 
 
 def linear(a, p):

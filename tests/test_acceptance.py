@@ -32,6 +32,8 @@ from bbcharpoly.poly import FieldPoly, factor
 from bbcharpoly.sms import emit_sms
 
 from helpers import (
+    ROOK_CUBE_CHARPOLY_SHA256,
+    coeffs_digest,
     distinct_irreducibles,
     planted_primary_form,
     rand_irreducible,
@@ -288,6 +290,7 @@ def test_criterion_8_end_to_end_rook_graph(tmp_path, capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["degree"] == 560
     assert payload["verified"] is True
+    assert coeffs_digest(payload["coeffs"]) == ROOK_CUBE_CHARPOLY_SHA256
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"criterion 8 budget exceeded: {elapsed:.1f}s"
     report(

@@ -8,6 +8,7 @@ from bbcharpoly.blackbox import (
     BerlekampMassey,
     BlackBoxOperator,
     CountingOperator,
+    DetNotCertifiedError,
     LowRankPerturbation,
     PolyOfMatrix,
     ShiftedOperator,
@@ -16,9 +17,9 @@ from bbcharpoly.blackbox import (
     build_block_jordan,
     build_companion,
     det_blackbox,
+    preconditioner,
     rank_blackbox,
     random_vector,
-    rank_preconditioner,
     wiedemann_minpoly,
 )
 from bbcharpoly.poly import FieldPoly, is_irreducible
@@ -164,26 +165,21 @@ class TestSymmetry:
         U = np.ones((3, 1), dtype=np.int64)
         V = np.ones((1, 3), dtype=np.int64)
         assert not LowRankPerturbation(op, U, V).symmetric
-        assert not blackbox._Preconditioner(op, rng).symmetric
-        assert not blackbox._DiagonalPreconditioner(op, rng).symmetric
+        for q in (p, 13):  # the diagonal and the Toeplitz kind
+            assert not blackbox._Preconditioner(self.SYM.operator(q), rng).symmetric
 
     def test_diagonal_path_boundary(self, monkeypatch):
         # n = 2: 2n(n+1) = 12, so GF(13) is the smallest field the diagonal
-        # path admits and GF(11) falls back to Toeplitz.
+        # path admits and GF(11) falls back to Toeplitz, for rank and
+        # determinant alike.
         built = []
 
-        class Diagonal(blackbox._DiagonalPreconditioner):
+        class Recording(blackbox._Preconditioner):
             def __init__(self, base, rng):
-                built.append("diagonal")
                 super().__init__(base, rng)
+                built.append("diagonal" if self.lc is None else "toeplitz")
 
-        class Toeplitz(blackbox._Preconditioner):
-            def __init__(self, base, rng):
-                built.append("toeplitz")
-                super().__init__(base, rng)
-
-        monkeypatch.setattr(blackbox, "_DiagonalPreconditioner", Diagonal)
-        monkeypatch.setattr(blackbox, "_Preconditioner", Toeplitz)
+        monkeypatch.setattr(blackbox, "_Preconditioner", Recording)
         sym = SparseMatrix(2, [(0, 1, 1), (1, 0, 1)])
         asym = SparseMatrix(2, [(0, 1, 1)])
         for matrix, q, want in (
@@ -191,15 +187,21 @@ class TestSymmetry:
             (sym, 11, "toeplitz"),
             (asym, 13, "toeplitz"),
         ):
-            built.clear()
             op = matrix.operator(q)
-            assert rank_preconditioner(op) == want
+            assert preconditioner(op) == want
+            built.clear()
             assert rank_blackbox(op, random.Random(1)) <= dense_rank(matrix.to_dense(), q)
+            assert built and set(built) == {want}
+            built.clear()
+            try:
+                assert det_blackbox(op, random.Random(1)) == dense_det(matrix.to_dense(), q)
+            except DetNotCertifiedError:
+                pass  # no answer is not a wrong answer
             assert built and set(built) == {want}
 
     def test_diagonal_cost(self):
         op = self.SYM.operator(101)
-        assert blackbox._DiagonalPreconditioner(op, random.Random(1)).cost == op.cost + 3
+        assert blackbox._Preconditioner(op, random.Random(1)).cost == op.cost + 3
 
 
 class TestBerlekampMassey:

@@ -7,6 +7,7 @@ import pytest
 from bbcharpoly.blackbox import SparseMatrix
 from bbcharpoly.cli import main
 from bbcharpoly.adaptive import AdaptiveConfig
+from bbcharpoly.ff import next_prime
 from bbcharpoly.graphs import (
     Graph,
     GraphInputError,
@@ -15,7 +16,10 @@ from bbcharpoly.graphs import (
     symmetric_power,
 )
 from bbcharpoly.integer import integer_charpoly
+from bbcharpoly.oracle import dense_charpoly
 from bbcharpoly.sms import SmsFormatError, emit_sms, parse_sms
+
+from helpers import ROOK_CUBE_CHARPOLY_SHA256, coeffs_digest
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +142,23 @@ class TestGraphs:
         ]
         assert squares[0].degree == 120
         assert squares[0] == squares[1]
+
+    def test_rook_and_shrikhande_cubes_differ(self, capsys, tmp_path):
+        """The symmetric cubes (n = 560) are not cospectral.  Acceptance 8
+        pins the rook cube's polynomial; this computes the Shrikhande cube's
+        and checks it against the dense oracle mod a prime above 2^30, larger
+        than every prime the run uses (below 2^29)."""
+        cube = symmetric_power(shrikhande_graph(), 3).adjacency()
+        path = write(tmp_path, "cube.sms", emit_sms(cube))
+        code, out, _ = run_cli(
+            capsys, "charpoly", "--integer", "--seed", "808", "--output", "json", path
+        )
+        assert code == 0
+        coeffs = json.loads(out)["coeffs"]
+        assert len(coeffs) == 561
+        assert coeffs_digest(coeffs) != ROOK_CUBE_CHARPOLY_SHA256
+        p = next_prime(1 << 30)
+        assert list(dense_charpoly(cube.to_dense(), p).coeffs) == [c % p for c in coeffs]
 
 
 class TestCharpolyCommand:
@@ -325,22 +346,23 @@ class TestOtherCommands:
         events = [json.loads(line) for line in lines]
         assert any(e["event"] == "method" for e in events)
 
-    def test_explain_rank_names_its_preconditioner(self, capsys, tmp_path):
+    def test_explain_method_names_its_preconditioner(self, capsys, tmp_path):
         # diag(1, 1, 2) is symmetric; one off-diagonal entry makes it not
         for text, want in (
             (DIAG112, "diagonal"),
             ("3 3 M\n1 1 1\n1 3 1\n2 2 1\n3 3 2\n0 0 0\n", "toeplitz"),
         ):
             path = write(tmp_path, "m.sms", text)
-            for method, event in (("nullity-comb", "rank"), ("hybrid", "hybrid-nullity")):
+            for method in ("nullity-comb", "index", "hybrid"):
                 code, _, err = run_cli(
                     capsys, "charpoly", "--field", "101", "--seed", "8",
                     "--method", method, "--explain", path,
                 )
                 assert code == 0
                 events = [json.loads(line) for line in err.splitlines() if line.strip()]
-                ranks = [e for e in events if e["event"] == event]
-                assert ranks and all(e["preconditioner"] == want for e in ranks)
+                chosen = [e for e in events if e["event"] == "method"]
+                assert [e["preconditioner"] for e in chosen] == [want]
+                assert not any("preconditioner" in e for e in events if e["event"] != "method")
 
 
 class TestExitCodes:

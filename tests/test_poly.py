@@ -5,7 +5,6 @@ import pytest
 
 from bbcharpoly.poly import (
     BadPrimeError,
-    CrtDegreeMismatchError,
     FieldPoly,
     IntPoly,
     crt_combine,
@@ -375,11 +374,9 @@ class TestCrt:
     def test_single_residue(self):
         assert crt_combine([fp([4, 1], 5)]) == IntPoly([-1, 1])
 
-    def test_degree_mismatch_reports_minority(self):
-        with pytest.raises(CrtDegreeMismatchError) as err:
+    def test_degree_mismatch_raises(self):
+        with pytest.raises(ValueError, match="equal degree"):
             crt_combine([fp([1, 1], 5), fp([1, 1], 7), fp([1, 0, 1], 11)])
-        assert err.value.minority_indices == [2]
-        assert err.value.minority_moduli == [11]
 
 
 class TestText:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcharpoly.poly import (
-    _ARRAY_DIVISION_CUTOFF,
+    _ARRAY_FIXED_STEPS,
+    _ARRAY_STEPS_PER_COEFF,
     _NEWTON_CUTOFF,
     FieldPoly,
     _distinct_degree,
@@ -105,7 +106,7 @@ class TestDivision:
 
     Each case also divides with `_divmod_arrays` directly, so the
     recurrence/Newton edge is met whichever side of the list/array cutoff
-    its dividend falls on.  p = 2^31 - 1 takes the split convolutions.
+    the division falls on.  p = 2^31 - 1 takes the split convolutions.
     """
 
     PRIMES = (3, 101, 1000003, (1 << 31) - 1)
@@ -126,9 +127,12 @@ class TestDivision:
     @SETTINGS
     @given(st.data())
     def test_list_array_cutoff(self, data):
-        c = _ARRAY_DIVISION_CUTOFF
-        len_a = data.draw(st.sampled_from([c - 1, c, c + 1]))
-        self.check(data, len_a, data.draw(st.integers(1, len_a)))
+        # the divisor lengths around m * (len b - k) = w, for a quotient of m
+        k, w = _ARRAY_STEPS_PER_COEFF, _ARRAY_FIXED_STEPS
+        m = data.draw(st.sampled_from([1, 2, 8, 31, 33, 64, 65, 200]))
+        edge = k + -(-w // m)  # the shortest divisor that takes arrays
+        len_b = data.draw(st.sampled_from([edge - 1, edge, edge + 1]))
+        self.check(data, m + len_b - 1, len_b)
 
     @SETTINGS
     @given(st.data())
@@ -149,7 +153,7 @@ class TestDivision:
     @SETTINGS
     @given(st.data())
     def test_no_quotient(self, data):
-        len_b = data.draw(st.integers(1, 2 * _ARRAY_DIVISION_CUTOFF))
+        len_b = data.draw(st.integers(1, 2 * _ARRAY_FIXED_STEPS))
         self.check(data, data.draw(st.integers(0, len_b - 1)), len_b)
 
 

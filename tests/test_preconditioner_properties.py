@@ -1,4 +1,4 @@
-"""Both rank preconditioners and the two kernels against dense oracles.
+"""Both kinds of the preconditioner and the two kernels against dense oracles.
 
 Inputs are structured where preconditioning is known to be needed: sparse
 matrices with empty rows, powers of nilpotent block-Jordan matrices and of
@@ -8,10 +8,11 @@ eigenvalue lambda of A.  The rng seed is part of each example.  At
 p = 2^31 - 1 the Toeplitz convolutions inside the preconditioner take the
 16-bit split path of ``conv_mod``.
 
-Symmetric inputs, which the diagonal preconditioner D * A serves where the
-field admits it, are Gram and congruence matrices X^T M X, diagonals with
-repeated entries, sums of isotropic rank-one nilpotents v v^T with
-v^T v = 0 (p = 1 mod 4), P(A)^j, and A - lambda*I at an eigenvalue.
+Symmetric inputs, which the diagonal kind A * D serves for rank and
+determinant where the field admits it, are Gram and congruence matrices
+X^T M X, diagonals with repeated entries, sums of isotropic rank-one
+nilpotents v v^T with v^T v = 0 (p = 1 mod 4), P(A)^j, and A - lambda*I at
+an eigenvalue.
 """
 
 import random
@@ -25,13 +26,12 @@ from bbcharpoly.blackbox import (
     PolyOfMatrix,
     ShiftedOperator,
     SparseMatrix,
-    _DiagonalPreconditioner,
     _Preconditioner,
     block_diagonal,
     build_block_jordan,
     det_blackbox,
+    preconditioner,
     rank_blackbox,
-    rank_preconditioner,
 )
 from bbcharpoly.oracle import dense_det, dense_poly_of_matrix, dense_rank
 from bbcharpoly.poly import FieldPoly
@@ -183,20 +183,6 @@ def symmetric_case(draw, primes):
 
 @SETTINGS
 @given(symmetric_case(ANY), SEEDS)
-def test_diagonal_preconditioner_is_d_a(case, seed):
-    p, rows, op = case
-    n = len(rows)
-    pre = _DiagonalPreconditioner(op, random.Random(seed))
-    d = list(map(int, pre.d))
-    assert all(0 < x < p for x in d)
-    v = [random.Random(seed + 1).randrange(p) for _ in range(n)]
-    w = [d[i] * sum(a * x for a, x in zip(row, v)) % p for i, row in enumerate(rows)]
-    assert pre.apply(np.array(v, dtype=np.int64)).tolist() == w
-    assert pre.cost == op.cost + n
-
-
-@SETTINGS
-@given(symmetric_case(ANY), SEEDS)
 def test_symmetric_rank_never_exceeds_dense(case, seed):
     p, rows, op = case
     assert rank_blackbox(op, random.Random(seed)) <= dense_rank(rows, p)
@@ -206,24 +192,51 @@ def test_symmetric_rank_never_exceeds_dense(case, seed):
 @given(symmetric_case(LARGE), SEEDS)
 def test_symmetric_rank_equals_dense_in_large_fields(case, seed):
     p, rows, op = case
-    assert rank_preconditioner(op) == "diagonal"
+    assert preconditioner(op) == "diagonal"
     assert rank_blackbox(op, random.Random(seed)) == dense_rank(rows, p)
 
 
 @SETTINGS
-@given(structured_case(ANY), SEEDS)
+@given(symmetric_case((59, 101) + LARGE), SEEDS)
+def test_symmetric_det_is_dense_or_uncertified(case, seed):
+    p, rows, op = case
+    try:
+        got = det_blackbox(op, random.Random(seed))
+    except DetNotCertifiedError:
+        return
+    assert got == dense_det(rows, p)
+
+
+@SETTINGS
+@given(symmetric_case(LARGE), SEEDS)
+def test_symmetric_det_equals_dense_in_large_fields(case, seed):
+    p, rows, op = case
+    assert preconditioner(op) == "diagonal"
+    assert det_blackbox(op, random.Random(seed)) == dense_det(rows, p)
+
+
+@settings(SETTINGS, max_examples=2 * SETTINGS.max_examples)
+@given(st.one_of(structured_case(ANY), symmetric_case(ANY)), SEEDS)
 def test_preconditioner_is_l_a_u_d(case, seed):
+    # the diagonal kind is the case L = U = I, that is A * D
     p, rows, op = case
     n = len(rows)
     pre = _Preconditioner(op, random.Random(seed))
-    lc, uc, d = (list(map(int, x)) for x in (pre.lc, pre.uc, pre.d))
-    assert lc[0] == uc[0] == 1 and all(d)
+    diagonal = preconditioner(op) == "diagonal"
+    assert (pre.lc is None) == (pre.uc is None) == diagonal
+    if diagonal:
+        lc = uc = [1] + [0] * (n - 1)
+    else:
+        lc, uc = list(map(int, pre.lc)), list(map(int, pre.uc))
+    d = list(map(int, pre.d))
+    assert lc[0] == uc[0] == 1 and all(0 < x < p for x in d)
     v = [random.Random(seed + 1).randrange(p) for _ in range(n)]
     w = [d[j] * v[j] % p for j in range(n)]
     w = [sum(uc[j - i] * w[j] for j in range(i, n)) % p for i in range(n)]  # U
     w = [sum(a * x for a, x in zip(row, w)) % p for row in rows]  # A
     w = [sum(lc[i - j] * w[j] for j in range(i + 1)) % p for i in range(n)]  # L
     assert pre.apply(np.array(v, dtype=np.int64)).tolist() == w
+    assert pre.cost == op.cost + n + (0 if diagonal else 2 * n * n)
     det_d = 1
     for x in d:
         det_d = det_d * x % p

@@ -5,8 +5,9 @@ p = 1000003 and p = 2^31 - 1, where convolutions longer than two terms take
 the 16-bit split path:
 
 * ``division``: `_divmod_mod_lists` on coefficient lists by `_long_division`
-  and by the array kernel (list conversions included), for dividend lengths
-  around ``_ARRAY_DIVISION_CUTOFF``;
+  and by the array kernel (list conversions included), for quotient lengths
+  m from 2 to 800 and divisor lengths around the edge
+  m * (len b - ``_ARRAY_STEPS_PER_COEFF``) = ``_ARRAY_FIXED_STEPS``;
 * ``gcd step``: one Euclid step (quotient length 2) on lists by
   `_long_division` and on arrays by `_divmod_arrays`, for divisor lengths
   around ``_GCD_ARRAY_CUTOFF``;
@@ -67,11 +68,13 @@ def main() -> None:
     for p in PRIMES:
         print(f"p = {p}, microseconds per call")
 
-        c = poly._ARRAY_DIVISION_CUTOFF
-        print(f"\ndivision (len a, len b); _ARRAY_DIVISION_CUTOFF = {c}")
+        k, w = poly._ARRAY_STEPS_PER_COEFF, poly._ARRAY_FIXED_STEPS
+        print(f"\ndivision (len a, len b); lists while m * (len b - {k}) < {w}")
         print(f"{'sizes':>14}{'list':>12}{'array':>12}")
-        for len_a in (c - 1, c, c + 1):
-            for len_b in (2, len_a // 2, len_a - 1):
+        for m in (2, 8, 32, 128, 800):
+            edge = k + -(-w // m)  # the shortest divisor that takes arrays
+            for len_b in sorted({2, edge - 1, edge, 2 * edge}):
+                len_a = m + len_b - 1
                 a, b = operands(len_a, len_b, p, rng)
 
                 def array_path():
