@@ -215,10 +215,31 @@ def test_symmetric_det_equals_dense_in_large_fields(case, seed):
     assert det_blackbox(op, random.Random(seed)) == dense_det(rows, p)
 
 
-@settings(SETTINGS, max_examples=2 * SETTINGS.max_examples)
-@given(st.one_of(structured_case(ANY), symmetric_case(ANY)), SEEDS)
+@SETTINGS
+@given(symmetric_case(LARGE), SEEDS)
+def test_diagonal_preconditioner_is_d_a(case, seed):
+    # the diagonal kind is A * D, which has the minimal polynomial of D * A
+    p, rows, op = case
+    n = len(rows)
+    assert preconditioner(op) == "diagonal"
+    pre = _Preconditioner(op, random.Random(seed))
+    assert pre.lc is None and pre.uc is None
+    d = list(map(int, pre.d))
+    assert all(0 < x < p for x in d)
+    v = [random.Random(seed + 1).randrange(p) for _ in range(n)]
+    w = [sum(a * d[j] * v[j] for j, a in enumerate(row)) % p for row in rows]
+    assert pre.apply(np.array(v, dtype=np.int64)).tolist() == w
+    assert pre.cost == op.cost + n
+    det_d = 1
+    for x in d:
+        det_d = det_d * x % p
+    assert pre.det_diag() == det_d
+
+
+@SETTINGS
+@given(structured_case(ANY), SEEDS)
 def test_preconditioner_is_l_a_u_d(case, seed):
-    # the diagonal kind is the case L = U = I, that is A * D
+    # a symmetric A in a large enough field takes the case L = U = I
     p, rows, op = case
     n = len(rows)
     pre = _Preconditioner(op, random.Random(seed))
