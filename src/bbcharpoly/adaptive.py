@@ -15,13 +15,15 @@ Four method names are exposed:
 without a usable discrete-log subprime, and otherwise compares the predicted
 rank-call load sum(j*d_i) against the index-calculus estimate k + 2*ceil(sqrt n).
 
-Every driver validates deg = n and the trace identity before returning and
-retries once with fresh randomness on an internal failure.
+Every nullity comes from one routine, ``_compute_nullity``; ``hybrid`` uses
+it for its cheap factors too.  ``charpoly_with_details`` validates deg = n
+and the trace identity (``degree_trace_residual``) before returning, and it
+owns the retries: an internal failure anywhere, a driver's included, reruns
+the whole pipeline once with fresh randomness.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -50,12 +52,13 @@ from .multiplicity import (
     _discriminate_by_det,
     _log_system,
     combinatorial_search,
+    degree_trace_residual,
     index_calculus,
     nullities_to_occurrences,
     profiles_from_factorization,
     solve_mod_p,
 )
-from .poly import FieldPoly, divide_out, factor, poly_gcd
+from .poly import FieldPoly, divide_out, factor, poly_gcd, product_of_powers
 
 METHODS = ("auto", "nullity-comb", "index", "hybrid", "invfact")
 
@@ -86,7 +89,6 @@ class TraceLog:
 @dataclass
 class AdaptiveConfig:
     threshold: int = 5
-    explosion_cap: int = 10**6
     method: str = "auto"
     seed: int | None = None
     trace_log: TraceLog | None = None
@@ -116,21 +118,16 @@ def _ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _charpoly_from(profiles, mults, p: int) -> FieldPoly:
-    out = FieldPoly.one(p)
-    for prof, m in zip(profiles, mults):
-        out = out * prof.poly**m
-    return out
-
-
 def _validate(A: BlackBoxOperator, profiles, mults) -> FieldPoly:
+    """prod P_i^m_i, once its degree is n and it meets the trace identity."""
     n, p = A.dimension, A.p
-    cp = _charpoly_from(profiles, mults, p)
-    if cp.degree != n:
-        raise AdaptiveError(f"charpoly degree {cp.degree} != {n}")
-    if (cp.coefficient(n - 1) + A.trace()) % p != 0:
+    deg_gap, trace_gap = degree_trace_residual(mults, profiles, n, A.trace(), p)
+    if deg_gap:
+        raise AdaptiveError(f"charpoly degree {n - deg_gap} != {n}")
+    if trace_gap:
         raise AdaptiveError("trace identity violated")
-    return cp
+    pairs = ((prof.poly, m) for prof, m in zip(profiles, mults))
+    return product_of_powers(pairs, FieldPoly.one(p))
 
 
 def _compute_nullity(A, prof, j, rng, cfg, previous=None):
@@ -185,38 +182,31 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
                         A, prof, ji + 1, rng, cfg
                     )
                 nus = [table.nullities[i][j] for j in range(1, table.frontier(i) + 1)]
-                if len(nus) >= 2 or prof.minpoly_mult == 1:
-                    counts = nullities_to_occurrences(
-                        nus, prof.degree, minpoly_mult=prof.minpoly_mult
-                    )
-                else:
-                    counts = []  # a single nullity only pins the block total
+                counts = nullities_to_occurrences(
+                    nus, prof.degree, minpoly_mult=prof.minpoly_mult
+                )
                 for j, c in enumerate(counts, start=1):
                     table.occurrences[i][j] = c
                 if len(counts) < prof.minpoly_mult:
-                    # residual block total from the frontier nullity step
-                    covered = len(counts)
-                    prev = table.nullities[i].get(covered, 0)
-                    tails[i] = (table.nullities[i][covered + 1] - prev) // prof.degree
+                    # nu_1 / d blocks in all; the unsolved slots hold the rest
+                    tails[i] = nus[0] // prof.degree - sum(counts)
             census = combinatorial_search(
                 A,
                 profiles,
                 table,
                 rng,
-                tail_counts=tails or None,
-                explosion_cap=cfg.explosion_cap,
+                tail_counts=tails,
                 trace_log=cfg.trace_log,
             )
-            mults = [
-                sum(j * c for (fi, j), c in census.items() if fi == i)
-                for i in range(len(profiles))
-            ]
-            _validate(A, profiles, mults)
             for (fi, j), c in census.items():
                 table.occurrences[fi][j] = c
             cfg._emit("census", table=table.to_json_dict())
-            return mults
-        except (InconsistentNullityError, NoCandidateError, AdaptiveError):
+            # the search kept only censuses that meet the degree/trace identity
+            return [
+                sum(j * c for (fi, j), c in census.items() if fi == i)
+                for i in range(len(profiles))
+            ]
+        except (InconsistentNullityError, NoCandidateError):
             if attempt == 1:
                 raise
             # estimate every nullity once more, keep the smaller, and retry
@@ -314,36 +304,14 @@ def _alg5_multiplicities(A, profiles, cfg, rng, minpoly, ctx, subprime):
         A, profiles, cfg, rng, minpoly, stop_size=cap, max_iters=cap
     )
     if live:
-        Q = FieldPoly.one(A.p)
-        for i in range(len(profiles)):
-            if i not in live:
-                Q = Q * profiles[i].poly ** mults[i]
         unknown = sorted(live)
-        result = None
-        for attempt in range(2):
-            try:
-                result = index_calculus(
-                    A,
-                    profiles,
-                    unknown,
-                    Q,
-                    ctx,
-                    subprime,
-                    rng,
-                    trace_log=cfg.trace_log,
-                )
-                break
-            except IndexCalculusFailure:
-                if attempt == 1:
-                    cfg._emit("fallback", to="nullity-comb")
-                    return nullity_comb_search(
-                        A,
-                        profiles,
-                        dataclasses.replace(
-                            cfg, explosion_cap=1 << 62, method="nullity-comb"
-                        ),
-                        rng,
-                    )
+        resolved = [i for i in range(len(profiles)) if i not in live]
+        known = product_of_powers(
+            ((profiles[i].poly, mults[i]) for i in resolved), FieldPoly.one(A.p)
+        )
+        result = index_calculus(
+            A, profiles, unknown, known, ctx, subprime, rng, trace_log=cfg.trace_log
+        )
         for i in unknown:
             mults[i] = result.multiplicities[i]
     return mults
@@ -370,10 +338,8 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
         if prof.degree == 1 and prof.minpoly_mult == 1
     ]
     for i in cheap:
-        # the factor divides the minimal polynomial, so A - a is singular
-        op = PolyOfMatrix(A, profiles[i].poly, 1)
-        mults[i] = n - rank_blackbox(op, rng, ceiling=n - 1)
-        cfg._emit("hybrid-nullity", factor=i, multiplicity=mults[i], ceiling=n - 1)
+        # all blocks of a multiplicity-one factor have size 1: m = nullity
+        mults[i] = _compute_nullity(A, profiles[i], 1, rng, cfg)
     rest = sorted(
         (i for i in range(len(profiles)) if mults[i] is None),
         key=lambda i: profiles[i].degree,
@@ -428,9 +394,9 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
     if not assignments:
         raise AdaptiveError("enumeration produced no candidate assignments")
 
-    q_base = FieldPoly.one(q)
-    for i in cheap:
-        q_base = q_base * profiles[i].poly ** mults[i]
+    q_base = product_of_powers(
+        ((profiles[i].poly, mults[i]) for i in cheap), FieldPoly.one(q)
+    )
 
     system = None
     if unknown:

@@ -33,6 +33,7 @@ from .poly import (
     gcd_free_basis,
     hensel_lift_basis,
     poly_gcd,
+    product_of_powers,
     squarefree_part,
 )
 
@@ -178,9 +179,7 @@ def lift_charpoly(
         raise BadPrimeError("basis does not cover the squarefree part")
     bound = charpoly_coeff_bound(n, max(1, A.max_abs()))
     lifted = hensel_lift_basis(S, list(basis.basis), p, bound)
-    out = IntPoly.one()
-    for g, mu in zip(lifted, basis.exponents):
-        out = out * g**mu
+    out = product_of_powers(zip(lifted, basis.exponents), IntPoly.one())
     if out.degree != n:
         raise BadPrimeError(f"lifted product has degree {out.degree}, wanted {n}")
     return out, lifted, list(basis.exponents)

@@ -2,9 +2,10 @@
 
 Three routes, combined by the adaptive drivers:
 
-* kernel dimensions: the nullity of P^e(A) is m*d, and the nullities of the
-  first powers P^j(A) decompose over the block census of the primary form,
-  so occurrence counts of small blocks fall out of a difference scheme;
+* kernel dimensions: the nullity of P^e(A) is m*d, and each step
+  nu_j - nu_{j-1} of the nullities of the first powers P^j(A) is d times the
+  number of blocks of size at least j, so occurrence counts of small blocks
+  are integer differences of these block totals;
 * combinatorial search: branch-and-bound over the unresolved block counts
   constrained by the total-degree and trace identities, with surviving
   candidates discriminated by determinants of shifted operators;
@@ -19,13 +20,16 @@ factor i occurs in the primary form; the multiplicity is m_i = sum j*n_{i,j}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .blackbox import BlackBoxOperator, ShiftedOperator, det_blackbox
 from .ff import DlogContext
 from .poly import Factorization, FieldPoly
+
+
+# combinatorial_search gives up beyond this many candidate censuses
+_EXPLOSION_CAP = 10**6
 
 
 class InconsistentNullityError(ArithmeticError):
@@ -110,43 +114,33 @@ def nullities_to_occurrences(
 ) -> list[int]:
     """Block counts n_1..n_t from consecutive nullities nu_1..nu_L.
 
-    With L nullities the difference scheme yields t = L-1 counts; when the
-    multiplicity e in the minimal polynomial is supplied and e <= L, the
-    terminal count n_e is also recovered (t = e).  All divisions must be
-    exact and all counts nonnegative, else the nullities were inconsistent
-    (a rank estimate failed) and the caller must recompute.
+    Each step nu_j - nu_{j-1} (nu_0 = 0) is d * b_j, where b_j is the number
+    of blocks of size at least j, and n_j = b_j - b_{j+1}.  So L nullities
+    give t = L-1 counts; when the multiplicity e in the minimal polynomial is
+    supplied and e <= L, no block exceeds e (b_{e+1} = 0) and t = e.  Every
+    step must be a nonnegative multiple of d and every count nonnegative,
+    else the nullities were inconsistent (a rank estimate failed) and the
+    caller must recompute.
     """
     nus = [int(v) for v in nullities]
     L = len(nus)
     d = degree
     if L == 0:
         raise ValueError("need at least one nullity")
-    if minpoly_mult is not None and minpoly_mult <= L:
-        target = minpoly_mult
-    else:
-        target = L - 1
-    if target < 1:
-        raise ValueError("not enough nullities to determine any block count")
-    counts: list[int] = []
-    for j in range(1, target + 1):
-        if j == 1:
-            if L >= 2:
-                val = Fraction(2 * nus[0] - nus[1], d)
-            else:  # L == 1 is only allowed when e == 1: nu_1 = n_1 * d
-                val = Fraction(nus[0], d)
-        elif j + 1 <= L:
-            val = (
-                Fraction(nus[j - 2], j - 1) + nus[j - 1] - nus[j]
-            ) / d - Fraction(sum(k * counts[k - 1] for k in range(1, j)), j - 1)
-        else:  # j == minpoly_mult == L: terminal formula
-            val = Fraction(nus[j - 1], j * d) - Fraction(
-                sum(k * counts[k - 1] for k in range(1, j)), j
-            )
-        if val.denominator != 1 or val < 0:
+    blocks = []  # b_1..b_L
+    for j, (prev, nu) in enumerate(zip([0] + nus, nus), start=1):
+        b, r = divmod(nu - prev, d)
+        if r or b < 0:
             raise InconsistentNullityError(
-                f"block count for power {j} came out as {val}"
+                f"nullity step {nu - prev} at power {j} is not a nonnegative "
+                f"multiple of {d}"
             )
-        counts.append(int(val))
+        blocks.append(b)
+    t = minpoly_mult if minpoly_mult is not None and minpoly_mult <= L else L - 1
+    blocks.append(0)  # b_{L+1} is only read when t = e = L
+    counts = [blocks[j] - blocks[j + 1] for j in range(t)]
+    if any(c < 0 for c in counts):
+        raise InconsistentNullityError(f"block counts {counts} are not all >= 0")
     return counts
 
 
@@ -169,17 +163,18 @@ def combinatorial_search(
     rng,
     *,
     tail_counts: dict[int, int] | None = None,
-    explosion_cap: int = 10**6,
     trace_log=None,
 ) -> dict:
     """Complete the block census by branch-and-bound plus det discrimination.
 
     Candidates satisfy the total-degree equation, the trace identity, the
     known counts in ``known``, optional per-factor residual block totals
-    (``tail_counts``), and n_{i,e_i} >= 1.  Surviving candidates are then
-    discriminated by determinants of lambda*I - A at random lambda until all
-    survivors agree on the multiplicity vector; distinct censuses with equal
-    multiplicities describe the same characteristic polynomial.
+    (``tail_counts``, met exactly at the factor's last unknown slot), and
+    n_{i,e_i} >= 1; more than ``_EXPLOSION_CAP`` of them raise
+    SearchExplosionError.  Surviving candidates are then discriminated by
+    determinants of lambda*I - A at random lambda until all survivors agree
+    on the multiplicity vector; distinct censuses with equal multiplicities
+    describe the same characteristic polynomial.
 
     Returns {(i, j): count} covering every slot of every factor.
     """
@@ -205,17 +200,16 @@ def combinatorial_search(
     residual_degree = n - known_degree
     if residual_degree < 0:
         raise NoCandidateError("known block counts already exceed the dimension")
-    remaining_slots_per_factor = [0] * len(profiles)
-    for i, _ in unknown:
-        remaining_slots_per_factor[i] += 1
+    tails = dict(tail_counts or {})
+    last_slot = {i: pos for pos, (i, _) in enumerate(unknown) if i in tails}
 
     candidates: list[tuple[int, ...]] = []
     values = [0] * len(unknown)
 
-    def recurse(pos: int, rem: int, tails: dict[int, int] | None):
-        if len(candidates) > explosion_cap:
+    def recurse(pos: int, rem: int):
+        if len(candidates) > _EXPLOSION_CAP:
             raise SearchExplosionError(
-                f"more than {explosion_cap} candidate censuses"
+                f"more than {_EXPLOSION_CAP} candidate censuses"
             )
         if pos == len(unknown):
             if rem == 0:
@@ -225,25 +219,20 @@ def combinatorial_search(
         weight = profiles[i].degree * j
         lo = 1 if (j == profiles[i].minpoly_mult and known.occurrences[i].get(j) is None) else 0
         hi = rem // weight
-        if tails is not None and i in tails:
+        if i in tails:
             hi = min(hi, tails[i])
-            remaining_slots_per_factor[i] -= 1
-            if remaining_slots_per_factor[i] == 0:
+            if pos == last_slot[i]:
                 lo = max(lo, tails[i])
-                hi = min(hi, tails[i])
         for v in range(lo, hi + 1):
             values[pos] = v
-            if tails is not None and i in tails:
+            if i in tails:
                 tails[i] -= v
-            recurse(pos + 1, rem - v * weight, tails)
-            if tails is not None and i in tails:
+            recurse(pos + 1, rem - v * weight)
+            if i in tails:
                 tails[i] += v
         values[pos] = 0
-        if tails is not None and i in tails:
-            remaining_slots_per_factor[i] += 1
 
-    tails = dict(tail_counts) if tail_counts else None
-    recurse(0, residual_degree, tails)
+    recurse(0, residual_degree)
 
     def mult_vector(candidate) -> tuple[int, ...]:
         mults = [0] * len(profiles)

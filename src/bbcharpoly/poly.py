@@ -56,9 +56,12 @@ _ARRAY_FIXED_STEPS = 64
 # 2^31 - 1 (16 / 19 against 10 / 20); with one of 32 it wins (14 / 19 against
 # 19 / 41).
 _GCD_ARRAY_CUTOFF = 16
-# The Newton quotient beats the recurrence at 31 coefficients with a divisor
-# of 31 (78 against 105 at 1000003), not with one of 2 (69 against 44).
-_NEWTON_CUTOFF = 32
+# The series recurrence takes about m * min(m, len(b)) steps for a quotient
+# of m coefficients, Newton a few convolutions per doubling of m.  They are
+# even near a work of 512 at 1000003 ((len a, len b) = (47, 16): 52 / 53 by
+# recurrence / Newton) and between 1,024 and 2,048 at 2^31 - 1, where the
+# convolutions split ((79, 16): 156 / 204; (95, 32): 246 / 185).
+_NEWTON_WORK = 1024
 
 
 class BadPrimeError(ArithmeticError):
@@ -148,15 +151,16 @@ def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
     """(quotient, remainder) of stripped int64 coefficient arrays mod p; b nonzero.
 
     The quotient q has m = len(a) - deg b coefficients and rev(q) = rev(a) /
-    rev(b) mod X^m, from the top m of each: by the series recurrence below
-    ``_NEWTON_CUTOFF`` (Euclid's steps have m = 1 or 2), else by Newton.
+    rev(b) mod X^m, from the top m of each: by the series recurrence while
+    its work m * min(m, len(b)) is below ``_NEWTON_WORK`` (Euclid's steps
+    have m = 1 or 2), else by Newton.
     """
     db = len(b) - 1
     m = len(a) - db
     if m <= 0:
         return a[:0], a
     ra = a[::-1][:m]
-    if m < _NEWTON_CUTOFF:
+    if m * min(m, len(b)) < _NEWTON_WORK:
         ra, rb = ra.tolist(), b[::-1][:m].tolist()
         inv = pow(rb[0], -1, p)
         rq = []
@@ -203,6 +207,14 @@ def _long_division(a, b, m):
             for j in range(db + 1):
                 rem[k + j] = (rem[k + j] - q * b[j]) % m
     return _strip(quot), _strip(rem[:db])
+
+
+def product_of_powers(pairs, one):
+    """one * f1**e1 * f2**e2 * ... over the (f, e) in ``pairs``."""
+    out = one
+    for f, e in pairs:
+        out = out * f**e
+    return out
 
 
 def _power(base, e: int, one):
@@ -783,10 +795,7 @@ class Factorization:
     p: int
 
     def expand(self) -> FieldPoly:
-        out = FieldPoly.constant(self.unit, self.p)
-        for poly, mult in self.factors:
-            out = out * poly**mult
-        return out
+        return product_of_powers(self.factors, FieldPoly.constant(self.unit, self.p))
 
     def __iter__(self):
         return iter(self.factors)
@@ -904,10 +913,8 @@ class GcdFreeBasis:
     unit: int
 
     def expand(self, p: int) -> FieldPoly:
-        out = FieldPoly.constant(self.unit, p)
-        for g, e in zip(self.basis, self.exponents):
-            out = out * g**e
-        return out
+        pairs = zip(self.basis, self.exponents)
+        return product_of_powers(pairs, FieldPoly.constant(self.unit, p))
 
 
 def divide_out(f, g):

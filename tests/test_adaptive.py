@@ -26,7 +26,7 @@ from bbcharpoly.blackbox import (
     wiedemann_minpoly,
 )
 from bbcharpoly.ff import DlogContext, find_index_calculus_field
-from bbcharpoly.multiplicity import profiles_from_factorization
+from bbcharpoly.multiplicity import IndexCalculusFailure, profiles_from_factorization
 from bbcharpoly.oracle import dense_charpoly, dense_invariant_factors
 from bbcharpoly.poly import FieldPoly, factor
 
@@ -187,6 +187,7 @@ class TestDrivers:
         [
             (multiplicity, "det_blackbox", DetNotCertifiedError),
             (adaptive, "wiedemann_minpoly", MinpolyNotCertifiedError),
+            (adaptive, "index_calculus", IndexCalculusFailure),
         ],
     )
     def test_retries_a_kernel_failure(self, monkeypatch, module, name, error):

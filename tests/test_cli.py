@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from bbcharpoly.oracle import dense_charpoly
 from bbcharpoly.sms import SmsFormatError, emit_sms, parse_sms
 
 from helpers import ROOK_CUBE_CHARPOLY_SHA256, coeffs_digest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -448,3 +452,17 @@ class TestExitCodes:
         # the trace of the computation that ran is printed even though it failed
         events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert any(e["event"] == "method" for e in events)
+
+
+class TestExplainEvents:
+    def test_readme_lists_the_emitted_events(self):
+        # the README's `--explain` event list against the event names that
+        # the package passes to emit / _emit
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"with events\s+(.*?)\.\s", readme, re.S).group(1)
+        documented = set(re.findall(r"`([a-z-]+)`", listed))
+        emitted = set()
+        for path in (ROOT / "src" / "bbcharpoly").glob("*.py"):
+            source = path.read_text(encoding="utf-8")
+            emitted.update(re.findall(r"\b_?emit\(\s*\"([a-z-]+)\"", source))
+        assert documented == emitted

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbcharpoly.adaptive import TraceLog
 from bbcharpoly.blackbox import (
@@ -103,6 +106,53 @@ class TestNullitiesToOccurrences:
             ]
             got = nullities_to_occurrences(nus, d, minpoly_mult=e)
             assert got == [counts.get(j, 0) for j in range(1, e + 1)]
+
+    @staticmethod
+    @st.composite
+    def planted(draw):
+        """(d, counts n_1..n_e with n_e >= 1, nullities nu_1..nu_{e+1})."""
+        d = draw(st.integers(1, 3))
+        e = draw(st.integers(1, 5))
+        counts = draw(st.lists(st.integers(0, 3), min_size=e - 1, max_size=e - 1))
+        counts.append(draw(st.integers(1, 3)))
+        nus = [
+            d * sum(min(j, k) * c for k, c in enumerate(counts, start=1))
+            for j in range(1, e + 2)
+        ]
+        return d, counts, nus
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted())
+    def test_every_prefix_gives_the_planted_counts(self, case):
+        d, counts, nus = case
+        e = len(counts)
+        for L in range(1, e + 2):
+            assert nullities_to_occurrences(nus[:L], d) == counts[: L - 1]
+            want = counts if e <= L else counts[: L - 1]
+            assert nullities_to_occurrences(nus[:L], d, minpoly_mult=e) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_step_off_the_multiples_of_d_raises(self, data):
+        # valid steps d * b_j, then one step that is negative or not a multiple
+        d = data.draw(st.integers(1, 3))
+        blocks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+        steps = [d * b for b in blocks]
+        bad = data.draw(st.integers(-9, 9).filter(lambda s: s < 0 or s % d))
+        steps[data.draw(st.integers(0, len(steps) - 1))] = bad
+        e = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+        nus = list(itertools.accumulate(steps))
+        with pytest.raises(InconsistentNullityError):
+            nullities_to_occurrences(nus, d, minpoly_mult=e)
+
+    def test_steps_checked_before_any_count(self):
+        # d = 2: the steps 1, 1 and 3 are not multiples of d
+        with pytest.raises(InconsistentNullityError):
+            nullities_to_occurrences([1, 2], 2)
+        with pytest.raises(InconsistentNullityError):
+            nullities_to_occurrences([3], 2, minpoly_mult=2)
+        # one nullity and e > 1 pin no count, only the block total
+        assert nullities_to_occurrences([4], 2, minpoly_mult=2) == []
 
 
 class TestDegreeTraceResidual:

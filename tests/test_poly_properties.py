@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from bbcharpoly.poly import (
     _ARRAY_FIXED_STEPS,
     _ARRAY_STEPS_PER_COEFF,
-    _NEWTON_CUTOFF,
+    _NEWTON_WORK,
     FieldPoly,
     _distinct_degree,
     _divmod_arrays,
@@ -137,9 +137,11 @@ class TestDivision:
     @SETTINGS
     @given(st.data())
     def test_recurrence_newton_cutoff(self, data):
-        k = _NEWTON_CUTOFF
-        m = data.draw(st.sampled_from([k - 1, k, k + 1]))
-        len_b = data.draw(st.integers(1, 2 * k))
+        # the divisor lengths around m * min(m, len b) = w, for a quotient of m
+        w = _NEWTON_WORK
+        m = data.draw(st.sampled_from([31, 32, 33, 64, 65, 200]))
+        edge = -(-w // m)  # the shortest divisor that takes Newton
+        len_b = data.draw(st.sampled_from([edge - 1, edge, edge + 1, 2 * m]))
         self.check(data, m + len_b - 1, len_b)
 
     @SETTINGS
@@ -147,7 +149,7 @@ class TestDivision:
     def test_divisor_shorter_than_quotient(self, data):
         # rev(b) has fewer terms than the quotient and is padded with zeros
         len_b = data.draw(st.integers(1, 8))
-        m = data.draw(st.integers(len_b + 1, 3 * _NEWTON_CUTOFF))
+        m = data.draw(st.integers(len_b + 1, 2 * _NEWTON_WORK // len_b))
         self.check(data, m + len_b - 1, len_b)
 
     @SETTINGS

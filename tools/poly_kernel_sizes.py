@@ -12,8 +12,8 @@ the 16-bit split path:
   `_long_division` and on arrays by `_divmod_arrays`, for divisor lengths
   around ``_GCD_ARRAY_CUTOFF``;
 * ``quotient``: `_divmod_arrays` by the series recurrence and by the Newton
-  inverse, for quotient lengths around ``_NEWTON_CUTOFF`` and at the sizes
-  of the kernel's design table;
+  inverse, for quotient lengths m from 8 to 128 and divisor lengths around
+  the edge m * min(m, len b) = ``_NEWTON_WORK``;
 * ``product``: `_mul_mod_lists` (one convolution) against a schoolbook
   product of lists reduced mod p, by the shorter operand's length.
 
@@ -49,14 +49,14 @@ def operands(len_a: int, len_b: int, p: int, rng):
 
 def quotient_by(newton: bool, a, b, p):
     """`_divmod_arrays` with its recurrence/Newton choice forced."""
-    saved = poly._NEWTON_CUTOFF
-    poly._NEWTON_CUTOFF = 0 if newton else 1 << 30
+    saved = poly._NEWTON_WORK
+    poly._NEWTON_WORK = 0 if newton else 1 << 60
     try:
         av = np.array(a, dtype=np.int64)
         bv = np.array(b, dtype=np.int64)
         return usec(lambda: poly._divmod_arrays(av, bv, p))
     finally:
-        poly._NEWTON_CUTOFF = saved
+        poly._NEWTON_WORK = saved
 
 
 def row(label, cells):
@@ -102,12 +102,18 @@ def main() -> None:
                 ],
             )
 
-        c = poly._NEWTON_CUTOFF
-        print(f"\nquotient (len a, len b), m = len a - len b + 1; _NEWTON_CUTOFF = {c}")
+        w = poly._NEWTON_WORK
+        print(
+            f"\nquotient (len a, len b), m = len a - len b + 1; "
+            f"recurrence while m * min(m, len b) < {w}"
+        )
         print(f"{'sizes':>14}{'list':>12}{'recurrence':>12}{'Newton':>12}")
-        sizes = [(m + len_b - 1, len_b) for m in (c - 1, c, c + 1) for len_b in (2, m)]
-        sizes += [(4, 2), (31, 16), (31, 2), (60, 30), (121, 120), (121, 60)]
-        sizes += [(240, 120), (801, 400)]
+        sizes = []
+        for m in (8, 16, 32, 64, 128):
+            edge = -(-w // m)  # the shortest divisor that takes Newton
+            for len_b in sorted({2, edge // 2, edge, 2 * edge, m}):
+                if 2 <= len_b <= m:
+                    sizes.append((m + len_b - 1, len_b))
         for len_a, len_b in sizes:
             a, b = operands(len_a, len_b, p, rng)
             row(
