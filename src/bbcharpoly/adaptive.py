@@ -7,8 +7,9 @@ Four method names are exposed:
 * ``index``: invariant factors are peeled until at most ceil(sqrt(n)) factors
   remain unresolved, then one discrete-log system finishes the job;
 * ``hybrid``: kernel dimensions for the degree-one multiplicity-one factors,
-  an enumerated assignment block for the largest-degree factors, and one
-  shared elimination whose right-hand sides sweep the assignments;
+  an enumerated assignment block for the largest-degree factors, and the
+  same discrete-log system as ``index``, its right-hand side swept over the
+  assignments;
 * ``invfact``: invariant factors all the way down.
 
 ``auto`` short-circuits to nullity-comb for small factor counts or fields
@@ -49,14 +50,11 @@ from .multiplicity import (
     NoCandidateError,
     OccurrenceTable,
     SearchExplosionError,
-    _discriminate_by_det,
-    _log_system,
     combinatorial_search,
     degree_trace_residual,
     index_calculus,
     nullities_to_occurrences,
     profiles_from_factorization,
-    solve_mod_p,
 )
 from .poly import FieldPoly, divide_out, factor, poly_gcd, product_of_powers
 
@@ -304,33 +302,26 @@ def _alg5_multiplicities(A, profiles, cfg, rng, minpoly, ctx, subprime):
         A, profiles, cfg, rng, minpoly, stop_size=cap, max_iters=cap
     )
     if live:
-        unknown = sorted(live)
-        resolved = [i for i in range(len(profiles)) if i not in live]
-        known = product_of_powers(
-            ((profiles[i].poly, mults[i]) for i in resolved), FieldPoly.one(A.p)
-        )
+        known = {i: m for i, m in enumerate(mults) if i not in live}
         result = index_calculus(
-            A, profiles, unknown, known, ctx, subprime, rng, trace_log=cfg.trace_log
+            A, profiles, sorted(live), known, ctx, subprime, rng, trace_log=cfg.trace_log
         )
-        for i in unknown:
-            mults[i] = result.multiplicities[i]
+        for i, m in result.multiplicities.items():
+            mults[i] = m
     return mults
 
 
 def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
     """Kernel dimensions for cheap factors, enumeration for the big ones,
-    one shared elimination for the rest.
+    the discrete-log finisher (``index_calculus``) for the rest.
 
     The split s over the largest-degree factors minimizes the cost estimate
     2*m*n*Omega + (2/3)m^3 + 4*m^2*tau_s where m is the residual system
-    dimension and tau_s the number of enumerated assignments; every
-    assignment shifts the right-hand side of the same eliminated system, and
-    the assignments that satisfy the total-degree identity are discriminated
-    by determinants.
+    dimension and tau_s the number of enumerated assignments, all of which
+    the finisher sweeps over its one elimination.
     """
     profiles = list(profiles)
-    n, q = A.dimension, A.p
-    p = subprime
+    n = A.dimension
     mults: list[int | None] = [None] * len(profiles)
     cheap = [
         i
@@ -346,10 +337,6 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
         reverse=True,
     )
     known_degree = sum(mults[i] * profiles[i].degree for i in cheap)
-    if not rest:
-        if known_degree != n:
-            raise AdaptiveError("nullity-resolved degrees do not sum to n")
-        return [int(m) for m in mults]
 
     floor_degree = {i: profiles[i].degree * profiles[i].minpoly_mult for i in rest}
 
@@ -388,37 +375,23 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
         raise AdaptiveError("no feasible enumeration split")
     _, s, assignments = best
     cfg._emit("hybrid-split", s=s, assignments=len(assignments), system=len(rest) - s)
-    enum_set = rest[:s]
-    unknown = rest[s:]
-
     if not assignments:
         raise AdaptiveError("enumeration produced no candidate assignments")
-
-    q_base = product_of_powers(
-        ((profiles[i].poly, mults[i]) for i in cheap), FieldPoly.one(q)
+    result = index_calculus(
+        A,
+        profiles,
+        rest[s:],
+        {i: mults[i] for i in cheap},
+        ctx,
+        subprime,
+        rng,
+        enumerated=rest[:s],
+        assignments=assignments,
+        trace_log=cfg.trace_log,
     )
-
-    system = None
-    if unknown:
-        system = _log_system(
-            A, profiles, unknown, enum_set, q_base, ctx, p, rng, trace_log=cfg.trace_log
-        )
-    candidates = []
-    for assign in assignments:
-        cand = list(mults)
-        for i, m in zip(enum_set, assign):
-            cand[i] = m
-        if system is not None:
-            # every assignment only shifts the right-hand side
-            rhs = [
-                (b - sum(a * lg for a, lg in zip(assign, logs))) % p
-                for b, logs in zip(system.rhs, system.enum_logs)
-            ]
-            for i, m in zip(unknown, solve_mod_p(system.tracker, rhs)):
-                cand[i] = m
-        if sum(prof.degree * m for prof, m in zip(profiles, cand)) == n:
-            candidates.append(tuple(cand))
-    return list(_discriminate_by_det(A, profiles, candidates, rng, cfg.trace_log))
+    for i, m in result.multiplicities.items():
+        mults[i] = m
+    return mults
 
 
 def _choose_method(A, profiles, cfg) -> tuple[str, int | None]:

@@ -12,7 +12,7 @@ polynomial as a product of lifted factors.
 A prime is *bad* when the squarefree part stops being squarefree mod q,
 when the field minimal polynomial differs from the reduction of the integer
 one, or when the reassembled product has the wrong degree; bad primes are
-logged and retried (three strikes raise with diagnostics).
+logged and retried (three distinct bad primes raise with diagnostics).
 """
 
 from __future__ import annotations
@@ -185,6 +185,12 @@ def lift_charpoly(
     return out, lifted, list(basis.exponents)
 
 
+# distinct field primes tried before giving up, and the draws allowed to
+# find them (find_index_calculus_field often repeats a prime)
+_FIELD_ATTEMPTS = 3
+_FIELD_DRAWS = 32
+
+
 def _field_prime_floor(n: int) -> int:
     """Field size floor for the modular charpoly run: keep projection and
     certificate failure rates around 1/n^2 even at small dimensions."""
@@ -214,7 +220,9 @@ def integer_charpoly_with_details(
     floor = _field_prime_floor(n)
     bad: list[int] = []
     last_reason = None
-    for _ in range(3):
+    for _ in range(_FIELD_DRAWS):
+        if len(bad) == _FIELD_ATTEMPTS:
+            break
         q, _subprime = find_index_calculus_field(n, rng, min_q=floor)
         if q in bad:
             continue
@@ -245,7 +253,7 @@ def integer_charpoly_with_details(
             if cfg.trace_log is not None:
                 cfg.trace_log.emit("bad-prime", prime=q, reason=str(err))
     raise IntegerCharpolyError(
-        f"no good prime after 3 attempts: {last_reason}", bad_primes=bad
+        f"no good prime after {len(bad)} attempts: {last_reason}", bad_primes=bad
     )
 
 

@@ -11,7 +11,8 @@ Three routes, combined by the adaptive drivers:
   candidates discriminated by determinants of shifted operators;
 * discrete-log linear system: evaluating the factorization at random points
   and taking logs turns the unknown multiplicities into a linear system
-  solved modulo a prime divisor p > n of q - 1.
+  solved modulo a prime divisor p > n of q - 1 (``index_calculus``, the one
+  finisher of the ``index`` and ``hybrid`` drivers).
 
 Block counts n_{i,j} refer to the number of times the j-th power block of
 factor i occurs in the primary form; the multiplicity is m_i = sum j*n_{i,j}.
@@ -360,38 +361,49 @@ def solve_mod_p(tracker: _EchelonTracker, rhs) -> list[int]:
     return [int(v) for v in x]
 
 
-@dataclass
-class _LogSystem:
-    """Full-rank discrete-log rows and their right-hand sides, per lambda."""
-
-    tracker: _EchelonTracker
-    rhs: list[int]  # log det(lambda*I - A) - log known(lambda), mod (q-1) mod p
-    enum_logs: list[list[int]]  # log P_i(lambda) mod p of the enumerated factors
-    rows_sampled: int
-
-
-def _log_system(
+def index_calculus(
     A: BlackBoxOperator,
     profiles,
     unknown,
-    enumerated,
-    known: FieldPoly,
+    known: dict[int, int],
     ctx: DlogContext,
-    p: int,
+    subprime: int,
     rng,
     *,
+    enumerated=(),
+    assignments=((),),
     trace_log=None,
-) -> _LogSystem:
-    """Rows log P_j(lambda) mod p, j in ``unknown``, at random lambda until
-    they reach full rank; determinants det(lambda*I - A) are then taken only
-    for the chosen rows, in order.
+) -> IndexCalculusResult:
+    """Multiplicities of the ``unknown`` and ``enumerated`` factors from one
+    discrete-log system mod ``subprime``, a prime p > n dividing q - 1.
 
-    Each attempt draws one lambda with ``rng.randrange(q)``; it is kept when
-    it is new and neither the known part nor any unknown or enumerated factor
-    vanishes there.  Fails after n rows
-    without full rank.
+    ``known`` maps each resolved factor to its multiplicity, K being the
+    product of their powers.  Rows log P_j(lambda) mod p, j in ``unknown``,
+    are stacked for random lambda (new, with K and every unknown or
+    enumerated factor nonzero there) until they reach full rank; the
+    determinants det(lambda*I - A) of the chosen rows then give right-hand
+    sides log det - log K(lambda) mod (q-1) mod p.  Each assignment of
+    multiplicities to the ``enumerated`` factors only shifts them by
+    sum m_i log P_i(lambda), so one elimination solves every assignment.
+    The full vectors that meet the total-degree identity are discriminated
+    by determinants at random lambda (one survivor draws nothing).  Fails
+    after n rows without full rank, or when no vector meets the identity.
     """
+    profiles = list(profiles)
+    unknown, enumerated = list(unknown), list(enumerated)
     n, q = A.dimension, A.p
+    p = subprime
+    if ctx.q != q:
+        raise ValueError("dlog context field differs from the operator field")
+    if (q - 1) % p != 0 or p <= n:
+        raise ValueError("subprime must divide q-1 and exceed the dimension")
+
+    def known_at(lam: int) -> int:
+        value = 1
+        for i, m in known.items():
+            value = value * pow(profiles[i].poly(lam), m, q) % q
+        return value
+
     k = len(unknown)
     guarded = [profiles[j].poly for j in (*unknown, *enumerated)]
     tracker = _EchelonTracker(k, p)
@@ -403,7 +415,7 @@ def _log_system(
             raise IndexCalculusFailure(f"no full-rank system after {rows_sampled} rows")
         for _ in range(64 * (n + 4)):
             lam = rng.randrange(q)
-            if lam not in used and known(lam) != 0 and all(f(lam) != 0 for f in guarded):
+            if lam not in used and known_at(lam) != 0 and all(f(lam) != 0 for f in guarded):
                 break
         else:
             raise IndexCalculusFailure("could not sample an evaluation point")
@@ -420,48 +432,25 @@ def _log_system(
             raise IndexCalculusFailure(
                 "determinant vanished at a guarded evaluation point"
             )
-        rhs.append((ctx.dlog(det) - ctx.dlog(known(lam))) % (q - 1) % p)
+        rhs.append((ctx.dlog(det) - ctx.dlog(known_at(lam))) % (q - 1) % p)
         enum_logs.append([ctx.dlog(profiles[i].poly(lam)) % p for i in enumerated])
-    return _LogSystem(tracker, rhs, enum_logs, rows_sampled)
 
-
-def index_calculus(
-    A: BlackBoxOperator,
-    profiles,
-    unknown_indices,
-    Q: FieldPoly,
-    ctx: DlogContext,
-    subprime: int,
-    rng,
-    *,
-    trace_log=None,
-) -> IndexCalculusResult:
-    """Multiplicities of the unresolved factors via a discrete-log system.
-
-    Rows log P_j(lambda) mod (q-1) mod p are stacked for random lambda until
-    the system has full rank k; determinants det(lambda_i I - A) are then
-    taken only for the k chosen rows.  Fails after n rows without full rank,
-    or when the solution violates the total-degree identity.
-    """
-    profiles = list(profiles)
-    unknown = list(unknown_indices)
-    if not unknown:
-        raise ValueError("no unknown multiplicities to solve for")
-    n = A.dimension
-    q = A.p
-    if ctx.q != q:
-        raise ValueError("dlog context field differs from the operator field")
-    if (q - 1) % subprime != 0 or subprime <= n:
-        raise ValueError("subprime must divide q-1 and exceed the dimension")
-    system = _log_system(
-        A, profiles, unknown, (), Q, ctx, subprime, rng, trace_log=trace_log
+    order = [*enumerated, *unknown, *known]
+    candidates = []
+    for assign in assignments:
+        shifted = [
+            (b - sum(a * lg for a, lg in zip(assign, logs))) % p
+            for b, logs in zip(rhs, enum_logs)
+        ]
+        vector = (*assign, *solve_mod_p(tracker, shifted), *known.values())
+        if sum(profiles[i].degree * m for i, m in zip(order, vector)) == n:
+            candidates.append(vector)
+    if not candidates:
+        raise IndexCalculusFailure(f"degree check failed: no solution has degree {n}")
+    winner = _discriminate_by_det(
+        A, [profiles[i] for i in order], candidates, rng, trace_log
     )
-    solution = solve_mod_p(system.tracker, system.rhs)
-    mults = dict(zip(unknown, solution))
-    total = sum(profiles[j].degree * mults[j] for j in unknown)
-    q_degree = Q.degree if Q.degree > 0 else 0
-    if total + q_degree != n:
-        raise IndexCalculusFailure(f"degree check failed: {total} + {q_degree} != {n}")
+    mults = dict(zip((*enumerated, *unknown), winner))  # known ones last
     if trace_log is not None:
-        trace_log.emit("ic-solved", rows=system.rows_sampled, multiplicities=mults)
-    return IndexCalculusResult(mults, system.rows_sampled)
+        trace_log.emit("ic-solved", rows=rows_sampled, multiplicities=mults)
+    return IndexCalculusResult(mults, rows_sampled)

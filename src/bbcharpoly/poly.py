@@ -34,6 +34,7 @@ matrix of f (``_frobenius``) and takes one gcd per block of degrees.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -217,15 +218,15 @@ def product_of_powers(pairs, one):
     return out
 
 
-def _power(base, e: int, one):
-    """base**e by square-and-multiply, starting from ``one``."""
+def _power(base, e: int, one, mul=operator.mul):
+    """base**e by square-and-multiply under ``mul``, starting from ``one``."""
     if e < 0:
         raise ValueError("negative polynomial power")
     result = one
     while e:
         if e & 1:
-            result = result * base
-        base = base * base if e > 1 else base
+            result = mul(result, base)
+        base = mul(base, base) if e > 1 else base
         e >>= 1
     return result
 
@@ -622,15 +623,7 @@ class _Modulus:
         return (c[:n] - conv_mod(q, self.low, p)[:n]) % p
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        result = np.zeros(self.n, dtype=np.int64)
-        result[0] = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        return _power(a, e, self.vector(FieldPoly.one(self.p)), self.mul)
 
 
 def pow_mod(base: FieldPoly, exponent: int, modulus: FieldPoly) -> FieldPoly:

@@ -183,7 +183,7 @@ def test_criterion_5_discrete_log_rank_growth():
                 A.operator(q),
                 profiles,
                 list(range(len(profiles))),
-                FieldPoly.one(q),
+                {},
                 ctx,
                 p_sub,
                 rng,

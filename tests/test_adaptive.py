@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbcharpoly import adaptive, multiplicity
 from bbcharpoly.adaptive import (
@@ -303,6 +305,25 @@ class TestInvfactDriver:
         want = {(-1 % p, 1): 4, (-3 % p, 1): 3}
         for prof, m in zip(profiles, got):
             assert want[prof.poly.coeffs] == m
+
+
+class TestOracleProperty:
+    """Every method against the dense oracle on drawn instances."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+    def test_every_method_equals_dense_charpoly(self, seed, planted):
+        rng = random.Random(seed)
+        if planted:
+            A, _, _, _, q, _ = random_census_instance(rng)
+        else:
+            n = rng.randrange(1, 25)
+            q, _ = find_index_calculus_field(n, rng)
+            A = random_sparse_matrix(n, q, rng)
+        want = dense_charpoly(A.to_dense(), q)
+        for method in adaptive.METHODS:
+            cfg = AdaptiveConfig(method=method, seed=rng.randrange(1 << 32))
+            assert blackbox_charpoly_field(A.operator(q), cfg) == want, method
 
 
 class TestPinnedWork:

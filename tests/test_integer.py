@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from bbcharpoly import integer
 from bbcharpoly.adaptive import AdaptiveConfig
 from bbcharpoly.blackbox import SparseMatrix, block_diagonal, build_companion
 from bbcharpoly.ff import next_prime
 from bbcharpoly.graphs import rook_graph, symmetric_power
 from bbcharpoly.integer import (
+    IntegerCharpolyError,
     charpoly_coeff_bound,
     integer_charpoly,
     integer_charpoly_with_details,
@@ -158,6 +160,19 @@ class TestIntegerCharpoly:
         for _ in range(10):
             prime = next_prime(prime)
             assert cp.reduce(prime) == dense_charpoly(m.to_dense(), prime)
+
+    def test_three_distinct_primes_before_giving_up(self, monkeypatch):
+        # the field-prime draw often repeats a prime; a repeat is no attempt
+        def always_bad(A, cfg):
+            raise BadPrimeError("every prime is bad here")
+
+        monkeypatch.setattr(integer, "charpoly_with_details", always_bad)
+        A = SparseMatrix(4, [(0, 0, 2), (0, 1, 1), (1, 1, 2), (2, 3, -1), (3, 2, 1)])
+        for seed in range(200):
+            with pytest.raises(IntegerCharpolyError) as info:
+                integer_charpoly(A, AdaptiveConfig(seed=seed))
+            bad = info.value.bad_primes
+            assert len(bad) == len(set(bad)) == 3, f"seed={seed}"
 
     def test_lifted_factor_report(self):
         A = int_diag([1, 1, 2])

@@ -26,7 +26,7 @@ from bbcharpoly.multiplicity import (
     profiles_from_factorization,
 )
 from bbcharpoly.oracle import dense_charpoly
-from bbcharpoly.poly import FieldPoly, factor
+from bbcharpoly.poly import factor
 
 from helpers import (
     linear,
@@ -277,7 +277,7 @@ class TestIndexCalculus:
             A.operator(11),
             profiles,
             [0, 1],
-            FieldPoly.one(11),
+            {},
             ctx,
             5,
             rng,
@@ -293,9 +293,7 @@ class TestIndexCalculus:
         A, _ = planted_primary_form([(linear(3, q), {2: 3})], q)
         profiles = [profile(linear(3, q), 2)]
         ctx = DlogContext(q)
-        out = index_calculus(
-            A.operator(q), profiles, [0], FieldPoly.one(q), ctx, p, rng
-        )
+        out = index_calculus(A.operator(q), profiles, [0], {}, ctx, p, rng)
         assert out.multiplicities == {0: 6}
 
     def test_companion_recovers_minpoly_multiplicities(self):
@@ -312,7 +310,7 @@ class TestIndexCalculus:
             A.operator(q),
             profiles,
             list(range(len(profiles))),
-            FieldPoly.one(q),
+            {},
             ctx,
             p,
             rng,
@@ -330,10 +328,9 @@ class TestIndexCalculus:
             profile(linear(7, q), 1),
             profile(linear(9, q), 3),
         ]
-        Q = linear(9, q) ** 3  # factor 2 already known: m = 3
         ctx = DlogContext(q)
         out = index_calculus(
-            A.operator(q), profiles, [0, 1], Q, ctx, p, rng
+            A.operator(q), profiles, [0, 1], {2: 3}, ctx, p, rng
         )
         assert out.multiplicities == {0: 3, 1: 2}
 
@@ -341,11 +338,72 @@ class TestIndexCalculus:
         rng = random.Random(15)
         q, p = find_index_calculus_field(6)
         A, _ = planted_primary_form([(linear(3, q), {1: 6})], q)
-        profiles = [profile(linear(3, q), 1)]
-        # lie about the known part: Q of wrong degree forces the check to fail
-        Q = linear(5, q) ** 2
+        profiles = [profile(linear(3, q), 1), profile(linear(5, q), 1)]
+        # lie about the known part: A has no factor x - 5
         with pytest.raises(IndexCalculusFailure):
-            index_calculus(A.operator(q), profiles, [0], Q, ctx_for(q), p, rng)
+            index_calculus(A.operator(q), profiles, [0], {1: 2}, ctx_for(q), p, rng)
+
+    def test_assignments_discriminated_by_determinant(self):
+        # every assignment meets the degree identity, so only determinants
+        # can tell the planted one apart
+        rng = random.Random(17)
+        q, p = find_index_calculus_field(6)
+        A, mults = planted_primary_form(
+            [(linear(2, q), {1: 2}), (linear(7, q), {1: 1, 2: 1}), (linear(4, q), {1: 1})],
+            q,
+        )
+        assert mults == [2, 3, 1]
+        profiles = [profile(linear(2, q), 1), profile(linear(7, q), 2), profile(linear(4, q), 1)]
+        log = TraceLog()
+        out = index_calculus(
+            A.operator(q),
+            profiles,
+            [],
+            {2: 1},
+            ctx_for(q),
+            p,
+            rng,
+            enumerated=[0, 1],
+            assignments=[(1, 4), (2, 3), (3, 2)],
+            trace_log=log,
+        )
+        assert out.multiplicities == {0: 2, 1: 3}
+        assert out.rows_sampled == 0
+        assert any(e["event"] == "search-det" for e in log.events)
+        assert [e["event"] for e in log.events][-1] == "ic-solved"
+
+    def test_assignment_sweep_solves_the_rest(self):
+        rng = random.Random(18)
+        q, p = find_index_calculus_field(9)
+        f = rand_irreducible(2, q, rng)
+        A, mults = planted_primary_form(
+            [(f, {1: 2}), (linear(3, q), {2: 1}), (linear(8, q), {1: 1})], q
+        )
+        profiles = [profile(f, 1), profile(linear(3, q), 2), profile(linear(8, q), 1)]
+        out = index_calculus(
+            A.operator(q),
+            profiles,
+            [1, 2],
+            {},
+            ctx_for(q),
+            p,
+            rng,
+            enumerated=[0],
+            assignments=[(1,), (2,), (3,)],
+        )
+        assert out.multiplicities == {0: 2, 1: 2, 2: 1}
+
+    def test_nothing_to_solve_draws_nothing(self):
+        q, p = find_index_calculus_field(6)
+        A, _ = planted_primary_form([(linear(3, q), {1: 6})], q)
+        rng = random.Random(19)
+        state = rng.getstate()
+        out = index_calculus(
+            A.operator(q), [profile(linear(3, q), 1)], [], {0: 6}, ctx_for(q), p, rng
+        )
+        assert out.multiplicities == {}
+        assert out.rows_sampled == 0
+        assert rng.getstate() == state
 
 
 def ctx_for(q):
@@ -381,7 +439,7 @@ class TestCrossMethodAgreement:
                 op,
                 profiles,
                 list(range(len(profiles))),
-                FieldPoly.one(q),
+                {},
                 ctx_for(q),
                 p,
                 work,

@@ -157,6 +157,7 @@ def sms(n: int, entries) -> str:
 
 
 def run(argv, text: str):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(text)
     try:
@@ -166,8 +167,7 @@ def run(argv, text: str):
         code = f"raised {type(exc).__name__}"
     finally:
         sys.stdin = stdin
-    digest = hashlib.sha256((out.getvalue() + "\0" + err.getvalue()).encode())
-    return code, out.getvalue(), digest.hexdigest()
+    return code, out.getvalue(), err.getvalue()
 
 
 def runs():
@@ -188,7 +188,8 @@ def digest_all() -> tuple[str, str]:
     """(answers digest, final digest) over every run."""
     total, answers = hashlib.sha256(), hashlib.sha256()
     for label, argv, text in runs():
-        code, stdout, digest = run(argv, text)
+        code, stdout, stderr = run(argv, text)
+        digest = hashlib.sha256((stdout + "\0" + stderr).encode()).hexdigest()
         line = f"{label} exit={code} {digest}"
         print(line, flush=True)
         total.update(line.encode() + b"\n")
