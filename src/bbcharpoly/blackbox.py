@@ -7,7 +7,11 @@ bounds below rely on that contract: a product of two canonical entries is at
 most (p - 1)^2.  Reduction is lazy: a kernel that sums ``terms`` products
 adds them raw and reduces once per output entry when
 ``terms * (p - 1)^2 < 2^63`` (``_lazy_sum_fits``), so the sum cannot
-overflow int64.  Otherwise it reduces every product first.
+overflow int64.  Otherwise it reduces every product first.  The Toeplitz
+preconditioner's two triangular factors are dense float64 matrices, applied
+by BLAS and reduced once per entry, while n * (p - 1)^2 < 2^53
+(``_float_sum_fits``, exact in float64) and n <= ``_DENSE_TOEPLITZ_MAX_N``
+= 1024; beyond either they are two convolutions (``conv_mod``).
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
 sequences, rank and determinant via a random preconditioner L * A * U * D
@@ -24,8 +28,17 @@ or X factor proves it, and a rank estimate that never exceeds the true rank
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .poly import FieldPoly, _lazy_sum_fits, _lazy_sum_terms, conv_mod, poly_lcm
+from .poly import (
+    _DENSE_TOEPLITZ_MAX_N,
+    FieldPoly,
+    _float_sum_fits,
+    _lazy_sum_fits,
+    _lazy_sum_terms,
+    conv_mod,
+    poly_lcm,
+)
 
 
 class MinpolyNotCertifiedError(ArithmeticError):
@@ -274,12 +287,32 @@ def preconditioner(A: BlackBoxOperator) -> str:
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
 
 
+def _dense_toeplitz(lc, uc, d, p):
+    """float64 L and U * D mod p: L lower unit-triangular Toeplitz with first
+    column lc, U upper with first row uc, D = diag(d)."""
+    n = len(d)
+    zeros = np.zeros(n - 1, dtype=np.int64)
+    # row i of L is lc[i], ..., lc[0], 0, ..., 0 and of U 0, ..., 0, uc[0],
+    # ..., uc[n-1-i]: windows of one padded copy, last window first
+    L = sliding_window_view(np.concatenate([lc[::-1], zeros]), n)[::-1]
+    U = sliding_window_view(np.concatenate([zeros, uc]), n)[::-1]
+    return L.astype(np.float64), (U * d % p).astype(np.float64)
+
+
 class _Preconditioner(BlackBoxOperator):
     """L * A * U * D with unit-triangular Toeplitz L, U and a diagonal D.
 
     Serves both kernels; ``preconditioner(A)`` picks its kind.  ``toeplitz``
     draws L, U and D.  ``diagonal`` draws only D and takes L = U = I, that
     is A * D (``lc`` and ``uc`` are None).
+
+    A Toeplitz apply is two dense float64 products, L and U * D, built once
+    from ``lc``, ``uc`` and ``d`` (`_dense_toeplitz`) and reduced once per
+    entry, while n * (p - 1)^2 < 2^53 (``_float_sum_fits``: every partial
+    sum is then exact) and n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024 (the two
+    take 16 n^2 bytes).  Beyond either, as for p = 2^31 - 1 at every n and
+    for n > 1024 at every p, it is a scaling by D and two convolutions
+    (``conv_mod``).
 
     Toeplitz.  Rank: the triangular pair forces a generic rank profile with
     high probability (Kaltofen and Saunders, 1991; two-sided diagonals alone
@@ -331,7 +364,7 @@ class _Preconditioner(BlackBoxOperator):
     def __init__(self, base: BlackBoxOperator, rng):
         n, p = base.dimension, base.p
         toeplitz = preconditioner(base) == "toeplitz"
-        # the diagonal scaling, and for Toeplitz two dense length-n convolutions
+        # the diagonal scaling, and for Toeplitz two dense n x n triangular products
         super().__init__(n, p, cost=base.cost + n + (2 * n * n if toeplitz else 0))
         self.base = base
         self.lc = self.uc = None
@@ -343,6 +376,9 @@ class _Preconditioner(BlackBoxOperator):
                 [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
             )
         self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
+        self._l = self._ud = None
+        if toeplitz and n <= _DENSE_TOEPLITZ_MAX_N and _float_sum_fits(n, p):
+            self._l, self._ud = _dense_toeplitz(self.lc, self.uc, self.d, p)
 
     def det_diag(self) -> int:
         out = 1
@@ -352,6 +388,9 @@ class _Preconditioner(BlackBoxOperator):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         n, p = self.dimension, self.p
+        if self._ud is not None:
+            w = (self._ud @ v).astype(np.int64) % p
+            return (self._l @ self.base.apply(w)).astype(np.int64) % p
         w = self.d * v % p
         if self.lc is None:
             return self.base.apply(w)

@@ -96,6 +96,27 @@ def _lazy_sum_fits(terms: int, p: int) -> bool:
     return terms <= _lazy_sum_terms(p)
 
 
+def _float_sum_fits(terms: int, p: int) -> bool:
+    """Whether a float64 dot product of ``terms`` residues mod p is exact.
+
+    While terms * (p - 1)^2 < 2^53 every product and partial sum is a
+    nonnegative integer below 2^53, which float64 holds exactly, so neither
+    the summation order nor a fused multiply-add can change the result
+    (32 terms for p near 2^24, about 2^13 for p near 2^20, none for
+    p = 2^31 - 1).
+    """
+    return terms * (p - 1) ** 2 < 1 << 53
+
+
+# The largest n for which the Toeplitz preconditioner keeps its two factors as
+# dense float64 matrices (16 n^2 bytes, 16 MiB at the cap).  The "Toeplitz
+# apply" table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003:
+# two conv_mods against two dense products with the build amortised over 2n
+# applies, 17 / 11 us at n = 40, 52 / 17 at 120, 567 / 291 at 560 and 2,120 /
+# 867 at 1024.  The dense kernel wins at every n; the cap bounds its memory.
+_DENSE_TOEPLITZ_MAX_N = 1024
+
+
 def _check_split_sum(terms: int, p: int) -> None:
     """Raise unless ``terms`` products of a residue mod p and a 16-bit half fit int64.
 

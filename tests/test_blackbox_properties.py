@@ -4,6 +4,9 @@ A kernel that sums ``terms`` raw products of residues takes the lazy path
 only while terms * (p - 1)^2 < 2^63.  The bound tests put all-(p - 1)
 inputs on both sides of that flip, where a lazy sum one step past it wraps
 int64 and gives a wrong residue; the property tests cover random operators.
+The Toeplitz preconditioner's dense float64 factors have the same kind of
+edge at n * (p - 1)^2 < 2^53, tested at its boundary and with all-(p - 1)
+factors at the largest n it admits.
 
 The next section checks the early-terminated minimal polynomial and the
 rank ceiling against the dense oracle on operators whose minimal polynomial
@@ -24,6 +27,7 @@ from bbcharpoly import blackbox
 from bbcharpoly.adaptive import AdaptiveConfig, charpoly_with_details, invariant_factor
 from bbcharpoly.blackbox import (
     BerlekampMassey,
+    BlackBoxOperator,
     CountingOperator,
     DetNotCertifiedError,
     LowRankPerturbation,
@@ -32,6 +36,7 @@ from bbcharpoly.blackbox import (
     ShiftedOperator,
     SparseMatrix,
     _dot_mod,
+    _Preconditioner,
     _early_stop_run,
     block_diagonal,
     build_block_jordan,
@@ -43,7 +48,7 @@ from bbcharpoly.blackbox import (
 from bbcharpoly.cli import main
 from bbcharpoly.integer import integer_minpoly
 from bbcharpoly.oracle import dense_det, dense_minpoly, dense_rank
-from bbcharpoly.poly import FieldPoly, _lazy_sum_fits
+from bbcharpoly.poly import FieldPoly, _float_sum_fits, _lazy_sum_fits
 from bbcharpoly.sms import emit_sms
 
 M31 = (1 << 31) - 1  # the Mersenne prime: 2 products of p - 1 fit, 3 do not
@@ -51,6 +56,7 @@ P4 = 1358187923  # prime with 4 * (p - 1)^2 < 2^63 <= 5 * (p - 1)^2
 # Not prime, but the sparse apply and the dot need only a modulus: two
 # products of p - 1 = 2^31 sum to exactly 2^63, one past the int64 maximum.
 EDGE = (1 << 31) + 1
+P24 = (1 << 24) - 3  # prime; 32 * (p - 1)^2 < 2^53 <= 33 * (p - 1)^2
 
 PRIMES = (3, 101, 65537, 1000003, M31)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -178,6 +184,52 @@ class TestLazyBound:
             for s in seq:
                 bm.add(s)
             assert bm.generator() == reference_generator(seq, p)
+
+
+class _Draws:
+    """Stands in for random.Random, returning the given values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, *_):
+        return next(self._values)
+
+
+class _AllMax(BlackBoxOperator):
+    """Maps every vector to the all-(p - 1) vector; keeps its last input."""
+
+    def apply(self, v):
+        self.seen = v.tolist()
+        return vec([self.p - 1] * self.dimension)
+
+
+class TestFloatBound:
+    @pytest.mark.parametrize("p", [2, 3, 227, 65537, 1000003, P24, M31])
+    def test_admits_the_largest_exact_length(self, p):
+        # at p = 2, 3 and 65537, (p - 1)^2 divides 2^53: the refused length
+        # sums to exactly 2^53, and only a strict bound refuses it
+        n = ((1 << 53) - 1) // (p - 1) ** 2
+        assert n * (p - 1) ** 2 < 1 << 53 <= (n + 1) * (p - 1) ** 2
+        assert _float_sum_fits(n, p)
+        assert not _float_sum_fits(n + 1, p)
+
+    @pytest.mark.parametrize("n, dense", [(32, True), (33, False)])
+    def test_toeplitz_apply_with_all_max_factors(self, n, dense):
+        # lc = (1, p-1, ...), uc = (1, 1, ...), d = (p-1, ...): L is p - 1
+        # below its unit diagonal and U * D is p - 1 on and above it
+        p = P24
+        assert _float_sum_fits(n, p) == dense
+        base = _AllMax(n, p, cost=0)
+        draws = [p - 1] * (n - 1) + [1] * (n - 1) + [p - 1] * n
+        pre = _Preconditioner(base, _Draws(draws))
+        assert (pre._ud is not None) == dense
+        L = [[p - 1 if j < i else int(i == j) for j in range(n)] for i in range(n)]
+        UD = [[p - 1 if j >= i else 0 for j in range(n)] for i in range(n)]
+        v = vec([p - 1] * n)
+        got = pre.apply(v).tolist()
+        assert base.seen == reference_matvec(UD, v, p)
+        assert got == reference_matvec(L, [p - 1] * n, p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,15 @@ the 16-bit split path:
 * ``product``: `_mul_mod_lists` (one convolution) against a schoolbook
   product of lists reduced mod p, by the shorter operand's length.
 
-Run from the root of a checkout:
+Last, the ``Toeplitz apply`` table times `blackbox._Preconditioner.apply`
+over an identity operator, for n in 40, 120, 560 and 1024 and p in 3001 and
+1000003: its two `conv_mod` calls against its two dense float64 products,
+the build of those (`_dense_toeplitz`) alone, and the dense apply with the
+build amortised over 2n applies.
 
-    PYTHONPATH=src python3 tools/poly_kernel_sizes.py
+Run from the root of a checkout, with one BLAS thread as the benchmark has:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/poly_kernel_sizes.py
 """
 
 from __future__ import annotations
@@ -29,9 +35,11 @@ import timeit
 
 import numpy as np
 
-from bbcharpoly import poly
+from bbcharpoly import blackbox, poly
 
 PRIMES = (1000003, (1 << 31) - 1)
+TOEPLITZ_PRIMES = (3001, 1000003)
+TOEPLITZ_SIZES = (40, 120, 560, 1024)
 
 
 def usec(fn) -> float:
@@ -61,6 +69,28 @@ def quotient_by(newton: bool, a, b, p):
 
 def row(label, cells):
     print(f"{label:>14}" + "".join(f"{c:>12.1f}" for c in cells))
+
+
+class Identity(blackbox.BlackBoxOperator):
+    """The n x n identity, so that an apply times only the preconditioner."""
+
+    def apply(self, v):
+        return v
+
+
+def toeplitz_apply(rng) -> None:
+    print("Toeplitz apply (n, p), microseconds per call; dense while")
+    print(f"n <= {poly._DENSE_TOEPLITZ_MAX_N} and n * (p - 1)^2 < 2^53")
+    print(f"{'sizes':>14}{'conv_mod':>12}{'dense':>12}{'build':>12}{'amortised':>12}")
+    for p in TOEPLITZ_PRIMES:
+        for n in TOEPLITZ_SIZES:
+            pre = blackbox._Preconditioner(Identity(n, p, cost=0), rng)
+            v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+            dense = usec(lambda: pre.apply(v))
+            build = usec(lambda: blackbox._dense_toeplitz(pre.lc, pre.uc, pre.d, p))
+            pre._l = pre._ud = None  # the conv_mod path
+            convs = usec(lambda: pre.apply(v))
+            row(f"({n}, {p})", [convs, dense, build, dense + build / (2 * n)])
 
 
 def main() -> None:
@@ -137,6 +167,7 @@ def main() -> None:
                 ],
             )
         print()
+    toeplitz_apply(rng)
 
 
 if __name__ == "__main__":
