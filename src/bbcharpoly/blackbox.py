@@ -31,7 +31,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .poly import (
-    _DENSE_TOEPLITZ_MAX_N,
     FieldPoly,
     _float_sum_fits,
     _lazy_sum_fits,
@@ -285,6 +284,15 @@ def preconditioner(A: BlackBoxOperator) -> str:
     """
     n = A.dimension
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
+
+
+# The largest n for which the Toeplitz preconditioner keeps its two factors as
+# dense float64 matrices (16 n^2 bytes, 16 MiB at the cap).  The "Toeplitz
+# apply" table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003:
+# two conv_mods against two dense products with the build amortised over 2n
+# applies, 17 / 11 us at n = 40, 52 / 17 at 120, 567 / 291 at 560 and 2,120 /
+# 867 at 1024.  The dense kernel wins at every n; the cap bounds its memory.
+_DENSE_TOEPLITZ_MAX_N = 1024
 
 
 def _dense_toeplitz(lc, uc, d, p):

@@ -180,11 +180,13 @@ def _fresh_primes(count: int, avoid=()) -> list[int]:
     return out
 
 
+def _refuse_verify_above(n: int, cap: int) -> None:
+    """Refuse a --verify run above its dense oracle's size cap, before any work."""
+    if n > cap:
+        raise UsageError(f"--verify refuses n > {cap} (n = {n})")
+
+
 def _verify_field(matrix: SparseMatrix, p: int, charpoly: FieldPoly):
-    if matrix.n > FIELD_VERIFY_CAP:
-        raise UsageError(
-            f"--verify over a field refuses n > {FIELD_VERIFY_CAP} (n = {matrix.n})"
-        )
     want = dense_charpoly(matrix.to_dense(), p)
     if want != charpoly:
         raise VerificationMismatch(
@@ -201,10 +203,6 @@ def _verify_integer(matrix: SparseMatrix, charpoly: IntPoly, field_prime: int):
                 "integer charpoly disagrees with the dense CRT oracle"
             )
         return
-    if n > INTEGER_VERIFY_REDUCTION_CAP:
-        raise UsageError(
-            f"--verify --integer refuses n > {INTEGER_VERIFY_REDUCTION_CAP}"
-        )
     dense = matrix.to_dense()
     for p in _fresh_primes(VERIFY_REDUCTION_PRIMES, avoid={field_prime}):
         if charpoly.reduce(p) != dense_charpoly(dense, p):
@@ -223,6 +221,9 @@ def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
     """
     cfg = _make_cfg(args)
     p = _field_modulus(args)
+    if verify:
+        cap = FIELD_VERIFY_CAP if p is not None else INTEGER_VERIFY_REDUCTION_CAP
+        _refuse_verify_above(matrix.n, cap)
     if p is not None:
         result = charpoly_with_details(matrix.operator(p), cfg)
         poly, method = result.charpoly, result.method
@@ -276,8 +277,9 @@ def cmd_minpoly(args) -> int:
     cfg = _make_cfg(args)
     rng = random.Random(cfg.seed)
     p = _field_modulus(args)
-    if args.verify and matrix.n > FIELD_VERIFY_CAP:
-        raise UsageError(f"--verify refuses n > {FIELD_VERIFY_CAP} (n = {matrix.n})")
+    if args.verify:
+        # the integer check runs the dense minimal polynomial at several primes
+        _refuse_verify_above(matrix.n, FIELD_VERIFY_CAP)
     if p is None and args.output == "factored":
         raise UsageError(
             "factored output of the integer minimal polynomial is not supported"

@@ -5,13 +5,14 @@ images modulo random word-size primes (with early termination once the
 symmetric-range reconstruction stabilizes and one fresh prime re-verifies
 it); a prime q with an index-calculus-friendly group structure is then
 drawn, the characteristic polynomial of A mod q is computed by the adaptive
-field driver, and a gcd-free basis of the squarefree part of the minimal
-polynomial is Hensel-lifted to recover the integer characteristic
-polynomial as a product of lifted factors.
+field driver, and a gcd-free basis of the squarefree part S of the minimal
+polynomial is Hensel-lifted, as far as a factor of S needs, to recover the
+integer characteristic polynomial as a product of lifted factors.
 
 A prime is *bad* when the squarefree part stops being squarefree mod q,
 when the field minimal polynomial differs from the reduction of the integer
-one, or when the reassembled product has the wrong degree; bad primes are
+one, when the lifted factors do not multiply to S exactly over Z, or when
+the reassembled product has the wrong degree or trace; bad primes are
 logged and retried (three distinct bad primes raise with diagnostics).
 """
 
@@ -58,25 +59,6 @@ def minpoly_coeff_bound(n: int, norm: int) -> int:
         raise ValueError("need n >= 1 and norm >= 1")
     bits = (n / 2) * (math.log2(n) + 2 * math.log2(norm) + 0.212)
     return max(1, math.ceil(bits))
-
-
-def charpoly_coeff_bound(n: int, norm: int) -> int:
-    """Conservative bound (1 + sqrt(n)*norm)**n on charpoly coefficients,
-    computed exactly: the integer-plus-sqrt(n) expansion x + y*sqrt(n) is
-    accumulated in integers and the ceiling taken at the end."""
-    norm = max(1, int(norm))
-    x = 0
-    y = 0
-    for k in range(n + 1):
-        term = math.comb(n, k) * norm**k * n ** (k // 2)
-        if k % 2 == 0:
-            x += term
-        else:
-            y += term
-    s = math.isqrt(y * y * n)
-    if s * s < y * y * n:
-        s += 1
-    return x + s
 
 
 def _random_minpoly_prime(rng, seen) -> int:
@@ -152,10 +134,11 @@ def lift_charpoly(
 
     Computes the squarefree part S of the integer minimal polynomial, a
     gcd-free basis of (S, minpoly, charpoly) mod p expressing the charpoly,
-    Hensel-lifts the basis against S to precision p**k > 2*(coefficient
-    bound), and returns the product of lifted factors raised to their
-    exponents, with the lifted factors and the exponents.  Violations of the
-    good-prime conditions raise BadPrimeError.
+    lifts the basis to the factors of S over Z (`hensel_lift_basis`, which
+    checks that they multiply to S exactly), and returns the product of
+    lifted factors raised to their exponents, with the lifted factors and
+    the exponents.  Violations of the good-prime conditions raise
+    BadPrimeError.
     """
     n = A.n
     if p <= n:
@@ -169,16 +152,7 @@ def lift_charpoly(
     basis = gcd_free_basis(
         [s_bar, minpoly_z.reduce(p), charpoly_mod_p], charpoly_mod_p
     )
-    residual = s_bar
-    for g in basis.basis:
-        q, r = divmod(residual, g)
-        if not r.is_zero:
-            raise BadPrimeError("basis element does not divide the squarefree part")
-        residual = q
-    if residual.degree != 0:
-        raise BadPrimeError("basis does not cover the squarefree part")
-    bound = charpoly_coeff_bound(n, max(1, A.max_abs()))
-    lifted = hensel_lift_basis(S, list(basis.basis), p, bound)
+    lifted = hensel_lift_basis(S, list(basis.basis), p)
     out = product_of_powers(zip(lifted, basis.exponents), IntPoly.one())
     if out.degree != n:
         raise BadPrimeError(f"lifted product has degree {out.degree}, wanted {n}")

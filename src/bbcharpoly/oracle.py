@@ -12,10 +12,11 @@ verify run stays in seconds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ff import next_prime
-from .integer import charpoly_coeff_bound
 from .poly import FieldPoly, IntPoly, crt_combine, poly_lcm
 
 
@@ -237,8 +238,32 @@ def dense_invariant_factors(matrix, p: int) -> list[FieldPoly]:
     return factors
 
 
+def charpoly_coeff_bound(n: int, norm: int) -> int:
+    """Conservative bound (1 + sqrt(n)*norm)**n on charpoly coefficients,
+    computed exactly: the integer-plus-sqrt(n) expansion x + y*sqrt(n) is
+    accumulated in integers and the ceiling taken at the end."""
+    norm = max(1, int(norm))
+    x = 0
+    y = 0
+    for k in range(n + 1):
+        term = math.comb(n, k) * norm**k * n ** (k // 2)
+        if k % 2 == 0:
+            x += term
+        else:
+            y += term
+    s = math.isqrt(y * y * n)
+    if s * s < y * y * n:
+        s += 1
+    return x + s
+
+
 def dense_integer_charpoly(matrix) -> IntPoly:
-    """Integer characteristic polynomial by CRT over word-size primes."""
+    """Integer characteristic polynomial by CRT over word-size primes.
+
+    The primes multiply past twice ``charpoly_coeff_bound``, a bound on the
+    coefficients of any n x n characteristic polynomial of that norm, so the
+    result needs nothing from the integer pipeline that it checks.
+    """
     arr = [[int(v) for v in row] for row in matrix]
     n = len(arr)
     norm = max((abs(v) for row in arr for v in row), default=0)

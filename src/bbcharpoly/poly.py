@@ -108,15 +108,6 @@ def _float_sum_fits(terms: int, p: int) -> bool:
     return terms * (p - 1) ** 2 < 1 << 53
 
 
-# The largest n for which the Toeplitz preconditioner keeps its two factors as
-# dense float64 matrices (16 n^2 bytes, 16 MiB at the cap).  The "Toeplitz
-# apply" table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003:
-# two conv_mods against two dense products with the build amortised over 2n
-# applies, 17 / 11 us at n = 40, 52 / 17 at 120, 567 / 291 at 560 and 2,120 /
-# 867 at 1024.  The dense kernel wins at every n; the cap bounds its memory.
-_DENSE_TOEPLITZ_MAX_N = 1024
-
-
 def _check_split_sum(terms: int, p: int) -> None:
     """Raise unless ``terms`` products of a residue mod p and a 16-bit half fit int64.
 
@@ -997,102 +988,76 @@ def gcd_free_basis(polys, target: FieldPoly) -> GcdFreeBasis:
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
-# Helpers on integer coefficient lists reduced mod m (canonical in [0, m)).
 
-
-def _zmod(a, m):
-    return _strip([c % m for c in a])
-
-
-def _zmul(a, b, m):
-    return _zmod(_imul_lists(a, b), m)
-
-
-def _zsub(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _zmod(out, m)
-
-
-def _zadd(a, b, m):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return _zmod(out, m)
+def _mod_coeffs(f: IntPoly, m: int) -> IntPoly:
+    """f with every coefficient reduced into [0, m)."""
+    return IntPoly([c % m for c in f.coeffs])
 
 
 def _hensel_pair(f, g, h, s, t, p: int, target_modulus: int):
     """Quadratically lift f = g*h from mod p to mod target_modulus.
 
-    f, g, h monic; s*g + t*h = 1 mod p with deg s < deg h, deg t < deg g.
-    Coefficient lists, canonical mod the current modulus.
+    IntPolys with coefficients in [0, current modulus): f, g, h monic, and
+    s*g + t*h = 1 mod p with deg s < deg h, deg t < deg g.
     """
     m = p
     while m < target_modulus:
-        m2 = min(m * m, target_modulus)
-        e = _zsub(_zmod(f, m2), _zmul(g, h, m2), m2)
-        q, r = _long_division(_zmul(s, e, m2), h, m2)
-        g = _zadd(g, _zadd(_zmul(t, e, m2), _zmul(q, g, m2), m2), m2)
-        h = _zadd(h, r, m2)
-        b = _zsub(_zadd(_zmul(s, g, m2), _zmul(t, h, m2), m2), [1], m2)
-        c, d = _long_division(_zmul(s, b, m2), h, m2)
-        s = _zsub(s, d, m2)
-        t = _zsub(t, _zadd(_zmul(t, b, m2), _zmul(c, g, m2), m2), m2)
-        m = m2
+        m = min(m * m, target_modulus)
+        e = _mod_coeffs(f - g * h, m)
+        q, r = map(IntPoly, _long_division((s * e).coeffs, h.coeffs, m))
+        g = _mod_coeffs(g + t * e + q * g, m)
+        h = _mod_coeffs(h + r, m)
+        if m == target_modulus:
+            break  # the last step needs no Bezout pair mod m
+        b = _mod_coeffs(s * g + t * h - 1, m)
+        c, d = map(IntPoly, _long_division((s * b).coeffs, h.coeffs, m))
+        s = _mod_coeffs(s - d, m)
+        t = _mod_coeffs(t - t * b - c * g, m)
     return g, h
 
 
-def _lift_tree(f, parts, p, modulus):
-    """Lift monic f (coeffs mod modulus) against the mod-p factor list."""
+def _lift_tree(f: IntPoly, parts, p: int, modulus: int):
+    """Lift monic f, coefficients in [0, modulus), against its mod-p factors."""
     if len(parts) == 1:
         return [f]
     mid = len(parts) // 2
-    left = parts[0]
-    for q in parts[1:mid]:
-        left = left * q
-    right = parts[mid]
-    for q in parts[mid + 1 :]:
-        right = right * q
+    left = reduce(operator.mul, parts[:mid])
+    right = reduce(operator.mul, parts[mid:])
     s, t = _bezout_mod_p(left, right)
-    g, h = _hensel_pair(
-        f,
-        list(left.coeffs),
-        list(right.coeffs),
-        list(s.coeffs),
-        list(t.coeffs),
-        p,
-        modulus,
-    )
+    pair = (IntPoly(x.coeffs) for x in (left, right, s, t))
+    g, h = _hensel_pair(f, *pair, p, modulus)
     return _lift_tree(g, parts[:mid], p, modulus) + _lift_tree(h, parts[mid:], p, modulus)
 
 
-def hensel_lift_basis(S: IntPoly, basis, p: int, precision_bound: int):
-    """Lift pairwise-coprime monic factors of S mod p to factors mod p^k.
+def hensel_lift_basis(S: IntPoly, basis, p: int):
+    """The monic factors of S over Z congruent to the factors ``basis`` mod p.
 
-    k is the smallest exponent with p^k > 2*precision_bound, so any factor
-    whose true integer coefficients are bounded by ``precision_bound`` is
-    recovered exactly in the symmetric range.
+    ``basis`` is a list of pairwise-coprime monic polynomials mod p.  A
+    monic factor of S has coefficients of at most B = 2^(deg S) * ||S||_2
+    (Mignotte; von zur Gathen and Gerhard, Modern Computer Algebra, 6.6), so
+    the lift runs to the smallest p^k > 2 * 2^(deg S) * (floor(||S||_2) + 1)
+    and reads each factor in the symmetric range.  Raises BadPrimeError
+    unless ``basis`` multiplies to S mod p, and unless the lifted factors
+    multiply to S exactly over Z.  Factors of S over Z congruent to
+    ``basis`` are unique (Hensel) and within the bound, so when that check
+    fails there are none.
     """
-    if not S.is_monic:
-        raise ValueError("Hensel lifting requires a monic target")
-    product = FieldPoly.one(p)
-    for g in basis:
-        if not g.is_monic:
-            raise ValueError("Hensel lifting requires monic basis elements")
-        product = product * g
-    if product != S.reduce(p):
-        raise ValueError("basis does not multiply to the target mod p")
+    if not S.is_monic or not all(g.is_monic for g in basis):
+        raise ValueError("Hensel lifting requires a monic target and basis")
+    if reduce(operator.mul, basis, FieldPoly.one(p)) != S.reduce(p):
+        raise BadPrimeError("basis does not multiply to the target mod p")
+    bound = 2**S.degree * (math.isqrt(sum(c * c for c in S.coeffs)) + 1)
     modulus = p
-    while modulus <= 2 * precision_bound:
+    while modulus <= 2 * bound:
         modulus *= p
-    f = _zmod(S.coeffs, modulus)
-    lifted = _lift_tree(f, list(basis), p, modulus)
     half = modulus // 2
-    out = []
-    for coeffs in lifted:
-        out.append(IntPoly([c - modulus if c > half else c for c in coeffs]))
-    return out
+    lifted = [
+        IntPoly([c - modulus if c > half else c for c in g.coeffs])
+        for g in _lift_tree(_mod_coeffs(S, modulus), list(basis), p, modulus)
+    ]
+    if reduce(operator.mul, lifted, IntPoly.one()) != S:
+        raise BadPrimeError("lifted factors do not multiply to the target over Z")
+    return lifted
 
 
 # ---------------------------------------------------------------------------

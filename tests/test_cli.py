@@ -19,6 +19,7 @@ from bbcharpoly.graphs import (
 )
 from bbcharpoly.integer import integer_charpoly
 from bbcharpoly.oracle import dense_charpoly
+from bbcharpoly.poly import FieldPoly
 from bbcharpoly.sms import SmsFormatError, emit_sms, parse_sms
 
 from helpers import ROOK_CUBE_CHARPOLY_SHA256, coeffs_digest
@@ -40,6 +41,11 @@ def write(tmp_path, name, text):
 
 DIAG112 = "3 3 M\n1 1 1\n2 2 1\n3 3 2\n0 0 0\n"
 PATH3 = "3 3 M\n1 2 1\n2 1 1\n2 3 1\n3 2 1\n0 0 0\n"
+
+
+def write_identity(tmp_path, n):
+    entries = "\n".join(f"{i} {i} 1" for i in range(1, n + 1))
+    return write(tmp_path, f"identity{n}.sms", f"{n} {n} M\n{entries}\n0 0 0\n")
 
 
 class TestSms:
@@ -274,12 +280,37 @@ class TestOtherCommands:
 
         monkeypatch.setattr(cli, "integer_minpoly", boom)
         monkeypatch.setattr(cli, "wiedemann_minpoly", boom)
-        n = 301
-        entries = "\n".join(f"{i} {i} 1" for i in range(1, n + 1))
-        path = write(tmp_path, "big.sms", f"{n} {n} M\n{entries}\n0 0 0\n")
+        path = write_identity(tmp_path, 301)
         code, _, err = run_cli(capsys, "minpoly", *flags, path)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("command", ["charpoly", "multiplicities", "verify"])
+    @pytest.mark.parametrize(
+        "flags, cap", [(("--field", "10007"), 300), (("--integer",), 1000)]
+    )
+    def test_verify_refusals_do_no_work(
+        self, capsys, tmp_path, monkeypatch, command, flags, cap
+    ):
+        from bbcharpoly import cli
+        from bbcharpoly.adaptive import AdaptiveError
+
+        calls = []
+
+        def pipeline(*args, **kwargs):
+            calls.append(args)
+            raise AdaptiveError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "charpoly_with_details", pipeline)
+        monkeypatch.setattr(cli, "integer_charpoly_with_details", pipeline)
+        verify = () if command == "verify" else ("--verify",)
+        # at the cap the pipeline runs (and fails here); one past it, nothing runs
+        for n, want in ((cap, 3), (cap + 1, 2)):
+            path = write_identity(tmp_path, n)
+            code, _, err = run_cli(capsys, command, *flags, *verify, path)
+            assert code == want
+        assert len(calls) == 1
+        assert f"--verify refuses n > {cap} (n = {cap + 1})" in err
 
     def test_minpoly_field_factored(self, capsys, tmp_path):
         path = write(tmp_path, "m.sms", DIAG112)
@@ -441,14 +472,26 @@ class TestExitCodes:
         assert "computation failed" in err
 
     def test_verify_field_size_cap(self, capsys, tmp_path):
-        n = 301
-        entries = "\n".join(f"{i} {i} 1" for i in range(1, n + 1))
-        path = write(tmp_path, "big.sms", f"{n} {n} M\n{entries}\n0 0 0\n")
+        path = write_identity(tmp_path, 301)
         code, _, err = run_cli(
             capsys, "verify", "--field", "10007", "--seed", "1", "--explain", path
         )
         assert code == 2
         assert "refuses" in err
+
+    def test_explain_prints_when_verification_fails(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from bbcharpoly import cli
+
+        # an oracle that disagrees with every answer
+        monkeypatch.setattr(cli, "dense_charpoly", lambda matrix, p: FieldPoly.one(p))
+        path = write(tmp_path, "m.sms", DIAG112)
+        code, _, err = run_cli(
+            capsys, "verify", "--field", "101", "--seed", "1", "--explain", path
+        )
+        assert code == 4
+        assert "verification mismatch" in err
         # the trace of the computation that ran is printed even though it failed
         events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert any(e["event"] == "method" for e in events)

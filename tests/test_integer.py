@@ -9,14 +9,18 @@ from bbcharpoly.ff import next_prime
 from bbcharpoly.graphs import rook_graph, symmetric_power
 from bbcharpoly.integer import (
     IntegerCharpolyError,
-    charpoly_coeff_bound,
     integer_charpoly,
     integer_charpoly_with_details,
     integer_minpoly,
     lift_charpoly,
     minpoly_coeff_bound,
 )
-from bbcharpoly.oracle import dense_charpoly, dense_integer_charpoly, dense_minpoly
+from bbcharpoly.oracle import (
+    charpoly_coeff_bound,
+    dense_charpoly,
+    dense_integer_charpoly,
+    dense_minpoly,
+)
 from bbcharpoly.poly import BadPrimeError, FieldPoly, IntPoly
 
 from helpers import random_sparse_integer_matrix
@@ -113,6 +117,16 @@ class TestLiftCharpoly:
         minpoly_z = IntPoly([6, -7, 1])
         with pytest.raises(BadPrimeError):
             lift_charpoly(A, minpoly_z, 5, minpoly_z.reduce(5))
+
+    def test_charpoly_that_is_no_integer_image_is_a_bad_prime(self):
+        # S = X^2 - 10X + 1 is irreducible over Z and splits mod 23 as
+        # (X - 4)(X - 6); (X - 4)^2 (X - 6) is the image of no integer
+        # charpoly whose squarefree part is S
+        S = IntPoly([1, -10, 1])
+        A = block_diagonal([build_companion(S), int_diag([5])])
+        charpoly = FieldPoly([-4, 1], 23) ** 2 * FieldPoly([-6, 1], 23)
+        with pytest.raises(BadPrimeError, match="over Z"):
+            lift_charpoly(A, S, 23, charpoly)
 
     def test_small_prime_rejected(self):
         A = int_diag([1, 1, 2])

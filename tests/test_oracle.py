@@ -1,5 +1,8 @@
+import ast
 import random
+from pathlib import Path
 
+from bbcharpoly import oracle
 from bbcharpoly.blackbox import build_block_jordan, build_companion
 from bbcharpoly.oracle import (
     dense_charpoly,
@@ -118,3 +121,17 @@ def test_integer_charpoly_trace_row():
         cp = dense_integer_charpoly(rows)
         assert cp.degree == n
         assert cp.coefficient(n - 1) == -sum(rows[i][i] for i in range(n))
+
+
+def test_oracle_imports_only_ff_and_poly():
+    # the oracle checks the pipeline, so it takes nothing from the code it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("bbcharpoly")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("bbcharpoly") for a in node.names)
+    assert package == {"ff", "poly"}

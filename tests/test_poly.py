@@ -1,12 +1,18 @@
+import functools
 import hashlib
+import operator
 import random
 
 import pytest
 
+from bbcharpoly import poly
+from bbcharpoly.ff import next_prime
 from bbcharpoly.poly import (
     BadPrimeError,
     FieldPoly,
     IntPoly,
+    _lift_tree,
+    _mod_coeffs,
     crt_combine,
     factor,
     gcd_free_basis,
@@ -295,12 +301,12 @@ class TestGcdFreeBasis:
 class TestHensel:
     def test_integral_factors_fixed_point(self):
         S = IntPoly([-1, 0, 1])
-        out = hensel_lift_basis(S, [linear(1, 5), linear(-1, 5)], 5, 10)
+        out = hensel_lift_basis(S, [linear(1, 5), linear(-1, 5)], 5)
         assert set(out) == {IntPoly([-1, 1]), IntPoly([1, 1])}
 
     def test_irreducible_passthrough(self):
         S = IntPoly([1, -10, 1])
-        out = hensel_lift_basis(S, [S.reduce(7)], 7, 100)
+        out = hensel_lift_basis(S, [S.reduce(7)], 7)
         assert out == [S]
 
     def test_quadratic_lift_product(self):
@@ -309,16 +315,22 @@ class TestHensel:
         p = 23
         basis = [linear(4, p), linear(6, p)]
         bound = 1000
-        out = hensel_lift_basis(S, basis, p, bound)
         modulus = p
         while modulus <= 2 * bound:
             modulus *= p
+        out = _lift_tree(_mod_coeffs(S, modulus), basis, p, modulus)
         prod = out[0] * out[1]
         assert all(
             (a - b) % modulus == 0 for a, b in zip(prod.coeffs, S.coeffs)
         )
         for lifted, orig in zip(out, basis):
             assert lifted.reduce(p) == orig
+
+    def test_split_without_integer_factors_is_a_bad_prime(self):
+        # the split of the irreducible X^2 - 10X + 1 mod 23 lifts to no
+        # factors over Z, and the exact product check says so
+        with pytest.raises(BadPrimeError, match="over Z"):
+            hensel_lift_basis(IntPoly([1, -10, 1]), [linear(4, 23), linear(6, 23)], 23)
 
     def test_random_lifts(self):
         rng = random.Random(9)
@@ -332,10 +344,10 @@ class TestHensel:
             fac = factor(red, rng)
             basis = [f for f, _ in fac.factors]
             bound = max(1000, S.max_abs())
-            out = hensel_lift_basis(S, basis, p, bound)
             modulus = p
             while modulus <= 2 * bound:
                 modulus *= p
+            out = _lift_tree(_mod_coeffs(S, modulus), basis, p, modulus)
             prod = IntPoly([1])
             for g in out:
                 prod = prod * g
@@ -346,20 +358,52 @@ class TestHensel:
                 b.coeffs for b in basis
             )
 
-    def test_precision_is_smallest_power(self):
-        # bound 1000 with p = 7: 7^3 = 343 <= 2000 < 7^4 = 2401, so the lift
-        # works mod 2401 and recovers coefficients up to 1200 exactly
-        basis = [linear(1200, 7), linear(-1, 7)]
-        S = IntPoly([-1200, 1]) * IntPoly([1, 1])
-        assert hensel_lift_basis(S, basis, 7, 1000) == [IntPoly([-1200, 1]), IntPoly([1, 1])]
-        # -1201 is congruent to 1200 mod 2401: one step past the precision
-        basis = [linear(1201, 7), linear(-1, 7)]
+    def test_precision_is_smallest_power(self, monkeypatch):
+        # S = (X - 1201)(X + 1) = X^2 - 1200X - 1201: ||S||_2 = 1697.4..., so
+        # 2 * 2^(deg S) * (floor(||S||_2) + 1) = 2 * 4 * 1698 = 13584, and
+        # 7^4 = 2401 <= 13584 < 7^5 = 16807
         S = IntPoly([-1201, 1]) * IntPoly([1, 1])
-        assert hensel_lift_basis(S, basis, 7, 1000)[0] == IntPoly([1200, 1])
+        assert S == IntPoly([-1201, -1200, 1])
+        seen = []
+        lift_tree = poly._lift_tree
+
+        def recording(f, parts, p, modulus):
+            seen.append(modulus)
+            return lift_tree(f, parts, p, modulus)
+
+        monkeypatch.setattr(poly, "_lift_tree", recording)
+        hensel_lift_basis(S, [linear(1201, 7), linear(-1, 7)], 7)
+        assert seen[0] == 7**5
+
+    def test_lift_comes_back_exact(self):
+        # -1201 is 1200 mod 7^4 = 2401: a lift one power short of the bound
+        # would read X + 1200 back
+        S = IntPoly([-1201, 1]) * IntPoly([1, 1])
+        out = hensel_lift_basis(S, [linear(1201, 7), linear(-1, 7)], 7)
+        assert out == [IntPoly([-1201, 1]), IntPoly([1, 1])]
+
+    def test_random_integer_factors_come_back_exact(self):
+        # products of random monic integer factors, lifted from their
+        # images mod a prime at which the images stay pairwise coprime
+        rng = random.Random(11)
+        checked = 0
+        while checked < 20:
+            factors = [
+                IntPoly([rng.randrange(-10**6, 10**6) for _ in range(d)] + [1])
+                for d in (rng.randrange(1, 6) for _ in range(rng.randrange(2, 5)))
+            ]
+            S = functools.reduce(operator.mul, factors)
+            p = next_prime(rng.randrange(50, 500))
+            red = S.reduce(p)
+            if squarefree_part(red) != red:
+                continue
+            out = hensel_lift_basis(S, [f.reduce(p) for f in factors], p)
+            assert out == factors
+            checked += 1
 
     def test_bad_basis_rejected(self):
-        with pytest.raises(ValueError):
-            hensel_lift_basis(IntPoly([-1, 0, 1]), [linear(1, 5)], 5, 10)
+        with pytest.raises(BadPrimeError):
+            hensel_lift_basis(IntPoly([-1, 0, 1]), [linear(1, 5)], 5)
 
 
 class TestCrt:

@@ -80,7 +80,7 @@ class Identity(blackbox.BlackBoxOperator):
 
 def toeplitz_apply(rng) -> None:
     print("Toeplitz apply (n, p), microseconds per call; dense while")
-    print(f"n <= {poly._DENSE_TOEPLITZ_MAX_N} and n * (p - 1)^2 < 2^53")
+    print(f"n <= {blackbox._DENSE_TOEPLITZ_MAX_N} and n * (p - 1)^2 < 2^53")
     print(f"{'sizes':>14}{'conv_mod':>12}{'dense':>12}{'build':>12}{'amortised':>12}")
     for p in TOEPLITZ_PRIMES:
         for n in TOEPLITZ_SIZES:
