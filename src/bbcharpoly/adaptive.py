@@ -3,7 +3,10 @@
 Four method names are exposed:
 
 * ``nullity-comb``: cheap kernel dimensions first (slots ordered by rising
-  j*d), the last few unknowns resolved by combinatorial search (threshold T);
+  j*d), the last few unknowns resolved by combinatorial search (threshold T).
+  Over GF(p) with p > n, a factor whose slots all fall among the last T
+  gets no rank call while the search and the determinants that certify
+  its census cost less than that call would;
 * ``index``: invariant factors are peeled until at most ceil(sqrt(n)) factors
   remain unresolved, then one discrete-log system finishes the job;
 * ``hybrid``: kernel dimensions for the degree-one multiplicity-one factors,
@@ -38,6 +41,7 @@ from .blackbox import (
     LowRankPerturbation,
     MinpolyNotCertifiedError,
     PolyOfMatrix,
+    _RANK_STREAK,
     preconditioner,
     rank_blackbox,
     wiedemann_minpoly,
@@ -50,8 +54,10 @@ from .multiplicity import (
     NoCandidateError,
     OccurrenceTable,
     SearchExplosionError,
+    _EXPLOSION_CAP,
     combinatorial_search,
     degree_trace_residual,
+    det_rounds,
     index_calculus,
     nullities_to_occurrences,
     profiles_from_factorization,
@@ -151,11 +157,25 @@ def _compute_nullity(A, prof, j, rng, cfg, previous=None):
 def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng):
     """Kernel dimensions until at most T slots remain, then search.
 
-    Slots (i, j), j <= e_i, are processed by increasing j*d_i.  For each
-    factor one extra nullity beyond its computed prefix pins the residual
-    block total, which prunes the search sharply.
+    Slots (i, j), j <= e_i, are processed by increasing j*d_i.  A factor
+    with a measured nullity gets one extra nullity beyond its computed
+    prefix, which pins its residual block total and prunes the search.
+
+    A factor with none, its slots all among the last T, is left to the
+    search when p > n, where ``det_rounds`` determinants certify its
+    census.  Measuring the factors left would take about
+    2 * _RANK_STREAK * (n + 1) * d applies each.  A determinant round, one
+    Wiedemann run of 2n terms, is priced like the rank call of a degree-one
+    factor, _RANK_STREAK runs: a rank call that reaches its proven ceiling
+    stops after one run, so the estimate above runs high, and the rounds
+    must not spend what it overstates.  What the rounds leave of the rank
+    calls' applies caps the degree-feasible censuses the search may visit,
+    a census counted like an apply.  With no room left every factor left
+    is measured; when the search overflows the cap the cheapest one (least
+    d) is, and the search runs again.
     """
     profiles = list(profiles)
+    n, p = A.dimension, A.p
     slots = [
         (prof.degree * j, i, j)
         for i, prof in enumerate(profiles)
@@ -169,37 +189,58 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
             break
         table.nullities[i][j] = _compute_nullity(A, profiles[i], j, rng, cfg)
         remaining -= 1
+    rounds = det_rounds(n, p)
 
     for attempt in range(2):
         try:
-            tails = {}
             for i, prof in enumerate(profiles):
                 ji = table.frontier(i)
-                if ji < prof.minpoly_mult and (ji + 1) not in table.nullities[i]:
+                if 0 < ji < prof.minpoly_mult:
                     table.nullities[i][ji + 1] = _compute_nullity(
                         A, prof, ji + 1, rng, cfg
                     )
-                nus = [table.nullities[i][j] for j in range(1, table.frontier(i) + 1)]
-                counts = nullities_to_occurrences(
-                    nus, prof.degree, minpoly_mult=prof.minpoly_mult
-                )
-                for j, c in enumerate(counts, start=1):
-                    table.occurrences[i][j] = c
-                if len(counts) < prof.minpoly_mult:
-                    # nu_1 / d blocks in all; the unsolved slots hold the rest
-                    tails[i] = nus[0] // prof.degree - sum(counts)
-            census = combinatorial_search(
-                A,
-                profiles,
-                table,
-                rng,
-                tail_counts=tails,
-                trace_log=cfg.trace_log,
+            left = sorted(
+                (i for i in range(len(profiles)) if not table.nullities[i]),
+                key=lambda i: profiles[i].degree,
             )
+            while True:
+                if not left:
+                    cap = _EXPLOSION_CAP
+                elif rounds is None:
+                    cap = 0
+                else:
+                    spare = sum(profiles[i].degree for i in left) - rounds
+                    cap = min(2 * _RANK_STREAK * (n + 1) * spare, _EXPLOSION_CAP)
+                if cap <= 0:
+                    for i in left:
+                        table.nullities[i][1] = _compute_nullity(
+                            A, profiles[i], 1, rng, cfg
+                        )
+                    left = []
+                    continue
+                try:
+                    census = combinatorial_search(
+                        A,
+                        profiles,
+                        table,
+                        rng,
+                        tail_counts=_tail_counts(table, profiles, left),
+                        trace_log=cfg.trace_log,
+                        cap=cap,
+                        certify=bool(left),
+                    )
+                    break
+                except SearchExplosionError:
+                    if not left:
+                        raise
+                    i = left.pop(0)
+                    table.nullities[i][1] = _compute_nullity(A, profiles[i], 1, rng, cfg)
             for (fi, j), c in census.items():
                 table.occurrences[fi][j] = c
             cfg._emit("census", table=table.to_json_dict())
-            # the search kept only censuses that meet the degree/trace identity
+            # the search kept only censuses that meet the degree/trace
+            # identity and, with a factor left unmeasured, det_rounds
+            # determinants
             return [
                 sum(j * c for (fi, j), c in census.items() if fi == i)
                 for i in range(len(profiles))
@@ -214,6 +255,25 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
                     table.nullities[i][j] = _compute_nullity(
                         A, prof, j, rng, cfg, previous=nu
                     )
+
+
+def _tail_counts(table: OccurrenceTable, profiles, left) -> dict[int, int]:
+    """Block counts of the measured factors' solved slots, written into
+    ``table``, and the blocks their unsolved slots hold in all."""
+    tails = {}
+    for i, prof in enumerate(profiles):
+        if i in left:
+            continue
+        nus = [table.nullities[i][j] for j in range(1, table.frontier(i) + 1)]
+        counts = nullities_to_occurrences(
+            nus, prof.degree, minpoly_mult=prof.minpoly_mult
+        )
+        for j, c in enumerate(counts, start=1):
+            table.occurrences[i][j] = c
+        if len(counts) < prof.minpoly_mult:
+            # nu_1 / d blocks in all; the unsolved slots hold the rest
+            tails[i] = nus[0] // prof.degree - sum(counts)
+    return tails
 
 
 def invariant_factor(

@@ -45,6 +45,27 @@ class NoCandidateError(ArithmeticError):
     """No block census satisfies the degree/trace constraints."""
 
 
+def det_rounds(n: int, p: int, candidates: int = 1) -> int | None:
+    """Determinant rounds after which a wrong census is returned with chance
+    at most 1/n^2, or None when p <= n.
+
+    Every census meets the degree equation, so it stands for a monic
+    polynomial of degree n; two distinct ones differ by a nonzero polynomial
+    of degree below n, which vanishes at a random lambda in GF(p) with
+    chance at most (n - 1)/p.  The least r with
+    candidates * ((n - 1)/p)^r <= 1/n^2 bounds, by the union bound, the
+    chance that any of ``candidates`` wrong censuses survives r rounds.
+    When p <= n such a polynomial can vanish on all of GF(p), and no number
+    of rounds helps.
+    """
+    if p <= n:
+        return None
+    r = 1
+    while candidates * n * n * (n - 1) ** r > p**r:
+        r += 1
+    return r
+
+
 class IndexCalculusFailure(RuntimeError):
     """Discrete-log system did not reach full rank or failed validation."""
 
@@ -165,23 +186,27 @@ def combinatorial_search(
     *,
     tail_counts: dict[int, int] | None = None,
     trace_log=None,
+    cap: int = _EXPLOSION_CAP,
+    certify: bool = False,
 ) -> dict:
     """Complete the block census by branch-and-bound plus det discrimination.
 
     Candidates satisfy the total-degree equation, the trace identity, the
     known counts in ``known``, optional per-factor residual block totals
     (``tail_counts``, met exactly at the factor's last unknown slot), and
-    n_{i,e_i} >= 1; more than ``_EXPLOSION_CAP`` of them raise
-    SearchExplosionError.  Surviving candidates are then discriminated by
-    determinants of lambda*I - A at random lambda until all survivors agree
-    on the multiplicity vector; distinct censuses with equal multiplicities
-    describe the same characteristic polynomial.
+    n_{i,e_i} >= 1; more than ``cap`` censuses that meet the degree
+    equation raise SearchExplosionError.  The distinct multiplicity vectors
+    of the candidates are then checked against det(lambda*I - A) at random
+    lambda until a single one is left; with ``certify``, for factors that
+    have no measured nullity and so are pinned down by the determinant
+    alone, at least ``det_rounds`` times, which needs p > n.  Distinct
+    censuses with equal multiplicities describe the same characteristic
+    polynomial.
 
     Returns {(i, j): count} covering every slot of every factor.
     """
     profiles = list(profiles)
     n, p = A.dimension, A.p
-    trace_value = A.trace()
     known_slots = {
         (i, j): c
         for i in range(len(profiles))
@@ -195,87 +220,125 @@ def combinatorial_search(
     ]
     # largest degree contribution first, for pruning
     unknown.sort(key=lambda s: (profiles[s[0]].degree * s[1]), reverse=True)
-    known_degree = sum(
-        profiles[i].degree * j * c for (i, j), c in known_slots.items()
+    base = [0] * len(profiles)
+    for (i, j), c in known_slots.items():
+        base[i] += j * c
+    residual_degree, residue = degree_trace_residual(
+        base, profiles, n, A.trace(), p
     )
-    residual_degree = n - known_degree
     if residual_degree < 0:
         raise NoCandidateError("known block counts already exceed the dimension")
     tails = dict(tail_counts or {})
     last_slot = {i: pos for pos, (i, _) in enumerate(unknown) if i in tails}
-
-    candidates: list[tuple[int, ...]] = []
-    values = [0] * len(unknown)
-
-    def recurse(pos: int, rem: int):
-        if len(candidates) > _EXPLOSION_CAP:
-            raise SearchExplosionError(
-                f"more than {_EXPLOSION_CAP} candidate censuses"
-            )
-        if pos == len(unknown):
-            if rem == 0:
-                candidates.append(tuple(values))
-            return
-        i, j = unknown[pos]
-        weight = profiles[i].degree * j
-        lo = 1 if (j == profiles[i].minpoly_mult and known.occurrences[i].get(j) is None) else 0
-        hi = rem // weight
-        if i in tails:
-            hi = min(hi, tails[i])
-            if pos == last_slot[i]:
-                lo = max(lo, tails[i])
-        for v in range(lo, hi + 1):
-            values[pos] = v
-            if i in tails:
-                tails[i] -= v
-            recurse(pos + 1, rem - v * weight)
-            if i in tails:
-                tails[i] += v
-        values[pos] = 0
-
-    recurse(0, residual_degree)
-
-    def mult_vector(candidate) -> tuple[int, ...]:
-        mults = [0] * len(profiles)
-        for (i, j), c in known_slots.items():
-            mults[i] += j * c
-        for (i, j), v in zip(unknown, candidate):
-            mults[i] += j * v
-        return tuple(mults)
-
-    # trace identity filter (Eq over the field)
-    survivors = []
-    for cand in candidates:
-        mults = mult_vector(cand)
-        if degree_trace_residual(mults, profiles, n, trace_value, p) == (0, 0):
-            survivors.append(cand)
-    if not survivors:
+    slots = [
+        (
+            i,
+            profiles[i].degree * j,
+            j * profiles[i].trace_coeff % p,
+            int(j == profiles[i].minpoly_mult),
+            pos == last_slot.get(i),
+        )
+        for pos, (i, j) in enumerate(unknown)
+    ]
+    search = _CensusSearch(slots, tails, p, cap)
+    search.run(0, residual_degree, residue)
+    if not search.found:
         raise NoCandidateError(
             "no block census satisfies the degree and trace constraints"
         )
 
+    def mult_vector(candidate) -> tuple[int, ...]:
+        mults = list(base)
+        for (i, j), v in zip(unknown, candidate):
+            mults[i] += j * v
+        return tuple(mults)
+
+    vectors = dict.fromkeys(mult_vector(c) for c in search.found)
+    min_rounds = 0
+    if certify:
+        min_rounds = det_rounds(n, p, len(vectors))
+        if min_rounds is None:
+            raise ValueError(f"GF({p}) is too small to certify a census of size {n}")
     winner = _discriminate_by_det(
-        A, profiles, dict.fromkeys(mult_vector(c) for c in survivors), rng, trace_log
+        A, profiles, vectors, rng, trace_log, min_rounds=min_rounds
     )
-    chosen = min(c for c in survivors if mult_vector(c) == winner)
+    chosen = min(c for c in search.found if mult_vector(c) == winner)
     out = dict(known_slots)
     for (i, j), v in zip(unknown, chosen):
         out[(i, j)] = v
     return out
 
 
-def _discriminate_by_det(A: BlackBoxOperator, profiles, vectors, rng, trace_log=None):
+class _CensusSearch:
+    """Depth-first enumeration of the block counts of the unknown slots.
+
+    Each slot is (factor, degree weight, trace step, least count, whether
+    it is the factor's last slot with a residual block total in ``tails``).
+    ``run`` carries the degree still to place and the trace residue; the
+    last slot takes whatever count the degree leaves.  Every leaf that meets
+    the degree equation counts against ``cap``; only those that also meet
+    the trace identity are kept in ``found``.
+    """
+
+    def __init__(self, slots, tails: dict[int, int], p: int, cap: int):
+        self.slots = slots
+        self.tails = tails
+        self.p = p
+        self.cap = cap
+        self.values = [0] * len(slots)
+        self.found: list[tuple[int, ...]] = []
+        self.leaves = 0
+
+    def run(self, pos: int, rem: int, residue: int):
+        if pos == len(self.slots):  # no unknown slot at all
+            if rem == 0:
+                self._leaf(residue)
+            return
+        i, weight, step, lo, closes_tail = self.slots[pos]
+        hi = rem // weight
+        tail = self.tails.get(i)
+        if tail is not None:
+            hi = min(hi, tail)
+            if closes_tail:
+                lo = max(lo, tail)
+        if pos == len(self.slots) - 1:
+            v, r = divmod(rem, weight)
+            if not r and lo <= v <= hi:
+                self.values[pos] = v
+                self._leaf((residue + v * step) % self.p)
+            return
+        for v in range(lo, hi + 1):
+            self.values[pos] = v
+            if tail is not None:
+                self.tails[i] = tail - v
+            self.run(pos + 1, rem - v * weight, (residue + v * step) % self.p)
+        if tail is not None:
+            self.tails[i] = tail
+
+    def _leaf(self, residue: int):
+        self.leaves += 1
+        if self.leaves > self.cap:
+            raise SearchExplosionError(f"more than {self.cap} candidate censuses")
+        if residue == 0:
+            self.found.append(tuple(self.values))
+
+
+def _discriminate_by_det(
+    A: BlackBoxOperator, profiles, vectors, rng, trace_log=None, *, min_rounds=0
+):
     """The one multiplicity vector among distinct ``vectors`` that matches
     det(lambda*I - A) = prod P_i(lambda)^m_i at random lambda.
 
-    Each round draws one lambda and takes one determinant; after 4n + 16
-    rounds with several survivors, or once none is left, it raises.
+    Each round draws one lambda and takes one determinant.  Rounds go on
+    while several vectors survive, and at least ``min_rounds`` are taken
+    even when one is left; after 4n + 16 rounds with several survivors, or
+    once none is left, it raises.
     """
     n, p = A.dimension, A.p
     survivors = list(vectors)
     rounds = 0
-    while len(survivors) > 1:
-        if rounds >= 4 * n + 16:
+    while survivors and (len(survivors) > 1 or rounds < min_rounds):
+        if len(survivors) > 1 and rounds >= 4 * n + 16:
             raise NoCandidateError(
                 "determinant discrimination did not isolate a candidate"
             )

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -27,10 +28,18 @@ from bbcharpoly.blackbox import (
     random_vector,
     wiedemann_minpoly,
 )
+from bbcharpoly.cli import main
 from bbcharpoly.ff import DlogContext, find_index_calculus_field
+from bbcharpoly.graphs import rook_graph, symmetric_power
+from bbcharpoly.integer import integer_charpoly
 from bbcharpoly.multiplicity import IndexCalculusFailure, profiles_from_factorization
-from bbcharpoly.oracle import dense_charpoly, dense_invariant_factors
+from bbcharpoly.oracle import (
+    dense_charpoly,
+    dense_integer_charpoly,
+    dense_invariant_factors,
+)
 from bbcharpoly.poly import FieldPoly, factor
+from bbcharpoly.sms import emit_sms
 
 from helpers import (
     linear,
@@ -69,6 +78,83 @@ class TestNullityCombSearch:
         cfg = AdaptiveConfig(seed=1, method="nullity-comb")
         cp = blackbox_charpoly_field(A.operator(p), cfg)
         assert cp == dense_charpoly(A.to_dense(), p)
+
+
+class TestNullityCombLeavesSlotsToSearch:
+    """Over GF(p) with p > n, factors with no measured nullity may go to the
+    search, whose census determinants then certify; with p <= n they are
+    measured."""
+
+    def test_diagonal_with_many_blocks_measures_until_search_is_small(
+        self, capsys, tmp_path
+    ):
+        # six eigenvalues, 40 blocks each: left all to the search, the
+        # degree identity alone would allow more than 10^6 censuses
+        p, n = 1000003, 240
+        A = diag([2 + i // 40 for i in range(n)], p)
+        path = tmp_path / "diag.sms"
+        path.write_text(emit_sms(A))
+        argv = ["charpoly", "--field", str(p), "--method", "nullity-comb"]
+        argv += ["--seed", "1", "--output", "json", "--explain", str(path)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out)["coeffs"] == list(dense_charpoly(A.to_dense(), p).coeffs)
+        events = [json.loads(line)["event"] for line in err.splitlines()]
+        assert events.count("rank") <= 6
+
+    def test_census_absorbing_a_high_nullity_is_not_returned(self, monkeypatch):
+        # (m_a + 1, m_b + 1, m_h - 1) meets the degree and trace identities
+        # of the planted (m_a, m_b, m_h) = (1, 1, 2); with nu(X - a) one
+        # block too high and X - b, h left to the search, only a determinant
+        # tells the two apart
+        p, a, b = 1000003, 2, 1
+        c = next(c for c in range(1, p) if pow((a + b) ** 2 - 4 * c, (p - 1) // 2, p) == p - 1)
+        h = FieldPoly([c, -(a + b), 1], p)
+        A, _ = planted_primary_form(
+            [(linear(a, p), {1: 1}), (linear(b, p), {1: 1}), (h, {1: 2})], p
+        )
+        want = linear(a, p) * linear(b, p) * h**2
+        real_rank = adaptive.rank_blackbox
+
+        def rank_one_low(op, rng, ceiling=None):
+            r = real_rank(op, rng, ceiling=ceiling)
+            return r - 1 if op.poly == linear(a, p) else r
+
+        monkeypatch.setattr(adaptive, "rank_blackbox", rank_one_low)
+        for seed in range(1, 5):
+            log = TraceLog()
+            cfg = AdaptiveConfig(seed=seed, method="nullity-comb", threshold=2, trace_log=log)
+            try:
+                got = charpoly_with_details(A.operator(p), cfg).charpoly
+            except adaptive.AdaptiveError:
+                got = None
+            ranked = {tuple(e["factor"]) for e in log.events if e["event"] == "rank"}
+            assert ranked == {linear(a, p).coeffs}, f"seed {seed}"
+            assert got in (None, want), f"seed {seed}"
+            assert any(e["event"] == "retry" for e in log.events), f"seed {seed}"
+
+    def test_small_field_measures_every_factor(self):
+        # over GF(5) with n = 13 > 5 the censuses (1, 9, 1) and (5, 1, 5) of
+        # X - 1, X - 2, X - 3 meet the degree and the trace, and their
+        # polynomials agree at every lambda in GF(5) (x^4 = 1 there), so
+        # only measured nullities tell them apart
+        p = 5
+        A = diag([0, 0, 1] + [2] * 9 + [3], p)
+        want = dense_charpoly(A.to_dense(), p)
+        for seed in range(1, 4):
+            res = charpoly_with_details(A.operator(p), AdaptiveConfig(seed=seed))
+            assert res.method == "nullity-comb", f"seed {seed}"
+            assert res.charpoly == want, f"seed {seed}"
+
+    def test_rook_cube_leaves_factors_to_search(self):
+        m = symmetric_power(rook_graph(3), 3).adjacency()
+        log = TraceLog()
+        cfg = AdaptiveConfig(seed=1, method="nullity-comb", trace_log=log)
+        assert integer_charpoly(m, cfg) == dense_integer_charpoly(m.to_dense())
+        (method,) = [e for e in log.events if e["event"] == "method"]
+        ranks = sum(e["event"] == "rank" for e in log.events)
+        assert ranks < method["factors"]
 
 
 class TestInvariantFactor:

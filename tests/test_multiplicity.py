@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from bbcharpoly.multiplicity import (
     OccurrenceTable,
     combinatorial_search,
     degree_trace_residual,
+    det_rounds,
     index_calculus,
     nullities_to_occurrences,
     profiles_from_factorization,
@@ -172,6 +175,21 @@ class TestDegreeTraceResidual:
         assert gap == -profiles[0].degree
 
 
+class TestDetRounds:
+    def test_none_unless_the_field_exceeds_n(self):
+        assert det_rounds(13, 5) is None
+        assert det_rounds(13, 13) is None
+
+    @pytest.mark.parametrize(
+        "n, p, candidates", [(1, 2, 1), (15, 59, 1), (84, 28229, 1), (240, 1000003, 7)]
+    )
+    def test_least_rounds_below_one_in_n_squared(self, n, p, candidates):
+        r = det_rounds(n, p, candidates)
+        miss = Fraction(n - 1, p)
+        assert candidates * miss**r <= Fraction(1, n * n)
+        assert r == 1 or candidates * miss ** (r - 1) > Fraction(1, n * n)
+
+
 class TestCombinatorialSearch:
     def test_single_factor_unique(self):
         p = 101
@@ -236,6 +254,22 @@ class TestCombinatorialSearch:
             tail_counts={0: 2},  # two blocks among powers 2..3
         )
         assert out == {(0, 1): 2, (0, 2): 1, (0, 3): 1}
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would keep the candidate list alive until a full collection
+        p = 101
+        blocks = [(linear(2, p), {1: 1, 2: 1}), (linear(4, p), {1: 1})]
+        A, _ = planted_primary_form(blocks, p)
+        profiles = [profile(linear(2, p), 2), profile(linear(4, p), 1)]
+        gc.collect()
+        gc.disable()
+        try:
+            combinatorial_search(
+                A.operator(p), profiles, OccurrenceTable(profiles), random.Random(8)
+            )
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_zero_candidates(self):
         p = 101
