@@ -371,6 +371,26 @@ def _alg5_multiplicities(A, profiles, cfg, rng, minpoly, ctx, subprime):
     return mults
 
 
+def _enumerate_assignments(shapes, budget, cap):
+    """All multiplicity tuples (m_1, ...) with m_i >= e_i and sum d_i m_i <=
+    budget, for ``shapes`` = [(d_i, e_i), ...], in lexicographic order.
+
+    The used degree of each partial tuple is kept beside it, in a second
+    list.  None once the partial tuples of some length outnumber ``cap``.
+    """
+    out, used = [()], [0]
+    for d, e in shapes:
+        new, new_used = [], []
+        for partial, u in zip(out, used):
+            for m in range(e, (budget - u) // d + 1):
+                new.append(partial + (m,))
+                new_used.append(u + d * m)
+                if len(new) > cap:
+                    return None
+        out, used = new, new_used
+    return out
+
+
 def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
     """Kernel dimensions for cheap factors, enumeration for the big ones,
     the discrete-log finisher (``index_calculus``) for the rest.
@@ -400,31 +420,17 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
 
     floor_degree = {i: profiles[i].degree * profiles[i].minpoly_mult for i in rest}
 
-    def enumerate_assignments(indices, budget, cap):
-        """All multiplicity tuples with m_i >= e_i and sum d_i m_i <= budget."""
-        out = [[]]
-        for idx in indices:
-            d = profiles[idx].degree
-            e = profiles[idx].minpoly_mult
-            new = []
-            for partial in out:
-                used = sum(
-                    profiles[j].degree * v for j, v in zip(indices, partial)
-                )
-                for m in range(e, (budget - used) // d + 1):
-                    new.append(partial + [m])
-                    if len(new) > cap:
-                        return None
-            out = new
-        return [tuple(t) for t in out]
-
     best = None
     omega = A.cost
     tau_cap = 10**4
     for s in range(0, min(8, len(rest)) + 1):
         m_dim = len(rest) - s
         budget = n - known_degree - sum(floor_degree[i] for i in rest[s:])
-        assignments = enumerate_assignments(rest[:s], budget, tau_cap)
+        assignments = _enumerate_assignments(
+            [(profiles[i].degree, profiles[i].minpoly_mult) for i in rest[:s]],
+            budget,
+            tau_cap,
+        )
         if assignments is None:
             continue
         tau = max(1, len(assignments))

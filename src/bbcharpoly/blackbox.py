@@ -28,13 +28,13 @@ or X factor proves it, and a rank estimate that never exceeds the true rank
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .poly import (
     FieldPoly,
     _float_sum_fits,
     _lazy_sum_fits,
     _lazy_sum_terms,
+    _shifts,
     conv_mod,
     poly_lcm,
 )
@@ -299,12 +299,8 @@ def _dense_toeplitz(lc, uc, d, p):
     """float64 L and U * D mod p: L lower unit-triangular Toeplitz with first
     column lc, U upper with first row uc, D = diag(d)."""
     n = len(d)
-    zeros = np.zeros(n - 1, dtype=np.int64)
-    # row i of L is lc[i], ..., lc[0], 0, ..., 0 and of U 0, ..., 0, uc[0],
-    # ..., uc[n-1-i]: windows of one padded copy, last window first
-    L = sliding_window_view(np.concatenate([lc[::-1], zeros]), n)[::-1]
-    U = sliding_window_view(np.concatenate([zeros, uc]), n)[::-1]
-    return L.astype(np.float64), (U * d % p).astype(np.float64)
+    ud = (_shifts(uc, n, n) * d).astype(np.int64) % p
+    return np.ascontiguousarray(_shifts(lc, n, n).T), ud.astype(np.float64)
 
 
 class _Preconditioner(BlackBoxOperator):

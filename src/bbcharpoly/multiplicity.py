@@ -424,6 +424,23 @@ def solve_mod_p(tracker: _EchelonTracker, rhs) -> list[int]:
     return [int(v) for v in x]
 
 
+def _solve_sweep(tracker: _EchelonTracker, rhs, columns, assignments) -> list:
+    """For each assignment a, the solution of (accepted rows) x = rhs - sum_i
+    a_i * columns[i] mod p.
+
+    x is affine in a: x(a) = x(rhs) - sum_i a_i * x(columns[i]) mod p, so the
+    sweep takes 1 + len(columns) solves, whatever the number of assignments.
+    An assignment holds multiplicities at most n < p, so an entry of its
+    combination sums len(columns) products below n * p.
+    """
+    base = np.array(solve_mod_p(tracker, rhs), dtype=np.int64)
+    solved = np.array(
+        [solve_mod_p(tracker, c) for c in columns], dtype=np.int64
+    ).reshape(len(columns), tracker.width)
+    a = np.array(assignments, dtype=np.int64).reshape(len(assignments), len(columns))
+    return ((base - a @ solved) % tracker.p).tolist()
+
+
 def index_calculus(
     A: BlackBoxOperator,
     profiles,
@@ -447,7 +464,8 @@ def index_calculus(
     determinants det(lambda*I - A) of the chosen rows then give right-hand
     sides log det - log K(lambda) mod (q-1) mod p.  Each assignment of
     multiplicities to the ``enumerated`` factors only shifts them by
-    sum m_i log P_i(lambda), so one elimination solves every assignment.
+    sum m_i log P_i(lambda), so one elimination and 1 + (enumerated
+    factors) solves serve every assignment (``_solve_sweep``).
     The full vectors that meet the total-degree identity are discriminated
     by determinants at random lambda (one survivor draws nothing).  Fails
     after n rows without full rank, or when no vector meets the identity.
@@ -499,13 +517,10 @@ def index_calculus(
         enum_logs.append([ctx.dlog(profiles[i].poly(lam)) % p for i in enumerated])
 
     order = [*enumerated, *unknown, *known]
+    columns = [[logs[i] for logs in enum_logs] for i in range(len(enumerated))]
     candidates = []
-    for assign in assignments:
-        shifted = [
-            (b - sum(a * lg for a, lg in zip(assign, logs))) % p
-            for b, logs in zip(rhs, enum_logs)
-        ]
-        vector = (*assign, *solve_mod_p(tracker, shifted), *known.values())
+    for assign, x in zip(assignments, _solve_sweep(tracker, rhs, columns, assignments)):
+        vector = (*assign, *x, *known.values())
         if sum(profiles[i].degree * m for i, m in zip(order, vector)) == n:
             candidates.append(vector)
     if not candidates:

@@ -20,15 +20,23 @@ Integer multiplication is schoolbook with Karatsuba above degree 64
 
 Division over GF(p) has one array kernel, ``_divmod_arrays``: a reversed
 series quotient, then one convolution for the remainder.  Euclid's algorithm
-uses it while its remainders are long; list divisions whose work (quotient
-length times divisor length) is small, and the moduli p^k of the Hensel
-lift, take ``_long_division``.
+uses it while its remainders are long, except for its usual step, a quotient
+of two coefficients, which is two scaled subtractions
+(``_euclid_remainder``); list divisions whose work (quotient length times
+divisor length) is small, and the moduli p^k of the Hensel lift, take
+``_long_division``.
 
 Factoring over GF(p) works on int64 coefficient vectors.  Products modulo a
 fixed f are reduced with the Newton inverse of the reversed f computed once,
 two convolutions per reduction (``_Modulus``).  Distinct-degree splitting,
 also the irreducibility test, steps through X^(p^d) mod f with the Frobenius
-matrix of f (``_frobenius``) and takes one gcd per block of degrees.
+matrix of f (``_frobenius``) and takes one gcd per block of degrees.  From
+degree ``_FLOAT_FROBENIUS_MIN_N`` = 16, and while n * (p - 1)^2 < 2^53
+(``_float_sum_fits``), that matrix is built and applied by float64 BLAS
+products, each exact and reduced once per entry through int64 (after the
+exact float kernels of Dumas, Giorgi and Pernet, FFLAS/FFPACK, ACM TOMS
+2008).  Below that degree, and beyond the float rule (p = 2^31 - 1), its
+rows are products by ``_Modulus`` and it is applied in int64.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ff import next_prime
 
@@ -53,9 +62,9 @@ _KARATSUBA_CUTOFF = 64
 # 26 / 22 against 37 / 56).  At the edge the two are about even.
 _ARRAY_STEPS_PER_COEFF = 7
 _ARRAY_FIXED_STEPS = 64
-# An array Euclid step with a divisor of 16 loses at 1000003 and ties at
-# 2^31 - 1 (16 / 19 against 10 / 20); with one of 32 it wins (14 / 19 against
-# 19 / 41).
+# A two-coefficient array Euclid step (`_euclid_remainder`) with a divisor of
+# 16 ties lists at 1000003 and wins at 2^31 - 1 (12.6 / 8.0 against 12.7 /
+# 19.3); with one of 32 it wins at both (12.9 / 8.3 against 20.6 / 25.0).
 _GCD_ARRAY_CUTOFF = 16
 # The series recurrence takes about m * min(m, len(b)) steps for a quotient
 # of m coefficients, Newton a few convolutions per doubling of m.  They are
@@ -63,6 +72,12 @@ _GCD_ARRAY_CUTOFF = 16
 # recurrence / Newton) and between 1,024 and 2,048 at 2^31 - 1, where the
 # convolutions split ((79, 16): 156 / 204; (95, 32): 246 / 185).
 _NEWTON_WORK = 1024
+# The Frobenius matrix is built on float64 BLAS from degree 16 while the float
+# rule holds ("Frobenius build" table, ms at p = 47 / 227 / 1000003): at n = 12
+# its rows by `_Modulus.mul` take 0.32 / 0.28 / 0.49 against 0.30 / 0.36 /
+# 0.45, at n = 16 0.52 / 0.48 / 0.99 against 0.40 / 0.27 / 0.75, and at
+# n = 120 9.1 against 2.2 (p = 1000003).
+_FLOAT_FROBENIUS_MIN_N = 16
 
 
 class BadPrimeError(ArithmeticError):
@@ -568,12 +583,33 @@ def _render_ascending(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def _euclid_remainder(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a mod b for stripped int64 coefficient arrays mod p; b nonzero.
+
+    When a is one coefficient longer than b and b has degree >= 1, the
+    quotient q1 * X + q0 comes from the two leading coefficients and the
+    remainder a - q1 * X * b - q0 * b from two scaled subtractions and one
+    reduction, while two products of residues sum exactly in int64
+    (``_lazy_sum_fits``, every p below 2^31).  Every other division is one
+    `_divmod_arrays`.
+    """
+    db = len(b) - 1
+    if len(a) != db + 2 or db < 1 or not _lazy_sum_fits(2, p):
+        return _divmod_arrays(a, b, p)[1]
+    inv = pow(int(b[-1]), -1, p)
+    q1 = int(a[-1]) * inv % p
+    q0 = (int(a[-2]) - q1 * int(b[-2])) * inv % p
+    r = a[:db] - q0 * b[:db]
+    r[1:] -= q1 * b[: db - 1]
+    return _strip(r % p)
+
+
 def poly_gcd(f, g):
     """Monic gcd over GF(p).
 
     While the divisor has at least ``_GCD_ARRAY_CUTOFF`` coefficients both
-    remainders stay int64 arrays and each step is one `_divmod_arrays` (a
-    short quotient from the series recurrence, then one convolution).
+    remainders stay int64 arrays and each step is one `_euclid_remainder`
+    (two scaled subtractions for the usual quotient of two coefficients).
     Smaller remainders finish on coefficient lists.
     """
     if f.p != g.p:
@@ -584,7 +620,7 @@ def poly_gcd(f, g):
         a = np.array(a, dtype=np.int64)
         b = np.array(b, dtype=np.int64)
         while len(b) >= _GCD_ARRAY_CUTOFF:
-            a, b = b, _divmod_arrays(a, b, p)[1]
+            a, b = b, _euclid_remainder(a, b, p)
         a, b = a.tolist(), b.tolist()
     while b:
         a, b = b, _divmod_mod_lists(a, b, p)[1]
@@ -647,22 +683,77 @@ def pow_mod(base: FieldPoly, exponent: int, modulus: FieldPoly) -> FieldPoly:
     return m.poly(m.pow(m.vector(acc), exponent))
 
 
-def _frobenius(m: _Modulus):
-    """The GF(p)-linear map h -> h^p mod f on vectors of ``m``, for n >= 2.
+def _shifts(c: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The float64 rows x cols Toeplitz matrix T[r, t] = c[t - r] (0 outside c)."""
+    padded = np.zeros(rows - 1 + cols)
+    padded[rows - 1 : rows - 1 + min(len(c), cols)] = c[:cols]
+    # row r is the window starting at rows - 1 - r, so the last window first
+    return sliding_window_view(padded, cols)[::-1]
 
-    (sum h_i X^i)^p = sum h_i X^(ip), so the map is a product with the n x n
-    matrix whose row i is X^(ip) mod f: one power and n - 2 products to
-    build, then one int64 matrix-vector product per application.
+
+def _frobenius_matrix(m: _Modulus) -> np.ndarray:
+    """The n x n matrix Q whose row i is X^(ip) mod f, for n >= 2.
+
+    Row 1 is xp = X^p mod f, one power.  Below ``_FLOAT_FROBENIUS_MIN_N``, or
+    unless n * (p - 1)^2 < 2^53 (``_float_sum_fits``; p = 2^31 - 1 never
+    fits), each further row is one ``_Modulus.mul`` by xp and Q is int64.
+
+    Otherwise Q is float64 and every row comes from BLAS products.  The
+    matrix of h -> h * g mod f has row r = X^r * g mod f: g shifted by r
+    below X^n, plus its coefficients at X^(n+j) times the rows X^(n+j) mod f
+    of one matrix R.  Dividing X^(n+j) by f gives the quotient sum_s
+    inv[j - s] X^s (``_Modulus.inv``), so R[j, t] = -sum_s inv[j - s] *
+    low[t - s], a product of two Toeplitz matrices.  With M the matrix of
+    xp, the first k = isqrt(n) rows are Q[i] = Q[i-1] @ M; with G that of
+    X^(kp), each next block of k rows is the block before it times G.
+    Every product sums at most n products of residues, so it is exact, and
+    it is reduced once per entry through int64.
     """
     p, n = m.p, m.n
     x = np.zeros(n, dtype=np.int64)
     x[1] = 1
     xp = m.pow(x, p)
-    Q = np.zeros((n, n), dtype=np.int64)
+    if n < _FLOAT_FROBENIUS_MIN_N or not _float_sum_fits(n, p):
+        Q = np.zeros((n, n), dtype=np.int64)
+        Q[0, 0] = 1
+        Q[1] = xp
+        for i in range(2, n):
+            Q[i] = m.mul(Q[i - 1], xp)
+        return Q
+
+    def reduced(x):
+        return (x.astype(np.int64) % p).astype(np.float64)
+
+    def times(g):
+        T = _shifts(g, n, 2 * n - 1)
+        return reduced(T[:, n:] @ R + T[:, :n])
+
+    R = reduced(-(_shifts(m.inv, n - 1, n - 1).T @ _shifts(m.low, n - 1, n)))
+    k = math.isqrt(n)
+    M = times(xp)
+    Q = np.zeros((n, n))
     Q[0, 0] = 1
-    Q[1] = xp
-    for i in range(2, n):
-        Q[i] = m.mul(Q[i - 1], xp)
+    for i in range(1, k + 1):
+        Q[i] = reduced(Q[i - 1] @ M)
+    G = times(Q[k])
+    for i in range(k, n, k):
+        end = min(i + k, n)
+        Q[i:end] = reduced(Q[i - k : end - k] @ G)
+    return Q
+
+
+def _frobenius(m: _Modulus):
+    """The GF(p)-linear map h -> h^p mod f on vectors of ``m``, for n >= 2.
+
+    (sum h_i X^i)^p = sum h_i X^(ip), so the map is the product with the
+    matrix of `_frobenius_matrix`: one float64 product reduced through int64
+    when that matrix is float64, else one int64 product (split into 16-bit
+    halves when n products of residues can overflow int64).
+    """
+    p, n = m.p, m.n
+    Q = _frobenius_matrix(m)
+    if Q.dtype == np.float64:
+        return lambda h: (h @ Q).astype(np.int64) % p
     if _lazy_sum_fits(n, p):
         return lambda h: h @ Q % p
     _check_split_sum(n, p)

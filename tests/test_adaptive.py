@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bbcharpoly import adaptive, multiplicity
 from bbcharpoly.adaptive import (
     AdaptiveConfig,
+    _enumerate_assignments,
     MethodUnavailableError,
     TraceLog,
     blackbox_charpoly_field,
@@ -375,6 +377,36 @@ class TestHybrid:
         for prof, m in zip(profiles, got):
             got_cp = got_cp * prof.poly**m
         assert got_cp == cp
+
+
+def brute_force_assignments(shapes, budget):
+    """Every tuple over the ranges e_i .. budget // d_i, filtered by degree."""
+    ranges = [range(e, budget // d + 1) for d, e in shapes]
+    return [
+        t
+        for t in itertools.product(*ranges)
+        if sum(d * m for (d, _), m in zip(shapes, t)) <= budget
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), max_size=4),
+    st.integers(0, 24),
+    st.integers(0, 300),
+)
+def test_enumerated_assignments_equal_brute_force(shapes, budget, cap):
+    got = _enumerate_assignments(shapes, budget, cap)
+    # the enumeration gives up once the prefixes of some length >= 1
+    # outnumber cap
+    prefixes = range(1, len(shapes) + 1)
+    widest = max(
+        (len(brute_force_assignments(shapes[:k], budget)) for k in prefixes), default=0
+    )
+    if widest > cap:
+        assert got is None
+    else:
+        assert got == brute_force_assignments(shapes, budget)
 
 
 class TestInvfactDriver:

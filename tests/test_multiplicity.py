@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbcharpoly import multiplicity
 from bbcharpoly.adaptive import TraceLog
 from bbcharpoly.blackbox import (
     PolyOfMatrix,
@@ -21,12 +22,15 @@ from bbcharpoly.multiplicity import (
     IndexCalculusFailure,
     NoCandidateError,
     OccurrenceTable,
+    _EchelonTracker,
+    _solve_sweep,
     combinatorial_search,
     degree_trace_residual,
     det_rounds,
     index_calculus,
     nullities_to_occurrences,
     profiles_from_factorization,
+    solve_mod_p,
 )
 from bbcharpoly.oracle import dense_charpoly
 from bbcharpoly.poly import factor
@@ -438,6 +442,48 @@ class TestIndexCalculus:
         assert out.multiplicities == {}
         assert out.rows_sampled == 0
         assert rng.getstate() == state
+
+
+    def test_sweep_solves_once_per_enumerated_factor(self, monkeypatch):
+        calls = []
+        real = multiplicity.solve_mod_p
+        monkeypatch.setattr(
+            multiplicity, "solve_mod_p", lambda *a: calls.append(1) or real(*a)
+        )
+        self.test_assignment_sweep_solves_the_rest()
+        assert len(calls) == 2  # the right-hand side and one log column
+
+
+@st.composite
+def sweep_systems(draw):
+    """A full-rank tracker mod p, right-hand sides, log columns and assignments."""
+    p = draw(st.sampled_from([7, 101, 65537, 2147483629]))
+    k = draw(st.integers(0, 6))
+    s = draw(st.integers(0, 3))
+    values = st.integers(0, p - 1)
+    tracker = _EchelonTracker(k, p)
+    while tracker.rank < k:
+        tracker.try_add(draw(st.lists(values, min_size=k, max_size=k)))
+    rhs = draw(st.lists(values, min_size=k, max_size=k))
+    columns = [draw(st.lists(values, min_size=k, max_size=k)) for _ in range(s)]
+    mults = st.tuples(*[st.integers(0, 40)] * s)
+    assignments = draw(st.lists(mults, max_size=12))
+    return tracker, rhs, columns, assignments
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_systems())
+def test_sweep_equals_one_solve_per_assignment(system):
+    tracker, rhs, columns, assignments = system
+    p = tracker.p
+    want = []
+    for assign in assignments:
+        shifted = [
+            (b - sum(a * col[j] for a, col in zip(assign, columns))) % p
+            for j, b in enumerate(rhs)
+        ]
+        want.append(solve_mod_p(tracker, shifted))
+    assert _solve_sweep(tracker, rhs, columns, assignments) == want
 
 
 def ctx_for(q):

@@ -2,7 +2,7 @@
 
 p = 2^31 - 1 makes every convolution whose shorter operand has more than 2
 coefficients, and every Frobenius matrix-vector product of degree above 2,
-take the 16-bit split path.
+take the 16-bit split path; it never takes the float64 Frobenius build.
 """
 
 import math
@@ -16,11 +16,15 @@ from hypothesis import strategies as st
 from bbcharpoly.poly import (
     _ARRAY_FIXED_STEPS,
     _ARRAY_STEPS_PER_COEFF,
+    _FLOAT_FROBENIUS_MIN_N,
     _NEWTON_WORK,
     FieldPoly,
     _distinct_degree,
     _divmod_arrays,
+    _euclid_remainder,
+    _float_sum_fits,
     _frobenius,
+    _frobenius_matrix,
     _long_division,
     _Modulus,
     conv_mod,
@@ -89,6 +93,100 @@ class TestFixedModulus:
         m = _Modulus(f)
         got = m.poly(_frobenius(m)(m.vector(h)))
         assert got == reference_pow(h, f.p, f)
+
+
+def reference_rows(m):
+    """The Frobenius matrix row by row: X^(ip) mod f = X^((i-1)p) * X^p mod f."""
+    n = m.n
+    x = np.zeros(n, dtype=np.int64)
+    x[1] = 1
+    Q = np.zeros((n, n), dtype=np.int64)
+    Q[0, 0] = 1
+    Q[1] = m.pow(x, m.p)
+    for i in range(2, n):
+        Q[i] = m.mul(Q[i - 1], Q[1])
+    return Q
+
+
+P24 = (1 << 24) - 3  # the largest n with n * (p - 1)^2 < 2^53 is 32
+M31 = (1 << 31) - 1
+
+
+class TestFloatFrobenius:
+    """The float64 Frobenius build against the int64 rows, Q and its products.
+
+    Each case also applies the map to a random vector and to the all-(p - 1)
+    vector, whose products are the largest any vector gives.
+    """
+
+    def check(self, data, p, n):
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        m = _Modulus(FieldPoly(coeffs + [1], p))
+        Q, want = _frobenius_matrix(m), reference_rows(m)
+        assert np.array_equal(Q, want)
+        frobenius = _frobenius(m)
+        h = np.array(
+            data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        for v in (h, np.full(n, p - 1, dtype=np.int64)):
+            got = frobenius(v)
+            assert got.dtype == np.int64
+            # a Python-int product: no int64 or float64 rounding to share
+            assert got.tolist() == [
+                sum(int(a) * int(b) for a, b in zip(v, col)) % p for col in want.T
+            ]
+        return Q
+
+    @SETTINGS
+    @given(st.data())
+    def test_both_sides_of_the_crossover(self, data):
+        p = data.draw(st.sampled_from([47, 227, 65537, 1000003]))
+        c = _FLOAT_FROBENIUS_MIN_N
+        n = data.draw(st.sampled_from([2, 3, c - 1, c, c + 1, 2 * c + 1, 40]))
+        Q = self.check(data, p, n)
+        assert (Q.dtype == np.float64) == (n >= c)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_large_degree(self, data):
+        # isqrt(n) rows by M, then blocks by G, with a short last block
+        n = data.draw(st.sampled_from([99, 120, 130]))
+        assert self.check(data, 1000003, n).dtype == np.float64
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from([32, 33]))
+    def test_float_rule_edge(self, data, n):
+        assert _float_sum_fits(32, P24) and not _float_sum_fits(33, P24)
+        Q = self.check(data, P24, n)
+        assert (Q.dtype == np.float64) == (n == 32)
+
+    @SETTINGS
+    @given(st.data())
+    def test_large_prime_takes_int64(self, data):
+        n = data.draw(st.integers(_FLOAT_FROBENIUS_MIN_N, 40))
+        assert self.check(data, M31, n).dtype == np.int64
+
+
+class TestEuclidStep:
+    """`_euclid_remainder` on a dividend one coefficient longer than the
+    divisor, against `_long_division`.
+
+    a = (q1 X + q0) * b + r with r drawn shorter than b, down to a few
+    coefficients or none, so the remainder can drop several degrees.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_long_division(self, data):
+        p = data.draw(st.sampled_from([3, 1000003, M31]))
+        len_b = data.draw(st.integers(2, 130))
+        b = data.draw(coefficient_lists(p, len_b))
+        q = data.draw(coefficient_lists(p, 2))
+        r = data.draw(coefficient_lists(p, data.draw(st.integers(0, len_b - 1))))
+        a = list((FieldPoly(q, p) * FieldPoly(b, p) + FieldPoly(r, p)).coeffs)
+        got = _euclid_remainder(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+        assert got.tolist() == _long_division(a, b, p)[1] == r
 
 
 def coefficient_lists(p, length):

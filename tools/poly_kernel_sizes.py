@@ -9,13 +9,19 @@ the 16-bit split path:
   m from 2 to 800 and divisor lengths around the edge
   m * (len b - ``_ARRAY_STEPS_PER_COEFF``) = ``_ARRAY_FIXED_STEPS``;
 * ``gcd step``: one Euclid step (quotient length 2) on lists by
-  `_long_division` and on arrays by `_divmod_arrays`, for divisor lengths
-  around ``_GCD_ARRAY_CUTOFF``;
+  `_long_division`, on arrays by `_divmod_arrays` and by the two-coefficient
+  step of `_euclid_remainder`, for divisor lengths around
+  ``_GCD_ARRAY_CUTOFF`` and at 120;
 * ``quotient``: `_divmod_arrays` by the series recurrence and by the Newton
   inverse, for quotient lengths m from 8 to 128 and divisor lengths around
   the edge m * min(m, len b) = ``_NEWTON_WORK``;
 * ``product``: `_mul_mod_lists` (one convolution) against a schoolbook
   product of lists reduced mod p, by the shorter operand's length.
+
+The ``Frobenius build`` table times `_frobenius_matrix` in milliseconds,
+for n in 4 to 1000 and p in 47, 227 and 1000003: its rows by
+`_Modulus.mul` against its float64 BLAS build (each forced through
+``_FLOAT_FROBENIUS_MIN_N``), and the power X^p mod f that both start from.
 
 Last, the ``Toeplitz apply`` table times `blackbox._Preconditioner.apply`
 over an identity operator, for n in 40, 120, 560 and 1024 and p in 3001 and
@@ -40,12 +46,14 @@ from bbcharpoly import blackbox, poly
 PRIMES = (1000003, (1 << 31) - 1)
 TOEPLITZ_PRIMES = (3001, 1000003)
 TOEPLITZ_SIZES = (40, 120, 560, 1024)
+FROBENIUS_PRIMES = (47, 227, 1000003)
+FROBENIUS_SIZES = (4, 8, 12, 16, 24, 32, 64, 120, 240, 1000)
 
 
-def usec(fn) -> float:
+def usec(fn, repeat=5) -> float:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    return min(timer.repeat(5, number)) / number * 1e6
+    return min(timer.repeat(repeat, number)) / number * 1e6
 
 
 def operands(len_a: int, len_b: int, p: int, rng):
@@ -67,8 +75,8 @@ def quotient_by(newton: bool, a, b, p):
         poly._NEWTON_WORK = saved
 
 
-def row(label, cells):
-    print(f"{label:>14}" + "".join(f"{c:>12.1f}" for c in cells))
+def row(label, cells, digits=1):
+    print(f"{label:>14}" + "".join(f"{c:>12.{digits}f}" for c in cells))
 
 
 class Identity(blackbox.BlackBoxOperator):
@@ -91,6 +99,29 @@ def toeplitz_apply(rng) -> None:
             pre._l = pre._ud = None  # the conv_mod path
             convs = usec(lambda: pre.apply(v))
             row(f"({n}, {p})", [convs, dense, build, dense + build / (2 * n)])
+
+
+def frobenius_build(rng) -> None:
+    c = poly._FLOAT_FROBENIUS_MIN_N
+    print("Frobenius build (n, p), milliseconds per call; BLAS from")
+    print(f"n = _FLOAT_FROBENIUS_MIN_N = {c} while n * (p - 1)^2 < 2^53")
+    print(f"{'sizes':>14}{'rows':>12}{'BLAS':>12}{'X^p':>12}")
+    try:
+        for p in FROBENIUS_PRIMES:
+            for n in FROBENIUS_SIZES:
+                f = poly.FieldPoly([rng.randrange(p) for _ in range(n)] + [1], p)
+                m = poly._Modulus(f)
+                x = m.vector(poly.FieldPoly.x(p))
+                repeat = 2 if n >= 1000 else 5
+                cells = []
+                for crossover in (1 << 60, 0):
+                    poly._FLOAT_FROBENIUS_MIN_N = crossover
+                    cells.append(usec(lambda: poly._frobenius_matrix(m), repeat) / 1e3)
+                cells.append(usec(lambda: m.pow(x, p), repeat) / 1e3)
+                row(f"({n}, {p})", cells, digits=2)
+    finally:
+        poly._FLOAT_FROBENIUS_MIN_N = c
+    print()
 
 
 def main() -> None:
@@ -120,8 +151,8 @@ def main() -> None:
 
         c = poly._GCD_ARRAY_CUTOFF
         print(f"\ngcd step (len b + 1, len b); _GCD_ARRAY_CUTOFF = {c}")
-        print(f"{'sizes':>14}{'list':>12}{'array':>12}")
-        for len_b in (c // 2, c - 1, c, c + 1, 2 * c):
+        print(f"{'sizes':>14}{'list':>12}{'array':>12}{'two-coeff':>12}")
+        for len_b in (c // 2, c - 1, c, c + 1, 2 * c, 120):
             a, b = operands(len_b + 1, len_b, p, rng)
             av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
             row(
@@ -129,6 +160,7 @@ def main() -> None:
                 [
                     usec(lambda: poly._long_division(a, b, p)),
                     usec(lambda: poly._divmod_arrays(av, bv, p)),
+                    usec(lambda: poly._euclid_remainder(av, bv, p)),
                 ],
             )
 
@@ -167,6 +199,7 @@ def main() -> None:
                 ],
             )
         print()
+    frobenius_build(rng)
     toeplitz_apply(rng)
 
 
