@@ -52,17 +52,22 @@ from .multiplicity import (
     InconsistentNullityError,
     IndexCalculusFailure,
     NoCandidateError,
-    OccurrenceTable,
     SearchExplosionError,
     _EXPLOSION_CAP,
     combinatorial_search,
     degree_trace_residual,
     det_rounds,
     index_calculus,
-    nullities_to_occurrences,
     profiles_from_factorization,
 )
-from .poly import FieldPoly, divide_out, factor, poly_gcd, product_of_powers
+from .poly import (
+    FactorizationError,
+    FieldPoly,
+    divide_out,
+    factor,
+    poly_gcd,
+    product_of_powers,
+)
 
 METHODS = ("auto", "nullity-comb", "index", "hybrid", "invfact")
 
@@ -182,25 +187,25 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
         for j in range(1, prof.minpoly_mult + 1)
     ]
     slots.sort()
-    table = OccurrenceTable(profiles)
+    nullities: list[dict[int, int]] = [{} for _ in profiles]
     remaining = len(slots)
     for _, i, j in slots:
         if remaining <= cfg.threshold:
             break
-        table.nullities[i][j] = _compute_nullity(A, profiles[i], j, rng, cfg)
+        nullities[i][j] = _compute_nullity(A, profiles[i], j, rng, cfg)
         remaining -= 1
     rounds = det_rounds(n, p)
 
     for attempt in range(2):
         try:
             for i, prof in enumerate(profiles):
-                ji = table.frontier(i)
+                # slots go by rising j*d and the extras sit at the frontier,
+                # so a factor's measured powers are always 1..len
+                ji = len(nullities[i])
                 if 0 < ji < prof.minpoly_mult:
-                    table.nullities[i][ji + 1] = _compute_nullity(
-                        A, prof, ji + 1, rng, cfg
-                    )
+                    nullities[i][ji + 1] = _compute_nullity(A, prof, ji + 1, rng, cfg)
             left = sorted(
-                (i for i in range(len(profiles)) if not table.nullities[i]),
+                (i for i in range(len(profiles)) if not nullities[i]),
                 key=lambda i: profiles[i].degree,
             )
             while True:
@@ -213,18 +218,15 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
                     cap = min(2 * _RANK_STREAK * (n + 1) * spare, _EXPLOSION_CAP)
                 if cap <= 0:
                     for i in left:
-                        table.nullities[i][1] = _compute_nullity(
-                            A, profiles[i], 1, rng, cfg
-                        )
+                        nullities[i][1] = _compute_nullity(A, profiles[i], 1, rng, cfg)
                     left = []
                     continue
                 try:
                     census = combinatorial_search(
                         A,
                         profiles,
-                        table,
+                        nullities,
                         rng,
-                        tail_counts=_tail_counts(table, profiles, left),
                         trace_log=cfg.trace_log,
                         cap=cap,
                         certify=bool(left),
@@ -234,46 +236,37 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
                     if not left:
                         raise
                     i = left.pop(0)
-                    table.nullities[i][1] = _compute_nullity(A, profiles[i], 1, rng, cfg)
-            for (fi, j), c in census.items():
-                table.occurrences[fi][j] = c
-            cfg._emit("census", table=table.to_json_dict())
+                    nullities[i][1] = _compute_nullity(A, profiles[i], 1, rng, cfg)
             # the search kept only censuses that meet the degree/trace
             # identity and, with a factor left unmeasured, det_rounds
             # determinants
+            factors = [
+                {
+                    "poly": list(prof.poly.coeffs),
+                    "degree": prof.degree,
+                    "minpoly_mult": prof.minpoly_mult,
+                    "nullities": {str(j): nu for j, nu in nullities[i].items()},
+                    "occurrences": {
+                        str(j): census[(i, j)]
+                        for j in range(1, prof.minpoly_mult + 1)
+                    },
+                }
+                for i, prof in enumerate(profiles)
+            ]
+            cfg._emit("census", table={"factors": factors})
             return [
-                sum(j * c for (fi, j), c in census.items() if fi == i)
-                for i in range(len(profiles))
+                sum(j * census[(i, j)] for j in range(1, prof.minpoly_mult + 1))
+                for i, prof in enumerate(profiles)
             ]
         except (InconsistentNullityError, NoCandidateError):
             if attempt == 1:
                 raise
             # estimate every nullity once more, keep the smaller, and retry
             for i, prof in enumerate(profiles):
-                table.occurrences[i].clear()
-                for j, nu in table.nullities[i].items():
-                    table.nullities[i][j] = _compute_nullity(
+                for j, nu in nullities[i].items():
+                    nullities[i][j] = _compute_nullity(
                         A, prof, j, rng, cfg, previous=nu
                     )
-
-
-def _tail_counts(table: OccurrenceTable, profiles, left) -> dict[int, int]:
-    """Block counts of the measured factors' solved slots, written into
-    ``table``, and the blocks their unsolved slots hold in all."""
-    tails = {}
-    for i, prof in enumerate(profiles):
-        if i in left:
-            continue
-        nus = [table.nullities[i][j] for j in range(1, table.frontier(i) + 1)]
-        counts = nullities_to_occurrences(
-            nus, prof.degree, minpoly_mult=prof.minpoly_mult
-        )
-        for j, c in enumerate(counts, start=1):
-            table.occurrences[i][j] = c
-        if len(counts) < prof.minpoly_mult:
-            # nu_1 / d blocks in all; the unsolved slots hold the rest
-            tails[i] = nus[0] // prof.degree - sum(counts)
-    return tails
 
 
 def invariant_factor(
@@ -431,8 +424,12 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
             budget,
             tau_cap,
         )
+        # budget_{s+1} = budget_s + floor_degree[rest[s]] >= budget_s, and
+        # split s + 1 enumerates the shapes of split s first, so each of its
+        # partial lists holds that of split s: once s overflows, so does
+        # every larger s
         if assignments is None:
-            continue
+            break
         tau = max(1, len(assignments))
         cost = 2 * m_dim * n * omega + (2 * m_dim**3) / 3 + 4 * m_dim**2 * tau
         if best is None or cost < best[0]:
@@ -533,6 +530,7 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
         except (
             AdaptiveError,
             DetNotCertifiedError,
+            FactorizationError,
             InconsistentNullityError,
             IndexCalculusFailure,
             MinpolyNotCertifiedError,

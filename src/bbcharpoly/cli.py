@@ -43,7 +43,14 @@ from .oracle import (
     dense_integer_charpoly,
     dense_minpoly,
 )
-from .poly import BadPrimeError, FieldPoly, FieldTooSmallError, IntPoly, factor
+from .poly import (
+    BadPrimeError,
+    FactorizationError,
+    FieldPoly,
+    FieldTooSmallError,
+    IntPoly,
+    factor,
+)
 from .sms import SmsFormatError, emit_sms, parse_sms
 
 EXIT_OK = 0
@@ -60,6 +67,7 @@ _COMPUTE_ERRORS = (
     AdaptiveError,
     BadPrimeError,
     DetNotCertifiedError,
+    FactorizationError,
     IndexCalculusFailure,
     IntegerCharpolyError,
     MinpolyNotCertifiedError,

@@ -20,7 +20,7 @@ factor i occurs in the primary form; the multiplicity is m_i = sum j*n_{i,j}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,44 +93,6 @@ def profiles_from_factorization(fac: Factorization) -> list[FactorProfile]:
     return [FactorProfile.from_poly(poly, mult) for poly, mult in fac]
 
 
-@dataclass
-class OccurrenceTable:
-    """Known nullities and solved block counts, per factor and power."""
-
-    profiles: list[FactorProfile]
-    nullities: list[dict[int, int]] = field(default_factory=list)
-    occurrences: list[dict[int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.nullities:
-            self.nullities = [{} for _ in self.profiles]
-        if not self.occurrences:
-            self.occurrences = [{} for _ in self.profiles]
-
-    def frontier(self, i: int) -> int:
-        """Largest j with a computed nullity (0 when none)."""
-        j = 0
-        while (j + 1) in self.nullities[i]:
-            j += 1
-        return j
-
-    def to_json_dict(self) -> dict:
-        return {
-            "factors": [
-                {
-                    "poly": list(prof.poly.coeffs),
-                    "degree": prof.degree,
-                    "minpoly_mult": prof.minpoly_mult,
-                    "nullities": {str(j): v for j, v in self.nullities[i].items()},
-                    "occurrences": {
-                        str(j): v for j, v in self.occurrences[i].items()
-                    },
-                }
-                for i, prof in enumerate(self.profiles)
-            ]
-        }
-
-
 def nullities_to_occurrences(
     nullities, degree: int, minpoly_mult: int | None = None
 ) -> list[int]:
@@ -166,6 +128,21 @@ def nullities_to_occurrences(
     return counts
 
 
+def _solved_blocks(nullities: dict[int, int], prof: FactorProfile):
+    """(n_1..n_t, tail) from the prefix nu_1..nu_L of ``nullities``, a
+    {j: nu_j} map: the solved block counts, and the blocks the unsolved
+    slots t+1..e hold in all (None when t = e or there is no nu_1)."""
+    nus = []
+    while len(nus) + 1 in nullities:
+        nus.append(nullities[len(nus) + 1])
+    if not nus:
+        return [], None
+    d, e = prof.degree, prof.minpoly_mult
+    counts = nullities_to_occurrences(nus, d, minpoly_mult=e)
+    # nu_1 / d blocks in all; the unsolved slots hold the rest
+    return counts, (nus[0] // d - sum(counts) if len(counts) < e else None)
+
+
 def degree_trace_residual(multiplicities, profiles, n: int, trace_value: int, p: int):
     """(degree gap, trace gap); both zero iff the assignment is feasible."""
     deg_gap = n - sum(
@@ -181,21 +158,22 @@ def degree_trace_residual(multiplicities, profiles, n: int, trace_value: int, p:
 def combinatorial_search(
     A: BlackBoxOperator,
     profiles,
-    known: OccurrenceTable,
+    nullities,
     rng,
     *,
-    tail_counts: dict[int, int] | None = None,
     trace_log=None,
     cap: int = _EXPLOSION_CAP,
     certify: bool = False,
 ) -> dict:
     """Complete the block census by branch-and-bound plus det discrimination.
 
-    Candidates satisfy the total-degree equation, the trace identity, the
-    known counts in ``known``, optional per-factor residual block totals
-    (``tail_counts``, met exactly at the factor's last unknown slot), and
-    n_{i,e_i} >= 1; more than ``cap`` censuses that meet the degree
-    equation raise SearchExplosionError.  The distinct multiplicity vectors
+    ``nullities`` holds one {j: nullity of P_i^j(A)} map per factor; its
+    prefix nu_1..nu_L solves the counts of the first slots and fixes the
+    blocks the others hold in all (``_solved_blocks``), a total met exactly
+    at the factor's last unknown slot.  Candidates satisfy those, the
+    total-degree equation, the trace identity and n_{i,e_i} >= 1; more than
+    ``cap`` censuses that meet the degree equation raise
+    SearchExplosionError.  The distinct multiplicity vectors
     of the candidates are then checked against det(lambda*I - A) at random
     lambda until a single one is left; with ``certify``, for factors that
     have no measured nullity and so are pinned down by the determinant
@@ -207,11 +185,13 @@ def combinatorial_search(
     """
     profiles = list(profiles)
     n, p = A.dimension, A.p
-    known_slots = {
-        (i, j): c
-        for i in range(len(profiles))
-        for j, c in known.occurrences[i].items()
-    }
+    known_slots, tails, base = {}, {}, []
+    for i, prof in enumerate(profiles):
+        counts, tail = _solved_blocks(nullities[i], prof)
+        known_slots.update(((i, j), c) for j, c in enumerate(counts, start=1))
+        base.append(sum(j * c for j, c in enumerate(counts, start=1)))
+        if tail is not None:
+            tails[i] = tail
     unknown = [
         (i, j)
         for i, prof in enumerate(profiles)
@@ -220,15 +200,11 @@ def combinatorial_search(
     ]
     # largest degree contribution first, for pruning
     unknown.sort(key=lambda s: (profiles[s[0]].degree * s[1]), reverse=True)
-    base = [0] * len(profiles)
-    for (i, j), c in known_slots.items():
-        base[i] += j * c
     residual_degree, residue = degree_trace_residual(
         base, profiles, n, A.trace(), p
     )
     if residual_degree < 0:
         raise NoCandidateError("known block counts already exceed the dimension")
-    tails = dict(tail_counts or {})
     last_slot = {i: pos for pos, (i, _) in enumerate(unknown) if i in tails}
     slots = [
         (

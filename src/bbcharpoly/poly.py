@@ -88,6 +88,10 @@ class FieldTooSmallError(ValueError):
     """Squarefree machinery needs p > deg(f); pick a larger field."""
 
 
+class FactorizationError(ArithmeticError):
+    """Equal-degree splitting found no split within its draws."""
+
+
 def _strip(coeffs):
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
@@ -945,17 +949,28 @@ def _distinct_degree(f: FieldPoly):
     return parts
 
 
+_SPLIT_DRAWS = 64  # _equal_degree gives up after this many draws
+
+
 def _random_poly(degree_bound: int, p: int, rng) -> FieldPoly:
     return FieldPoly([rng.randrange(p) for _ in range(degree_bound)], p)
 
 
 def _equal_degree(f: FieldPoly, d: int, rng):
-    """Split monic squarefree f, all of whose factors have degree d."""
+    """Split monic squarefree f, all of whose factors have degree d.
+
+    For odd p, r^((p^d - 1)/2) is 1 at each factor of f with probability
+    about 1/2, independently, so a draw r splits f with probability about
+    1/2 at least, and a correct gcd fails all ``_SPLIT_DRAWS`` = 64 draws
+    (those of degree < 1 included) with probability near 2^-64.  Past them
+    FactorizationError is raised: a faulty kernel ends the call instead of
+    looping forever.
+    """
     if f.degree == d:
         return [f]
     p = f.p
     exponent = (p**d - 1) // 2
-    while True:
+    for _ in range(_SPLIT_DRAWS):
         r = _random_poly(f.degree, p, rng)
         if r.degree < 1:
             continue
@@ -966,6 +981,7 @@ def _equal_degree(f: FieldPoly, d: int, rng):
         g = poly_gcd(f, s - FieldPoly.one(p))
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+    raise FactorizationError(f"no split of degree {f.degree} in {_SPLIT_DRAWS} draws")
 
 
 def factor(f: FieldPoly, rng) -> Factorization:

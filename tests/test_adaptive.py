@@ -40,7 +40,7 @@ from bbcharpoly.oracle import (
     dense_integer_charpoly,
     dense_invariant_factors,
 )
-from bbcharpoly.poly import FieldPoly, factor
+from bbcharpoly.poly import FactorizationError, FieldPoly, factor
 from bbcharpoly.sms import emit_sms
 
 from helpers import (
@@ -278,6 +278,7 @@ class TestDrivers:
             (multiplicity, "det_blackbox", DetNotCertifiedError),
             (adaptive, "wiedemann_minpoly", MinpolyNotCertifiedError),
             (adaptive, "index_calculus", IndexCalculusFailure),
+            (adaptive, "factor", FactorizationError),
         ],
     )
     def test_retries_a_kernel_failure(self, monkeypatch, module, name, error):
@@ -407,6 +408,20 @@ def test_enumerated_assignments_equal_brute_force(shapes, budget, cap):
         assert got is None
     else:
         assert got == brute_force_assignments(shapes, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=5),
+    st.integers(0, 24),
+    st.integers(0, 12),
+    st.integers(0, 300),
+)
+def test_enumeration_overflow_carries_to_larger_splits(shapes, budget, extra, cap):
+    # hybrid's split s + 1 enumerates the shapes of split s plus one, under a
+    # budget at least as large, so it stops at the first split that overflows
+    if _enumerate_assignments(shapes[:-1], budget, cap) is None:
+        assert _enumerate_assignments(shapes, budget + extra, cap) is None
 
 
 class TestInvfactDriver:

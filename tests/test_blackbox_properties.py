@@ -322,6 +322,12 @@ def test_low_rank_matches_dense(case, data):
 LOW_FIELDS = (3, 5, 101, 65537)
 EXACT = 65537  # from here on one trial is exact with high probability
 SEEDS = st.integers(0, (1 << 32) - 1)
+# A rank trial of rank r over GF(q) errs with probability at most
+# r(r + 1)/(2(q - 1)) on the diagonal path and r(r + 1)/q + r(r + 1)/(2(q - 1))
+# on the Toeplitz one (`rank_blackbox`): up to 3.8% at r = 40 and q = EXACT,
+# so fresh draws at EXACT fail some runs.  The tests that assert an exact
+# outcome there run one fixed set of examples, with no example database.
+PINNED = settings(SETTINGS, derandomize=True)
 
 
 @st.composite
@@ -367,7 +373,7 @@ def counted_trials():
         yield bounds
 
 
-@SETTINGS
+@PINNED
 @given(low_degree_case(), SEEDS)
 def test_minpoly_divides_dense(case, seed):
     p, rows, matrix = case
@@ -381,7 +387,7 @@ def test_minpoly_divides_dense(case, seed):
         assert got == want
 
 
-@SETTINGS
+@PINNED
 @given(low_degree_case().filter(lambda case: case[0] >= EXACT), SEEDS)
 def test_round_stops_once_the_generator_settles(case, seed):
     # A round's sequence has a generator of degree at most d, so it is
@@ -415,7 +421,7 @@ def rank_case(draw):
     return p, rows, op, draw(st.integers(rank, len(rows)))
 
 
-@SETTINGS
+@PINNED
 @given(rank_case(), SEEDS)
 def test_rank_under_a_ceiling_never_exceeds_dense(case, seed):
     p, rows, op, ceiling = case
@@ -425,7 +431,7 @@ def test_rank_under_a_ceiling_never_exceeds_dense(case, seed):
         assert got == dense_rank(rows, p)
 
 
-@SETTINGS
+@PINNED
 @given(rank_case(), SEEDS)
 def test_rank_at_its_ceiling_takes_one_trial(case, seed):
     # A first trial that reaches the ceiling ends the call; where its first

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -509,3 +510,16 @@ class TestExplainEvents:
             source = path.read_text(encoding="utf-8")
             emitted.update(re.findall(r"\b_?emit\(\s*\"([a-z-]+)\"", source))
         assert documented == emitted
+
+
+def test_seeded_corpus_answers_are_pinned():
+    # every command, method and output of tools/seeded_cli_digest.py on its
+    # 21 matrices; only the answers are pinned, as --explain fields may move
+    # with the random draws
+    spec = importlib.util.spec_from_file_location(
+        "seeded_cli_digest", ROOT / "tools" / "seeded_cli_digest.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    answers, _ = tool.digest_all()
+    assert answers == "b9106749ff94bc21babd88885a51a0f06ab8884a4e48dced149f223e8b068a47"

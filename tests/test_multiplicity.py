@@ -21,7 +21,6 @@ from bbcharpoly.multiplicity import (
     InconsistentNullityError,
     IndexCalculusFailure,
     NoCandidateError,
-    OccurrenceTable,
     _EchelonTracker,
     _solve_sweep,
     combinatorial_search,
@@ -200,8 +199,7 @@ class TestCombinatorialSearch:
         rng = random.Random(5)
         A, _ = planted_primary_form([(linear(1, p), {2: 1, 1: 1})], p)
         profiles = [profile(linear(1, p), 2)]
-        known = OccurrenceTable(profiles)
-        out = combinatorial_search(A.operator(p), profiles, known, rng)
+        out = combinatorial_search(A.operator(p), profiles, [{}] * len(profiles), rng)
         assert out == {(0, 1): 1, (0, 2): 1}
 
     def test_minpoly_degree_n_unique(self):
@@ -211,8 +209,7 @@ class TestCombinatorialSearch:
             [(linear(1, p), {1: 1}), (linear(2, p), {1: 1})], p
         )
         profiles = [profile(linear(1, p), 1), profile(linear(2, p), 1)]
-        known = OccurrenceTable(profiles)
-        out = combinatorial_search(A.operator(p), profiles, known, rng)
+        out = combinatorial_search(A.operator(p), profiles, [{}] * len(profiles), rng)
         assert out == {(0, 1): 1, (1, 1): 1}
 
     def test_two_factor_linear_system(self):
@@ -223,8 +220,7 @@ class TestCombinatorialSearch:
         )
         assert mults == [2, 1]
         profiles = [profile(linear(1, p), 1), profile(linear(2, p), 1)]
-        known = OccurrenceTable(profiles)
-        out = combinatorial_search(A.operator(p), profiles, known, rng)
+        out = combinatorial_search(A.operator(p), profiles, [{}] * len(profiles), rng)
         assert out == {(0, 1): 2, (1, 1): 1}
 
     def test_det_discrimination_needed(self):
@@ -234,8 +230,7 @@ class TestCombinatorialSearch:
         blocks = [(linear(2, p), {1: 1, 2: 1}), (linear(4, p), {1: 1})]
         A, mults = planted_primary_form(blocks, p)  # mults (3, 1), n = 4
         profiles = [profile(linear(2, p), 2), profile(linear(4, p), 1)]
-        known = OccurrenceTable(profiles)
-        out = combinatorial_search(A.operator(p), profiles, known, rng)
+        out = combinatorial_search(A.operator(p), profiles, [{}] * len(profiles), rng)
         got = [
             sum(j * c for (i, j), c in out.items() if i == idx)
             for idx in range(len(profiles))
@@ -248,15 +243,9 @@ class TestCombinatorialSearch:
         blocks = [(linear(3, p), {1: 2, 2: 1, 3: 1})]
         A, mults = planted_primary_form(blocks, p)
         profiles = [profile(linear(3, p), 3)]
-        known = OccurrenceTable(profiles)
-        known.occurrences[0][1] = 2
-        out = combinatorial_search(
-            A.operator(p),
-            profiles,
-            known,
-            rng,
-            tail_counts={0: 2},  # two blocks among powers 2..3
-        )
+        # nu_1 = 4 and nu_2 = 6 solve n_1 = 2 and leave two blocks among
+        # powers 2..3
+        out = combinatorial_search(A.operator(p), profiles, [{1: 4, 2: 6}], rng)
         assert out == {(0, 1): 2, (0, 2): 1, (0, 3): 1}
 
     def test_leaves_no_reference_cycle(self):
@@ -269,7 +258,7 @@ class TestCombinatorialSearch:
         gc.disable()
         try:
             combinatorial_search(
-                A.operator(p), profiles, OccurrenceTable(profiles), random.Random(8)
+                A.operator(p), profiles, [{}] * len(profiles), random.Random(8)
             )
             assert gc.collect() == 0
         finally:
@@ -280,10 +269,9 @@ class TestCombinatorialSearch:
         rng = random.Random(10)
         A, _ = planted_primary_form([(linear(1, p), {1: 3})], p)
         profiles = [profile(linear(1, p), 1)]
-        known = OccurrenceTable(profiles)
-        known.occurrences[0][1] = 5  # contradicts n = 3
         with pytest.raises(NoCandidateError):
-            combinatorial_search(A.operator(p), profiles, known, rng)
+            # nu_1 = 5 solves n_1 = 5, which contradicts n = 3
+            combinatorial_search(A.operator(p), profiles, [{1: 5}], rng)
 
 
 class FirstDraws(random.Random):
@@ -509,8 +497,7 @@ class TestCrossMethodAgreement:
             op = A.operator(q)
             minpoly = wiedemann_minpoly(op, work)
             profiles = profiles_from_factorization(factor(minpoly, work))
-            known = OccurrenceTable(profiles)
-            census = combinatorial_search(op, profiles, known, work)
+            census = combinatorial_search(op, profiles, [{}] * len(profiles), work)
             comb_mults = [
                 sum(j * c for (i, j), c in census.items() if i == idx)
                 for idx in range(len(profiles))

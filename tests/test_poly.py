@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bbcharpoly import poly
+from bbcharpoly.cli import main
 from bbcharpoly.ff import next_prime
 from bbcharpoly.poly import (
     BadPrimeError,
@@ -191,6 +192,40 @@ class TestFactor:
             linear(9, p): 1,
         }
 
+
+class TestSplitCap:
+    """A gcd kernel that never returns a proper factor ends equal-degree
+    splitting after 64 draws instead of hanging."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        real_gcd, real_draw, drawn = poly.poly_gcd, poly._random_poly, []
+
+        def never_splits(a, b):
+            g = real_gcd(a, b)
+            return g if g.degree in (0, a.degree) else FieldPoly.one(a.p)
+
+        def counted(*args):
+            drawn.append(args)
+            return real_draw(*args)
+
+        monkeypatch.setattr(poly, "poly_gcd", never_splits)
+        monkeypatch.setattr(poly, "_random_poly", counted)
+        return drawn
+
+    def test_equal_degree_raises_after_64_draws(self, draws):
+        f = linear(1, 101) * linear(2, 101)
+        with pytest.raises(poly.FactorizationError):
+            poly._equal_degree(f, 1, random.Random(0))
+        assert len(draws) == 64
+
+    def test_factored_minpoly_exits_3(self, draws, tmp_path, capsys):
+        path = tmp_path / "m.sms"
+        path.write_text("3 3 M\n1 1 1\n2 2 1\n3 3 2\n0 0 0\n")  # diag(1, 1, 2)
+        argv = ["minpoly", "--field", "101", "--output", "factored", str(path)]
+        assert main(argv) == 3
+        assert "computation failed" in capsys.readouterr().err
+        assert len(draws) == 64
 
 
 class TestPinnedFactor:
