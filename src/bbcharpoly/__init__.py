@@ -16,6 +16,7 @@ from .ff import (
 )
 from .poly import (
     BadPrimeError,
+    ComputationError,
     Factorization,
     FieldPoly,
     GcdFreeBasis,
@@ -48,6 +49,7 @@ __all__ = [
     "AdaptiveConfig",
     "BadPrimeError",
     "BlackBoxOperator",
+    "ComputationError",
     "DlogContext",
     "Factorization",
     "FieldPoly",

@@ -33,16 +33,13 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .blackbox import (
     BlackBoxOperator,
-    DetNotCertifiedError,
     LowRankPerturbation,
-    MinpolyNotCertifiedError,
     PolyOfMatrix,
     _RANK_STREAK,
     preconditioner,
+    random_vector,
     rank_blackbox,
     wiedemann_minpoly,
 )
@@ -50,7 +47,6 @@ from .ff import DlogContext, check_modulus, index_calculus_subprime
 from .multiplicity import (
     FactorProfile,
     InconsistentNullityError,
-    IndexCalculusFailure,
     NoCandidateError,
     SearchExplosionError,
     _EXPLOSION_CAP,
@@ -61,7 +57,7 @@ from .multiplicity import (
     profiles_from_factorization,
 )
 from .poly import (
-    FactorizationError,
+    ComputationError,
     FieldPoly,
     divide_out,
     factor,
@@ -72,11 +68,11 @@ from .poly import (
 METHODS = ("auto", "nullity-comb", "index", "hybrid", "invfact")
 
 
-class AdaptiveError(RuntimeError):
+class AdaptiveError(ComputationError):
     """A driver could not produce a validated characteristic polynomial."""
 
 
-class MethodUnavailableError(AdaptiveError):
+class MethodUnavailableError(ValueError):
     """The requested method cannot run in this field."""
 
 
@@ -292,14 +288,8 @@ def invariant_factor(
     for _ in range(3):
         acc = None
         for _ in range(2):
-            U = np.array(
-                [[rng.randrange(p) for _ in range(r)] for _ in range(n)],
-                dtype=np.int64,
-            )
-            V = np.array(
-                [[rng.randrange(p) for _ in range(n)] for _ in range(r)],
-                dtype=np.int64,
-            )
+            U = random_vector(n * r, p, rng).reshape(n, r)
+            V = random_vector(r * n, p, rng).reshape(r, n)
             perturbed = wiedemann_minpoly(LowRankPerturbation(A, U, V), rng)
             g = poly_gcd(minpoly, perturbed)
             acc = g if acc is None else poly_gcd(acc, g)
@@ -356,10 +346,10 @@ def _alg5_multiplicities(A, profiles, cfg, rng, minpoly, ctx, subprime):
     )
     if live:
         known = {i: m for i, m in enumerate(mults) if i not in live}
-        result = index_calculus(
+        solved = index_calculus(
             A, profiles, sorted(live), known, ctx, subprime, rng, trace_log=cfg.trace_log
         )
-        for i, m in result.multiplicities.items():
+        for i, m in solved.items():
             mults[i] = m
     return mults
 
@@ -440,7 +430,7 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
     cfg._emit("hybrid-split", s=s, assignments=len(assignments), system=len(rest) - s)
     if not assignments:
         raise AdaptiveError("enumeration produced no candidate assignments")
-    result = index_calculus(
+    solved = index_calculus(
         A,
         profiles,
         rest[s:],
@@ -452,7 +442,7 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
         assignments=assignments,
         trace_log=cfg.trace_log,
     )
-    for i, m in result.multiplicities.items():
+    for i, m in solved.items():
         mults[i] = m
     return mults
 
@@ -525,18 +515,7 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
                 raise AdaptiveError(f"unknown method {method}")
             cp = _validate(A, profiles, mults)
             return CharpolyResult(cp, minpoly, profiles, mults, method)
-        except MethodUnavailableError:
-            raise
-        except (
-            AdaptiveError,
-            DetNotCertifiedError,
-            FactorizationError,
-            InconsistentNullityError,
-            IndexCalculusFailure,
-            MinpolyNotCertifiedError,
-            NoCandidateError,
-            SearchExplosionError,
-        ) as err:
+        except ComputationError as err:
             last_error = err
             cfg._emit("retry", error=str(err))
     raise AdaptiveError(f"adaptive driver failed twice: {last_error}")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .poly import (
+    ComputationError,
     FieldPoly,
     _float_sum_fits,
     _lazy_sum_fits,
@@ -40,11 +41,11 @@ from .poly import (
 )
 
 
-class MinpolyNotCertifiedError(ArithmeticError):
+class MinpolyNotCertifiedError(ComputationError):
     """Candidate minimal polynomial failed the annihilation check."""
 
 
-class DetNotCertifiedError(ArithmeticError):
+class DetNotCertifiedError(ComputationError):
     """Determinant preconditioning failed to produce a full-degree minpoly."""
 
 
@@ -52,11 +53,9 @@ def random_vector(n: int, p: int, rng) -> np.ndarray:
     return np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
 
 
-def _dot_mod(u: np.ndarray, v: np.ndarray, p: int, lazy: bool | None = None) -> int:
-    """u . v mod p; ``lazy`` is ``_lazy_sum_fits(len(u), p)`` unless the
-    caller has decided it once for many dots."""
-    if lazy is None:
-        lazy = _lazy_sum_fits(len(u), p)
+def _dot_mod(u: np.ndarray, v: np.ndarray, p: int, lazy: bool) -> int:
+    """u . v mod p; ``lazy`` is ``_lazy_sum_fits(len(u), p)``, which the
+    caller decides once for many dots."""
     if lazy:
         return int(u @ v % p)
     # (u*v) % p keeps every summand < p; the sum then fits easily in int64.
@@ -373,12 +372,8 @@ class _Preconditioner(BlackBoxOperator):
         self.base = base
         self.lc = self.uc = None
         if toeplitz:
-            self.lc = np.array(
-                [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
-            )
-            self.uc = np.array(
-                [1] + [rng.randrange(p) for _ in range(n - 1)], dtype=np.int64
-            )
+            self.lc = np.concatenate(([1], random_vector(n - 1, p, rng)))
+            self.uc = np.concatenate(([1], random_vector(n - 1, p, rng)))
         self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
         self._l = self._ud = None
         if toeplitz and n <= _DENSE_TOEPLITZ_MAX_N and _float_sum_fits(n, p):

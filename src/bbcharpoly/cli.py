@@ -6,7 +6,8 @@ to stdout; ``--explain`` prints a JSON-lines decision trace to stderr when
 the run ends, whether it succeeded or failed.
 
 Exit codes: 0 success, 2 input error (including oracle refusals above the
-size caps), 3 computation failure, 4 verification mismatch.
+size caps), 3 computation failure (a ``ComputationError``), 4 verification
+mismatch.
 """
 
 from __future__ import annotations
@@ -19,37 +20,26 @@ import sys
 from .adaptive import (
     METHODS,
     AdaptiveConfig,
-    AdaptiveError,
     MethodUnavailableError,
     TraceLog,
     charpoly_with_details,
 )
-from .blackbox import (
-    DetNotCertifiedError,
-    MinpolyNotCertifiedError,
-    SparseMatrix,
-    wiedemann_minpoly,
-)
+from .blackbox import SparseMatrix, wiedemann_minpoly
 from .ff import check_modulus, next_prime
 from .graphs import Graph, GraphInputError, symmetric_power
-from .integer import (
-    IntegerCharpolyError,
-    integer_charpoly_with_details,
-    integer_minpoly,
-)
-from .multiplicity import IndexCalculusFailure
+from .integer import integer_charpoly_with_details, integer_minpoly
 from .oracle import (
     dense_charpoly,
     dense_integer_charpoly,
     dense_minpoly,
 )
 from .poly import (
-    BadPrimeError,
-    FactorizationError,
+    ComputationError,
     FieldPoly,
     FieldTooSmallError,
     IntPoly,
     factor,
+    symmetric_range,
 )
 from .sms import SmsFormatError, emit_sms, parse_sms
 
@@ -63,16 +53,6 @@ INTEGER_VERIFY_FULL_CAP = 300
 INTEGER_VERIFY_REDUCTION_CAP = 1000
 VERIFY_REDUCTION_PRIMES = 3
 
-_COMPUTE_ERRORS = (
-    AdaptiveError,
-    BadPrimeError,
-    DetNotCertifiedError,
-    FactorizationError,
-    IndexCalculusFailure,
-    IntegerCharpolyError,
-    MinpolyNotCertifiedError,
-)
-
 
 class UsageError(ValueError):
     """Bad flag combination or unusable input."""
@@ -82,14 +62,22 @@ class VerificationMismatch(RuntimeError):
     pass
 
 
+_INPUT_ERRORS = (
+    SmsFormatError,
+    GraphInputError,
+    UsageError,
+    MethodUnavailableError,
+    FieldTooSmallError,
+)
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 
 
 def _symmetric_coeffs(poly) -> tuple:
     if isinstance(poly, FieldPoly):
-        half = poly.p // 2
-        return tuple(c - poly.p if c > half else c for c in poly.coeffs)
+        return tuple(symmetric_range(poly.coeffs, poly.p))
     return tuple(poly.coeffs)
 
 
@@ -469,19 +457,13 @@ def main(argv=None) -> int:
     args.trace_log = TraceLog() if getattr(args, "explain", False) else None
     try:
         return args.func(args)
-    except (
-        SmsFormatError,
-        GraphInputError,
-        UsageError,
-        MethodUnavailableError,
-        FieldTooSmallError,
-    ) as err:
+    except _INPUT_ERRORS as err:
         print(f"bbcharpoly: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except VerificationMismatch as err:
         print(f"bbcharpoly: verification mismatch: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    except _COMPUTE_ERRORS as err:
+    except ComputationError as err:
         print(f"bbcharpoly: computation failed: {err}", file=sys.stderr)
         return EXIT_COMPUTE
     finally:

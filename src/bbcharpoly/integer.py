@@ -28,6 +28,7 @@ from .blackbox import SparseMatrix, wiedemann_minpoly
 from .ff import find_index_calculus_field, is_prime
 from .poly import (
     BadPrimeError,
+    ComputationError,
     FieldPoly,
     IntPoly,
     crt_combine,
@@ -42,7 +43,7 @@ _MINPOLY_PRIME_LO = 1 << 28
 _MINPOLY_PRIME_HI = 1 << 29
 
 
-class IntegerCharpolyError(ArithmeticError):
+class IntegerCharpolyError(ComputationError):
     """The integer pipeline ran out of good primes; carries diagnostics."""
 
     def __init__(self, message: str, bad_primes=()):

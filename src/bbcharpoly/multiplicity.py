@@ -26,22 +26,22 @@ import numpy as np
 
 from .blackbox import BlackBoxOperator, ShiftedOperator, det_blackbox
 from .ff import DlogContext
-from .poly import Factorization, FieldPoly
+from .poly import ComputationError, Factorization, FieldPoly
 
 
 # combinatorial_search gives up beyond this many candidate censuses
 _EXPLOSION_CAP = 10**6
 
 
-class InconsistentNullityError(ArithmeticError):
+class InconsistentNullityError(ComputationError):
     """Nullity sequence cannot come from a valid block census."""
 
 
-class SearchExplosionError(RuntimeError):
+class SearchExplosionError(ComputationError):
     """Combinatorial search exceeded the candidate cap."""
 
 
-class NoCandidateError(ArithmeticError):
+class NoCandidateError(ComputationError):
     """No block census satisfies the degree/trace constraints."""
 
 
@@ -66,7 +66,7 @@ def det_rounds(n: int, p: int, candidates: int = 1) -> int | None:
     return r
 
 
-class IndexCalculusFailure(RuntimeError):
+class IndexCalculusFailure(ComputationError):
     """Discrete-log system did not reach full rank or failed validation."""
 
 
@@ -75,22 +75,19 @@ class FactorProfile:
     """One irreducible factor of the minimal polynomial."""
 
     poly: FieldPoly
-    degree: int
     minpoly_mult: int
-    trace_coeff: int = 0
 
-    @classmethod
-    def from_poly(cls, poly: FieldPoly, minpoly_mult: int) -> "FactorProfile":
-        return cls(
-            poly=poly,
-            degree=poly.degree,
-            minpoly_mult=minpoly_mult,
-            trace_coeff=poly.coefficient(poly.degree - 1),
-        )
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
+
+    @property
+    def trace_coeff(self) -> int:
+        return self.poly.coefficient(self.poly.degree - 1)
 
 
 def profiles_from_factorization(fac: Factorization) -> list[FactorProfile]:
-    return [FactorProfile.from_poly(poly, mult) for poly, mult in fac]
+    return [FactorProfile(poly, mult) for poly, mult in fac]
 
 
 def nullities_to_occurrences(
@@ -299,6 +296,14 @@ class _CensusSearch:
             self.found.append(tuple(self.values))
 
 
+def _power_product(values, exponents, q: int) -> int:
+    """prod values_i^exponents_i mod q."""
+    out = 1
+    for v, e in zip(values, exponents):
+        out = out * pow(v, e, q) % q
+    return out
+
+
 def _discriminate_by_det(
     A: BlackBoxOperator, profiles, vectors, rng, trace_log=None, *, min_rounds=0
 ):
@@ -322,25 +327,13 @@ def _discriminate_by_det(
         lam = rng.randrange(p)
         delta = det_blackbox(ShiftedOperator(A, lam), rng)
         evals = [prof.poly(lam) for prof in profiles]
-        kept = []
-        for mults in survivors:
-            value = 1
-            for ev, m in zip(evals, mults):
-                value = value * pow(ev, m, p) % p
-            if value == delta:
-                kept.append(mults)
+        kept = [m for m in survivors if _power_product(evals, m, p) == delta]
         if trace_log is not None:
             trace_log.emit("search-det", lam=lam, det=delta, survivors=len(kept))
         survivors = kept
     if not survivors:
         raise NoCandidateError("determinant discrimination eliminated every candidate")
     return survivors[0]
-
-
-@dataclass
-class IndexCalculusResult:
-    multiplicities: dict[int, int]
-    rows_sampled: int
 
 
 class _EchelonTracker:
@@ -429,7 +422,7 @@ def index_calculus(
     enumerated=(),
     assignments=((),),
     trace_log=None,
-) -> IndexCalculusResult:
+) -> dict[int, int]:
     """Multiplicities of the ``unknown`` and ``enumerated`` factors from one
     discrete-log system mod ``subprime``, a prime p > n dividing q - 1.
 
@@ -456,10 +449,7 @@ def index_calculus(
         raise ValueError("subprime must divide q-1 and exceed the dimension")
 
     def known_at(lam: int) -> int:
-        value = 1
-        for i, m in known.items():
-            value = value * pow(profiles[i].poly(lam), m, q) % q
-        return value
+        return _power_product((profiles[i].poly(lam) for i in known), known.values(), q)
 
     k = len(unknown)
     guarded = [profiles[j].poly for j in (*unknown, *enumerated)]
@@ -507,4 +497,4 @@ def index_calculus(
     mults = dict(zip((*enumerated, *unknown), winner))  # known ones last
     if trace_log is not None:
         trace_log.emit("ic-solved", rows=rows_sampled, multiplicities=mults)
-    return IndexCalculusResult(mults, rows_sampled)
+    return mults

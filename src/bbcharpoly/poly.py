@@ -80,7 +80,15 @@ _NEWTON_WORK = 1024
 _FLOAT_FROBENIUS_MIN_N = 16
 
 
-class BadPrimeError(ArithmeticError):
+class ComputationError(ArithmeticError):
+    """A computation failed, and a fresh try may succeed.
+
+    Every such failure in the package derives from this class: the field
+    driver retries it, and the command line maps it to exit code 3.
+    """
+
+
+class BadPrimeError(ComputationError):
     """The chosen prime does not preserve the structure being reduced."""
 
 
@@ -88,7 +96,7 @@ class FieldTooSmallError(ValueError):
     """Squarefree machinery needs p > deg(f); pick a larger field."""
 
 
-class FactorizationError(ArithmeticError):
+class FactorizationError(ComputationError):
     """Equal-degree splitting found no split within its draws."""
 
 
@@ -97,6 +105,12 @@ def _strip(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return coeffs[:n]
+
+
+def symmetric_range(coeffs, m: int) -> list:
+    """Residues in [0, m) read in the symmetric range (-m/2, m/2]."""
+    half = m // 2
+    return [c - m if c > half else c for c in coeffs]
 
 
 def _lazy_sum_terms(p: int) -> int:
@@ -263,10 +277,13 @@ def _power(base, e: int, one, mul=operator.mul):
 
 
 class _Poly:
-    """The methods FieldPoly and IntPoly share.
+    """The ring methods FieldPoly and IntPoly share.
 
-    A subclass keeps a stripped ``coeffs`` tuple and defines ``_check``,
-    ``+``, unary ``-`` and ``divmod``, which the operations here are written in.
+    A subclass keeps a stripped ``coeffs`` tuple and its modulus ``p`` (None
+    over Z), and defines ``_new``, ``*`` and ``divmod``.  ``_new(coeffs,
+    changed)`` makes a polynomial of the same ring from a list of ints of
+    which only the first ``changed`` may lie outside the ring's coefficient
+    range; it reduces those and strips.
     """
 
     __slots__ = ("coeffs",)
@@ -293,20 +310,62 @@ class _Poly:
     def text(self) -> str:
         return _render_ascending(self.coeffs)
 
-    def __sub__(self, other):
+    def _check(self, other):
+        if isinstance(other, type(self)):
+            if other.p != self.p:
+                raise ValueError(f"mixed moduli {self.p} and {other.p}")
+            return other
+        if isinstance(other, int):
+            return self._new([other], 1)
+        return NotImplemented
+
+    def _sum(self, other, sign: int):
+        """self + sign * other."""
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        a, b = self.coeffs, o.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += sign * c
+        return self._new(out, len(b))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs], len(self.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def __pow__(self, e: int):
+        return _power(self, e, self._new([1], 0))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
+
+    def derivative(self):
+        out = [i * c for i, c in enumerate(self.coeffs)][1:]
+        return self._new(out, len(out))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self._new([other], 1)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self.p == other.p and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.p, self.coeffs))
 
 
 class FieldPoly(_Poly):
@@ -337,33 +396,11 @@ class FieldPoly(_Poly):
     def constant(cls, c, p):
         return cls((c,), p)
 
-    def _check(self, other) -> "FieldPoly":
-        if isinstance(other, FieldPoly):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FieldPoly((other,), self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FieldPoly(_strip(out), self.p, _trusted=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldPoly(
-            tuple((-c) % self.p for c in self.coeffs), self.p, _trusted=True
-        )
+    def _new(self, coeffs, changed):
+        p = self.p
+        for i in range(changed):
+            coeffs[i] %= p
+        return FieldPoly(_strip(coeffs), p, _trusted=True)
 
     def __mul__(self, other):
         o = self._check(other)
@@ -385,9 +422,6 @@ class FieldPoly(_Poly):
             FieldPoly(r, self.p, _trusted=True),
         )
 
-    def __pow__(self, e: int):
-        return _power(self, e, FieldPoly.one(self.p))
-
     def monic(self) -> "FieldPoly":
         if self.is_zero or self.coeffs[-1] == 1:
             return self
@@ -396,30 +430,12 @@ class FieldPoly(_Poly):
             tuple(c * inv % self.p for c in self.coeffs), self.p, _trusted=True
         )
 
-    def derivative(self) -> "FieldPoly":
-        return FieldPoly(
-            _strip([i * c % self.p for i, c in enumerate(self.coeffs)][1:]),
-            self.p,
-            _trusted=True,
-        )
-
     def __call__(self, x: int) -> int:
         """Horner evaluation; deg(f) multiply-adds."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.p
         return acc
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldPoly):
-            return self.p == other.p and self.coeffs == other.coeffs
-        if isinstance(other, int):
-            v = other % self.p
-            return self.coeffs == ((v,) if v else ())
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
 
     def __repr__(self):
         return f"FieldPoly({self.text()!r}, p={self.p})"
@@ -464,6 +480,7 @@ class IntPoly(_Poly):
     """Dense polynomial over Z with arbitrary-precision coefficients."""
 
     __slots__ = ()
+    p = None
 
     def __init__(self, coeffs):
         self.coeffs = tuple(_strip([int(c) for c in coeffs]))
@@ -476,29 +493,8 @@ class IntPoly(_Poly):
     def one(cls):
         return cls((1,))
 
-    def _check(self, other):
-        if isinstance(other, IntPoly):
-            return other
-        if isinstance(other, int):
-            return IntPoly((other,))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs))
+    def _new(self, coeffs, changed):
+        return IntPoly(coeffs)
 
     def __mul__(self, other):
         o = self._check(other)
@@ -507,9 +503,6 @@ class IntPoly(_Poly):
         return IntPoly(_imul_lists(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return _power(self, e, IntPoly.one())
 
     def __divmod__(self, other):
         """Division over Z; the divisor must be monic or divide exactly."""
@@ -537,9 +530,6 @@ class IntPoly(_Poly):
                     rem[k + j] -= q * o.coeffs[j]
         return IntPoly(quot), IntPoly(rem[:db])
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -551,16 +541,6 @@ class IntPoly(_Poly):
 
     def max_abs(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == tuple(_strip([other]))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
 
     def __repr__(self):
         return f"IntPoly({self.text()!r})"
@@ -856,7 +836,7 @@ def _int_gcd_monic(f: IntPoly, g: IntPoly) -> IntPoly:
             if (f % candidate).is_zero and (g % candidate).is_zero:
                 return candidate
         previous = candidate
-    raise ArithmeticError("modular gcd did not stabilize")
+    raise ComputationError("modular gcd did not stabilize")
 
 
 def squarefree_part(f):
@@ -1157,9 +1137,8 @@ def hensel_lift_basis(S: IntPoly, basis, p: int):
     modulus = p
     while modulus <= 2 * bound:
         modulus *= p
-    half = modulus // 2
     lifted = [
-        IntPoly([c - modulus if c > half else c for c in g.coeffs])
+        IntPoly(symmetric_range(g.coeffs, modulus))
         for g in _lift_tree(_mod_coeffs(S, modulus), list(basis), p, modulus)
     ]
     if reduce(operator.mul, lifted, IntPoly.one()) != S:
@@ -1199,5 +1178,4 @@ def crt_combine(residues) -> IntPoly:
             delta = (ri - coeffs[i]) % p
             coeffs[i] = coeffs[i] + modulus * (delta * inv % p)
         modulus *= p
-    half = modulus // 2
-    return IntPoly([c - modulus if c > half else c for c in coeffs])
+    return IntPoly(symmetric_range(coeffs, modulus))

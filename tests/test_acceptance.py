@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from bbcharpoly.adaptive import AdaptiveConfig, blackbox_charpoly_field
+from bbcharpoly.adaptive import AdaptiveConfig, TraceLog, blackbox_charpoly_field
 from bbcharpoly.blackbox import (
     PolyOfMatrix,
     build_block_jordan,
@@ -178,8 +178,9 @@ def test_criterion_5_discrete_log_rank_growth():
         A = build_companion(full.monic())
         profiles = profiles_from_factorization(factor(full.monic(), rng))
         ctx = DlogContext(q)
+        log = TraceLog()
         try:
-            res = index_calculus(
+            index_calculus(
                 A.operator(q),
                 profiles,
                 list(range(len(profiles))),
@@ -187,8 +188,9 @@ def test_criterion_5_discrete_log_rank_growth():
                 ctx,
                 p_sub,
                 rng,
+                trace_log=log,
             )
-            rows = res.rows_sampled
+            rows = log.events[-1]["rows"]  # the ic-solved event
             if rows <= len(profiles) + 10:
                 within_k10 += 1
             within_fail_bound += 1  # success always happens within n rows

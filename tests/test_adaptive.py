@@ -279,6 +279,14 @@ class TestDrivers:
             (adaptive, "wiedemann_minpoly", MinpolyNotCertifiedError),
             (adaptive, "index_calculus", IndexCalculusFailure),
             (adaptive, "factor", FactorizationError),
+            # every other error the driver once listed by name, raised by factor
+            (adaptive, "factor", adaptive.AdaptiveError),
+            (adaptive, "factor", DetNotCertifiedError),
+            (adaptive, "factor", multiplicity.InconsistentNullityError),
+            (adaptive, "factor", IndexCalculusFailure),
+            (adaptive, "factor", MinpolyNotCertifiedError),
+            (adaptive, "factor", multiplicity.NoCandidateError),
+            (adaptive, "factor", multiplicity.SearchExplosionError),
         ],
     )
     def test_retries_a_kernel_failure(self, monkeypatch, module, name, error):

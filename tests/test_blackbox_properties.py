@@ -139,7 +139,7 @@ class TestLazyBound:
     )
     def test_dot_on_both_sides_of_the_flip(self, p, length):
         u = vec([p - 1] * length)
-        assert _dot_mod(u, u, p) == length * (p - 1) ** 2 % p
+        assert _dot_mod(u, u, p, _lazy_sum_fits(length, p)) == length * (p - 1) ** 2 % p
 
     @pytest.mark.parametrize(
         "n, r, x", [(4, 4, P4 - 1), (5, 1, P4 - 1), (1, 4, 1), (1, 5, 1)]

@@ -1,6 +1,8 @@
+import importlib
 import importlib.util
 import json
 import math
+import pkgutil
 import re
 from itertools import combinations
 from pathlib import Path
@@ -471,6 +473,44 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "charpoly", "--field", "101", path)
         assert code == 3
         assert "computation failed" in err
+
+    def test_every_error_class_has_one_exit_code(self, capsys, tmp_path, monkeypatch):
+        # each exception class of the package is a ComputationError (exit 3),
+        # one of main's input errors (exit 2) or VerificationMismatch (exit 4)
+        import bbcharpoly
+        from bbcharpoly import cli
+        from bbcharpoly.poly import ComputationError
+
+        classes = set()
+        for info in pkgutil.iter_modules(bbcharpoly.__path__):
+            module = importlib.import_module(f"bbcharpoly.{info.name}")
+            for cls in vars(module).values():
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    if cls.__module__ == module.__name__:
+                        classes.add(cls)
+        assert {ComputationError, cli.UsageError, cli.VerificationMismatch} <= classes
+
+        def raising(cls):
+            err = cls.__new__(cls)  # some constructors take more than a message
+            err.args = ("synthetic failure",)
+
+            def boom(*args, **kwargs):
+                raise err
+
+            return boom
+
+        path = write(tmp_path, "m.sms", DIAG112)
+        for cls in classes:
+            kinds = {
+                3: issubclass(cls, ComputationError),
+                2: cls in cli._INPUT_ERRORS,
+                4: cls is cli.VerificationMismatch,
+            }
+            assert sum(kinds.values()) == 1, cls
+            monkeypatch.setattr(cli, "charpoly_with_details", raising(cls))
+            code, _, err = run_cli(capsys, "charpoly", "--field", "101", path)
+            assert kinds[code], cls
+            assert err.count("\n") == 1 and "synthetic failure" in err, cls
 
     def test_verify_field_size_cap(self, capsys, tmp_path):
         path = write_identity(tmp_path, 301)

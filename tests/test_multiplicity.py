@@ -44,7 +44,7 @@ from helpers import (
 
 
 def profile(poly, e):
-    return FactorProfile.from_poly(poly, e)
+    return FactorProfile(poly, e)
 
 
 class TestNullityMultiplicity:
@@ -309,8 +309,8 @@ class TestIndexCalculus:
             rng,
             trace_log=log,
         )
-        assert out.multiplicities == {0: 2, 1: 1}
-        assert out.rows_sampled == 2
+        assert out == {0: 2, 1: 1}
+        assert log.events[-1] == {"event": "ic-solved", "rows": 2, "multiplicities": out}
         assert [e["lam"] for e in log.events if e["event"] == "ic-row"] == [3, 4]
 
     def test_single_unknown(self):
@@ -320,7 +320,7 @@ class TestIndexCalculus:
         profiles = [profile(linear(3, q), 2)]
         ctx = DlogContext(q)
         out = index_calculus(A.operator(q), profiles, [0], {}, ctx, p, rng)
-        assert out.multiplicities == {0: 6}
+        assert out == {0: 6}
 
     def test_companion_recovers_minpoly_multiplicities(self):
         rng = random.Random(13)
@@ -342,7 +342,7 @@ class TestIndexCalculus:
             rng,
         )
         want = {i: prof.minpoly_mult for i, prof in enumerate(profiles)}
-        assert out.multiplicities == want
+        assert out == want
 
     def test_known_partial_product(self):
         rng = random.Random(14)
@@ -358,7 +358,7 @@ class TestIndexCalculus:
         out = index_calculus(
             A.operator(q), profiles, [0, 1], {2: 3}, ctx, p, rng
         )
-        assert out.multiplicities == {0: 3, 1: 2}
+        assert out == {0: 3, 1: 2}
 
     def test_degree_check_failure(self):
         rng = random.Random(15)
@@ -393,10 +393,9 @@ class TestIndexCalculus:
             assignments=[(1, 4), (2, 3), (3, 2)],
             trace_log=log,
         )
-        assert out.multiplicities == {0: 2, 1: 3}
-        assert out.rows_sampled == 0
+        assert out == {0: 2, 1: 3}
         assert any(e["event"] == "search-det" for e in log.events)
-        assert [e["event"] for e in log.events][-1] == "ic-solved"
+        assert log.events[-1] == {"event": "ic-solved", "rows": 0, "multiplicities": out}
 
     def test_assignment_sweep_solves_the_rest(self):
         rng = random.Random(18)
@@ -417,18 +416,26 @@ class TestIndexCalculus:
             enumerated=[0],
             assignments=[(1,), (2,), (3,)],
         )
-        assert out.multiplicities == {0: 2, 1: 2, 2: 1}
+        assert out == {0: 2, 1: 2, 2: 1}
 
     def test_nothing_to_solve_draws_nothing(self):
         q, p = find_index_calculus_field(6)
         A, _ = planted_primary_form([(linear(3, q), {1: 6})], q)
         rng = random.Random(19)
         state = rng.getstate()
+        log = TraceLog()
         out = index_calculus(
-            A.operator(q), [profile(linear(3, q), 1)], [], {0: 6}, ctx_for(q), p, rng
+            A.operator(q),
+            [profile(linear(3, q), 1)],
+            [],
+            {0: 6},
+            ctx_for(q),
+            p,
+            rng,
+            trace_log=log,
         )
-        assert out.multiplicities == {}
-        assert out.rows_sampled == 0
+        assert out == {}
+        assert log.events == [{"event": "ic-solved", "rows": 0, "multiplicities": {}}]
         assert rng.getstate() == state
 
 
@@ -511,7 +518,7 @@ class TestCrossMethodAgreement:
                 p,
                 work,
             )
-            ic_mults = [ic.multiplicities[i] for i in range(len(profiles))]
+            ic_mults = [ic[i] for i in range(len(profiles))]
             assert comb_mults == ic_mults, f"trial={trial} q={q}"
             if mults is not None:
                 # planted truth: map profile order back to construction order
@@ -541,7 +548,7 @@ class TestFrobeniusBlockMatrix:
         p = 101
         cp = dense_charpoly(self.ROWS, p)
         fac = factor(cp, rng)
-        profiles = [FactorProfile.from_poly(f, m) for f, m in fac]
+        profiles = [FactorProfile(f, m) for f, m in fac]
         mults = [m for _, m in fac]
         tr = sum(self.ROWS[i][i] for i in range(7))
         got = degree_trace_residual(mults, profiles, 7, tr % p, p)

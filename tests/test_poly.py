@@ -228,6 +228,28 @@ class TestSplitCap:
         assert len(draws) == 64
 
 
+class TestGcdStabilizes:
+    """A modular integer gcd that never stabilizes is a computation failure:
+    it raises ComputationError, and the command exits 3 with one line."""
+
+    @pytest.fixture
+    def unstable(self, monkeypatch):
+        # every prime yields a new reconstruction, so no two agree
+        monkeypatch.setattr(poly, "crt_combine", lambda rs: IntPoly([len(rs), 1]))
+
+    def test_squarefree_part_raises(self, unstable):
+        f = IntPoly([1, -2, 1])  # (X - 1)^2
+        with pytest.raises(poly.ComputationError, match="did not stabilize"):
+            squarefree_part(f)
+
+    def test_integer_charpoly_exits_3(self, unstable, tmp_path, capsys):
+        path = tmp_path / "m.sms"
+        path.write_text("2 2 M\n1 1 1\n1 2 1\n2 2 1\n0 0 0\n")  # a Jordan block
+        assert main(["charpoly", "--integer", "--seed", "1", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "bbcharpoly: computation failed: modular gcd did not stabilize\n"
+
+
 class TestPinnedFactor:
     """Factor lists and generator use of ``factor`` on fixed random polynomials.
 

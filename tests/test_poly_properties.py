@@ -19,6 +19,7 @@ from bbcharpoly.poly import (
     _FLOAT_FROBENIUS_MIN_N,
     _NEWTON_WORK,
     FieldPoly,
+    IntPoly,
     _distinct_degree,
     _divmod_arrays,
     _euclid_remainder,
@@ -429,6 +430,62 @@ def test_is_irreducible_matches_rabin_with_powers(data):
     p = data.draw(st.sampled_from(PRIMES))
     f = data.draw(field_polys(p, min_degree=2, max_degree=8))
     assert is_irreducible(f) == reference_irreducible(f)
+
+
+class TestRingMethods:
+    """The ring methods FieldPoly and IntPoly share commute with reduction.
+
+    Coefficients include multiples of p, so sums, negations and derivatives
+    must strip the leading terms that vanish mod p.
+    """
+
+    @staticmethod
+    def ints(p):
+        return st.integers(-(1 << 40), 1 << 40) | st.integers(-3, 3).map(lambda k: k * p)
+
+    def int_polys(self, p):
+        return st.lists(self.ints(p), max_size=8).map(IntPoly)
+
+    @SETTINGS
+    @given(st.data())
+    def test_commute_with_reduce(self, data):
+        p = data.draw(st.sampled_from((3, 101, (1 << 31) - 1)))
+        f, g = data.draw(self.int_polys(p)), data.draw(self.int_polys(p))
+        e = data.draw(st.integers(0, 4))
+        c = data.draw(self.ints(p))
+        fp, gp = f.reduce(p), g.reduce(p)
+        pairs = [
+            ((f + g).reduce(p), fp + gp),
+            ((f - g).reduce(p), fp - gp),
+            ((-f).reduce(p), -fp),
+            ((f**e).reduce(p), fp**e),
+            (f.derivative().reduce(p), fp.derivative()),
+            ((c + f).reduce(p), c + fp),
+            ((f - c).reduce(p), fp - c),
+        ]
+        for want, got in pairs:
+            assert got == want and hash(got) == hash(want)
+            assert got.p == p and all(0 <= x < p for x in got.coeffs)
+            assert not got.coeffs or got.coeffs[-1] != 0
+        assert (f == c) == (f.coeffs == ((c,) if c else ()))
+        if f == c:
+            assert fp == c
+        # over GF(p) an int compares by its residue
+        assert (fp == c) == (fp.coeffs == ((c % p,) if c % p else ()))
+        assert (fp == c) == (fp == c + 7 * p)
+
+    @SETTINGS
+    @given(st.data())
+    def test_equal_polynomials_hash_equal(self, data):
+        p = data.draw(st.sampled_from((3, 101, (1 << 31) - 1)))
+        f, g = data.draw(self.int_polys(p)), data.draw(self.int_polys(p))
+        assert f + g == g + f and hash(f + g) == hash(g + f)
+        assert IntPoly(list(f.coeffs) + [0, 0]) == f
+        assert hash(IntPoly(list(f.coeffs) + [0, 0])) == hash(f)
+        fp, gp = f.reduce(p), g.reduce(p)
+        assert fp + gp == gp + fp and hash(fp + gp) == hash(gp + fp)
+        shifted = FieldPoly([x + p for x in f.coeffs], p)
+        assert shifted == fp and hash(shifted) == hash(fp)
 
 
 class TestConvolutionBound:
