@@ -184,22 +184,18 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
     ]
     slots.sort()
     nullities: list[dict[int, int]] = [{} for _ in profiles]
-    remaining = len(slots)
-    for _, i, j in slots:
-        if remaining <= cfg.threshold:
-            break
+    for _, i, j in slots[: max(0, len(slots) - cfg.threshold)]:
         nullities[i][j] = _compute_nullity(A, profiles[i], j, rng, cfg)
-        remaining -= 1
+    for i, prof in enumerate(profiles):
+        # slots go by rising j*d and the extras sit at the frontier,
+        # so a factor's measured powers are always 1..len
+        ji = len(nullities[i])
+        if 0 < ji < prof.minpoly_mult:
+            nullities[i][ji + 1] = _compute_nullity(A, prof, ji + 1, rng, cfg)
     rounds = det_rounds(n, p)
 
     for attempt in range(2):
         try:
-            for i, prof in enumerate(profiles):
-                # slots go by rising j*d and the extras sit at the frontier,
-                # so a factor's measured powers are always 1..len
-                ji = len(nullities[i])
-                if 0 < ji < prof.minpoly_mult:
-                    nullities[i][ji + 1] = _compute_nullity(A, prof, ji + 1, rng, cfg)
             left = sorted(
                 (i for i in range(len(profiles)) if not nullities[i]),
                 key=lambda i: profiles[i].degree,

@@ -75,12 +75,6 @@ _INPUT_ERRORS = (
 # Rendering
 
 
-def _symmetric_coeffs(poly) -> tuple:
-    if isinstance(poly, FieldPoly):
-        return tuple(symmetric_range(poly.coeffs, poly.p))
-    return tuple(poly.coeffs)
-
-
 def _descending_text(coeffs) -> str:
     """Compact factored-form rendering, highest power first: X^2-10*X+1."""
     parts = []
@@ -102,31 +96,39 @@ def _descending_text(coeffs) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _sorted_factor_pairs(pairs):
-    """Canonical factor order: degree, then descending lexicographic order
-    of the symmetric-range coefficient tuple (constant term first)."""
-    keyed = []
-    for poly, exponent in pairs:
-        coeffs = _symmetric_coeffs(poly)
-        keyed.append(((len(coeffs) - 1, tuple(-c for c in coeffs)), coeffs, exponent))
-    keyed.sort(key=lambda t: t[0])
-    return [(coeffs, exponent) for _, coeffs, exponent in keyed]
+def _canonical_rows(rows) -> list:
+    """Factor rows (factor, minpoly multiplicity or None, multiplicity) as
+    (symmetric-range coefficients, degree, e, m), in the canonical order:
+    degree, then descending lexicographic order of the coefficients
+    (constant term first)."""
+    out = []
+    for f, e, m in rows:
+        coeffs = symmetric_range(f.coeffs, f.p) if isinstance(f, FieldPoly) else f.coeffs
+        out.append((tuple(coeffs), f.degree, e, m))
+    out.sort(key=lambda r: (r[1], tuple(-c for c in r[0])))
+    return out
 
 
-def _factored_text(pairs) -> str:
-    rendered = []
-    for coeffs, exponent in _sorted_factor_pairs(pairs):
-        body = f"({_descending_text(coeffs)})"
-        rendered.append(body if exponent == 1 else f"{body}^{exponent}")
-    return "*".join(rendered) if rendered else "1"
-
-
-def _poly_payload(poly) -> dict:
-    return {"degree": poly.degree, "coeffs": list(poly.coeffs)}
-
-
-def _json_out(payload) -> str:
-    return json.dumps(payload, sort_keys=True)
+def _print_poly(args, poly, rows, **payload) -> None:
+    """Print ``poly`` in the ``--output`` form; ``rows`` are canonical factor
+    rows, and JSON adds ``payload`` and, when there are rows, ``factors``."""
+    if args.output == "coeffs":
+        print(poly.text())
+    elif args.output == "factored":
+        rendered = [
+            f"({_descending_text(coeffs)})" + ("" if m == 1 else f"^{m}")
+            for coeffs, _, _, m in rows
+        ]
+        print("*".join(rendered) if rendered else "1")
+    else:
+        payload.update(
+            verified=bool(args.verify), degree=poly.degree, coeffs=list(poly.coeffs)
+        )
+        if rows:
+            payload["factors"] = [
+                {"coeffs": list(coeffs), "exponent": m} for coeffs, _, _, m in rows
+            ]
+        print(json.dumps(payload, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +146,8 @@ def _read_matrix(path: str) -> SparseMatrix:
 
 
 def _field_modulus(args) -> int | None:
-    if args.integer:
-        return None
     if args.field is None:
-        return None  # integer mode is the default
+        return None  # integer mode, with --integer or by default
     try:
         return check_modulus(args.field)
     except ValueError as err:
@@ -211,9 +211,10 @@ def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
     """Characteristic polynomial over the chosen domain, checked against the
     dense oracle when ``verify`` is set.
 
-    Returns (modulus or None, charpoly, method, factor rows); a row is
-    (factor, its multiplicity in the minimal polynomial or None over the
-    integers, its multiplicity in the characteristic polynomial).
+    Returns (modulus or None, charpoly, method, factor rows); the rows are
+    ``_canonical_rows`` of (factor, its multiplicity in the minimal polynomial
+    or None over the integers, its multiplicity in the characteristic
+    polynomial).
     """
     cfg = _make_cfg(args)
     p = _field_modulus(args)
@@ -237,7 +238,7 @@ def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
         ]
         if verify:
             _verify_integer(matrix, poly, details.field_prime)
-    return p, poly, method, rows
+    return p, poly, method, _canonical_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +248,7 @@ def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
 def cmd_charpoly(args) -> int:
     matrix = _read_matrix(args.matrix)
     p, poly, method, rows = _charpoly_run(args, matrix, args.verify)
-    factor_pairs = [(f, m) for f, _, m in rows]
-    if args.output == "coeffs":
-        print(poly.text())
-    elif args.output == "factored":
-        print(_factored_text(factor_pairs))
-    else:
-        payload = {
-            "command": "charpoly",
-            "modulus": p,
-            "method": method,
-            "verified": bool(args.verify),
-            **_poly_payload(poly),
-            "factors": [
-                {"coeffs": list(coeffs), "exponent": e}
-                for coeffs, e in _sorted_factor_pairs(factor_pairs)
-            ],
-        }
-        print(_json_out(payload))
+    _print_poly(args, poly, rows, command="charpoly", modulus=p, method=method)
     return EXIT_OK
 
 
@@ -280,13 +264,13 @@ def cmd_minpoly(args) -> int:
         raise UsageError(
             "factored output of the integer minimal polynomial is not supported"
         )
+    rows = []
     if p is not None:
         poly = wiedemann_minpoly(matrix.operator(p), rng)
         if args.verify and poly != dense_minpoly(matrix.to_dense(), p):
             raise VerificationMismatch("minpoly disagrees with the dense oracle")
-        factor_pairs = None
         if args.output in ("factored", "json"):
-            factor_pairs = [(f, m) for f, m in factor(poly, rng)]
+            rows = [(f, m, m) for f, m in factor(poly, rng)]
     else:
         poly = integer_minpoly(matrix, rng)
         if args.verify:
@@ -306,39 +290,19 @@ def cmd_minpoly(args) -> int:
                 raise VerificationMismatch(
                     "every reduction had a smaller dense minpoly degree"
                 )
-        factor_pairs = None
-    if args.output == "coeffs":
-        print(poly.text())
-    elif args.output == "factored":
-        print(_factored_text(factor_pairs))
-    else:
-        payload = {
-            "command": "minpoly",
-            "modulus": p,
-            "verified": bool(args.verify),
-            **_poly_payload(poly),
-        }
-        if factor_pairs is not None:
-            payload["factors"] = [
-                {"coeffs": list(coeffs), "exponent": e}
-                for coeffs, e in _sorted_factor_pairs(factor_pairs)
-            ]
-        print(_json_out(payload))
+    _print_poly(args, poly, _canonical_rows(rows), command="minpoly", modulus=p)
     return EXIT_OK
 
 
 def cmd_multiplicities(args) -> int:
     matrix = _read_matrix(args.matrix)
-    p, _, _, factors = _charpoly_run(args, matrix, args.verify)
-    rows = [(_symmetric_coeffs(f), f.degree, e, m) for f, e, m in factors]
-    pairs = [(f, m) for f, _, m in factors]
-    rows.sort(key=lambda r: (r[1], tuple(-c for c in r[0])))
+    p, poly, _, rows = _charpoly_run(args, matrix, args.verify)
     if args.output == "coeffs":
         for coeffs, degree, minpoly_mult, mult in rows:
             e_text = "-" if minpoly_mult is None else str(minpoly_mult)
             print(f"{mult}\t{e_text}\t{degree}\t{_descending_text(coeffs)}")
     elif args.output == "factored":
-        print(_factored_text(pairs))
+        _print_poly(args, poly, rows)
     else:
         payload = {
             "command": "multiplicities",
@@ -354,7 +318,7 @@ def cmd_multiplicities(args) -> int:
                 for coeffs, degree, minpoly_mult, mult in rows
             ],
         }
-        print(_json_out(payload))
+        print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 

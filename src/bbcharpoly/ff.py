@@ -7,9 +7,8 @@ word-size range).  It runs where a modulus enters the program: the CLI's
 ``--field``, ``adaptive.charpoly_with_details`` and ``find_generator`` (so
 ``DlogContext``).  The black-box kernels take any modulus.
 
-Discrete logarithms use a full exponent table when the field is small
-(q < 2**20) and baby-step/giant-step above that, so large fields stay usable
-without O(q) memory.
+Discrete logarithms use baby-step/giant-step, with O(sqrt(q)) memory and
+O(sqrt(q)) steps per lookup in every field.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 
 WORD_PRIME_LIMIT = 1 << 31
-DLOG_TABLE_LIMIT = 1 << 20
 
 # Exact for all n < 3.3 * 10**24 (covers the word-size range many times over).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -115,46 +113,29 @@ def find_generator(q: int) -> int:
 
 
 class DlogContext:
-    """Discrete logarithms to the smallest generator of GF(q)*.
+    """Discrete logarithms to the smallest generator of GF(q)*, by
+    baby-step/giant-step.  Lookups are read-only once constructed."""
 
-    Small fields (q < 2**20) get a full exponent table; larger ones use
-    baby-step/giant-step.  Lookups are read-only once constructed.
-    """
-
-    __slots__ = ("q", "generator", "_table", "_baby", "_giant_step", "_m")
+    __slots__ = ("q", "generator", "_baby", "_giant_step", "_m")
 
     def __init__(self, q: int):
         self.q = q
         self.generator = g = find_generator(q)
-        self._table = None
-        self._baby = None
-        if q < DLOG_TABLE_LIMIT:
-            table = [0] * q
-            acc = 1
-            for e in range(q - 1):
-                table[acc] = e
-                acc = acc * g % q
-            self._table = table
-        else:
-            m = math.isqrt(q - 2) + 1
-            baby = {}
-            acc = 1
-            for j in range(m):
-                baby.setdefault(acc, j)
-                acc = acc * g % q
-            self._baby = baby
-            self._giant_step = pow(g, -m, q)
-            self._m = m
+        self._m = m = math.isqrt(q - 2) + 1
+        baby = {}
+        acc = 1
+        for j in range(m):
+            baby.setdefault(acc, j)
+            acc = acc * g % q
+        self._baby = baby
+        self._giant_step = pow(g, -m, q)
 
     def dlog(self, a: int) -> int:
         """Exponent e in [0, q-2] with generator**e == a; rejects a == 0."""
         q = self.q
-        value = a % q
-        if value == 0:
+        cur = a % q
+        if cur == 0:
             raise ValueError("discrete log of zero")
-        if self._table is not None:
-            return self._table[value]
-        cur = value
         for i in range(self._m):
             j = self._baby.get(cur)
             if j is not None:

@@ -73,6 +73,42 @@ class TestNullityCombSearch:
         for prof, m in zip(profiles, got):
             assert want[tuple(prof.poly.coeffs)] == m
 
+    def test_retry_re_estimates_only_the_first_attempts_nullities(self, monkeypatch):
+        # e = 4, 2, 3: the first attempt measures the prefix (X-1, X-2, X-3
+        # at power 1, X-1 at power 2) and one extra power of each factor;
+        # the retry must re-estimate exactly those, with no new power
+        p = 10007
+        A, mults = planted_primary_form(
+            [(linear(1, p), {4: 1, 1: 1}), (linear(2, p), {2: 1}), (linear(3, p), {3: 1})],
+            p,
+        )
+        op = A.operator(p)
+        rng = random.Random(0)
+        profiles = profiles_from_factorization(factor(wiedemann_minpoly(op, rng), rng))
+        assert sorted(prof.minpoly_mult for prof in profiles) == [2, 3, 4]
+        log = TraceLog()
+        first_attempt = []
+        real_search = adaptive.combinatorial_search
+
+        def inconsistent_once(*args, **kwargs):
+            if not first_attempt:
+                first_attempt.extend(e for e in log.events if e["event"] == "rank")
+                raise multiplicity.InconsistentNullityError("stub failure")
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "combinatorial_search", inconsistent_once)
+        cfg = AdaptiveConfig(seed=0, threshold=5, trace_log=log)
+        got = nullity_comb_search(op, profiles, cfg, rng)
+        want = {tuple(linear(c, p).coeffs): m for c, m in zip((1, 2, 3), mults)}
+        assert [want[tuple(prof.poly.coeffs)] for prof in profiles] == got
+        ranks = [e for e in log.events if e["event"] == "rank"]
+        retry = ranks[len(first_attempt):]
+        first = {(tuple(e["factor"]), e["power"]): e["nullity"] for e in first_attempt}
+        assert len(first) == len(first_attempt) == 7
+        assert sorted((tuple(e["factor"]), e["power"]) for e in retry) == sorted(first)
+        for e in retry:
+            assert e["nullity"] <= first[(tuple(e["factor"]), e["power"])]
+
     def test_random_sparse_vs_oracle(self):
         rng = random.Random(1)
         p = 10007

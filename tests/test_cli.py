@@ -403,6 +403,63 @@ class TestOtherCommands:
                 assert not any("preconditioner" in e for e in events if e["event"] != "method")
 
 
+class TestCanonicalFactorOrder:
+    """Every command lists factors by degree, then by descending symmetric-
+    range coefficients: X+3, X-3, X-50 for diag(3, -3, 50, 50) over GF(101),
+    where residue order would put X-50 (51) before X-3 (98).  Over Z the
+    factors are the gcd-free basis X-50, X^2-9."""
+
+    DIAG = "4 4 M\n1 1 3\n2 2 -3\n3 3 50\n4 4 50\n0 0 0\n"
+    FIELD = ["--field", "101"]
+    # (coeffs, degree, minpoly multiplicity, multiplicity)
+    FIELD_ROWS = [([3, 1], 1, 1, 1), ([-3, 1], 1, 1, 1), ([-50, 1], 1, 1, 2)]
+    INTEGER_ROWS = [([-50, 1], 1, None, 2), ([-9, 0, 1], 2, None, 1)]
+
+    def run(self, capsys, tmp_path, *argv):
+        path = write(tmp_path, "m.sms", self.DIAG)
+        code, out, _ = run_cli(capsys, *argv, "--seed", "1", path)
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "mode, rows, factored",
+        [
+            (FIELD, FIELD_ROWS, "(X+3)*(X-3)*(X-50)^2\n"),
+            (["--integer"], INTEGER_ROWS, "(X-50)^2*(X^2-9)\n"),
+        ],
+    )
+    def test_charpoly(self, capsys, tmp_path, mode, rows, factored):
+        argv = ["charpoly", *mode, "--output"]
+        assert self.run(capsys, tmp_path, *argv, "factored") == factored
+        assert json.loads(self.run(capsys, tmp_path, *argv, "json"))["factors"] == [
+            {"coeffs": c, "exponent": m} for c, _, _, m in rows
+        ]
+
+    def test_minpoly(self, capsys, tmp_path):
+        argv = ["minpoly", *self.FIELD, "--output"]
+        assert self.run(capsys, tmp_path, *argv, "factored") == "(X+3)*(X-3)*(X-50)\n"
+        assert json.loads(self.run(capsys, tmp_path, *argv, "json"))["factors"] == [
+            {"coeffs": c, "exponent": 1} for c, _, _, _ in self.FIELD_ROWS
+        ]
+
+    @pytest.mark.parametrize(
+        "mode, rows, lines",
+        [
+            (FIELD, FIELD_ROWS, "1\t1\t1\tX+3\n1\t1\t1\tX-3\n2\t1\t1\tX-50\n"),
+            (["--integer"], INTEGER_ROWS, "2\t-\t1\tX-50\n1\t-\t2\tX^2-9\n"),
+        ],
+    )
+    def test_multiplicities(self, capsys, tmp_path, mode, rows, lines):
+        argv = ["multiplicities", *mode, "--output"]
+        assert self.run(capsys, tmp_path, *argv, "coeffs") == lines
+        payload = json.loads(self.run(capsys, tmp_path, *argv, "json"))
+        assert sorted(payload) == ["command", "factors", "modulus", "verified"]
+        assert payload["factors"] == [
+            {"coeffs": c, "degree": d, "minpoly_multiplicity": e, "multiplicity": m}
+            for c, d, e, m in rows
+        ]
+
+
 class TestExitCodes:
     def test_malformed_sms(self, capsys, tmp_path):
         path = write(tmp_path, "bad.sms", "2 2 M\n1 1 1\n")
