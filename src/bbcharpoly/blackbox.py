@@ -22,10 +22,13 @@ Only a minimal polynomial that is returned carries the annihilation
 certificate.  A rank or determinant trial reads its answer from one
 uncertified round's generator: a determinant from a generator whose degree
 or X factor proves it, and a rank estimate that never exceeds the true rank
-(proved in `rank_blackbox`), so repetition takes a max.
+(proved in `rank_blackbox`), so repetition takes a max.  On A * D that round
+projects with u = D v and takes two sequence terms per apply.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -277,9 +280,9 @@ def preconditioner(A: BlackBoxOperator) -> str:
     take: "diagonal" or "toeplitz".
 
     A * D serves a symmetric A once 2n(n+1) <= q - 1, where its per-trial
-    failure bound r(r+1)/(2(q-1)) is at most 1/4 for every rank r <= n.
-    Below that a diagonal A with repeated eigenvalues meets the birthday
-    bound too often.
+    failure bound r(r+1)/(2(q-1)) + r/q is under 1/4 + 1/(2(n+1)) for every
+    rank r <= n.  Below that a diagonal A with repeated eigenvalues meets the
+    birthday bound too often.
     """
     n = A.dimension
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
@@ -362,6 +365,28 @@ class _Preconditioner(BlackBoxOperator):
     Kaltofen (ISSAC 1997).
     At r = n, C = A * D itself (F = I), so A * D is cyclic except with
     probability at most n(n-1)/(2(q-1)), and det(A * D) = det(A) * det(D).
+
+    Projection u = D v.  A trial round on this kind reads the sequence
+    s_k = (D v) . B^k v of B = A * D, two terms per apply (`_round_terms`),
+    and a trial still fails with probability at most r(r+1)/(2(q-1)) + r/q.
+    No estimate exceeds the rank, whatever the projection (`rank_blackbox`).
+    B is self-adjoint for the nondegenerate form <x, y> = x^T D y, and
+    s_k = <v, B^k v>.  Let (i) and (ii) hold: B has index one and is cyclic
+    on its range R, dim R = r, with minimal polynomial f there, deg f = r.
+    ker B is D-orthogonal to R (<x, B y> = <B x, y> = 0 for x in ker B), so
+    the form stays nondegenerate on R.  With v = v0 + v1, v0 in ker B and v1
+    in R, s = s0 + s1: s0 is <v0, v0> at k = 0 and zero after, and
+    s1_k = <B^k v1, v1> has the Hankel matrix K^T D K for the Krylov matrix
+    K = [v1, B v1, ..., B^(r-1) v1].  If v1 is cyclic for B on R, K is a
+    basis of R, K^T D K is its nonsingular Gram matrix, and s1 has the
+    generator f; then s has the generator f or X * f (an isotropic v0 only
+    hides the X), and the estimate is r either way.  v1 is uniform on R, and
+    det K, in coordinates of R, is a polynomial of degree r in v1, nonzero
+    as a cyclic vector exists; by Schwartz-Zippel it vanishes with
+    probability at most r/q.  At r = n the generator then has degree n, so
+    the determinant is certified; an X factor still proves singularity.
+    This is the symmetric projection of LinBox's BlackboxContainerSymmetric
+    and of Eberly and Kaltofen (ISSAC 1997).
     """
 
     def __init__(self, base: BlackBoxOperator, rng):
@@ -488,6 +513,33 @@ def _early_stop_run(p: int) -> int:
     return max(_EARLY_STOP, -(-_EARLY_STOP_BITS // (p.bit_length() - 1)))
 
 
+def _round_terms(A: BlackBoxOperator, rng, lazy: bool, symmetric: bool):
+    """One round's projected Krylov sequence, each apply made only when the
+    next term is asked for.
+
+    In general u . A^k v for random u and v: one apply per term after the
+    first.  ``symmetric`` (a diagonal-kind `_Preconditioner` B = A * D with A
+    symmetric) takes u = D v.  B is self-adjoint for <x, y> = x^T D y, so
+    with w_i = B^i v the terms (D v) . B^(i+j) v are <w_i, w_j>: with
+    y_i = D w_i, s_2i = y_i . w_i and s_2i+1 = y_i . w_(i+1), where
+    w_(i+1) = A y_i.  Two terms per apply of A; the trial bound this
+    projection keeps is proved in `_Preconditioner`.
+    """
+    n, p = A.dimension, A.p
+    if symmetric:
+        w = random_vector(n, p, rng)
+        while True:
+            y = A.d * w % p
+            yield _dot_mod(y, w, p, lazy)
+            w = A.base.apply(y)
+            yield _dot_mod(y, w, p, lazy)
+    u = random_vector(n, p, rng)
+    w = random_vector(n, p, rng)
+    while True:
+        yield _dot_mod(u, w, p, lazy)
+        w = A.apply(w)
+
+
 _CERTIFIED_ROUNDS = 6  # rounds before a certified minimal polynomial gives up
 _RANK_STREAK = 2  # trials a best rank estimate stands before sampling stops
 
@@ -497,13 +549,16 @@ def wiedemann_minpoly(
 ) -> FieldPoly:
     """Minimal polynomial of A, certified; or one round's generator.
 
-    A round feeds the projected sequence u . A^i v to Berlekamp-Massey.  It
-    takes at most 2D terms, D a proven bound on the degree of A's minimal
-    polynomial: a sequence with a generator of degree at most D is fixed by
-    its first 2D terms.  It ends early once z discrepancies in a row are
-    zero and at least 2L + z terms are in, L the generator's degree, z = 8
-    (longer below p = 32, see ``_early_stop_run``); a generator cut off this
-    way can only be wrong if z discrepancies vanished by chance.  Every
+    A round feeds the projected sequence u . A^i v to Berlekamp-Massey, one
+    apply per term after the first; a trial round on a diagonal-kind
+    `_Preconditioner` takes u = D v and two terms per apply
+    (`_round_terms`).  A round takes at most 2D terms, D a proven bound on
+    the degree of A's minimal polynomial: a sequence with a generator of
+    degree at most D is fixed by its first 2D terms.  It ends early once z
+    discrepancies in a row are zero and at least 2L + z terms are in, L the
+    generator's degree, z = 8 (longer below p = 32, see
+    ``_early_stop_run``); a generator cut off this way can only be wrong if
+    z discrepancies vanished by chance.  Every
     round's generator divides the true minimal polynomial.
 
     Without ``trial_bound`` (D = n) the result is the lcm of the rounds'
@@ -518,18 +573,17 @@ def wiedemann_minpoly(
     terms = 2 * (n if trial_bound is None else trial_bound)
     lazy = _lazy_sum_fits(n, p)
     run = _early_stop_run(p)
+    symmetric = (
+        trial_bound is not None and isinstance(A, _Preconditioner) and A.lc is None
+    )
     result = FieldPoly.one(p)
     for rounds in range(1, _CERTIFIED_ROUNDS + 1):
-        u = random_vector(n, p, rng)
-        v = random_vector(n, p, rng)
         bm = BerlekampMassey(p, terms)
-        w = v
-        for i in range(terms):
-            bm.add(_dot_mod(u, w, p, lazy))
+        # islice asks for no term past the last, so no apply is wasted
+        for term in islice(_round_terms(A, rng, lazy, symmetric), terms):
+            bm.add(term)
             if bm.zeros >= run and bm.count >= 2 * bm.L + run:
                 break
-            if i < terms - 1:
-                w = A.apply(w)
         gen = bm.generator()
         if trial_bound is not None:
             return gen
@@ -550,7 +604,8 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     Each trial wraps A in a fresh `_Preconditioner`, so that, except with
     small probability, the minimal polynomial m has degree rank(A) plus one
     when A is singular.  For rank r over GF(q) one trial fails with
-    probability at most r(r+1)/(2(q-1)) on the diagonal path A * D (proved
+    probability at most r(r+1)/(2(q-1)) + r/q on the diagonal path A * D,
+    whose round projects with u = D v and takes two terms per apply (proved
     in `_Preconditioner`), and at most r(r+1)/q + r(r+1)/(2(q-1)) on the
     Toeplitz path L * A * U * D: the first term for the generic rank profile
     of L * A * U (Kaltofen and Saunders, 1991), the second for D, by the
@@ -558,7 +613,9 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     nothing and estimates do come out low with no signal; that scope is
     still open.  On the test suite's rank strategies (400 derandomized
     examples each) 104 of 502 calls at p <= 5 came out low, and none of
-    the 698 at p >= 59.  Estimates only err low (see below), so the max
+    the 698 at p >= 59; but at GF(101), n <= 60, 132 of 5,797 Toeplitz
+    trials of acceptance 4's planted forms came out low.  Estimates only
+    err low (see below), so the max
     over trials is kept; sampling stops once the best estimate has stood for
     ``_RANK_STREAK`` trials in a row (the one that set it included), or
     after 8 trials.

@@ -17,12 +17,17 @@ an eigenvalue.
 """
 
 import random
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbcharpoly import blackbox
 from bbcharpoly.blackbox import (
+    BerlekampMassey,
+    CountingOperator,
     DetNotCertifiedError,
     PolyOfMatrix,
     ShiftedOperator,
@@ -30,9 +35,11 @@ from bbcharpoly.blackbox import (
     _Preconditioner,
     block_diagonal,
     build_block_jordan,
+    build_companion,
     det_blackbox,
     preconditioner,
     rank_blackbox,
+    wiedemann_minpoly,
 )
 from bbcharpoly.oracle import dense_det, dense_poly_of_matrix, dense_rank
 from bbcharpoly.poly import FieldPoly
@@ -42,7 +49,19 @@ M31 = (1 << 31) - 1
 LARGE = (65537, 1000003, M31)  # rank is exact with high probability
 ANY = (2, 3, 59, 101) + LARGE
 FLOAT_EDGE = 20000003  # prime; 22 * (p - 1)^2 < 2^53 <= 23 * (p - 1)^2
+# the smallest prime p = 1 mod 4 with 2n(n + 1) <= p - 1 at n = MAX_N, so
+# every symmetric case there takes the diagonal kind
+SMALL_DIAGONAL = 3301
 SETTINGS = settings(max_examples=50, deadline=None)
+# A rank trial of rank r <= MAX_N over GF(q) errs with probability at most
+# r(r + 1)/(2(q - 1)) + r/q on the diagonal path and r(r + 1)/q +
+# r(r + 1)/(2(q - 1)) on the Toeplitz one (`rank_blackbox`): up to 1.3% and
+# 3.8% at r = 40, q = 65537.  A rank call is low only if two of its trials
+# are, and a determinant goes uncertified only if all four of its attempts
+# fail, yet fresh draws over many runs would still fail some.  The tests
+# that assert an exact outcome in LARGE fields run one fixed set of
+# examples, with no example database.
+PINNED = settings(SETTINGS, derandomize=True, database=None)
 MAX_N = 40
 SEEDS = st.integers(0, (1 << 32) - 1)
 
@@ -190,7 +209,7 @@ def test_symmetric_rank_never_exceeds_dense(case, seed):
     assert rank_blackbox(op, random.Random(seed)) <= dense_rank(rows, p)
 
 
-@SETTINGS
+@PINNED
 @given(symmetric_case(LARGE), SEEDS)
 def test_symmetric_rank_equals_dense_in_large_fields(case, seed):
     p, rows, op = case
@@ -209,7 +228,7 @@ def test_symmetric_det_is_dense_or_uncertified(case, seed):
     assert got == dense_det(rows, p)
 
 
-@SETTINGS
+@PINNED
 @given(symmetric_case(LARGE), SEEDS)
 def test_symmetric_det_equals_dense_in_large_fields(case, seed):
     p, rows, op = case
@@ -236,6 +255,88 @@ def test_diagonal_preconditioner_is_d_a(case, seed):
     for x in d:
         det_d = det_d * x % p
     assert pre.det_diag() == det_d
+
+
+@contextmanager
+def recorded_rounds():
+    """The terms of every round, as its `BerlekampMassey` receives them."""
+    rounds = []
+
+    class Recording(BerlekampMassey):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.terms = []
+            rounds.append(self.terms)
+
+        def add(self, term):
+            self.terms.append(term)
+            super().add(term)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackbox, "BerlekampMassey", Recording)
+        yield rounds
+
+
+@SETTINGS
+@given(symmetric_case(LARGE + (SMALL_DIAGONAL,)), SEEDS, st.data())
+def test_symmetric_round_terms_are_dv_b_k_v(case, seed, data):
+    # a diagonal-kind trial round draws only v and takes u = D v
+    p, rows, op = case
+    n = len(rows)
+    assert preconditioner(op) == "diagonal"
+    pre = _Preconditioner(op, random.Random(seed))
+    bound = data.draw(st.integers(1, n))
+    with recorded_rounds() as rounds:
+        wiedemann_minpoly(pre, random.Random(seed + 1), trial_bound=bound)
+    [terms] = rounds
+    assert 1 <= len(terms) <= 2 * bound
+    draws = random.Random(seed + 1)
+    v = [draws.randrange(p) for _ in range(n)]
+    d = list(map(int, pre.d))
+    dv = [x * y % p for x, y in zip(d, v)]
+    want, w = [], v
+    for _ in terms:
+        want.append(sum(a * b for a, b in zip(dv, w)) % p)
+        w = [sum(a * d[j] * w[j] for j, a in enumerate(row)) % p for row in rows]
+    assert terms == want
+
+
+@SETTINGS
+@given(st.one_of(symmetric_case(LARGE), structured_case(LARGE)), SEEDS, st.data())
+def test_trial_round_applies(case, seed, data):
+    # t terms take t // 2 applies of A on the diagonal kind, t - 1 on Toeplitz
+    p, rows, op = case
+    n = len(rows)
+    counted = CountingOperator(op)
+    pre = _Preconditioner(counted, random.Random(seed))
+    bound = data.draw(st.integers(1, n))
+    with recorded_rounds() as rounds:
+        wiedemann_minpoly(pre, random.Random(seed + 1), trial_bound=bound)
+    [terms] = rounds
+    if preconditioner(op) == "diagonal":
+        assert counted.applies == len(terms) // 2 <= bound
+    else:
+        assert counted.applies == len(terms) - 1 <= 2 * bound - 1
+
+
+def test_full_trial_round_applies():
+    # a generator of degree D needs all 2D terms: D applies of A on the
+    # diagonal kind, 2D - 1 on Toeplitz
+    p, n = 1000003, 12
+    diagonal = SparseMatrix(n, [(i, i, i + 1) for i in range(n)])
+    companion = build_companion(FieldPoly(list(range(1, n + 1)) + [1], p))
+    for matrix, kind, applies in (
+        (diagonal, "diagonal", n),
+        (companion, "toeplitz", 2 * n - 1),
+    ):
+        counted = CountingOperator(matrix.operator(p))
+        assert preconditioner(counted) == kind
+        pre = _Preconditioner(counted, random.Random(5))
+        with recorded_rounds() as rounds:
+            m = wiedemann_minpoly(pre, random.Random(6), trial_bound=n)
+        assert m.degree == n
+        assert len(rounds[0]) == 2 * n
+        assert counted.applies == applies
 
 
 @SETTINGS
@@ -273,7 +374,7 @@ def test_rank_never_exceeds_dense(case, seed):
     assert rank_blackbox(op, random.Random(seed)) <= dense_rank(rows, p)
 
 
-@SETTINGS
+@PINNED
 @given(structured_case(LARGE), SEEDS)
 def test_rank_equals_dense_in_large_fields(case, seed):
     p, rows, op = case
