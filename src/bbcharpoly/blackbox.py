@@ -8,13 +8,14 @@ most (p - 1)^2.  Reduction is lazy: a kernel that sums ``terms`` products
 adds them raw and reduces once per output entry when
 ``terms * (p - 1)^2 < 2^63`` (``_lazy_sum_fits``), so the sum cannot
 overflow int64.  Otherwise it reduces every product first.  The Toeplitz
-preconditioner's two triangular factors are dense float64 matrices, applied
-by BLAS and reduced once per entry, while n * (p - 1)^2 < 2^53
-(``_float_sum_fits``, exact in float64) and n <= ``_DENSE_TOEPLITZ_MAX_N``
-= 1024; beyond either they are two convolutions (``conv_mod``).
+preconditioner's product U * D * L of its three outer factors is one dense
+float64 matrix, built once by BLAS and applied by BLAS, each reduced once
+per entry, while n * (p - 1)^2 < 2^53 (``_float_sum_fits``, exact in
+float64) and n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024; beyond either the
+factors are a scaling and two convolutions (``conv_mod``).
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
-sequences, rank and determinant via a random preconditioner L * A * U * D
+sequences, rank and determinant via a random preconditioner A * U * D * L
 (`_Preconditioner`), and trace.  One rule, ``preconditioner``, picks for
 both kernels: a symmetric operator takes L = U = I, the cheaper A * D, where
 the field is large enough, and every other operator takes Toeplitz L and U.
@@ -60,7 +61,7 @@ def _dot_mod(u: np.ndarray, v: np.ndarray, p: int, lazy: bool) -> int:
     """u . v mod p; ``lazy`` is ``_lazy_sum_fits(len(u), p)``, which the
     caller decides once for many dots."""
     if lazy:
-        return int(u @ v % p)
+        return int(u @ v) % p
     # (u*v) % p keeps every summand < p; the sum then fits easily in int64.
     return int(np.sum(u * v % p) % p)
 
@@ -224,9 +225,10 @@ class PolyOfMatrix(BlackBoxOperator):
         for _ in range(self.power):
             acc = w if lead == 1 else lead * w % p
             for c in reversed(low):
-                acc = self.base.apply(acc)
+                acc = self.base.apply(acc)  # a new array, so updated in place
                 if c:
-                    acc = (acc + c * w) % p
+                    acc += c * w
+                    acc %= p
             w = acc
         return w.copy() if w is v else w
 
@@ -288,37 +290,52 @@ def preconditioner(A: BlackBoxOperator) -> str:
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
 
 
-# The largest n for which the Toeplitz preconditioner keeps its two factors as
-# dense float64 matrices (16 n^2 bytes, 16 MiB at the cap).  The "Toeplitz
-# apply" table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003:
-# two conv_mods against two dense products with the build amortised over 2n
-# applies, 17 / 11 us at n = 40, 52 / 17 at 120, 567 / 291 at 560 and 2,120 /
-# 867 at 1024.  The dense kernel wins at every n; the cap bounds its memory.
+# The largest n for which the Toeplitz preconditioner keeps U * D * L as one
+# dense float64 matrix (8 n^2 bytes, 8 MiB at the cap).  The "Toeplitz apply"
+# table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003: two
+# conv_mods against one dense product with its build amortised over 2n
+# applies, 9.6 / 3.5 us at n = 40, 36 / 5.7 at 120, 351 / 85 at 560 and
+# 1,101 / 374 at 1024.  The dense kernel wins at every n; the cap bounds its
+# memory.
 _DENSE_TOEPLITZ_MAX_N = 1024
 
 
 def _dense_toeplitz(lc, uc, d, p):
-    """float64 L and U * D mod p: L lower unit-triangular Toeplitz with first
-    column lc, U upper with first row uc, D = diag(d)."""
+    """float64 U * D * L mod p: L lower unit-triangular Toeplitz with first
+    column lc, U upper with first row uc, D = diag(d).
+
+    U * D is reduced first, so each entry of the one BLAS product sums n
+    products of residues, exact while ``_float_sum_fits(n, p)``; both are
+    reduced through int64."""
     n = len(d)
     ud = (_shifts(uc, n, n) * d).astype(np.int64) % p
-    return np.ascontiguousarray(_shifts(lc, n, n).T), ud.astype(np.float64)
+    m = (ud @ _shifts(lc, n, n).T).astype(np.int64) % p
+    return m.astype(np.float64)
 
 
 class _Preconditioner(BlackBoxOperator):
-    """L * A * U * D with unit-triangular Toeplitz L, U and a diagonal D.
+    """A * U * D * L with unit-triangular Toeplitz L, U and a diagonal D.
 
     Serves both kernels; ``preconditioner(A)`` picks its kind.  ``toeplitz``
     draws L, U and D.  ``diagonal`` draws only D and takes L = U = I, that
     is A * D (``lc`` and ``uc`` are None).
 
-    A Toeplitz apply is two dense float64 products, L and U * D, built once
-    from ``lc``, ``uc`` and ``d`` (`_dense_toeplitz`) and reduced once per
-    entry, while n * (p - 1)^2 < 2^53 (``_float_sum_fits``: every partial
-    sum is then exact) and n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024 (the two
-    take 16 n^2 bytes).  Beyond either, as for p = 2^31 - 1 at every n and
-    for n > 1024 at every p, it is a scaling by D and two convolutions
-    (``conv_mod``).
+    A Toeplitz apply is one dense float64 product by M = U * D * L, built
+    once from ``lc``, ``uc`` and ``d`` (`_dense_toeplitz`), then one apply
+    of A; each product is reduced once per entry, while n * (p - 1)^2 < 2^53
+    (``_float_sum_fits``: every partial sum is then exact) and
+    n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024 (M takes 8 n^2 bytes).  Beyond
+    either, as for p = 2^31 - 1 at every n and for n > 1024 at every p, it
+    is L, D and U in that order, two convolutions (``conv_mod``) around the
+    scaling.
+
+    The arguments below are about L * A * U * D, and they hold for
+    B' = A * U * D * L word for word.  B' = L^-1 (L * A * U * D) L is
+    similar to it, so the two have the same minimal polynomial and rank, and
+    det B' = det(A) * det(D).  A trial's sequence on B' is
+    u . B'^k v = (L^-T u) . (L * A * U * D)^k (L v), and (u, v) ->
+    (L^-T u, L v) is a bijection, so uniform projections give every
+    sequence with the same probability on both.
 
     Toeplitz.  Rank: the triangular pair forces a generic rank profile with
     high probability (Kaltofen and Saunders, 1991; two-sided diagonals alone
@@ -392,17 +409,18 @@ class _Preconditioner(BlackBoxOperator):
     def __init__(self, base: BlackBoxOperator, rng):
         n, p = base.dimension, base.p
         toeplitz = preconditioner(base) == "toeplitz"
-        # the diagonal scaling, and for Toeplitz two dense n x n triangular products
-        super().__init__(n, p, cost=base.cost + n + (2 * n * n if toeplitz else 0))
+        dense = toeplitz and n <= _DENSE_TOEPLITZ_MAX_N and _float_sum_fits(n, p)
+        # one dense product; else the scaling and, for Toeplitz, two dense
+        # length-n convolutions
+        cost = n * n if dense else n + (2 * n * n if toeplitz else 0)
+        super().__init__(n, p, cost=base.cost + cost)
         self.base = base
         self.lc = self.uc = None
         if toeplitz:
             self.lc = np.concatenate(([1], random_vector(n - 1, p, rng)))
             self.uc = np.concatenate(([1], random_vector(n - 1, p, rng)))
         self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
-        self._l = self._ud = None
-        if toeplitz and n <= _DENSE_TOEPLITZ_MAX_N and _float_sum_fits(n, p):
-            self._l, self._ud = _dense_toeplitz(self.lc, self.uc, self.d, p)
+        self._m = _dense_toeplitz(self.lc, self.uc, self.d, p) if dense else None
 
     def det_diag(self) -> int:
         out = 1
@@ -412,15 +430,14 @@ class _Preconditioner(BlackBoxOperator):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         n, p = self.dimension, self.p
-        if self._ud is not None:
-            w = (self._ud @ v).astype(np.int64) % p
-            return (self._l @ self.base.apply(w)).astype(np.int64) % p
-        w = self.d * v % p
+        if self._m is not None:
+            return self.base.apply((self._m @ v).astype(np.int64) % p)
         if self.lc is None:
-            return self.base.apply(w)
+            return self.base.apply(self.d * v % p)
+        w = conv_mod(self.lc, v, p)[:n]  # L: lc is its first column
+        w = self.d * w % p
         w = conv_mod(self.uc[::-1], w, p)[n - 1 :]  # U: uc is its first row
-        w = self.base.apply(w)
-        return conv_mod(self.lc, w, p)[:n]  # L: lc is its first column
+        return self.base.apply(w)
 
 
 class CountingOperator(BlackBoxOperator):
@@ -481,8 +498,9 @@ class BerlekampMassey:
                 self.L = i + 1 - self.L
             # m + len(B) = i + 2 - L_old <= capacity + 1, and deg(X^m B) is at
             # most the new L, so C stays zero beyond L.
-            top = m + len(B)
-            self._C[m:top] = (self._C[m:top] - coef * B) % p
+            seg = self._C[m : m + len(B)]
+            seg -= coef * B
+            seg %= p
             self._m += 1
         self.count += 1
 
@@ -607,18 +625,18 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     probability at most r(r+1)/(2(q-1)) + r/q on the diagonal path A * D,
     whose round projects with u = D v and takes two terms per apply (proved
     in `_Preconditioner`), and at most r(r+1)/q + r(r+1)/(2(q-1)) on the
-    Toeplitz path L * A * U * D: the first term for the generic rank profile
-    of L * A * U (Kaltofen and Saunders, 1991), the second for D, by the
-    same argument with 1 x 1 pivots.  In GF(2) and GF(3) that bound says
-    nothing and estimates do come out low with no signal; that scope is
-    still open.  On the test suite's rank strategies (400 derandomized
-    examples each) 104 of 502 calls at p <= 5 came out low, and none of
-    the 698 at p >= 59; but at GF(101), n <= 60, 132 of 5,797 Toeplitz
-    trials of acceptance 4's planted forms came out low.  Estimates only
-    err low (see below), so the max
-    over trials is kept; sampling stops once the best estimate has stood for
-    ``_RANK_STREAK`` trials in a row (the one that set it included), or
-    after 8 trials.
+    Toeplitz path A * U * D * L, whose trials are distributed as those of
+    the similar L * A * U * D (`_Preconditioner`): the first term for the
+    generic rank profile of L * A * U (Kaltofen and Saunders, 1991), the
+    second for D, by the same argument with 1 x 1 pivots.  In GF(2) and
+    GF(3) that bound says nothing and estimates do come out low with no
+    signal; that scope is still open.  On the test suite's rank strategies
+    (400 derandomized examples each) 104 of 502 calls at p <= 5 came out
+    low, and none of the 698 at p >= 59; but at GF(101), n <= 60, 132 of
+    5,797 Toeplitz trials of acceptance 4's planted forms came out low.
+    Estimates only err low (see below), so the max over trials is kept;
+    sampling stops once the best estimate has stood for ``_RANK_STREAK``
+    trials in a row (the one that set it included), or after 8 trials.
 
     ``ceiling`` c (default n) must be a proven bound on rank(A).  An
     operator of rank r < n has a minimal polynomial of degree at most r + 1
@@ -665,10 +683,11 @@ def det_blackbox(A: BlackBoxOperator, rng) -> int:
     Each attempt wraps A in a fresh `_Preconditioner` and reads one
     uncertified round's generator m (trial bound n), which divides the true
     minpoly of the preconditioned operator.  Degree n certifies m as that
-    minpoly and det = (-1)^n * c0 / det(D); any X factor certifies
-    singularity (0 is then an eigenvalue of the preconditioned operator,
-    hence of A up to the invertible factors).  Anything else moves on to a
-    fresh preconditioner; four are tried.
+    minpoly and det = (-1)^n * c0 / det(D), since A * U * D * L has
+    determinant det(A) * det(D) (L and U are unit triangular); any X factor
+    certifies singularity (0 is then an eigenvalue of the preconditioned
+    operator, hence of A up to the invertible factors).  Anything else
+    moves on to a fresh preconditioner; four are tried.
     """
     n, p = A.dimension, A.p
     for _ in range(4):

@@ -217,19 +217,24 @@ class TestFloatBound:
     @pytest.mark.parametrize("n, dense", [(32, True), (33, False)])
     def test_toeplitz_apply_with_all_max_factors(self, n, dense):
         # lc = (1, p-1, ...), uc = (1, 1, ...), d = (p-1, ...): L is p - 1
-        # below its unit diagonal and U * D is p - 1 on and above it
+        # below its unit diagonal and U * D is p - 1 on and above it, so an
+        # entry of U * D * L sums up to n products (p - 1)^2
         p = P24
         assert _float_sum_fits(n, p) == dense
         base = _AllMax(n, p, cost=0)
         draws = [p - 1] * (n - 1) + [1] * (n - 1) + [p - 1] * n
         pre = _Preconditioner(base, _Draws(draws))
-        assert (pre._ud is not None) == dense
         L = [[p - 1 if j < i else int(i == j) for j in range(n)] for i in range(n)]
         UD = [[p - 1 if j >= i else 0 for j in range(n)] for i in range(n)]
+        UDL = [reference_matvec(UD, col, p) for col in zip(*L)]  # its columns
+        UDL = [list(row) for row in zip(*UDL)]
+        if dense:
+            assert pre._m.tolist() == UDL
+        else:
+            assert pre._m is None
         v = vec([p - 1] * n)
-        got = pre.apply(v).tolist()
-        assert base.seen == reference_matvec(UD, v, p)
-        assert got == reference_matvec(L, [p - 1] * n, p)
+        assert pre.apply(v).tolist() == [p - 1] * n
+        assert base.seen == reference_matvec(UDL, v, p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ matrices with empty rows, powers of nilpotent block-Jordan matrices and of
 their transposes,
 identity-like blocks of one repeated eigenvalue, and lambda*I - A at an
 eigenvalue lambda of A.  The rng seed is part of each example.  The Toeplitz
-kind multiplies dense float64 factors while n * (p - 1)^2 < 2^53: in the
-small fields at every n, at p = 20000003 up to n = 22.  Beyond that it takes
-``conv_mod``, at p = 2^31 - 1 on the 16-bit split path.
+kind multiplies by one dense float64 matrix U * D * L while
+n * (p - 1)^2 < 2^53: in the small fields at every n, at p = 20000003 up to
+n = 22.  Beyond that it takes ``conv_mod``, at p = 2^31 - 1 on the 16-bit
+split path.
 
 Symmetric inputs, which the diagonal kind A * D serves for rank and
 determinant where the field admits it, are Gram and congruence matrices
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bbcharpoly import blackbox
@@ -42,7 +43,7 @@ from bbcharpoly.blackbox import (
     wiedemann_minpoly,
 )
 from bbcharpoly.oracle import dense_det, dense_poly_of_matrix, dense_rank
-from bbcharpoly.poly import FieldPoly
+from bbcharpoly.poly import FieldPoly, _float_sum_fits
 from helpers import linear
 
 M31 = (1 << 31) - 1
@@ -341,7 +342,7 @@ def test_full_trial_round_applies():
 
 @SETTINGS
 @given(structured_case(ANY + (FLOAT_EDGE,)), SEEDS)
-def test_preconditioner_is_l_a_u_d(case, seed):
+def test_preconditioner_is_a_u_d_l(case, seed):
     # a symmetric A in a large enough field takes the case L = U = I
     p, rows, op = case
     n = len(rows)
@@ -355,16 +356,35 @@ def test_preconditioner_is_l_a_u_d(case, seed):
     d = list(map(int, pre.d))
     assert lc[0] == uc[0] == 1 and all(0 < x < p for x in d)
     v = [random.Random(seed + 1).randrange(p) for _ in range(n)]
-    w = [d[j] * v[j] % p for j in range(n)]
+    w = [sum(lc[i - j] * v[j] for j in range(i + 1)) % p for i in range(n)]  # L
+    w = [d[j] * w[j] % p for j in range(n)]
     w = [sum(uc[j - i] * w[j] for j in range(i, n)) % p for i in range(n)]  # U
     w = [sum(a * x for a, x in zip(row, w)) % p for row in rows]  # A
-    w = [sum(lc[i - j] * w[j] for j in range(i + 1)) % p for i in range(n)]  # L
     assert pre.apply(np.array(v, dtype=np.int64)).tolist() == w
-    assert pre.cost == op.cost + n + (0 if diagonal else 2 * n * n)
+    # one dense product with D folded in, or the scaling and two convolutions
+    dense = pre._m is not None
+    assert dense == (not diagonal and _float_sum_fits(n, p))
+    extra = n * n if dense else n + (0 if diagonal else 2 * n * n)
+    assert pre.cost == op.cost + extra
     det_d = 1
     for x in d:
         det_d = det_d * x % p
     assert pre.det_diag() == det_d
+
+
+@SETTINGS
+@given(structured_case(ANY + (FLOAT_EDGE,)), SEEDS, SEEDS)
+def test_dense_and_convolution_paths_agree(case, seed, vseed):
+    # the same draws give the same vector on the dense path as on the
+    # convolution path it falls back to
+    p, rows, op = case
+    n = len(rows)
+    pre = _Preconditioner(op, random.Random(seed))
+    assume(pre._m is not None)
+    v = np.array([random.Random(vseed).randrange(p) for _ in range(n)], dtype=np.int64)
+    dense = pre.apply(v)
+    pre._m = None
+    assert pre.apply(v).tolist() == dense.tolist()
 
 
 @SETTINGS

@@ -25,9 +25,9 @@ for n in 4 to 1000 and p in 47, 227 and 1000003: its rows by
 
 Last, the ``Toeplitz apply`` table times `blackbox._Preconditioner.apply`
 over an identity operator, for n in 40, 120, 560 and 1024 and p in 3001 and
-1000003: its two `conv_mod` calls against its two dense float64 products,
-the build of those (`_dense_toeplitz`) alone, and the dense apply with the
-build amortised over 2n applies.
+1000003: its two `conv_mod` calls against its one dense float64 product by
+U * D * L, the build of that matrix (`_dense_toeplitz`) alone, and the dense
+apply with the build amortised over 2n applies.
 
 Run from the root of a checkout, with one BLAS thread as the benchmark has:
 
@@ -96,7 +96,7 @@ def toeplitz_apply(rng) -> None:
             v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
             dense = usec(lambda: pre.apply(v))
             build = usec(lambda: blackbox._dense_toeplitz(pre.lc, pre.uc, pre.d, p))
-            pre._l = pre._ud = None  # the conv_mod path
+            pre._m = None  # the conv_mod path
             convs = usec(lambda: pre.apply(v))
             row(f"({n}, {p})", [convs, dense, build, dense + build / (2 * n)])
 
