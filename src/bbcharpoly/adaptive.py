@@ -271,9 +271,9 @@ def invariant_factor(
 ) -> FieldPoly:
     """j-th invariant factor via rank-(j-1) random additive perturbations.
 
-    Intersects gcd(minpoly(A), minpoly(A + U V)) over two draws; the result
-    must divide the previous invariant factor, else fresh factors are drawn,
-    up to three times.
+    Intersects gcd(minpoly(A), minpoly(A + U V)) over two draws, or one when
+    the first gcd is already 1; the result must divide the previous
+    invariant factor, else fresh factors are drawn, up to three times.
     """
     if j < 1:
         raise ValueError("invariant factor index must be >= 1")
@@ -289,6 +289,8 @@ def invariant_factor(
             perturbed = wiedemann_minpoly(LowRankPerturbation(A, U, V), rng)
             g = poly_gcd(minpoly, perturbed)
             acc = g if acc is None else poly_gcd(acc, g)
+            if acc.degree == 0:
+                break  # gcd(1, anything) = 1: a second draw changes nothing
         if (previous % acc).is_zero:
             return acc
     raise AdaptiveError(

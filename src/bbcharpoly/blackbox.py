@@ -290,6 +290,22 @@ def preconditioner(A: BlackBoxOperator) -> str:
     return "diagonal" if A.symmetric and 2 * n * (n + 1) <= A.p - 1 else "toeplitz"
 
 
+def one_trial_suffices(c: int, n: int, q: int, kind: str) -> bool:
+    """Whether one rank trial of ``kind`` over GF(q) errs with probability
+    at most 1/n^2 for every rank r <= c.
+
+    The per-trial bounds of `rank_blackbox` grow with r, so they are taken
+    at c: c(c+1)/(2(q-1)) + c/q for "diagonal" and
+    c(c+1)/q + c(c+1)/(2(q-1)) for "toeplitz", compared with 1/n^2 after
+    multiplying out by 2 q (q-1) n^2.
+    """
+    if kind == "diagonal":
+        scaled = c * (c + 1) * q + 2 * c * (q - 1)
+    else:
+        scaled = 2 * c * (c + 1) * (q - 1) + c * (c + 1) * q
+    return scaled * n * n <= 2 * q * (q - 1)
+
+
 # The largest n for which the Toeplitz preconditioner keeps U * D * L as one
 # dense float64 matrix (8 n^2 bytes, 8 MiB at the cap).  The "Toeplitz apply"
 # table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003: two
@@ -559,7 +575,7 @@ def _round_terms(A: BlackBoxOperator, rng, lazy: bool, symmetric: bool):
 
 
 _CERTIFIED_ROUNDS = 6  # rounds before a certified minimal polynomial gives up
-_RANK_STREAK = 2  # trials a best rank estimate stands before sampling stops
+_RANK_STREAK = 2  # trials a best rank estimate stands, where one does not suffice
 
 
 def wiedemann_minpoly(
@@ -634,16 +650,23 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     (400 derandomized examples each) 104 of 502 calls at p <= 5 came out
     low, and none of the 698 at p >= 59; but at GF(101), n <= 60, 132 of
     5,797 Toeplitz trials of acceptance 4's planted forms came out low.
-    Estimates only err low (see below), so the max over trials is kept;
-    sampling stops once the best estimate has stood for ``_RANK_STREAK``
-    trials in a row (the one that set it included), or after 8 trials.
+    Estimates only err low (see below), so the max over trials is kept.
 
     ``ceiling`` c (default n) must be a proven bound on rank(A).  An
     operator of rank r < n has a minimal polynomial of degree at most r + 1
     (X times that of its restriction to its range), so each trial is one
     uncertified round of `wiedemann_minpoly` with trial bound
     D = min(c + 1, n); and no estimate exceeds rank(A) <= c, so sampling
-    stops at an estimate of c.
+    stops at an estimate of c.  It also stops after the first trial when
+    that trial's bound at c is at most 1/n^2 (`one_trial_suffices`, for the
+    kind ``preconditioner(A)`` picks), and the call then errs with
+    probability at most that bound.  Otherwise it stops once the best
+    estimate has stood for ``_RANK_STREAK`` = 2 trials in a row (the one
+    that set it included), or after 8 trials; one exact trial would give
+    the answer, so the call errs only if all its trials, at least two, came
+    out low, with probability at most the square of the per-trial bound.
+    Integer runs pick their field so that the first rule holds wherever the
+    fast exact kernels allow it (`integer._field_prime_floor`).
 
     Why a trial needs no annihilation certificate.  The preconditioned
     operator has rank r = rank(A), as its outer factors are invertible.  Let
@@ -660,6 +683,7 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     """
     n = A.dimension
     c = n if ceiling is None else ceiling
+    needed = 1 if one_trial_suffices(c, n, A.p, preconditioner(A)) else _RANK_STREAK
     best = 0
     streak = 0
     for _ in range(8):
@@ -672,7 +696,7 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
             streak = 1
         else:
             streak += 1
-        if best >= c or streak >= _RANK_STREAK:
+        if best >= c or streak >= needed:
             break
     return best
 

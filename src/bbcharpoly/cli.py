@@ -13,6 +13,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -349,6 +350,7 @@ def cmd_verify(args) -> int:
 # Parser
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bbcharpoly",

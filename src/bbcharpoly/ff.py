@@ -161,8 +161,9 @@ def find_index_calculus_field(
 
     Without an rng the smallest valid p and q are returned (deterministic);
     with one, p is drawn randomly from the primes just above n.  ``min_q``
-    raises the field-size floor (callers wanting smaller projection failure
-    rates pass ~n^2).
+    raises the field-size floor; the integer pipeline passes at least 4n^2,
+    and up to about 3n^4/2 where that makes one rank trial right to 1/n^2
+    (`integer._field_prime_floor`).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")

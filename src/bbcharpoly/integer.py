@@ -24,13 +24,15 @@ import random
 from dataclasses import dataclass
 
 from .adaptive import AdaptiveConfig, CharpolyResult, charpoly_with_details
-from .blackbox import SparseMatrix, wiedemann_minpoly
+from .blackbox import SparseMatrix, one_trial_suffices, wiedemann_minpoly
 from .ff import find_index_calculus_field, is_prime
 from .poly import (
     BadPrimeError,
     ComputationError,
     FieldPoly,
     IntPoly,
+    _float_sum_fits,
+    _lazy_sum_fits,
     crt_combine,
     gcd_free_basis,
     hensel_lift_basis,
@@ -166,10 +168,36 @@ _FIELD_ATTEMPTS = 3
 _FIELD_DRAWS = 32
 
 
-def _field_prime_floor(n: int) -> int:
-    """Field size floor for the modular charpoly run: keep projection and
-    certificate failure rates around 1/n^2 even at small dimensions."""
-    return min(max(2 * n + 1, 4 * n * n, 1 << 12), 1 << 30)
+def _field_prime_floor(n: int, symmetric: bool) -> tuple[int, bool]:
+    """Field size floor for the modular charpoly run, and whether the
+    one-trial rank bound raised it.
+
+    The floor is min(max(2n + 1, 4n^2, 2^12), 2^30), raised to the least q*
+    at which one rank trial of the kind A takes ("diagonal" when symmetric,
+    "toeplitz" otherwise) errs with probability at most 1/n^2 at rank n
+    (`blackbox.one_trial_suffices`), about n^3 (n + 3)/2 and 3n^3 (n + 1)/2,
+    so that the run's rank calls take one trial each.  It is raised only
+    where q* <= 2^30 keeps that kind's fast exact kernels: lazy int64 sums of
+    n + 1 products for "diagonal" (sparse rows, dots and Berlekamp-Massey
+    discrepancies; symmetric n up to about 148), and the dense float64
+    Toeplitz matrix for "toeplitz" (n up to about 53).  Elsewhere a rank
+    call takes two agreeing trials, and the 1/n^2 of the determinant rounds
+    (`multiplicity.det_rounds`) still holds.
+    """
+    floor = min(max(2 * n + 1, 4 * n * n, 1 << 12), 1 << 30)
+    kind = "diagonal" if symmetric else "toeplitz"
+    top = 1 << 30
+    if one_trial_suffices(n, n, floor, kind) or not one_trial_suffices(n, n, top, kind):
+        return floor, False
+    low = floor  # the predicate fails at low and holds at top
+    while top - low > 1:
+        mid = (low + top) // 2
+        if one_trial_suffices(n, n, mid, kind):
+            top = mid
+        else:
+            low = mid
+    fast = _lazy_sum_fits(n + 1, top) if symmetric else _float_sum_fits(n, top)
+    return (top, True) if fast else (floor, False)
 
 
 @dataclass
@@ -192,7 +220,7 @@ def integer_charpoly_with_details(
     n = A.n
     minpoly_z = integer_minpoly(A, rng)
     trace_z = A.diagonal_sum()
-    floor = _field_prime_floor(n)
+    floor, raised = _field_prime_floor(n, A.symmetric)
     bad: list[int] = []
     last_reason = None
     for _ in range(_FIELD_DRAWS):
@@ -201,6 +229,7 @@ def integer_charpoly_with_details(
         q, _subprime = find_index_calculus_field(n, rng, min_q=floor)
         if q in bad:
             continue
+        cfg._emit("field", prime=q, floor=floor, raised=raised)
         field_cfg = dataclasses.replace(cfg, seed=rng.randrange(1 << 62))
         try:
             field_result = charpoly_with_details(A.operator(q), field_cfg)
@@ -225,8 +254,7 @@ def integer_charpoly_with_details(
         except BadPrimeError as err:
             bad.append(q)
             last_reason = str(err)
-            if cfg.trace_log is not None:
-                cfg.trace_log.emit("bad-prime", prime=q, reason=str(err))
+            cfg._emit("bad-prime", prime=q, reason=str(err))
     raise IntegerCharpolyError(
         f"no good prime after {len(bad)} attempts: {last_reason}", bad_primes=bad
     )

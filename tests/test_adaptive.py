@@ -518,12 +518,12 @@ class TestPinnedWork:
         (0, "nullity-comb"): [593, 595, 595, 624, 624, 595],
         (0, "index"): [291, 293, 293, 322, 293, 293],
         (0, "hybrid"): [236, 209, 238, 209, 209, 296],
-        (0, "invfact"): [320, 322, 322, 351, 322, 380],
-        (1, "auto"): [422, 316, 316, 314, 499, 369],
+        (0, "invfact"): [291, 293, 293, 322, 293, 380],
+        (1, "auto"): [422, 316, 263, 261, 446, 316],
         (1, "nullity-comb"): [2894, 2996, 2894, 2994, 2994, 2996],
-        (1, "index"): [422, 316, 316, 314, 499, 369],
+        (1, "index"): [422, 316, 263, 261, 446, 316],
         (1, "hybrid"): [581, 528, 581, 526, 526, 528],
-        (1, "invfact"): [422, 316, 316, 314, 499, 369],
+        (1, "invfact"): [422, 316, 263, 261, 446, 316],
     }
 
     @staticmethod

@@ -17,6 +17,7 @@ from bbcharpoly.blackbox import (
     build_block_jordan,
     build_companion,
     det_blackbox,
+    one_trial_suffices,
     preconditioner,
     rank_blackbox,
     random_vector,
@@ -318,6 +319,54 @@ class TestRank:
             ]
             op = SparseMatrix.from_dense(rows).operator(p)
             assert rank_blackbox(op, rng) == dense_rank(rows, p)
+
+
+class TestOneTrialRule:
+    """A rank call stops after its first trial where one trial's bound at
+    its ceiling is at most 1/n^2, and keeps the streak of two elsewhere.
+
+    A trial is one round of at most 2D terms, D = min(c + 1, n): at most
+    2D - 1 applies, or D on the symmetric ``diagonal`` kind.  So a call
+    that took more applies than one round can take made two trials."""
+
+    @staticmethod
+    def low_rank(n, r, p, rng):
+        B = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+        C = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        return [
+            [sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(n)]
+            for i in range(n)
+        ]
+
+    def test_toeplitz_kind_takes_one_round_where_the_bound_holds(self):
+        p, n, r = 1000003, 10, 6
+        rows = self.low_rank(n, r, p, random.Random(31))
+        op = CountingOperator(SparseMatrix.from_dense(rows).operator(p))
+        assert preconditioner(op) == "toeplitz"
+        assert one_trial_suffices(n - 1, n, p, "toeplitz")
+        assert rank_blackbox(op, random.Random(32), ceiling=n - 1) == dense_rank(rows, p)
+        assert op.applies <= 2 * n - 1
+
+    def test_diagonal_kind_takes_one_round_where_the_bound_holds(self):
+        p, n = 1000003, 10
+        values = [1, 2, 3, 4, 5, 6, 0, 0, 0, 0]
+        op = CountingOperator(diag_matrix(values).operator(p))
+        assert preconditioner(op) == "diagonal"
+        assert one_trial_suffices(n - 1, n, p, "diagonal")
+        assert rank_blackbox(op, random.Random(33), ceiling=n - 1) == 6
+        assert op.applies <= n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_field_takes_two_trials_below_the_ceiling(self, seed):
+        # GF(227): the Toeplitz bound at c = 9 exceeds 1, so the first trial
+        # stands only once a second one agrees
+        p, n, r = 227, 10, 6
+        rows = self.low_rank(n, r, p, random.Random(34))
+        assert dense_rank(rows, p) == r
+        op = CountingOperator(SparseMatrix.from_dense(rows).operator(p))
+        assert not one_trial_suffices(n - 1, n, p, preconditioner(op))
+        assert rank_blackbox(op, random.Random(seed), ceiling=n - 1) <= r
+        assert op.applies > 2 * n - 1
 
 
 def scalar(x, p):

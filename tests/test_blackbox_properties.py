@@ -17,6 +17,7 @@ polynomial below degree n, and no rank or determinant trial.
 
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from bbcharpoly.blackbox import (
     build_block_jordan,
     build_companion,
     det_blackbox,
+    one_trial_suffices,
     rank_blackbox,
     wiedemann_minpoly,
 )
@@ -424,6 +426,32 @@ def rank_case(draw):
         ]
     rank = dense_rank(rows, p)
     return p, rows, op, draw(st.integers(rank, len(rows)))
+
+
+def trial_bound(c, q, kind):
+    """One rank trial's failure bound at rank c over GF(q), as a fraction."""
+    pair = Fraction(c * (c + 1), 2 * (q - 1))
+    if kind == "diagonal":
+        return pair + Fraction(c, q)
+    return Fraction(c * (c + 1), q) + pair
+
+
+@SETTINGS
+@given(st.integers(1, 200), st.data(), st.sampled_from(["diagonal", "toeplitz"]))
+def test_one_trial_boundary_matches_fractions(n, data, kind):
+    # the least q* whose bound is at most 1/n^2, found on fractions: the
+    # predicate turns at q*, as the bound falls with q
+    c = data.draw(st.integers(1, n))
+    low, high = 2, 4 * (c + 1) ** 2 * n * n  # the bound fails at 2, holds at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if trial_bound(c, mid, kind) <= Fraction(1, n * n):
+            high = mid
+        else:
+            low = mid
+    q_star = high
+    assert one_trial_suffices(c, n, q_star, kind)
+    assert not one_trial_suffices(c, n, q_star - 1, kind)
 
 
 @PINNED

@@ -2,15 +2,18 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from bbcharpoly.blackbox import SparseMatrix
-from bbcharpoly.cli import main
+from bbcharpoly.cli import build_parser, main
 from bbcharpoly.adaptive import AdaptiveConfig
 from bbcharpoly.ff import next_prime
 from bbcharpoly.graphs import (
@@ -593,6 +596,37 @@ class TestExitCodes:
         # the trace of the computation that ran is printed even though it failed
         events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert any(e["event"] == "method" for e in events)
+
+
+class TestRepeatedMain:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        # main builds its parser once per process; a run of calls with
+        # different subcommands and options must print what each one prints
+        # alone
+        diag = write(tmp_path, "diag.sms", DIAG112)
+        path = write(tmp_path, "path.sms", PATH3)
+        calls = [
+            ["charpoly", "--field", "101", "--seed", "3", "--explain", path],
+            ["minpoly", "--integer", "--output", "json", "--seed", "2", diag],
+            ["multiplicities", "--field", "10007", "--method", "index", "--seed", "5", path],
+            ["sympower", "--k", "2", path],
+            ["charpoly", "--integer", "--output", "factored", "--explain", "--seed", "1", path],
+            ["charpoly", "--field", "9", diag],
+            ["verify", "--field", "101", "--threshold", "2", "--seed", "4", diag],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in calls]
+        assert build_parser() is build_parser()
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for argv, got in zip(calls, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "bbcharpoly.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=False,
+            )
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 2, 0]
 
 
 class TestExplainEvents:

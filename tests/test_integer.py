@@ -3,8 +3,13 @@ import random
 import pytest
 
 from bbcharpoly import integer
-from bbcharpoly.adaptive import AdaptiveConfig
-from bbcharpoly.blackbox import SparseMatrix, block_diagonal, build_companion
+from bbcharpoly.adaptive import AdaptiveConfig, TraceLog
+from bbcharpoly.blackbox import (
+    SparseMatrix,
+    block_diagonal,
+    build_companion,
+    one_trial_suffices,
+)
 from bbcharpoly.ff import next_prime
 from bbcharpoly.graphs import rook_graph, symmetric_power
 from bbcharpoly.integer import (
@@ -21,7 +26,12 @@ from bbcharpoly.oracle import (
     dense_integer_charpoly,
     dense_minpoly,
 )
-from bbcharpoly.poly import BadPrimeError, FieldPoly, IntPoly
+from bbcharpoly.poly import (
+    BadPrimeError,
+    FieldPoly,
+    IntPoly,
+    _float_sum_fits,
+)
 
 from helpers import random_sparse_integer_matrix
 
@@ -197,6 +207,68 @@ class TestIntegerCharpoly:
         assert pairs == [((-2, 1), 1), ((-1, 1), 2)]
 
 
+class TestFieldPrimeFloor:
+    """The field floor is raised to the least q at which one rank trial is
+    right to 1/n^2, where that q keeps the kind's fast exact kernels."""
+
+    @staticmethod
+    def default_floor(n):
+        return min(max(2 * n + 1, 4 * n * n, 1 << 12), 1 << 30)
+
+    @staticmethod
+    def least_one_trial_field(n, kind):
+        low, high = 2, 4 * (n + 1) ** 2 * n * n  # the predicate fails at 2
+        while high - low > 1:
+            mid = (low + high) // 2
+            if one_trial_suffices(n, n, mid, kind):
+                high = mid
+            else:
+                low = mid
+        return high
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_floor_is_raised_exactly_where_the_rule_says(self, symmetric):
+        kind = "diagonal" if symmetric else "toeplitz"
+        for n in range(1, 201):
+            floor, raised = integer._field_prime_floor(n, symmetric)
+            default = self.default_floor(n)
+            q_star = self.least_one_trial_field(n, kind)
+            if symmetric:
+                fast = (n + 1) * (q_star - 1) ** 2 < 1 << 63
+            else:
+                fast = _float_sum_fits(n, q_star)
+            if q_star > default and q_star <= 1 << 30 and fast:
+                assert (floor, raised) == (q_star, True)
+                assert one_trial_suffices(n, n, floor, kind)
+                if symmetric:  # the diagonal kind serves
+                    assert 2 * n * (n + 1) <= floor - 1
+            else:
+                assert (floor, raised) == (default, False)
+
+    def test_examples(self):
+        assert integer._field_prime_floor(84, True) == (25782625, True)
+        assert integer._field_prime_floor(148, True)[1]
+        assert integer._field_prime_floor(149, True) == (self.default_floor(149), False)
+        assert integer._field_prime_floor(53, False)[1]
+        assert integer._field_prime_floor(54, False) == (self.default_floor(54), False)
+        for n in (560, 1820):  # the cubes of the 4 x 4 graphs keep their fields
+            for symmetric in (True, False):
+                assert integer._field_prime_floor(n, symmetric) == (
+                    self.default_floor(n),
+                    False,
+                )
+
+    def test_field_event_names_the_prime_and_floor(self):
+        m = symmetric_power(rook_graph(3), 2).adjacency()  # n = 36, symmetric
+        log = TraceLog()
+        details = integer_charpoly_with_details(m, AdaptiveConfig(seed=1, trace_log=log))
+        fields = [e for e in log.events if e["event"] == "field"]
+        assert fields == [
+            {"event": "field", "prime": details.field_prime, "floor": 909793, "raised": True}
+        ]
+        assert details.field_prime >= 909793
+
+
 class TestPinnedDraws:
     """Field prime, bad primes and field method of fixed-seed integer runs.
 
@@ -209,20 +281,20 @@ class TestPinnedDraws:
     SEEDS = range(1, 7)
     RECORDED = {  # matrix -> (field prime, bad primes, field method), per seed
         "rook-square": [
-            (5477, [], "nullity-comb"),
-            (5821, [], "nullity-comb"),
-            (5783, [], "nullity-comb"),
-            (5477, [], "nullity-comb"),
-            (5333, [], "nullity-comb"),
-            (5479, [], "nullity-comb"),
+            (910127, [], "nullity-comb"),
+            (911219, [], "nullity-comb"),
+            (909899, [], "nullity-comb"),
+            (910127, [], "nullity-comb"),
+            (910139, [], "nullity-comb"),
+            (911341, [], "nullity-comb"),
         ],
         "random-sparse": [
-            (4231, [], "trivial"),
-            (4219, [], "trivial"),
-            (4129, [], "trivial"),
-            (4219, [], "trivial"),
-            (5003, [], "trivial"),
-            (4241, [], "trivial"),
+            (62323, [], "trivial"),
+            (61751, [], "trivial"),
+            (62351, [], "trivial"),
+            (61751, [], "trivial"),
+            (62731, [], "trivial"),
+            (62011, [], "trivial"),
         ],
     }
 
