@@ -201,18 +201,17 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
                 key=lambda i: profiles[i].degree,
             )
             while True:
-                if not left:
-                    cap = _EXPLOSION_CAP
-                elif rounds is None:
-                    cap = 0
-                else:
+                # measure the cheapest factor left while the rounds leave
+                # the rank calls no room
+                while left and (
+                    rounds is None or sum(profiles[i].degree for i in left) <= rounds
+                ):
+                    i = left.pop(0)
+                    nullities[i][1] = _compute_nullity(A, profiles[i], 1, rng, cfg)
+                cap = _EXPLOSION_CAP
+                if left:
                     spare = sum(profiles[i].degree for i in left) - rounds
-                    cap = min(2 * _RANK_STREAK * (n + 1) * spare, _EXPLOSION_CAP)
-                if cap <= 0:
-                    for i in left:
-                        nullities[i][1] = _compute_nullity(A, profiles[i], 1, rng, cfg)
-                    left = []
-                    continue
+                    cap = min(2 * _RANK_STREAK * (n + 1) * spare, cap)
                 try:
                     census = combinatorial_search(
                         A,

@@ -157,7 +157,8 @@ class SparseMatrix:
 
 
 class SparseOperator(BlackBoxOperator):
-    """CSR apply of a SparseMatrix reduced mod p."""
+    """CSR apply of a SparseMatrix reduced mod p; ``applies`` counts the
+    calls of ``apply``."""
 
     def __init__(self, matrix: SparseMatrix, p: int):
         kept = [(r, c, v % p) for r, c, v in matrix.entries if v % p]
@@ -182,8 +183,10 @@ class SparseOperator(BlackBoxOperator):
         nonempty = np.flatnonzero(lengths)
         self._starts = indptr[nonempty]
         self._rows = None if len(nonempty) == n else nonempty
+        self.applies = 0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        self.applies += 1
         if len(self._vals) == 0:
             return np.zeros(self.dimension, dtype=np.int64)
         t = self._vals * v[self._cols]
@@ -201,7 +204,8 @@ class SparseOperator(BlackBoxOperator):
 
 
 class PolyOfMatrix(BlackBoxOperator):
-    """P(A)^e as an operator; Horner needs deg(P) applies of A per round."""
+    """P(A)^e as an operator; Horner needs deg(P) applies of A per round,
+    each followed by a scaled add and a reduction of n entries."""
 
     def __init__(self, base: BlackBoxOperator, poly: FieldPoly, power: int = 1):
         if poly.p != base.p:
@@ -211,7 +215,7 @@ class PolyOfMatrix(BlackBoxOperator):
         super().__init__(
             base.dimension,
             base.p,
-            cost=power * poly.degree * base.cost + 2 * base.dimension,
+            cost=power * poly.degree * (base.cost + 2 * base.dimension),
             symmetric=base.symmetric,
         )
         self.base = base
@@ -454,22 +458,6 @@ class _Preconditioner(BlackBoxOperator):
         w = self.d * w % p
         w = conv_mod(self.uc[::-1], w, p)[n - 1 :]  # U: uc is its first row
         return self.base.apply(w)
-
-
-class CountingOperator(BlackBoxOperator):
-    """Wrapper that counts applies; used for cost accounting."""
-
-    def __init__(self, base: BlackBoxOperator):
-        super().__init__(base.dimension, base.p, base.cost, base.symmetric)
-        self.base = base
-        self.applies = 0
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        self.applies += 1
-        return self.base.apply(v)
-
-    def trace(self) -> int:
-        return self.base.trace()
 
 
 class BerlekampMassey:

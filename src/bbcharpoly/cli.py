@@ -155,18 +155,6 @@ def _field_modulus(args) -> int | None:
         raise UsageError(f"--field: {err}")
 
 
-def _make_cfg(args) -> AdaptiveConfig:
-    try:
-        return AdaptiveConfig(
-            threshold=args.threshold,
-            method=args.method,
-            seed=args.seed,
-            trace_log=args.trace_log,
-        )
-    except ValueError as err:  # an out-of-range --threshold
-        raise UsageError(str(err))
-
-
 def _fresh_primes(count: int, avoid=()) -> list[int]:
     out = []
     p = 1 << 22
@@ -217,7 +205,15 @@ def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
     or None over the integers, its multiplicity in the characteristic
     polynomial).
     """
-    cfg = _make_cfg(args)
+    try:
+        cfg = AdaptiveConfig(
+            threshold=args.threshold,
+            method=args.method,
+            seed=args.seed,
+            trace_log=args.trace_log,
+        )
+    except ValueError as err:  # an out-of-range --threshold
+        raise UsageError(str(err))
     p = _field_modulus(args)
     if verify:
         cap = FIELD_VERIFY_CAP if p is not None else INTEGER_VERIFY_REDUCTION_CAP
@@ -255,8 +251,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_minpoly(args) -> int:
     matrix = _read_matrix(args.matrix)
-    cfg = _make_cfg(args)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     p = _field_modulus(args)
     if args.verify:
         # the integer check runs the dense minimal polynomial at several primes
@@ -361,6 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every matrix command takes ``common``; ``pipeline`` goes to the
+    # commands that run the adaptive driver, ``shown`` to those that print
+    # a polynomial
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("matrix", help="SMS matrix file, or - for stdin")
     mode = common.add_mutually_exclusive_group()
@@ -368,51 +366,48 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--integer", action="store_true", help="work over Z (default)"
     )
-    common.add_argument(
-        "--method",
-        choices=list(METHODS),
-        default="auto",
-        help="multiplicity method (default: auto)",
-    )
-    common.add_argument(
-        "--threshold", type=int, default=5, help="combinatorial threshold T"
-    )
     common.add_argument("--seed", type=int, default=None, help="rng seed")
     common.add_argument(
         "--explain",
         action="store_true",
         help="JSON-lines decision trace on stderr",
     )
-    common.add_argument(
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument(
+        "--method",
+        choices=list(METHODS),
+        default="auto",
+        help="multiplicity method (default: auto)",
+    )
+    pipeline.add_argument(
+        "--threshold", type=int, default=5, help="combinatorial threshold T"
+    )
+    shown = argparse.ArgumentParser(add_help=False)
+    shown.add_argument(
         "--output",
         choices=["coeffs", "factored", "json"],
         default="coeffs",
         help="output form (default: coeffs)",
     )
-    common.add_argument(
+    shown.add_argument(
         "--verify",
         action="store_true",
         help="cross-check against the dense oracle (size-capped)",
     )
 
-    cp = sub.add_parser("charpoly", parents=[common], help="characteristic polynomial")
-    cp.set_defaults(func=cmd_charpoly)
-    mp = sub.add_parser("minpoly", parents=[common], help="minimal polynomial")
-    mp.set_defaults(func=cmd_minpoly)
-    mu = sub.add_parser(
-        "multiplicities", parents=[common], help="factor multiplicities"
-    )
-    mu.set_defaults(func=cmd_multiplicities)
+    full = [common, pipeline, shown]
+    for name, func, parents, text in (
+        ("charpoly", cmd_charpoly, full, "characteristic polynomial"),
+        ("minpoly", cmd_minpoly, [common, shown], "minimal polynomial"),
+        ("multiplicities", cmd_multiplicities, full, "factor multiplicities"),
+        ("verify", cmd_verify, [common, pipeline], "pipeline vs dense oracle comparison"),
+    ):
+        sub.add_parser(name, parents=parents, help=text).set_defaults(func=func)
 
     sp = sub.add_parser("sympower", help="symmetric k-th power of a graph")
     sp.add_argument("matrix", help="adjacency matrix in SMS format, or -")
     sp.add_argument("--k", type=int, required=True, help="subset size k")
     sp.set_defaults(func=cmd_sympower)
-
-    ve = sub.add_parser(
-        "verify", parents=[common], help="pipeline vs dense oracle comparison"
-    )
-    ve.set_defaults(func=cmd_verify)
     return parser
 
 

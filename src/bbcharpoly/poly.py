@@ -746,7 +746,11 @@ def _frobenius(m: _Modulus):
 
 
 def _bezout_mod_p(g: FieldPoly, h: FieldPoly):
-    """s, t with s*g + t*h = 1 over GF(p); g, h must be coprime."""
+    """s, t with s*g + t*h = 1 over GF(p); g, h must be coprime.
+
+    For deg g, deg h >= 1, extended Euclid already gives deg s < deg h and
+    deg t < deg g (von zur Gathen and Gerhard, Modern Computer Algebra,
+    Lemma 3.10), the bounds the Hensel step needs."""
     p = g.p
     r0, r1 = g, h
     s0, s1 = FieldPoly.one(p), FieldPoly.zero(p)
@@ -761,10 +765,6 @@ def _bezout_mod_p(g: FieldPoly, h: FieldPoly):
     inv = pow(r0.coeffs[0], -1, p)
     s = FieldPoly([c * inv % p for c in s0.coeffs], p)
     t = FieldPoly([c * inv % p for c in t0.coeffs], p)
-    # Normalize degrees: deg s < deg h, deg t < deg g.
-    if h.degree > 0 and s.degree >= h.degree:
-        q, s = divmod(s, h)
-        t = t + q * g
     return s, t
 
 

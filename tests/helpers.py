@@ -2,7 +2,13 @@
 
 import hashlib
 
-from bbcharpoly.blackbox import SparseMatrix, block_diagonal, build_block_jordan
+from bbcharpoly.blackbox import (
+    PolyOfMatrix,
+    SparseMatrix,
+    SparseOperator,
+    block_diagonal,
+    build_block_jordan,
+)
 from bbcharpoly.poly import FieldPoly, is_irreducible
 
 
@@ -14,6 +20,17 @@ ROOK_CUBE_CHARPOLY_SHA256 = "4f2069ff7eb8ea166567170e20eb5b45bb4a0df66b9c791078b
 def coeffs_digest(coeffs) -> str:
     """sha256 of integer coefficients, constant term first, comma-joined."""
     return hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+
+
+def sparse_leaf(op):
+    """The SparseOperator under op's wrappers, and the applies of it that
+    one apply of op makes."""
+    per = 1
+    while not isinstance(op, SparseOperator):
+        if isinstance(op, PolyOfMatrix):
+            per *= op.power * op.poly.degree
+        op = op.base
+    return op, per
 
 
 def linear(a, p):

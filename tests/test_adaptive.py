@@ -20,7 +20,6 @@ from bbcharpoly.adaptive import (
     nullity_comb_search,
 )
 from bbcharpoly.blackbox import (
-    CountingOperator,
     DetNotCertifiedError,
     MinpolyNotCertifiedError,
     PolyOfMatrix,
@@ -251,7 +250,7 @@ class TestDrivers:
     @pytest.mark.parametrize("p", [9, 15, 2, 4, (1 << 31) + 11])
     def test_modulus_checked_before_any_apply(self, p):
         rows = [[1, 2, 0, 0], [0, 3, 1, 0], [5, 0, 0, 1], [0, 0, 7, 2]]
-        op = CountingOperator(SparseMatrix.from_dense(rows).operator(p))
+        op = SparseMatrix.from_dense(rows).operator(p)
         with pytest.raises(ValueError, match=f"got {p}$"):
             charpoly_with_details(op, AdaptiveConfig(seed=1))
         assert op.applies == 0
@@ -551,7 +550,7 @@ class TestPinnedWork:
                 want = want * poly**m
             applies = []
             for seed in self.SEEDS:
-                op = CountingOperator(A.operator(q))
+                op = A.operator(q)
                 res = charpoly_with_details(op, AdaptiveConfig(seed=seed, method=method))
                 assert res.charpoly == want, f"form {form} seed {seed}"
                 applies.append(op.applies)

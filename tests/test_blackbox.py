@@ -7,7 +7,6 @@ from bbcharpoly import blackbox
 from bbcharpoly.blackbox import (
     BerlekampMassey,
     BlackBoxOperator,
-    CountingOperator,
     DetNotCertifiedError,
     LowRankPerturbation,
     PolyOfMatrix,
@@ -119,6 +118,20 @@ class TestOperatorCombinators:
             )
             assert np.array_equal(op.apply(v), want)
 
+    def test_sparse_operator_counts_its_applies(self):
+        # the empty matrix's early return counts too, and so do the n
+        # applies of the generic trace
+        rng = random.Random(4)
+        p = 101
+        for matrix in (diag_matrix([1, 2, 3]), SparseMatrix(3, [])):
+            op = matrix.operator(p)
+            assert op.applies == 0
+            for k in range(1, 4):
+                op.apply(random_vector(3, p, rng))
+                assert op.applies == k
+            BlackBoxOperator.trace(op)
+            assert op.applies == 6
+
     def test_shifted_operator(self):
         p = 7
         A = diag_matrix([1, 2]).operator(p)
@@ -130,11 +143,13 @@ class TestOperatorCombinators:
         rng = random.Random(3)
         p = 101
         n = 6
-        base = CountingOperator(diag_matrix([1] * n).operator(p))
+        base = diag_matrix([1] * n).operator(p)
         f = rand_irreducible(3, p, rng)
         op = PolyOfMatrix(base, f, 2)
         op.apply(random_vector(n, p, rng))
         assert base.applies == f.degree * 2
+        # each apply of A is followed by a scaled add and a reduction
+        assert op.cost == f.degree * 2 * (base.cost + 2 * n)
 
 
 class TestSymmetry:
@@ -157,8 +172,7 @@ class TestSymmetry:
             op = matrix.operator(p)
             assert PolyOfMatrix(op, linear(4, p), 2).symmetric is want
             assert ShiftedOperator(op, 3).symmetric is want
-            assert CountingOperator(op).symmetric is want
-            assert CountingOperator(ShiftedOperator(PolyOfMatrix(op, linear(1, p)), 5)).symmetric is want
+            assert ShiftedOperator(PolyOfMatrix(op, linear(1, p)), 5).symmetric is want
 
     def test_perturbation_and_preconditioners_drop_it(self):
         p, rng = 101, random.Random(3)
@@ -341,7 +355,7 @@ class TestOneTrialRule:
     def test_toeplitz_kind_takes_one_round_where_the_bound_holds(self):
         p, n, r = 1000003, 10, 6
         rows = self.low_rank(n, r, p, random.Random(31))
-        op = CountingOperator(SparseMatrix.from_dense(rows).operator(p))
+        op = SparseMatrix.from_dense(rows).operator(p)
         assert preconditioner(op) == "toeplitz"
         assert one_trial_suffices(n - 1, n, p, "toeplitz")
         assert rank_blackbox(op, random.Random(32), ceiling=n - 1) == dense_rank(rows, p)
@@ -350,7 +364,7 @@ class TestOneTrialRule:
     def test_diagonal_kind_takes_one_round_where_the_bound_holds(self):
         p, n = 1000003, 10
         values = [1, 2, 3, 4, 5, 6, 0, 0, 0, 0]
-        op = CountingOperator(diag_matrix(values).operator(p))
+        op = diag_matrix(values).operator(p)
         assert preconditioner(op) == "diagonal"
         assert one_trial_suffices(n - 1, n, p, "diagonal")
         assert rank_blackbox(op, random.Random(33), ceiling=n - 1) == 6
@@ -363,7 +377,7 @@ class TestOneTrialRule:
         p, n, r = 227, 10, 6
         rows = self.low_rank(n, r, p, random.Random(34))
         assert dense_rank(rows, p) == r
-        op = CountingOperator(SparseMatrix.from_dense(rows).operator(p))
+        op = SparseMatrix.from_dense(rows).operator(p)
         assert not one_trial_suffices(n - 1, n, p, preconditioner(op))
         assert rank_blackbox(op, random.Random(seed), ceiling=n - 1) <= r
         assert op.applies > 2 * n - 1
@@ -437,13 +451,12 @@ class TestTrace:
             op = SparseMatrix.from_dense(rows).operator(p)
             assert op.trace() == scalar(BlackBoxOperator.trace(op), p)
 
-    def test_counting_operator_forwards_trace(self):
+    def test_sparse_trace_makes_no_apply(self):
         rng = random.Random(19)
         p = 101
         rows = [[rng.randrange(-9, 10) for _ in range(50)] for _ in range(50)]
-        base = SparseMatrix.from_dense(rows).operator(p)
-        op = CountingOperator(base)
-        assert scalar(op.trace(), p) == base.trace()
+        op = SparseMatrix.from_dense(rows).operator(p)
+        assert scalar(op.trace(), p) == sum(rows[i][i] for i in range(50)) % p
         assert op.applies == 0
 
 

@@ -29,7 +29,6 @@ from bbcharpoly.adaptive import AdaptiveConfig, charpoly_with_details, invariant
 from bbcharpoly.blackbox import (
     BerlekampMassey,
     BlackBoxOperator,
-    CountingOperator,
     DetNotCertifiedError,
     LowRankPerturbation,
     MinpolyNotCertifiedError,
@@ -52,6 +51,7 @@ from bbcharpoly.integer import integer_minpoly
 from bbcharpoly.oracle import dense_det, dense_minpoly, dense_rank
 from bbcharpoly.poly import FieldPoly, _float_sum_fits, _lazy_sum_fits
 from bbcharpoly.sms import emit_sms
+from helpers import sparse_leaf
 
 M31 = (1 << 31) - 1  # the Mersenne prime: 2 products of p - 1 fit, 3 do not
 P4 = 1358187923  # prime with 4 * (p - 1)^2 < 2^63 <= 5 * (p - 1)^2
@@ -402,7 +402,7 @@ def test_round_stops_once_the_generator_settles(case, seed):
     # exact here, and a trial round takes no certificate.
     p, rows, matrix = case
     n, want = matrix.n, dense_minpoly(rows, p)
-    op = CountingOperator(matrix.operator(p))
+    op = matrix.operator(p)
     got = wiedemann_minpoly(op, random.Random(seed), trial_bound=n)
     assert got == want
     terms = min(2 * want.degree + _early_stop_run(p), 2 * n)
@@ -472,15 +472,15 @@ def test_rank_at_its_ceiling_takes_one_trial(case, seed):
     # c + 1, or 2n - 1 for a full rank.
     p, rows, op, _ = case
     c = dense_rank(rows, p)
-    counted = CountingOperator(op)
+    leaf, per = sparse_leaf(op)
     with counted_trials() as bounds:
-        got = rank_blackbox(counted, random.Random(seed), ceiling=c)
+        got = rank_blackbox(op, random.Random(seed), ceiling=c)
     assert bounds[0] == min(c + 1, len(rows))
     assert got <= c
     if p >= EXACT:
         assert got == c
         assert len(bounds) == 1
-        assert counted.applies <= 2 * (c + 1)
+        assert leaf.applies <= per * 2 * (c + 1)
 
 
 @SETTINGS

@@ -14,7 +14,7 @@ import pytest
 
 from bbcharpoly.blackbox import SparseMatrix
 from bbcharpoly.cli import build_parser, main
-from bbcharpoly.adaptive import AdaptiveConfig
+from bbcharpoly.adaptive import AdaptiveConfig, blackbox_charpoly_field
 from bbcharpoly.ff import next_prime
 from bbcharpoly.graphs import (
     Graph,
@@ -25,7 +25,7 @@ from bbcharpoly.graphs import (
 )
 from bbcharpoly.integer import integer_charpoly
 from bbcharpoly.oracle import dense_charpoly
-from bbcharpoly.poly import FieldPoly
+from bbcharpoly.poly import FieldPoly, IntPoly
 from bbcharpoly.sms import SmsFormatError, emit_sms, parse_sms
 
 from helpers import ROOK_CUBE_CHARPOLY_SHA256, coeffs_digest
@@ -318,6 +318,33 @@ class TestOtherCommands:
         assert len(calls) == 1
         assert f"--verify refuses n > {cap} (n = {cap + 1})" in err
 
+    def test_minpoly_integer_verify(self, capsys, tmp_path):
+        path = write(tmp_path, "m.sms", DIAG112)
+        code, out, _ = run_cli(
+            capsys, "minpoly", "--integer", "--verify", "--seed", "3", path
+        )
+        assert (code, out) == (0, "2 - 3*X + X^2\n")
+
+    @pytest.mark.parametrize(
+        "wrong, message",
+        [
+            # no reduction of the true minimal polynomial divides it
+            (IntPoly([3, -3, 1]), "integer minpoly mod"),
+            # every reduction divides it, but none has its degree
+            (IntPoly([2, -3, 1]) * IntPoly([-5, 1]), "smaller dense minpoly degree"),
+        ],
+    )
+    def test_minpoly_integer_verify_mismatch(
+        self, capsys, tmp_path, monkeypatch, wrong, message
+    ):
+        from bbcharpoly import cli
+
+        monkeypatch.setattr(cli, "integer_minpoly", lambda matrix, rng: wrong)
+        path = write(tmp_path, "m.sms", DIAG112)
+        code, out, err = run_cli(capsys, "minpoly", "--integer", "--verify", path)
+        assert (code, out) == (4, "")
+        assert "verification mismatch" in err and message in err
+
     def test_minpoly_field_factored(self, capsys, tmp_path):
         path = write(tmp_path, "m.sms", DIAG112)
         code, out, _ = run_cli(
@@ -598,6 +625,31 @@ class TestExitCodes:
         assert any(e["event"] == "method" for e in events)
 
 
+class TestFlagsPerCommand:
+    """Each subcommand's parser takes only the flags its command reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minpoly", "--method", "index"],
+            ["minpoly", "--field", "101", "--threshold", "0"],
+            ["verify", "--verify"],
+            ["verify", "--output", "json"],
+        ],
+    )
+    def test_a_flag_its_command_never_reads_exits_2(self, capsys, tmp_path, argv):
+        path = write(tmp_path, "m.sms", DIAG112)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, path])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_minpoly_explain_prints_no_events(self, capsys, tmp_path):
+        path = write(tmp_path, "m.sms", DIAG112)
+        got = run_cli(capsys, "minpoly", "--integer", "--seed", "3", "--explain", path)
+        assert got == (0, "2 - 3*X + X^2\n", "")
+
+
 class TestRepeatedMain:
     def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
         # main builds its parser once per process; a run of calls with
@@ -641,6 +693,18 @@ class TestExplainEvents:
             source = path.read_text(encoding="utf-8")
             emitted.update(re.findall(r"\b_?emit\(\s*\"([a-z-]+)\"", source))
         assert documented == emitted
+
+
+def test_readme_library_example_runs_as_documented():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library entry points\n\n```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(example.group(1), namespace)
+    assert re.search(r"integer_charpoly\(m\) +# X\^3 - 4X\^2 \+ 5X - 2\n", example.group(1))
+    m, want = namespace["m"], IntPoly([-2, 5, -4, 1])
+    assert integer_charpoly(m) == want
+    # both drivers without a config, which defaults to AdaptiveConfig()
+    assert blackbox_charpoly_field(m.operator(101)) == want.reduce(101)
 
 
 def test_seeded_corpus_answers_are_pinned():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -88,6 +89,56 @@ class TestIntegerMinpoly:
         rng = random.Random(5)
         f = IntPoly([1, (1 << 2400) + 1, 0, 1])
         assert integer_minpoly(build_companion(f), rng) == f
+
+    @staticmethod
+    def scripted(monkeypatch, script):
+        """Make ``script(k, p)`` integer_minpoly's k-th residue, at prime p;
+        returns the lists of primes drawn and of the primes of each CRT
+        group, filled as the run goes."""
+        primes, groups = [], []
+        crt_combine = integer.crt_combine
+
+        def residue(op, rng):
+            primes.append(op.p)
+            return script(len(primes) - 1, op.p)
+
+        def recorded(group):
+            groups.append([g.p for g in group])
+            return crt_combine(group)
+
+        monkeypatch.setattr(integer, "wiedemann_minpoly", residue)
+        monkeypatch.setattr(integer, "crt_combine", recorded)
+        return primes, groups
+
+    def test_low_degree_residues_are_dropped(self, monkeypatch):
+        # residue 0 falls short (a failed projection) and residue 1, of the
+        # true degree, restarts the group; residue 2 drops a degree (a bad
+        # prime) and is skipped; residue 4 verifies
+        want = IntPoly([2, -3, 1])
+
+        def script(k, p):
+            if k in (0, 2):
+                return FieldPoly([-1 - k // 2, 1], p)
+            return want.reduce(p)
+
+        primes, groups = self.scripted(monkeypatch, script)
+        assert integer_minpoly(int_diag([1, 1, 2]), random.Random(1)) == want
+        assert len(primes) == 5
+        assert groups == [[primes[0]], [primes[1]], [primes[1], primes[3]]]
+
+    def test_a_failed_verification_prime_joins_the_group(self, monkeypatch):
+        # The scripted residues draw no randomness, so the primes are those
+        # of the seed alone.  With c = 6 + (the product of the first three),
+        # the reconstruction reads 6 at each of them: stable, and wrong.  The
+        # verification prime disagrees with full degree and joins the group,
+        # whose four primes then give c.
+        rng, seen = random.Random(2), set()
+        c = 6 + math.prod(integer._random_minpoly_prime(rng, seen) for _ in range(3))
+        want = IntPoly([c, -(c + 1), 1])
+        primes, groups = self.scripted(monkeypatch, lambda k, p: want.reduce(p))
+        assert integer_minpoly(int_diag([1, c]), random.Random(2)) == want
+        assert len(primes) == 7
+        assert groups[3] == primes[:4]
 
     def test_matches_dense_krylov_over_primes(self):
         rng = random.Random(4)

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bbcharpoly.poly import (
@@ -20,6 +20,7 @@ from bbcharpoly.poly import (
     _NEWTON_WORK,
     FieldPoly,
     IntPoly,
+    _bezout_mod_p,
     _distinct_degree,
     _divmod_arrays,
     _euclid_remainder,
@@ -430,6 +431,22 @@ def test_is_irreducible_matches_rabin_with_powers(data):
     p = data.draw(st.sampled_from(PRIMES))
     f = data.draw(field_polys(p, min_degree=2, max_degree=8))
     assert is_irreducible(f) == reference_irreducible(f)
+
+
+@SETTINGS
+@given(st.sampled_from((3, 5, 7, 101, 1000003)), st.data())
+def test_bezout_pair_meets_the_hensel_degree_bounds(p, data):
+    # the Hensel step takes s*g + t*h = 1 with deg s < deg h and
+    # deg t < deg g, for coprime g and h of degree at least 1
+    def poly():
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=12))
+        return FieldPoly(coeffs + [data.draw(st.integers(1, p - 1))], p)
+
+    g, h = poly(), poly()
+    assume(poly_gcd(g, h).degree == 0)
+    s, t = _bezout_mod_p(g, h)
+    assert s * g + t * h == FieldPoly.one(p)
+    assert s.degree < h.degree and t.degree < g.degree
 
 
 class TestRingMethods:

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from bbcharpoly import blackbox
 from bbcharpoly.blackbox import (
     BerlekampMassey,
-    CountingOperator,
     DetNotCertifiedError,
     PolyOfMatrix,
     ShiftedOperator,
@@ -44,7 +43,7 @@ from bbcharpoly.blackbox import (
 )
 from bbcharpoly.oracle import dense_det, dense_poly_of_matrix, dense_rank
 from bbcharpoly.poly import FieldPoly, _float_sum_fits
-from helpers import linear
+from helpers import linear, sparse_leaf
 
 M31 = (1 << 31) - 1
 LARGE = (65537, 1000003, M31)  # rank is exact with high probability
@@ -308,16 +307,16 @@ def test_trial_round_applies(case, seed, data):
     # t terms take t // 2 applies of A on the diagonal kind, t - 1 on Toeplitz
     p, rows, op = case
     n = len(rows)
-    counted = CountingOperator(op)
-    pre = _Preconditioner(counted, random.Random(seed))
+    leaf, per = sparse_leaf(op)
+    pre = _Preconditioner(op, random.Random(seed))
     bound = data.draw(st.integers(1, n))
     with recorded_rounds() as rounds:
         wiedemann_minpoly(pre, random.Random(seed + 1), trial_bound=bound)
     [terms] = rounds
     if preconditioner(op) == "diagonal":
-        assert counted.applies == len(terms) // 2 <= bound
+        assert leaf.applies == per * (len(terms) // 2) and len(terms) // 2 <= bound
     else:
-        assert counted.applies == len(terms) - 1 <= 2 * bound - 1
+        assert leaf.applies == per * (len(terms) - 1) and len(terms) - 1 <= 2 * bound - 1
 
 
 def test_full_trial_round_applies():
@@ -330,14 +329,14 @@ def test_full_trial_round_applies():
         (diagonal, "diagonal", n),
         (companion, "toeplitz", 2 * n - 1),
     ):
-        counted = CountingOperator(matrix.operator(p))
-        assert preconditioner(counted) == kind
-        pre = _Preconditioner(counted, random.Random(5))
+        op = matrix.operator(p)
+        assert preconditioner(op) == kind
+        pre = _Preconditioner(op, random.Random(5))
         with recorded_rounds() as rounds:
             m = wiedemann_minpoly(pre, random.Random(6), trial_bound=n)
         assert m.degree == n
         assert len(rounds[0]) == 2 * n
-        assert counted.applies == applies
+        assert op.applies == applies
 
 
 @SETTINGS
