@@ -17,9 +17,7 @@ from .ff import (
 from .poly import (
     BadPrimeError,
     ComputationError,
-    Factorization,
     FieldPoly,
-    GcdFreeBasis,
     IntPoly,
     crt_combine,
     factor,
@@ -51,9 +49,7 @@ __all__ = [
     "BlackBoxOperator",
     "ComputationError",
     "DlogContext",
-    "Factorization",
     "FieldPoly",
-    "GcdFreeBasis",
     "IntPoly",
     "LowRankPerturbation",
     "PolyOfMatrix",

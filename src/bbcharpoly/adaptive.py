@@ -19,6 +19,13 @@ Four method names are exposed:
 without a usable discrete-log subprime, and otherwise compares the predicted
 rank-call load sum(j*d_i) against the index-calculus estimate k + 2*ceil(sqrt n).
 
+Every driver takes ``(A, profiles, cfg, rng)``, ``profiles`` being the
+``FactorProfile`` of each (irreducible, multiplicity) pair that
+``poly.factor`` gives for the minimal polynomial, and works out the rest:
+the invariant-factor peel multiplies the minimal polynomial back from the
+profiles, and ``index_calculus`` finds its own subprime and builds its own
+``DlogContext``, so an ``index`` run whose peel leaves nothing to solve
+builds none.
 Every nullity comes from one routine, ``_compute_nullity``; ``hybrid`` uses
 it for its cheap factors too.  ``charpoly_with_details`` validates deg = n
 and the trace identity (``degree_trace_residual``) before returning, and it
@@ -43,7 +50,7 @@ from .blackbox import (
     rank_blackbox,
     wiedemann_minpoly,
 )
-from .ff import DlogContext, check_modulus, index_calculus_subprime
+from .ff import check_modulus, index_calculus_subprime
 from .multiplicity import (
     FactorProfile,
     InconsistentNullityError,
@@ -54,7 +61,6 @@ from .multiplicity import (
     degree_trace_residual,
     det_rounds,
     index_calculus,
-    profiles_from_factorization,
 )
 from .poly import (
     ComputationError,
@@ -297,10 +303,15 @@ def invariant_factor(
     )
 
 
-def _peel_invariant_factors(A, profiles, cfg, rng, minpoly, stop_size, max_iters):
+def _peel_invariant_factors(A, profiles, cfg, rng, stop_size, max_iters):
     """Shared loop: accumulate multiplicities from f_2, f_3, ... until at
-    most `stop_size` factors remain unresolved.  Returns (mults, live set)."""
+    most `stop_size` factors remain unresolved.  Returns (mults, live set).
+
+    The minimal polynomial f_1 is the product of the P^e of ``profiles``."""
     mults = [prof.minpoly_mult for prof in profiles]
+    minpoly = product_of_powers(
+        ((prof.poly, prof.minpoly_mult) for prof in profiles), FieldPoly.one(A.p)
+    )
     live = set(range(len(profiles)))
     previous = minpoly
     j = 2
@@ -326,25 +337,25 @@ def _peel_invariant_factors(A, profiles, cfg, rng, minpoly, stop_size, max_iters
     return mults, live
 
 
-def invfact_multiplicities(A, profiles, cfg, rng, minpoly):
+def invfact_multiplicities(A, profiles, cfg, rng):
     """Resolve every factor by peeling invariant factors until none remain."""
     mults, live = _peel_invariant_factors(
-        A, profiles, cfg, rng, minpoly, stop_size=0, max_iters=A.dimension + 1
+        A, profiles, cfg, rng, stop_size=0, max_iters=A.dimension + 1
     )
     return mults
 
 
-def _alg5_multiplicities(A, profiles, cfg, rng, minpoly, ctx, subprime):
+def _alg5_multiplicities(A, profiles, cfg, rng):
     """Invariant factors down to ceil(sqrt(n)) unknowns, then the log system."""
     n = A.dimension
     cap = _ceil_sqrt(n)
     mults, live = _peel_invariant_factors(
-        A, profiles, cfg, rng, minpoly, stop_size=cap, max_iters=cap
+        A, profiles, cfg, rng, stop_size=cap, max_iters=cap
     )
     if live:
         known = {i: m for i, m in enumerate(mults) if i not in live}
         solved = index_calculus(
-            A, profiles, sorted(live), known, ctx, subprime, rng, trace_log=cfg.trace_log
+            A, profiles, sorted(live), known, rng, trace_log=cfg.trace_log
         )
         for i, m in solved.items():
             mults[i] = m
@@ -371,7 +382,7 @@ def _enumerate_assignments(shapes, budget, cap):
     return out
 
 
-def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
+def hybrid_multiplicities(A, profiles, cfg, rng):
     """Kernel dimensions for cheap factors, enumeration for the big ones,
     the discrete-log finisher (``index_calculus``) for the rest.
 
@@ -432,8 +443,6 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
         profiles,
         rest[s:],
         {i: mults[i] for i in cheap},
-        ctx,
-        subprime,
         rng,
         enumerated=rest[:s],
         assignments=assignments,
@@ -444,7 +453,7 @@ def hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng):
     return mults
 
 
-def _choose_method(A, profiles, cfg) -> tuple[str, int | None]:
+def _choose_method(A, profiles, cfg) -> str:
     n, q = A.dimension, A.p
     subprime = index_calculus_subprime(q, n)
     if cfg.method != "auto":
@@ -453,17 +462,17 @@ def _choose_method(A, profiles, cfg) -> tuple[str, int | None]:
                 f"GF({q}) has no prime factor of q-1 exceeding n={n}; "
                 f"the {cfg.method} method needs one"
             )
-        return cfg.method, subprime
+        return cfg.method
     k = len(profiles)
     if subprime is None or k <= cfg.threshold:
-        return "nullity-comb", subprime
+        return "nullity-comb"
     cost_nc = sum(
         prof.degree * j
         for prof in profiles
         for j in range(1, prof.minpoly_mult + 1)
     )
     cost_ic = k + 2 * _ceil_sqrt(n)
-    return ("nullity-comb" if cost_nc < cost_ic else "index"), subprime
+    return "nullity-comb" if cost_nc < cost_ic else "index"
 
 
 def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None):
@@ -472,7 +481,8 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
     Raises ValueError before any draw or apply unless A.p is an odd prime
     <= 2**31.
     """
-    n, q = A.dimension, check_modulus(A.p)
+    n = A.dimension
+    check_modulus(A.p)
     if cfg is None:
         cfg = AdaptiveConfig()
     rng = random.Random(cfg.seed)
@@ -480,14 +490,13 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
     for attempt in range(2):
         try:
             minpoly = wiedemann_minpoly(A, rng)
-            fac = factor(minpoly, rng)
-            profiles = profiles_from_factorization(fac)
+            profiles = [FactorProfile(f, e) for f, e in factor(minpoly, rng)]
             if sum(pr.degree * pr.minpoly_mult for pr in profiles) == n:
                 mults = [pr.minpoly_mult for pr in profiles]
                 cfg._emit("method", chosen="trivial", reason="minpoly degree = n")
                 cp = _validate(A, profiles, mults)
                 return CharpolyResult(cp, minpoly, profiles, mults, "trivial")
-            method, subprime = _choose_method(A, profiles, cfg)
+            method = _choose_method(A, profiles, cfg)
             # every rank and determinant call wraps A in P^j(A) or lambda*I - A,
             # which keep A's symmetry, n and p, and so its preconditioner
             cfg._emit(
@@ -496,20 +505,14 @@ def charpoly_with_details(A: BlackBoxOperator, cfg: AdaptiveConfig | None = None
                 factors=len(profiles),
                 preconditioner=preconditioner(A),
             )
-            if method in ("index", "hybrid"):
-                ctx = DlogContext(q)
-            if method == "nullity-comb":
-                mults = nullity_comb_search(A, profiles, cfg, rng)
-            elif method == "index":
-                mults = _alg5_multiplicities(
-                    A, profiles, cfg, rng, minpoly, ctx, subprime
-                )
-            elif method == "hybrid":
-                mults = hybrid_multiplicities(A, profiles, cfg, ctx, subprime, rng)
-            elif method == "invfact":
-                mults = invfact_multiplicities(A, profiles, cfg, rng, minpoly)
-            else:  # pragma: no cover
-                raise AdaptiveError(f"unknown method {method}")
+            # looked up per call, so a wrapped module attribute is the one run
+            driver = {
+                "nullity-comb": nullity_comb_search,
+                "index": _alg5_multiplicities,
+                "hybrid": hybrid_multiplicities,
+                "invfact": invfact_multiplicities,
+            }[method]
+            mults = driver(A, profiles, cfg, rng)
             cp = _validate(A, profiles, mults)
             return CharpolyResult(cp, minpoly, profiles, mults, method)
         except ComputationError as err:

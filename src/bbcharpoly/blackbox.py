@@ -142,16 +142,6 @@ class SparseMatrix:
     def operator(self, p: int) -> "SparseOperator":
         return SparseOperator(self, p)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.entries))
-
     def __repr__(self):
         return f"SparseMatrix(n={self.n}, nnz={self.nnz})"
 
@@ -174,7 +164,7 @@ class SparseOperator(BlackBoxOperator):
         indptr = np.array(indptr, dtype=np.int64)
         self._cols = np.array([c for _, c, _ in kept], dtype=np.int64)
         self._vals = np.array([v for _, _, v in kept], dtype=np.int64)
-        self._diag = sum(v for r, c, v in kept if r == c) % p
+        self._diag = matrix.diagonal_sum() % p
         lengths = np.diff(indptr)
         self._lazy = _lazy_sum_fits(int(lengths.max(initial=0)), p)
         # reduceat sums each row from its start to the next start, so it gets

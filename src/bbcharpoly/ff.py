@@ -173,11 +173,9 @@ def find_index_calculus_field(
     candidates: list[int] = []
     if rng is not None:
         hi = max(2 * n + 2, n + 66)
+        # [n + 1, 2n] holds a prime (Bertrand), so every draw finds one
         for _ in range(8):
-            try:
-                candidates.append(random_prime(rng, n + 1, hi))
-            except ValueError:
-                break
+            candidates.append(random_prime(rng, n + 1, hi))
     p = next_prime(n)
     while True:
         candidates.append(p)

@@ -152,14 +152,14 @@ def lift_charpoly(
     s_bar = S.reduce(p)
     if poly_gcd(s_bar, s_bar.derivative()).degree != 0:
         raise BadPrimeError("squarefree part is not squarefree mod p")
-    basis = gcd_free_basis(
+    basis, exponents = gcd_free_basis(
         [s_bar, minpoly_z.reduce(p), charpoly_mod_p], charpoly_mod_p
     )
-    lifted = hensel_lift_basis(S, list(basis.basis), p)
-    out = product_of_powers(zip(lifted, basis.exponents), IntPoly.one())
+    lifted = hensel_lift_basis(S, basis, p)
+    out = product_of_powers(zip(lifted, exponents), IntPoly.one())
     if out.degree != n:
         raise BadPrimeError(f"lifted product has degree {out.degree}, wanted {n}")
-    return out, lifted, list(basis.exponents)
+    return out, lifted, list(exponents)
 
 
 # distinct field primes tried before giving up, and the draws allowed to

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import BlackBoxOperator, ShiftedOperator, det_blackbox
-from .ff import DlogContext
-from .poly import ComputationError, Factorization, FieldPoly
+from .ff import DlogContext, index_calculus_subprime
+from .poly import ComputationError, FieldPoly
 
 
 # combinatorial_search gives up beyond this many candidate censuses
@@ -84,10 +84,6 @@ class FactorProfile:
     @property
     def trace_coeff(self) -> int:
         return self.poly.coefficient(self.poly.degree - 1)
-
-
-def profiles_from_factorization(fac: Factorization) -> list[FactorProfile]:
-    return [FactorProfile(poly, mult) for poly, mult in fac]
 
 
 def nullities_to_occurrences(
@@ -415,8 +411,6 @@ def index_calculus(
     profiles,
     unknown,
     known: dict[int, int],
-    ctx: DlogContext,
-    subprime: int,
     rng,
     *,
     enumerated=(),
@@ -424,7 +418,9 @@ def index_calculus(
     trace_log=None,
 ) -> dict[int, int]:
     """Multiplicities of the ``unknown`` and ``enumerated`` factors from one
-    discrete-log system mod ``subprime``, a prime p > n dividing q - 1.
+    discrete-log system mod p = ``index_calculus_subprime(q, n)``, the
+    largest prime p > n dividing q - 1, with logs from a ``DlogContext``
+    built here.  Raises ValueError when GF(q) has no such p.
 
     ``known`` maps each resolved factor to its multiplicity, K being the
     product of their powers.  Rows log P_j(lambda) mod p, j in ``unknown``,
@@ -442,11 +438,10 @@ def index_calculus(
     profiles = list(profiles)
     unknown, enumerated = list(unknown), list(enumerated)
     n, q = A.dimension, A.p
-    p = subprime
-    if ctx.q != q:
-        raise ValueError("dlog context field differs from the operator field")
-    if (q - 1) % p != 0 or p <= n:
-        raise ValueError("subprime must divide q-1 and exceed the dimension")
+    p = index_calculus_subprime(q, n)
+    if p is None:
+        raise ValueError(f"GF({q}) has no prime factor of q-1 exceeding n={n}")
+    ctx = DlogContext(q)
 
     def known_at(lam: int) -> int:
         return _power_product((profiles[i].poly(lam) for i in known), known.values(), q)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -866,24 +865,6 @@ def squarefree_part(f):
 # Factorization over GF(p)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Factors as (monic irreducible, multiplicity) pairs plus the unit."""
-
-    factors: tuple
-    unit: int
-    p: int
-
-    def expand(self) -> FieldPoly:
-        return product_of_powers(self.factors, FieldPoly.constant(self.unit, self.p))
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-
 def _distinct_degree(f: FieldPoly):
     """Partial factorization of monic squarefree f into (product, degree) parts.
 
@@ -964,23 +945,22 @@ def _equal_degree(f: FieldPoly, d: int, rng):
     raise FactorizationError(f"no split of degree {f.degree} in {_SPLIT_DRAWS} draws")
 
 
-def factor(f: FieldPoly, rng) -> Factorization:
-    """Complete factorization into monic irreducibles with multiplicities.
+def factor(f: FieldPoly, rng) -> tuple:
+    """The (monic irreducible, multiplicity) pairs of f, sorted by degree
+    and then coefficients; f is their product times its leading coefficient.
 
     Squarefree decomposition, then distinct-degree splitting with one gcd
     per block of degrees, then Cantor-Zassenhaus equal-degree splitting.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.leading
     result = {}
     if f.degree >= 1:
         for sqf, mult in _squarefree_decomposition_field(f.monic()):
             for part, d in _distinct_degree(sqf):
                 for irr in _equal_degree(part, d, rng):
                     result[irr.monic()] = mult
-    ordered = sorted(result.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
-    return Factorization(tuple(ordered), unit, f.p)
+    return tuple(sorted(result.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
 
 
 def is_irreducible(f: FieldPoly) -> bool:
@@ -994,19 +974,6 @@ def is_irreducible(f: FieldPoly) -> bool:
 
 # ---------------------------------------------------------------------------
 # Gcd-free basis
-
-
-@dataclass(frozen=True)
-class GcdFreeBasis:
-    """Pairwise-coprime monic polynomials and exponents expressing a target."""
-
-    basis: tuple
-    exponents: tuple
-    unit: int
-
-    def expand(self, p: int) -> FieldPoly:
-        pairs = zip(self.basis, self.exponents)
-        return product_of_powers(pairs, FieldPoly.constant(self.unit, p))
 
 
 def divide_out(f, g):
@@ -1023,8 +990,11 @@ def divide_out(f, g):
         e += 1
 
 
-def gcd_free_basis(polys, target: FieldPoly) -> GcdFreeBasis:
-    """Pairwise-coprime refinement of ``polys`` with exponents for ``target``.
+def gcd_free_basis(polys, target: FieldPoly) -> tuple[tuple, tuple]:
+    """(basis, exponents): the pairwise-coprime monic refinement of
+    ``polys``, sorted by degree and then coefficients, and the exponent of
+    each basis polynomial in ``target``, which is their product of powers
+    times its leading coefficient.
 
     Raises BadPrimeError when the target is not a product of powers of the
     refined basis (for modular inputs this signals a bad prime).
@@ -1069,7 +1039,7 @@ def gcd_free_basis(polys, target: FieldPoly) -> GcdFreeBasis:
             "target polynomial is not expressible over the gcd-free basis "
             "(bad prime)"
         )
-    return GcdFreeBasis(tuple(items), tuple(exponents), target.leading)
+    return tuple(items), tuple(exponents)
 
 
 # ---------------------------------------------------------------------------

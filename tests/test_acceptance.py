@@ -18,14 +18,14 @@ from bbcharpoly.blackbox import (
     rank_blackbox,
 )
 from bbcharpoly.cli import main
-from bbcharpoly.ff import DlogContext, find_index_calculus_field, index_calculus_subprime
+from bbcharpoly.ff import find_index_calculus_field, index_calculus_subprime
 from bbcharpoly.graphs import Graph, rook_graph, symmetric_power
 from bbcharpoly.integer import integer_charpoly
 from bbcharpoly.multiplicity import (
+    FactorProfile,
     IndexCalculusFailure,
     index_calculus,
     nullities_to_occurrences,
-    profiles_from_factorization,
 )
 from bbcharpoly.oracle import dense_charpoly, dense_integer_charpoly
 from bbcharpoly.poly import FieldPoly, factor
@@ -196,7 +196,7 @@ def test_criterion_5_discrete_log_rank_growth():
         degs = [rng.randrange(1, 3) for _ in range(k)]
         mults = [rng.randrange(1, 4) for _ in range(k)]
         n = sum(d * m for d, m in zip(degs, mults))
-        q, p_sub = find_index_calculus_field(n, rng)
+        q, _ = find_index_calculus_field(n, rng)
         polys = []
         while len(polys) < k:
             f = rand_irreducible(degs[len(polys)], q, rng)
@@ -206,8 +206,7 @@ def test_criterion_5_discrete_log_rank_growth():
         for f, m in zip(polys, mults):
             full = full * f**m
         A = build_companion(full.monic())
-        profiles = profiles_from_factorization(factor(full.monic(), rng))
-        ctx = DlogContext(q)
+        profiles = [FactorProfile(f, e) for f, e in factor(full.monic(), rng)]
         log = TraceLog()
         try:
             index_calculus(
@@ -215,8 +214,6 @@ def test_criterion_5_discrete_log_rank_growth():
                 profiles,
                 list(range(len(profiles))),
                 {},
-                ctx,
-                p_sub,
                 rng,
                 trace_log=log,
             )

@@ -33,7 +33,7 @@ from bbcharpoly.cli import main
 from bbcharpoly.ff import DlogContext, find_index_calculus_field
 from bbcharpoly.graphs import rook_graph, symmetric_power
 from bbcharpoly.integer import integer_charpoly
-from bbcharpoly.multiplicity import IndexCalculusFailure, profiles_from_factorization
+from bbcharpoly.multiplicity import FactorProfile, IndexCalculusFailure
 from bbcharpoly.oracle import (
     dense_charpoly,
     dense_integer_charpoly,
@@ -65,7 +65,7 @@ class TestNullityCombSearch:
         op = A.operator(p)
         rng = random.Random(0)
         minpoly = wiedemann_minpoly(op, rng)
-        profiles = profiles_from_factorization(factor(minpoly, rng))
+        profiles = [FactorProfile(f, e) for f, e in factor(minpoly, rng)]
         cfg = AdaptiveConfig(seed=0)
         got = nullity_comb_search(op, profiles, cfg, rng)
         want = {tuple(linear(1, p).coeffs): 3, tuple(linear(2, p).coeffs): 1}
@@ -83,7 +83,8 @@ class TestNullityCombSearch:
         )
         op = A.operator(p)
         rng = random.Random(0)
-        profiles = profiles_from_factorization(factor(wiedemann_minpoly(op, rng), rng))
+        minpoly = wiedemann_minpoly(op, rng)
+        profiles = [FactorProfile(f, e) for f, e in factor(minpoly, rng)]
         assert sorted(prof.minpoly_mult for prof in profiles) == [2, 3, 4]
         log = TraceLog()
         first_attempt = []
@@ -362,6 +363,36 @@ class TestDrivers:
         assert cp1 == cp2
         assert log1.lines() == log2.lines()
 
+    @pytest.mark.parametrize(
+        "values, built",
+        [
+            # f_2 = (X-1)(X-2)(X-3)(X-4) and f_3 = 1: the peel solves all
+            ([1, 1, 2, 2, 3, 3, 4, 4], []),
+            # f_2 = X-5 leaves X-5 to the discrete-log system
+            ([1, 2, 3, 4, 5, 5], [23]),
+        ],
+    )
+    def test_index_builds_a_dlog_context_only_for_a_system(
+        self, monkeypatch, tmp_path, capsys, values, built
+    ):
+        contexts, real_init = [], DlogContext.__init__
+
+        def counted(self, q):
+            contexts.append(q)
+            real_init(self, q)
+
+        monkeypatch.setattr(DlogContext, "__init__", counted)
+        path = tmp_path / "diag.sms"
+        path.write_text(emit_sms(diag(values, 23)))
+        argv = ["multiplicities", "--field", "23", "--method", "index", "--seed", "2"]
+        assert main([*argv, "--explain", str(path)]) == 0
+        out, err = capsys.readouterr()
+        want = [f"{values.count(v)}\t1\t1\tX-{v}" for v in sorted(set(values))]
+        assert out.splitlines() == want
+        events = [json.loads(line)["event"] for line in err.splitlines()]
+        assert ("ic-solved" in events) == bool(built)
+        assert contexts == built
+
     def test_cayley_hamilton_spot_check(self):
         rng = random.Random(12)
         p = 101
@@ -378,7 +409,7 @@ class TestDrivers:
 class TestHybrid:
     def test_all_degree_one_mult_one(self):
         # pure nullity path: s = 0, no system
-        q, p = find_index_calculus_field(9)
+        q, _ = find_index_calculus_field(9)
         rng = random.Random(13)
         A, mults = planted_primary_form(
             [(linear(2, q), {1: 4}), (linear(3, q), {1: 3}), (linear(5, q), {1: 2})],
@@ -386,10 +417,9 @@ class TestHybrid:
         )
         op = A.operator(q)
         minpoly = wiedemann_minpoly(op, rng)
-        profiles = profiles_from_factorization(factor(minpoly, rng))
+        profiles = [FactorProfile(f, e) for f, e in factor(minpoly, rng)]
         cfg = AdaptiveConfig(seed=13)
-        ctx = DlogContext(q)
-        got = hybrid_multiplicities(op, profiles, cfg, ctx, p, rng)
+        got = hybrid_multiplicities(op, profiles, cfg, rng)
         want = {(-2 % q, 1): 4, (-3 % q, 1): 3, (-5 % q, 1): 2}
         for prof, m in zip(profiles, got):
             assert want[prof.poly.coeffs] == m
@@ -400,7 +430,7 @@ class TestHybrid:
         shape_list = [(3, {1: 2}), (3, {2: 1}), (1, {1: 6}), (1, {2: 2}), (1, {1: 8})]
         n = sum(d * sum(j * c for j, c in counts.items()) for d, counts in shape_list)
         assert n == 30
-        q, p = find_index_calculus_field(n)
+        q, _ = find_index_calculus_field(n)
         polys = []
         while len(polys) < len(shape_list):
             f = rand_irreducible(shape_list[len(polys)][0], q, rng)
@@ -410,9 +440,9 @@ class TestHybrid:
         A, mults = planted_primary_form(blocks, q)
         op = A.operator(q)
         minpoly = wiedemann_minpoly(op, rng)
-        profiles = profiles_from_factorization(factor(minpoly, rng))
+        profiles = [FactorProfile(f, e) for f, e in factor(minpoly, rng)]
         cfg = AdaptiveConfig(seed=14)
-        got = hybrid_multiplicities(op, profiles, cfg, DlogContext(q), p, rng)
+        got = hybrid_multiplicities(op, profiles, cfg, rng)
         want = {f.coeffs: m for f, m in zip(polys, mults)}
         for prof, m in zip(profiles, got):
             assert want[prof.poly.coeffs] == m
@@ -476,8 +506,8 @@ class TestInvfactDriver:
         )
         op = A.operator(p)
         minpoly = wiedemann_minpoly(op, rng)
-        profiles = profiles_from_factorization(factor(minpoly, rng))
-        got = invfact_multiplicities(op, profiles, AdaptiveConfig(seed=15), rng, minpoly)
+        profiles = [FactorProfile(f, e) for f, e in factor(minpoly, rng)]
+        got = invfact_multiplicities(op, profiles, AdaptiveConfig(seed=15), rng)
         want = {(-1 % p, 1): 4, (-3 % p, 1): 3}
         for prof, m in zip(profiles, got):
             assert want[prof.poly.coeffs] == m

@@ -15,7 +15,7 @@ from bbcharpoly.blackbox import (
     rank_blackbox,
     wiedemann_minpoly,
 )
-from bbcharpoly.ff import DlogContext, find_index_calculus_field
+from bbcharpoly.ff import DlogContext, find_index_calculus_field, index_calculus_subprime
 from bbcharpoly.multiplicity import (
     FactorProfile,
     InconsistentNullityError,
@@ -28,7 +28,6 @@ from bbcharpoly.multiplicity import (
     det_rounds,
     index_calculus,
     nullities_to_occurrences,
-    profiles_from_factorization,
     solve_mod_p,
 )
 from bbcharpoly.oracle import dense_charpoly
@@ -296,57 +295,48 @@ class TestIndexCalculus:
             [(linear(1, 11), {1: 2}), (linear(2, 11), {1: 1})], 11
         )
         profiles = [profile(linear(1, 11), 1), profile(linear(2, 11), 1)]
-        ctx = DlogContext(11)
-        assert ctx.generator == 2
+        assert DlogContext(11).generator == 2
+        assert index_calculus_subprime(11, 3) == 5
         log = TraceLog()
-        out = index_calculus(
-            A.operator(11),
-            profiles,
-            [0, 1],
-            {},
-            ctx,
-            5,
-            rng,
-            trace_log=log,
-        )
+        out = index_calculus(A.operator(11), profiles, [0, 1], {}, rng, trace_log=log)
         assert out == {0: 2, 1: 1}
         assert log.events[-1] == {"event": "ic-solved", "rows": 2, "multiplicities": out}
         assert [e["lam"] for e in log.events if e["event"] == "ic-row"] == [3, 4]
 
+    def test_field_without_subprime_raises(self):
+        # 100 = 2^2 * 5^2 has no prime factor above n = 6
+        A, _ = planted_primary_form([(linear(3, 101), {1: 6})], 101)
+        rng = random.Random(20)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="no prime factor of q-1 exceeding n=6"):
+            index_calculus(A.operator(101), [profile(linear(3, 101), 1)], [0], {}, rng)
+        assert rng.getstate() == state
+
     def test_single_unknown(self):
-        q, p = find_index_calculus_field(6)
+        q, _ = find_index_calculus_field(6)
         rng = random.Random(12)
         A, _ = planted_primary_form([(linear(3, q), {2: 3})], q)
         profiles = [profile(linear(3, q), 2)]
-        ctx = DlogContext(q)
-        out = index_calculus(A.operator(q), profiles, [0], {}, ctx, p, rng)
+        out = index_calculus(A.operator(q), profiles, [0], {}, rng)
         assert out == {0: 6}
 
     def test_companion_recovers_minpoly_multiplicities(self):
         rng = random.Random(13)
-        q, p = find_index_calculus_field(12)
+        q, _ = find_index_calculus_field(12)
         f1 = rand_irreducible(2, q, rng)
         f2 = linear(5, q)
         full = (f1**2 * f2**3).monic()
         A = build_companion(full)
-        fac = factor(full, rng)
-        profiles = profiles_from_factorization(fac)
-        ctx = DlogContext(q)
+        profiles = [FactorProfile(f, e) for f, e in factor(full, rng)]
         out = index_calculus(
-            A.operator(q),
-            profiles,
-            list(range(len(profiles))),
-            {},
-            ctx,
-            p,
-            rng,
+            A.operator(q), profiles, list(range(len(profiles))), {}, rng
         )
         want = {i: prof.minpoly_mult for i, prof in enumerate(profiles)}
         assert out == want
 
     def test_known_partial_product(self):
         rng = random.Random(14)
-        q, p = find_index_calculus_field(8)
+        q, _ = find_index_calculus_field(8)
         blocks = [(linear(2, q), {1: 3}), (linear(7, q), {1: 2}), (linear(9, q), {3: 1})]
         A, mults = planted_primary_form(blocks, q)
         profiles = [
@@ -354,26 +344,23 @@ class TestIndexCalculus:
             profile(linear(7, q), 1),
             profile(linear(9, q), 3),
         ]
-        ctx = DlogContext(q)
-        out = index_calculus(
-            A.operator(q), profiles, [0, 1], {2: 3}, ctx, p, rng
-        )
+        out = index_calculus(A.operator(q), profiles, [0, 1], {2: 3}, rng)
         assert out == {0: 3, 1: 2}
 
     def test_degree_check_failure(self):
         rng = random.Random(15)
-        q, p = find_index_calculus_field(6)
+        q, _ = find_index_calculus_field(6)
         A, _ = planted_primary_form([(linear(3, q), {1: 6})], q)
         profiles = [profile(linear(3, q), 1), profile(linear(5, q), 1)]
         # lie about the known part: A has no factor x - 5
         with pytest.raises(IndexCalculusFailure):
-            index_calculus(A.operator(q), profiles, [0], {1: 2}, ctx_for(q), p, rng)
+            index_calculus(A.operator(q), profiles, [0], {1: 2}, rng)
 
     def test_assignments_discriminated_by_determinant(self):
         # every assignment meets the degree identity, so only determinants
         # can tell the planted one apart
         rng = random.Random(17)
-        q, p = find_index_calculus_field(6)
+        q, _ = find_index_calculus_field(6)
         A, mults = planted_primary_form(
             [(linear(2, q), {1: 2}), (linear(7, q), {1: 1, 2: 1}), (linear(4, q), {1: 1})],
             q,
@@ -386,8 +373,6 @@ class TestIndexCalculus:
             profiles,
             [],
             {2: 1},
-            ctx_for(q),
-            p,
             rng,
             enumerated=[0, 1],
             assignments=[(1, 4), (2, 3), (3, 2)],
@@ -399,7 +384,7 @@ class TestIndexCalculus:
 
     def test_assignment_sweep_solves_the_rest(self):
         rng = random.Random(18)
-        q, p = find_index_calculus_field(9)
+        q, _ = find_index_calculus_field(9)
         f = rand_irreducible(2, q, rng)
         A, mults = planted_primary_form(
             [(f, {1: 2}), (linear(3, q), {2: 1}), (linear(8, q), {1: 1})], q
@@ -410,8 +395,6 @@ class TestIndexCalculus:
             profiles,
             [1, 2],
             {},
-            ctx_for(q),
-            p,
             rng,
             enumerated=[0],
             assignments=[(1,), (2,), (3,)],
@@ -419,7 +402,7 @@ class TestIndexCalculus:
         assert out == {0: 2, 1: 2, 2: 1}
 
     def test_nothing_to_solve_draws_nothing(self):
-        q, p = find_index_calculus_field(6)
+        q, _ = find_index_calculus_field(6)
         A, _ = planted_primary_form([(linear(3, q), {1: 6})], q)
         rng = random.Random(19)
         state = rng.getstate()
@@ -429,8 +412,6 @@ class TestIndexCalculus:
             [profile(linear(3, q), 1)],
             [],
             {0: 6},
-            ctx_for(q),
-            p,
             rng,
             trace_log=log,
         )
@@ -481,10 +462,6 @@ def test_sweep_equals_one_solve_per_assignment(system):
     assert _solve_sweep(tracker, rhs, columns, assignments) == want
 
 
-def ctx_for(q):
-    return DlogContext(q)
-
-
 class TestCrossMethodAgreement:
     def test_planted_and_sparse_matrices(self):
         # The instances come from their own stream, so a kernel that draws
@@ -494,30 +471,22 @@ class TestCrossMethodAgreement:
         nontrivial = 0
         for trial in range(100):
             if trial % 2 == 0:
-                A, polys, _, mults, q, p = random_census_instance(rng)
+                A, polys, _, mults, q, _ = random_census_instance(rng)
             else:
                 n = rng.randrange(8, 41)
-                q, p = find_index_calculus_field(n)
+                q, _ = find_index_calculus_field(n)
                 A = random_sparse_matrix(n, q, rng)
                 mults = None
             work = random.Random(rng.randrange(1 << 32))
             op = A.operator(q)
             minpoly = wiedemann_minpoly(op, work)
-            profiles = profiles_from_factorization(factor(minpoly, work))
+            profiles = [FactorProfile(f, e) for f, e in factor(minpoly, work)]
             census = combinatorial_search(op, profiles, [{}] * len(profiles), work)
             comb_mults = [
                 sum(j * c for (i, j), c in census.items() if i == idx)
                 for idx in range(len(profiles))
             ]
-            ic = index_calculus(
-                op,
-                profiles,
-                list(range(len(profiles))),
-                {},
-                ctx_for(q),
-                p,
-                work,
-            )
+            ic = index_calculus(op, profiles, list(range(len(profiles))), {}, work)
             ic_mults = [ic[i] for i in range(len(profiles))]
             assert comb_mults == ic_mults, f"trial={trial} q={q}"
             if mults is not None:
