@@ -123,6 +123,15 @@ class CharpolyResult:
     multiplicities: list[int]
     method: str
 
+    @property
+    def factors(self) -> list[tuple[FieldPoly, int, int]]:
+        """(P, e, m) for each irreducible factor P of the minimal polynomial:
+        its exponent e there and its multiplicity m in the charpoly."""
+        return [
+            (pr.poly, pr.minpoly_mult, m)
+            for pr, m in zip(self.profiles, self.multiplicities)
+        ]
+
 
 def _ceil_sqrt(n: int) -> int:
     r = math.isqrt(n)

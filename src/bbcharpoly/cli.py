@@ -221,10 +221,7 @@ def _charpoly_run(args, matrix: SparseMatrix, verify: bool):
     if p is not None:
         result = charpoly_with_details(matrix.operator(p), cfg)
         poly, method = result.charpoly, result.method
-        rows = [
-            (pr.poly, pr.minpoly_mult, m)
-            for pr, m in zip(result.profiles, result.multiplicities)
-        ]
+        rows = result.factors
         if verify:
             _verify_field(matrix, p, poly)
     else:

@@ -1,19 +1,23 @@
 """Characteristic polynomial over the integers.
 
 The route: the integer minimal polynomial is reconstructed by CRT from its
-images modulo random word-size primes (with early termination once the
-symmetric-range reconstruction stabilizes and one fresh prime re-verifies
-it); a prime q with an index-calculus-friendly group structure is then
-drawn, the characteristic polynomial of A mod q is computed by the adaptive
-field driver, and a gcd-free basis of the squarefree part S of the minimal
-polynomial is Hensel-lifted, as far as a factor of S needs, to recover the
-integer characteristic polynomial as a product of lifted factors.
+images modulo random word-size primes, one Krylov round each (with early
+termination once the symmetric-range reconstruction stabilizes and one
+fresh prime's certified minimal polynomial re-verifies it); a prime q with
+an index-calculus-friendly group structure is then drawn, and the adaptive
+field driver factors the characteristic polynomial of A mod q.  Its
+irreducible factors, grouped by their exponent e in the minimal polynomial
+and their multiplicity m, give a gcd-free basis of the squarefree part S of
+the minimal polynomial, which is Hensel-lifted, as far as a factor of S
+needs, to recover the integer characteristic polynomial as a product of
+lifted factors.
 
-A prime is *bad* when the squarefree part stops being squarefree mod q,
-when the field minimal polynomial differs from the reduction of the integer
-one, when the lifted factors do not multiply to S exactly over Z, or when
-the reassembled product has the wrong degree or trace; bad primes are
-logged and retried (three distinct bad primes raise with diagnostics).
+A prime is *bad* when the field minimal polynomial differs from the
+reduction of the integer one, when the squarefree part stops being
+squarefree mod q, when the lifted factors do not multiply to S exactly over
+Z, or when the reassembled product has the wrong degree or trace; bad
+primes are logged and retried (three distinct bad primes raise with
+diagnostics).
 """
 
 from __future__ import annotations
@@ -75,15 +79,21 @@ def _random_minpoly_prime(rng, seen) -> int:
 def integer_minpoly(A: SparseMatrix, rng) -> IntPoly:
     """Integer minimal polynomial of A by CRT over random word-size primes.
 
-    Residues of less-than-maximal degree come from bad primes (or failed
-    projections) and are discarded.  Termination: the symmetric-range
+    Each CRT prime takes one Krylov round, whose generator divides the
+    minimal polynomial mod p.  It falls short only when the random
+    projection fails, with probability at most 2 deg / p (Wiedemann, IEEE
+    Trans. IT 1986; Kaltofen and Pan 1991): below 2^-18 for p > 2^28 and
+    deg <= 422.  Residues of less-than-maximal degree, from such a round or
+    a bad prime, are discarded.  Termination: the symmetric-range
     reconstruction must stay unchanged while two further primes arrive (one,
-    once the primes' product is past the coefficient bound), and one extra
-    verification prime must reproduce it; a failed verification keeps the
-    verification residue when it has full degree and restarts the count.  A
-    pathological spread of degrees among the first 10 primes raises.  The
-    prime budget scales with the coefficient bound: the primes it needs, plus
-    80 for bad primes and the stability checks.
+    once the primes' product is past the coefficient bound), and the
+    certified minimal polynomial at one extra verification prime must
+    reproduce it.  A failed verification restarts the count; its residue
+    joins the group when it has the group's degree, and starts a new group
+    when it has a higher one.  A pathological spread of degrees among the
+    first 10 primes raises.  The prime budget scales with the coefficient
+    bound: the primes it needs, plus 80 for bad primes and the stability
+    checks.
     """
     seen: set[int] = set()
     group: list[FieldPoly] = []
@@ -94,7 +104,7 @@ def integer_minpoly(A: SparseMatrix, rng) -> IntPoly:
     max_primes = -(-bit_cap // 28) + 80  # every prime exceeds 2^28
     for used in range(1, max_primes + 1):
         p = _random_minpoly_prime(rng, seen)
-        residue = wiedemann_minpoly(A.operator(p), rng)
+        residue = wiedemann_minpoly(A.operator(p), rng, trial_bound=A.n)
         degrees_seen.append(residue.degree)
         if used == 10:
             top = max(degrees_seen)
@@ -121,7 +131,9 @@ def integer_minpoly(A: SparseMatrix, rng) -> IntPoly:
             check = wiedemann_minpoly(A.operator(p_verify), rng)
             if check == candidate.reduce(p_verify):
                 return candidate
-            if check.degree == group[0].degree:
+            if check.degree > group[0].degree:
+                group = []  # a certified higher degree: the group was bad
+            if not group or check.degree == group[0].degree:
                 group.append(check)
                 candidate = crt_combine(group)
             stable = 0
@@ -131,30 +143,33 @@ def integer_minpoly(A: SparseMatrix, rng) -> IntPoly:
 
 
 def lift_charpoly(
-    A: SparseMatrix, minpoly_z: IntPoly, p: int, charpoly_mod_p: FieldPoly
+    A: SparseMatrix, minpoly_z: IntPoly, p: int, factors
 ) -> tuple[IntPoly, list[IntPoly], list[int]]:
-    """Reassemble the integer charpoly from its image mod one good prime.
+    """Reassemble the integer charpoly from its factors mod one good prime.
 
-    Computes the squarefree part S of the integer minimal polynomial, a
-    gcd-free basis of (S, minpoly, charpoly) mod p expressing the charpoly,
-    lifts the basis to the factors of S over Z (`hensel_lift_basis`, which
-    checks that they multiply to S exactly), and returns the product of
-    lifted factors raised to their exponents, with the lifted factors and
-    the exponents.  Violations of the good-prime conditions raise
-    BadPrimeError.
+    ``factors`` are the field pass's (monic irreducible P, exponent e in the
+    minimal polynomial, multiplicity m in the characteristic polynomial)
+    triples mod p.  Checks that they give the reduction of ``minpoly_z`` and
+    that its squarefree part S stays squarefree mod p, groups them into a
+    gcd-free basis (`gcd_free_basis`), lifts the basis to the factors of S
+    over Z (`hensel_lift_basis`, which checks that they multiply to S
+    exactly), and returns the product of lifted factors raised to their
+    exponents, with the lifted factors and the exponents.  Violations of the
+    good-prime conditions raise BadPrimeError.
     """
     n = A.n
     if p <= n:
         raise BadPrimeError(f"prime {p} does not exceed the dimension {n}")
-    if charpoly_mod_p.degree != n:
-        raise BadPrimeError("characteristic polynomial mod p has wrong degree")
+    field_minpoly = product_of_powers(((f, e) for f, e, _ in factors), FieldPoly.one(p))
+    if field_minpoly != minpoly_z.reduce(p):
+        raise BadPrimeError(
+            "field minimal polynomial differs from the integer reduction"
+        )
     S = squarefree_part(minpoly_z)
     s_bar = S.reduce(p)
     if poly_gcd(s_bar, s_bar.derivative()).degree != 0:
         raise BadPrimeError("squarefree part is not squarefree mod p")
-    basis, exponents = gcd_free_basis(
-        [s_bar, minpoly_z.reduce(p), charpoly_mod_p], charpoly_mod_p
-    )
+    basis, exponents = gcd_free_basis(factors)
     lifted = hensel_lift_basis(S, basis, p)
     out = product_of_powers(zip(lifted, exponents), IntPoly.one())
     if out.degree != n:
@@ -233,12 +248,8 @@ def integer_charpoly_with_details(
         field_cfg = dataclasses.replace(cfg, seed=rng.randrange(1 << 62))
         try:
             field_result = charpoly_with_details(A.operator(q), field_cfg)
-            if field_result.minpoly != minpoly_z.reduce(q):
-                raise BadPrimeError(
-                    "field minimal polynomial differs from the integer reduction"
-                )
             lifted, factors, exponents = lift_charpoly(
-                A, minpoly_z, q, field_result.charpoly
+                A, minpoly_z, q, field_result.factors
             )
             if lifted.coefficient(n - 1) != -trace_z:
                 raise BadPrimeError("integer trace identity violated after lift")

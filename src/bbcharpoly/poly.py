@@ -6,8 +6,9 @@ stands in for the usual "minus infinity" convention).  ``FieldPoly`` carries
 its modulus, ``IntPoly`` holds arbitrary-precision signed integers.
 
 On top of the ring arithmetic this module provides squarefree decomposition,
-Cantor-Zassenhaus factorization, pairwise-coprime (gcd-free) bases,
-multifactor quadratic Hensel lifting, and coefficientwise CRT reconstruction.
+Cantor-Zassenhaus factorization, the gcd-free basis of a factored
+characteristic polynomial, multifactor quadratic Hensel lifting, and
+coefficientwise CRT reconstruction.
 
 Field multiplication is numpy convolution (``conv_mod``).  When the
 min(len(a), len(b)) products summed into one output entry could overflow
@@ -28,9 +29,9 @@ divisor length) is small, and the moduli p^k of the Hensel lift, take
 
 Factoring over GF(p) works on int64 coefficient vectors.  Products modulo a
 fixed f are reduced with the Newton inverse of the reversed f computed once,
-two convolutions per reduction (``_Modulus``).  Distinct-degree splitting,
-also the irreducibility test, steps through X^(p^d) mod f with the Frobenius
-matrix of f (``_frobenius``) and takes one gcd per block of degrees.  From
+two convolutions per reduction (``_Modulus``).  Distinct-degree splitting
+steps through X^(p^d) mod f with the Frobenius matrix of f
+(``_frobenius``) and takes one gcd per block of degrees.  From
 degree ``_FLOAT_FROBENIUS_MIN_N`` = 16, and while n * (p - 1)^2 < 2^53
 (``_float_sum_fits``), that matrix is built and applied by float64 BLAS
 products, each exact and reduced once per entry through int64 (after the
@@ -963,15 +964,6 @@ def factor(f: FieldPoly, rng) -> tuple:
     return tuple(sorted(result.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
 
 
-def is_irreducible(f: FieldPoly) -> bool:
-    """Whether distinct-degree splitting leaves f whole.
-
-    A reducible f has a factor of degree <= deg f / 2, repeated or not, and
-    some block of ``_distinct_degree`` splits it off.
-    """
-    return f.degree >= 1 and _distinct_degree(f.monic()) == [(f.monic(), f.degree)]
-
-
 # ---------------------------------------------------------------------------
 # Gcd-free basis
 
@@ -990,56 +982,27 @@ def divide_out(f, g):
         e += 1
 
 
-def gcd_free_basis(polys, target: FieldPoly) -> tuple[tuple, tuple]:
-    """(basis, exponents): the pairwise-coprime monic refinement of
-    ``polys``, sorted by degree and then coefficients, and the exponent of
-    each basis polynomial in ``target``, which is their product of powers
-    times its leading coefficient.
+def gcd_free_basis(factors) -> tuple[tuple, tuple]:
+    """(basis, exponents) of a characteristic polynomial from its factors.
 
-    Raises BadPrimeError when the target is not a product of powers of the
-    refined basis (for modular inputs this signals a bad prime).
+    ``factors`` are (monic irreducible P, exponent e of P in the minimal
+    polynomial, multiplicity m of P in the characteristic polynomial)
+    triples.  Each basis polynomial is the product of the P of one (e, m)
+    group, with exponent m; the basis is sorted by degree and then
+    coefficients.  It is the coarsest gcd-free basis of the squarefree
+    part, the minimal polynomial and the characteristic polynomial: a
+    refinement of the three keeps two irreducible factors together exactly
+    when their exponent vectors (1, e, m) agree (Bach, Driscoll and Shallit,
+    "Factor refinement", J. Algorithms 1993).
     """
-    p = target.p
-    items = []
-    for f in polys:
-        if f.is_zero:
-            raise ValueError("gcd-free basis inputs must be nonzero")
-        if f.p != p:
-            raise ValueError("gcd-free basis inputs must share the modulus")
-        f = f.monic()
-        if f.degree > 0 and f not in items:
-            items.append(f)
-    refining = True
-    while refining:
-        refining = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                g = poly_gcd(items[i], items[j])
-                if g.degree > 0 and (g != items[i] or g != items[j]):
-                    a, b = items[i], items[j]
-                    replacement = [g, a // g, b // g]
-                    rest = [items[k] for k in range(len(items)) if k not in (i, j)]
-                    items = rest
-                    for r in replacement:
-                        r = r.monic()
-                        if r.degree > 0 and r not in items:
-                            items.append(r)
-                    refining = True
-                    break
-            if refining:
-                break
-    items.sort(key=lambda f: (f.degree, f.coeffs))
-    exponents = []
-    residual = target.monic()
-    for g in items:
-        e, residual = divide_out(residual, g)
-        exponents.append(e)
-    if residual.degree > 0:
-        raise BadPrimeError(
-            "target polynomial is not expressible over the gcd-free basis "
-            "(bad prime)"
-        )
-    return tuple(items), tuple(exponents)
+    groups: dict[tuple[int, int], list] = {}
+    for f, e, m in factors:
+        groups.setdefault((e, m), []).append(f)
+    pairs = sorted(
+        ((reduce(operator.mul, fs), m) for (_, m), fs in groups.items()),
+        key=lambda pair: (pair[0].degree, pair[0].coeffs),
+    )
+    return tuple(g for g, _ in pairs), tuple(m for _, m in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ from bbcharpoly.blackbox import (
     block_diagonal,
     build_block_jordan,
 )
-from bbcharpoly.poly import FieldPoly, is_irreducible
+from bbcharpoly.poly import (
+    BadPrimeError,
+    FieldPoly,
+    _distinct_degree,
+    divide_out,
+    poly_gcd,
+)
 
 
 # sha256 of the integer characteristic polynomial of the 4 x 4 rook graph's
@@ -35,6 +41,56 @@ def sparse_leaf(op):
 
 def linear(a, p):
     return FieldPoly([-a, 1], p)
+
+
+def is_irreducible(f: FieldPoly) -> bool:
+    """Whether distinct-degree splitting leaves f whole.
+
+    A reducible f has a factor of degree <= deg f / 2, repeated or not, and
+    some block of ``_distinct_degree`` splits it off.
+    """
+    return f.degree >= 1 and _distinct_degree(f.monic()) == [(f.monic(), f.degree)]
+
+
+def reference_gcd_free_basis(polys, target: FieldPoly):
+    """(basis, exponents) by pairwise-gcd refinement: the pairwise-coprime
+    monic refinement of ``polys``, sorted by degree and then coefficients,
+    and the exponent of each basis polynomial in ``target``.
+
+    Raises BadPrimeError when the target is not a product of powers of the
+    refined basis.
+    """
+    items = []
+    for f in polys:
+        f = f.monic()
+        if f.degree > 0 and f not in items:
+            items.append(f)
+    refining = True
+    while refining:
+        refining = False
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                g = poly_gcd(items[i], items[j])
+                if g.degree > 0:
+                    a, b = items[i], items[j]
+                    items = [h for h in items if h not in (a, b)]
+                    for r in (g, a // g, b // g):
+                        r = r.monic()
+                        if r.degree > 0 and r not in items:
+                            items.append(r)
+                    refining = True
+                    break
+            if refining:
+                break
+    items.sort(key=lambda f: (f.degree, f.coeffs))
+    exponents = []
+    residual = target.monic()
+    for g in items:
+        e, residual = divide_out(residual, g)
+        exponents.append(e)
+    if residual.degree > 0:
+        raise BadPrimeError("target is not a product of powers of the basis")
+    return tuple(items), tuple(exponents)
 
 
 def rand_irreducible(d, p, rng):

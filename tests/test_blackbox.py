@@ -22,7 +22,7 @@ from bbcharpoly.blackbox import (
     random_vector,
     wiedemann_minpoly,
 )
-from bbcharpoly.poly import FieldPoly, is_irreducible
+from bbcharpoly.poly import FieldPoly
 from bbcharpoly.oracle import (
     dense_charpoly,
     dense_det,
@@ -31,6 +31,8 @@ from bbcharpoly.oracle import (
     dense_rank,
 )
 
+from helpers import rand_irreducible
+
 
 def linear(a, p):
     return FieldPoly([-a, 1], p)
@@ -38,13 +40,6 @@ def linear(a, p):
 
 def diag_matrix(values):
     return SparseMatrix(len(values), [(i, i, v) for i, v in enumerate(values) if v])
-
-
-def rand_irreducible(d, p, rng):
-    while True:
-        f = FieldPoly([rng.randrange(p) for _ in range(d)] + [1], p)
-        if is_irreducible(f):
-            return f
 
 
 class TestSparseMatrix:

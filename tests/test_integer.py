@@ -32,6 +32,7 @@ from bbcharpoly.poly import (
     FieldPoly,
     IntPoly,
     _float_sum_fits,
+    factor,
 )
 
 from helpers import random_sparse_integer_matrix
@@ -93,13 +94,15 @@ class TestIntegerMinpoly:
     @staticmethod
     def scripted(monkeypatch, script):
         """Make ``script(k, p)`` integer_minpoly's k-th residue, at prime p;
-        returns the lists of primes drawn and of the primes of each CRT
-        group, filled as the run goes."""
-        primes, groups = [], []
+        returns the lists of primes drawn, of the ``trial_bound`` of each
+        call (None for a certified one) and of the primes of each CRT group,
+        filled as the run goes."""
+        primes, bounds, groups = [], [], []
         crt_combine = integer.crt_combine
 
-        def residue(op, rng):
+        def residue(op, rng, trial_bound=None):
             primes.append(op.p)
+            bounds.append(trial_bound)
             return script(len(primes) - 1, op.p)
 
         def recorded(group):
@@ -108,7 +111,7 @@ class TestIntegerMinpoly:
 
         monkeypatch.setattr(integer, "wiedemann_minpoly", residue)
         monkeypatch.setattr(integer, "crt_combine", recorded)
-        return primes, groups
+        return primes, bounds, groups
 
     def test_low_degree_residues_are_dropped(self, monkeypatch):
         # residue 0 falls short (a failed projection) and residue 1, of the
@@ -121,10 +124,26 @@ class TestIntegerMinpoly:
                 return FieldPoly([-1 - k // 2, 1], p)
             return want.reduce(p)
 
-        primes, groups = self.scripted(monkeypatch, script)
+        primes, bounds, groups = self.scripted(monkeypatch, script)
         assert integer_minpoly(int_diag([1, 1, 2]), random.Random(1)) == want
         assert len(primes) == 5
         assert groups == [[primes[0]], [primes[1]], [primes[1], primes[3]]]
+        # one round per CRT prime, a certified minimal polynomial to verify
+        assert bounds == [3, 3, 3, 3, None]
+
+    def test_a_short_single_round_residue_is_dropped(self, monkeypatch):
+        # residue 1 is a one-round generator that fell short: a proper
+        # divisor of the true minimal polynomial, between full residues
+        want = IntPoly([2, -3, 1])
+
+        def script(k, p):
+            return FieldPoly([-1, 1], p) if k == 1 else want.reduce(p)
+
+        primes, bounds, groups = self.scripted(monkeypatch, script)
+        assert integer_minpoly(int_diag([1, 1, 2]), random.Random(1)) == want
+        assert len(primes) == 4
+        assert groups == [[primes[0]], [primes[0], primes[2]]]
+        assert bounds == [3, 3, 3, None]
 
     def test_a_failed_verification_prime_joins_the_group(self, monkeypatch):
         # The scripted residues draw no randomness, so the primes are those
@@ -135,10 +154,44 @@ class TestIntegerMinpoly:
         rng, seen = random.Random(2), set()
         c = 6 + math.prod(integer._random_minpoly_prime(rng, seen) for _ in range(3))
         want = IntPoly([c, -(c + 1), 1])
-        primes, groups = self.scripted(monkeypatch, lambda k, p: want.reduce(p))
+        primes, bounds, groups = self.scripted(monkeypatch, lambda k, p: want.reduce(p))
         assert integer_minpoly(int_diag([1, c]), random.Random(2)) == want
         assert len(primes) == 7
         assert groups[3] == primes[:4]
+        assert bounds == [2, 2, 2, None, 2, 2, None]
+
+    def test_a_higher_degree_verification_restarts_the_group(self, monkeypatch):
+        # The first two residues fall short to X - 1, so the group is stable
+        # (and past its small coefficient bound) but wrong.  The certified
+        # verification residue has the true degree: it proves the group
+        # wrong and starts the next one, which the next prime confirms.
+        want = IntPoly([2, -3, 1])
+
+        def script(k, p):
+            return FieldPoly([-1, 1], p) if k < 2 else want.reduce(p)
+
+        primes, bounds, groups = self.scripted(monkeypatch, script)
+        assert integer_minpoly(int_diag([1, 2]), random.Random(3)) == want
+        assert len(primes) == 5
+        assert groups == [primes[:1], primes[:2], primes[2:3], primes[2:4]]
+        assert bounds == [2, 2, None, 2, None]
+
+    def test_rook_cube_applies(self, monkeypatch):
+        # 3 x 3 rook graph's symmetric cube, n = 84 and deg 26: four CRT
+        # primes take one round of 2 * 26 + 8 terms (59 applies) each, and
+        # the verification prime a certified minimal polynomial (144)
+        A = symmetric_power(rook_graph(3), 3).adjacency()
+        ops = []
+        build = SparseMatrix.operator
+
+        def recorded(matrix, p):
+            ops.append(build(matrix, p))
+            return ops[-1]
+
+        monkeypatch.setattr(SparseMatrix, "operator", recorded)
+        assert integer_minpoly(A, random.Random(808)).degree == 26
+        assert [op.applies for op in ops] == [59, 59, 59, 59, 144]
+        assert sum(op.applies for op in ops) == 380
 
     def test_matches_dense_krylov_over_primes(self):
         rng = random.Random(4)
@@ -150,49 +203,71 @@ class TestIntegerMinpoly:
                 assert mp.reduce(p) == dense_minpoly(m.to_dense(), p)
 
 
+def field_factors(minpoly, charpoly):
+    """The field pass's (P, e, m) triples for a minimal and a characteristic
+    polynomial mod p."""
+    rng = random.Random(0)
+    m = dict(factor(charpoly, rng))
+    return [(f, e, m[f]) for f, e in factor(minpoly, rng)]
+
+
 class TestLiftCharpoly:
     def test_diag112_by_hand(self):
         A = int_diag([1, 1, 2])
         minpoly_z = IntPoly([2, -3, 1])  # (X-1)(X-2)
         p = 7
         charpoly_mod_p = minpoly_z.reduce(p) * FieldPoly([-1, 1], p)
-        out = lift_charpoly(A, minpoly_z, p, charpoly_mod_p)[0]
+        factors = field_factors(minpoly_z.reduce(p), charpoly_mod_p)
+        out = lift_charpoly(A, minpoly_z, p, factors)[0]
         assert out == IntPoly([-2, 5, -4, 1])  # (X-1)^2 (X-2)
 
     def test_minpoly_equals_charpoly(self):
         f = IntPoly([1, -10, 1])
         A = build_companion(f)
-        out = lift_charpoly(A, f, 13, f.reduce(13))[0]
+        out = lift_charpoly(A, f, 13, field_factors(f.reduce(13), f.reduce(13)))[0]
         assert out == f
 
     def test_doubled_companion_block(self):
         f = IntPoly([1, -10, 1])
         C = build_companion(f)
         A = block_diagonal([C, C])
-        out = lift_charpoly(A, f, 13, (f.reduce(13) ** 2).monic())[0]
+        factors = field_factors(f.reduce(13), (f.reduce(13) ** 2).monic())
+        out = lift_charpoly(A, f, 13, factors)[0]
         assert out == f * f
 
     def test_bad_prime_detected(self):
         # mod 5, (X-1)(X-6) = (X-1)^2 is no longer squarefree
         A = int_diag([1, 6])
         minpoly_z = IntPoly([6, -7, 1])
-        with pytest.raises(BadPrimeError):
-            lift_charpoly(A, minpoly_z, 5, minpoly_z.reduce(5))
+        image = minpoly_z.reduce(5)
+        with pytest.raises(BadPrimeError, match="not squarefree"):
+            lift_charpoly(A, minpoly_z, 5, field_factors(image, image))
+
+    def test_field_minpoly_that_is_no_reduction_is_a_bad_prime(self):
+        # a field pass that found (X-1)^2 (X-2) where the integer minimal
+        # polynomial reduces to (X-1)(X-2)
+        A = int_diag([1, 1, 2])
+        minpoly_z = IntPoly([2, -3, 1])
+        wrong = minpoly_z.reduce(7) * FieldPoly([-1, 1], 7)
+        with pytest.raises(BadPrimeError, match="field minimal polynomial"):
+            lift_charpoly(A, minpoly_z, 7, field_factors(wrong, wrong))
 
     def test_charpoly_that_is_no_integer_image_is_a_bad_prime(self):
         # S = X^2 - 10X + 1 is irreducible over Z and splits mod 23 as
         # (X - 4)(X - 6); (X - 4)^2 (X - 6) is the image of no integer
-        # charpoly whose squarefree part is S
+        # charpoly whose squarefree part is S: the grouping keeps X - 4 and
+        # X - 6 apart, and no factors of S over Z lie above them
         S = IntPoly([1, -10, 1])
         A = block_diagonal([build_companion(S), int_diag([5])])
         charpoly = FieldPoly([-4, 1], 23) ** 2 * FieldPoly([-6, 1], 23)
         with pytest.raises(BadPrimeError, match="over Z"):
-            lift_charpoly(A, S, 23, charpoly)
+            lift_charpoly(A, S, 23, field_factors(S.reduce(23), charpoly))
 
     def test_small_prime_rejected(self):
         A = int_diag([1, 1, 2])
-        with pytest.raises(BadPrimeError):
-            lift_charpoly(A, IntPoly([2, -3, 1]), 3, FieldPoly([1, 0, 0, 1], 3))
+        factors = [(FieldPoly([1, 1], 3), 1, 3)]
+        with pytest.raises(BadPrimeError, match="does not exceed"):
+            lift_charpoly(A, IntPoly([2, -3, 1]), 3, factors)
 
 
 class TestIntegerCharpoly:
@@ -332,12 +407,12 @@ class TestPinnedDraws:
     SEEDS = range(1, 7)
     RECORDED = {  # matrix -> (field prime, bad primes, field method), per seed
         "rook-square": [
-            (910127, [], "nullity-comb"),
             (911219, [], "nullity-comb"),
             (909899, [], "nullity-comb"),
-            (910127, [], "nullity-comb"),
-            (910139, [], "nullity-comb"),
-            (911341, [], "nullity-comb"),
+            (911357, [], "nullity-comb"),
+            (910799, [], "nullity-comb"),
+            (911707, [], "nullity-comb"),
+            (911503, [], "nullity-comb"),
         ],
         "random-sparse": [
             (62323, [], "trivial"),

@@ -12,7 +12,9 @@ from bbcharpoly.oracle import (
     dense_minpoly,
     dense_rank,
 )
-from bbcharpoly.poly import FieldPoly, IntPoly, is_irreducible
+from bbcharpoly.poly import FieldPoly, IntPoly
+
+from helpers import rand_irreducible
 
 
 def linear(a, p):
@@ -22,13 +24,6 @@ def linear(a, p):
 def diag(values):
     n = len(values)
     return [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def rand_irreducible(d, p, rng):
-    while True:
-        f = FieldPoly([rng.randrange(p) for _ in range(d)] + [1], p)
-        if is_irreducible(f):
-            return f
 
 
 def test_charpoly_diag():

@@ -18,13 +18,14 @@ from bbcharpoly.poly import (
     factor,
     gcd_free_basis,
     hensel_lift_basis,
-    is_irreducible,
     poly_gcd,
     poly_lcm,
     pow_mod,
     product_of_powers,
     squarefree_part,
 )
+
+from helpers import is_irreducible
 
 
 def fp(coeffs, p):
@@ -315,58 +316,57 @@ class TestPinnedFactor:
 
 class TestGcdFreeBasis:
     def test_spec_example(self):
+        # minimal polynomial (X-1)^2 (X-2), characteristic (X-1)^3 (X-2)^2
         p = 101
-        a = linear(1, p) * linear(2, p)
-        b = linear(1, p) ** 2 * linear(2, p)
-        c = linear(1, p) ** 3 * linear(2, p) ** 2
-        basis, exponents = gcd_free_basis([a, b, c], c)
+        basis, exponents = gcd_free_basis([(linear(1, p), 2, 3), (linear(2, p), 1, 2)])
         assert set(basis) == {linear(1, p), linear(2, p)}
         exp = dict(zip(basis, exponents))
         assert exp[linear(1, p)] == 3
         assert exp[linear(2, p)] == 2
 
     def test_single_squarefree(self):
+        # X^2 + X + 1 = (X - 2)(X - 4) mod 7: one (e, m) group, one product
         p = 7
         f = fp([1, 1, 1], p)
-        basis, exponents = gcd_free_basis([f], f)
+        basis, exponents = gcd_free_basis([(linear(2, p), 1, 1), (linear(4, p), 1, 1)])
         assert basis == (f,)
         assert exponents == (1,)
 
-    def test_coprime_inputs(self):
+    def test_groups_with_different_exponents_stay_apart(self):
+        # X^2 + X + 1 = (X - 3)(X - 9) mod 13 shares (e, m) = (2, 2); X - 1
+        # has (1, 1)
         p = 13
         f, g = linear(1, p), fp([1, 1, 1], p)
-        basis, exponents = gcd_free_basis([f, g], f * g)
-        assert set(basis) == {f, g}
-        assert exponents == (1, 1)
+        factors = [(linear(3, p), 2, 2), (f, 1, 1), (linear(9, p), 2, 2)]
+        basis, exponents = gcd_free_basis(factors)
+        assert basis == (f, g)
+        assert exponents == (1, 2)
 
-    def test_unexpressible_target_raises(self):
-        p = 7
-        with pytest.raises(BadPrimeError):
-            gcd_free_basis([linear(1, p)], linear(2, p))
+    def test_sorted_by_degree_then_coefficients(self):
+        p = 101
+        factors = [(fp([1, 0, 1], p), 1, 1), (linear(5, p), 1, 2), (linear(7, p), 1, 3)]
+        basis, exponents = gcd_free_basis(factors)
+        assert basis == (linear(7, p), linear(5, p), fp([1, 0, 1], p))
+        assert exponents == (3, 2, 1)
 
     def test_pairwise_coprime_and_reconstruction(self):
         rng = random.Random(8)
         p = 101
         for _ in range(40):
             roots = rng.sample(range(p), rng.randrange(1, 5))
-            polys = []
-            for _ in range(rng.randrange(1, 4)):
-                f = FieldPoly.one(p)
-                for r in roots:
-                    f = f * linear(r, p) ** rng.randrange(0, 3)
-                if f.degree > 0:
-                    polys.append(f)
-            if not polys:
-                continue
-            target = polys[0]
-            for q in polys[1:]:
-                target = target * q
-            basis, exponents = gcd_free_basis(polys, target)
+            factors = []
+            for r in roots:
+                e = rng.randrange(1, 3)
+                factors.append((linear(r, p), e, e + rng.randrange(0, 3)))
+            basis, exponents = gcd_free_basis(factors)
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
                     assert poly_gcd(basis[i], basis[j]).degree == 0
             expanded = product_of_powers(zip(basis, exponents), FieldPoly.one(p))
-            assert expanded == target.monic()
+            charpoly = product_of_powers(
+                ((f, m) for f, _, m in factors), FieldPoly.one(p)
+            )
+            assert expanded == charpoly
 
 
 class TestHensel:

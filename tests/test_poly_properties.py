@@ -31,12 +31,17 @@ from bbcharpoly.poly import (
     _Modulus,
     conv_mod,
     factor,
-    is_irreducible,
+    gcd_free_basis,
     poly_gcd,
     pow_mod,
     product_of_powers,
 )
-from helpers import rand_irreducible
+from helpers import (
+    distinct_irreducibles,
+    is_irreducible,
+    rand_irreducible,
+    reference_gcd_free_basis,
+)
 
 PRIMES = (3, 101, 65537, 1000003, (1 << 31) - 1)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -448,6 +453,28 @@ def test_bezout_pair_meets_the_hensel_degree_bounds(p, data):
     s, t = _bezout_mod_p(g, h)
     assert s * g + t * h == FieldPoly.one(p)
     assert s.degree < h.degree and t.degree < g.degree
+
+
+@SETTINGS
+@given(st.sampled_from((3, 5, 101, 65537)), st.data())
+def test_grouping_is_the_pairwise_gcd_refinement(p, data):
+    # planted irreducible factors P with exponent e in the minimal polynomial
+    # and multiplicity m >= e; few exponents, so groups of several factors
+    # are common.  The pairwise-gcd refinement of (squarefree part, minimal
+    # polynomial, characteristic polynomial), with the exponents of the
+    # characteristic polynomial, is the same basis.
+    k = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    polys = distinct_irreducibles(k, 3, p, rng)
+    factors = []
+    for f in polys:
+        e = data.draw(st.integers(1, 2))
+        factors.append((f, e, e + data.draw(st.integers(0, 2))))
+    one = FieldPoly.one(p)
+    S = product_of_powers(((f, 1) for f, _, _ in factors), one)
+    M = product_of_powers(((f, e) for f, e, _ in factors), one)
+    C = product_of_powers(((f, m) for f, _, m in factors), one)
+    assert gcd_free_basis(factors) == reference_gcd_free_basis([S, M, C], C)
 
 
 class TestRingMethods:
