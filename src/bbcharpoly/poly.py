@@ -16,8 +16,9 @@ int64 (``_lazy_sum_fits``, the one int64 sum rule shared with the black-box
 kernels), one operand is split into 16-bit halves and the convolutions
 recombined; at operand lengths where even the split sums could overflow
 (2^16 for p near 2^31) it raises OverflowError.
-Integer multiplication is schoolbook with Karatsuba above degree 64
-(coefficients are big ints, numpy is no help).
+Integer multiplication is Kronecker substitution (``_imul_lists``): both
+operands are packed into one Python int each, in slots as wide as the bound
+on a product coefficient, multiplied once and read back exactly.
 
 Division over GF(p) has one array kernel, ``_divmod_arrays``: a reversed
 series quotient, then one convolution for the remainder.  Euclid's algorithm
@@ -51,7 +52,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ff import next_prime
 
-_KARATSUBA_CUTOFF = 64
 # Crossovers from tools/poly_kernel_sizes.py, in us at p = 1000003 / 2^31 - 1.
 # Long division takes about m * len(b) steps for a quotient of m
 # coefficients; the array kernel about _ARRAY_STEPS_PER_COEFF per quotient
@@ -300,10 +300,6 @@ class _Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -392,10 +388,6 @@ class FieldPoly(_Poly):
     def x(cls, p):
         return cls((0, 1), p, _trusted=True)
 
-    @classmethod
-    def constant(cls, c, p):
-        return cls((c,), p)
-
     def _new(self, coeffs, changed):
         p = self.p
         for i in range(changed):
@@ -441,39 +433,37 @@ class FieldPoly(_Poly):
         return f"FieldPoly({self.text()!r}, p={self.p})"
 
 
+def _pack(coeffs, width: int) -> int:
+    """sum(c_i * 2^(8 * width * i)) for coefficients below 2^(8 * width) in
+    absolute value: the packed positive parts less the packed negative parts."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def _imul_lists(a, b):
-    """Schoolbook/Karatsuba product of integer coefficient lists."""
+    """Product of integer coefficient lists by Kronecker substitution.
+
+    Both lists are packed into Python ints at X = 2^(8 * width) and
+    multiplied once (von zur Gathen and Gerhard, Modern Computer Algebra,
+    8.4).  A product coefficient is at most max|a| * max|b| * min(len a,
+    len b) in absolute value, so slots one sign bit wider than that bound
+    (and than every input coefficient) hold each one exactly.  Adding
+    2^(8 * width - 1) to every slot makes them all nonnegative, so the
+    product is read back slot by slot with no carries between them.
+    """
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= _KARATSUBA_CUTOFF:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-    m = min(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _imul_lists(a0, b0)
-    z2 = _imul_lists(a1, b1)
-    sa = [x + y for x, y in zip(a0, a1)] + list(a1[len(a0):]) + list(a0[len(a1):])
-    sb = [x + y for x, y in zip(b0, b1)] + list(b1[len(b0):]) + list(b0[len(b1):])
-    z1 = _imul_lists(sa, sb)
-    for i, c in enumerate(z0):
-        z1[i] -= c
-    for i, c in enumerate(z2):
-        z1[i] -= c
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        if c:
-            out[i + m] += c
-    for i, c in enumerate(z2):
-        if c:
-            out[i + 2 * m] += c
-    return out
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    width = (max(ma * mb * min(len(a), len(b)), ma, mb).bit_length() + 8) // 8
+    size = (len(a) + len(b) - 1) * width
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * (size // width), "little")
+    out = (_pack(a, width) * _pack(b, width) + offset).to_bytes(size, "little")
+    return [
+        int.from_bytes(out[i : i + width], "little") - half
+        for i in range(0, size, width)
+    ]
 
 
 class IntPoly(_Poly):
@@ -505,27 +495,22 @@ class IntPoly(_Poly):
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        """Division over Z; the divisor must be monic or divide exactly."""
+        """Division over Z by a monic divisor."""
         o = self._check(other)
         if o is NotImplemented:
             return o
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        lead = o.coeffs[-1]
+        if not o.is_monic:
+            raise ValueError("integer division requires a monic divisor")
         rem = list(self.coeffs)
         db = o.degree
         if len(rem) <= db:
             return IntPoly.zero(), self
         quot = [0] * (len(rem) - db)
         for k in range(len(rem) - db - 1, -1, -1):
-            c = rem[k + db]
-            if c:
-                if c % lead != 0:
-                    raise ValueError(
-                        "integer division requires a monic or exactly dividing divisor"
-                    )
-                q = c // lead
-                quot[k] = q
+            q = quot[k] = rem[k + db]
+            if q:
                 for j in range(db + 1):
                     rem[k + j] -= q * o.coeffs[j]
         return IntPoly(quot), IntPoly(rem[:db])
@@ -538,9 +523,6 @@ class IntPoly(_Poly):
 
     def reduce(self, p: int) -> FieldPoly:
         return FieldPoly([c % p for c in self.coeffs], p)
-
-    def max_abs(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
 
     def __repr__(self):
         return f"IntPoly({self.text()!r})"

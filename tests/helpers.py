@@ -39,6 +39,17 @@ def sparse_leaf(op):
     return op, per
 
 
+def schoolbook_product(a, b):
+    """The product of integer coefficient lists, one term at a time."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def linear(a, p):
     return FieldPoly([-a, 1], p)
 

@@ -1,4 +1,4 @@
-"""Property tests of the GF(p) kernels against the plain loops they replace.
+"""Property tests of the polynomial kernels against the plain loops they replace.
 
 p = 2^31 - 1 makes every convolution whose shorter operand has more than 2
 coefficients, and every Frobenius matrix-vector product of degree above 2,
@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbcharpoly.poly import (
@@ -27,6 +27,7 @@ from bbcharpoly.poly import (
     _float_sum_fits,
     _frobenius,
     _frobenius_matrix,
+    _imul_lists,
     _long_division,
     _Modulus,
     conv_mod,
@@ -41,6 +42,7 @@ from helpers import (
     is_irreducible,
     rand_irreducible,
     reference_gcd_free_basis,
+    schoolbook_product,
 )
 
 PRIMES = (3, 101, 65537, 1000003, (1 << 31) - 1)
@@ -288,7 +290,7 @@ class TestFactor:
         if data.draw(st.booleans()) and 2 * f.degree < p and f.degree <= 30:
             f = f * f
         fac = factor(f, random.Random(data.draw(st.integers(0, 2**32))))
-        assert product_of_powers(fac, FieldPoly.constant(f.leading, p)) == f
+        assert product_of_powers(fac, FieldPoly([f.coeffs[-1]], p)) == f
         assert all(is_irreducible(g) for g, _ in fac)
 
     @settings(max_examples=25, deadline=None)
@@ -531,6 +533,48 @@ class TestRingMethods:
         assert fp + gp == gp + fp and hash(fp + gp) == hash(gp + fp)
         shifted = FieldPoly([x + p for x in f.coeffs], p)
         assert shifted == fp and hash(shifted) == hash(fp)
+
+
+@st.composite
+def int_lists(draw, max_size=130, max_bits=1113):
+    """A signed coefficient list, about half zeros, of at most max_bits bits."""
+    size = draw(st.integers(0, max_size))
+    bits = draw(st.integers(0, max_bits))
+    coeff = st.just(0) | st.integers(-(1 << bits), 1 << bits)
+    return draw(st.lists(coeff, min_size=size, max_size=size))
+
+
+@st.composite
+def extreme_lists(draw, max_size=130, max_bits=1113):
+    """A list whose coefficients are all -2^k or 2^k - 1 for one k: the
+    largest product coefficients that k and the length allow."""
+    size = draw(st.integers(1, max_size))
+    k = draw(st.integers(0, max_bits))
+    coeff = st.sampled_from((-(1 << k), (1 << k) - 1))
+    return draw(st.lists(coeff, min_size=size, max_size=size))
+
+
+class TestIntegerProduct:
+    """`_imul_lists` (one Kronecker product) against the schoolbook loop.
+
+    Lengths reach 130 on either side and coefficients 1,113 bits, the
+    Hensel lift's precision at n = 1,820.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_lists(), int_lists())
+    @example([], [5])
+    @example([3], [])
+    @example([-7], [0, 0, -1 << 200, 1])
+    @example([0] * 70, [1] * 65)
+    def test_matches_schoolbook(self, a, b):
+        assert _imul_lists(a, b) == schoolbook_product(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(extreme_lists(), extreme_lists())
+    @example([-(1 << 7)] * 2, [-(1 << 7)] * 2)  # 2^15 needs 17 signed bits
+    def test_slot_boundary(self, a, b):
+        assert _imul_lists(a, b) == schoolbook_product(a, b)
 
 
 class TestConvolutionBound:

@@ -18,6 +18,11 @@ the 16-bit split path:
 * ``product``: `_mul_mod_lists` (one convolution) against a schoolbook
   product of lists reduced mod p, by the shorter operand's length.
 
+The ``integer product`` table times `_imul_lists` (one Kronecker product)
+against the schoolbook loop on signed coefficient lists, in microseconds,
+at the Hensel lift's shapes (lengths and coefficient bits) from 2 x 2 at 30
+bits to 422 x 422 at 1,113 bits.
+
 The ``Frobenius build`` table times `_frobenius_matrix` in milliseconds,
 for n in 4 to 1000 and p in 47, 227 and 1000003: its rows by
 `_Modulus.mul` against its float64 BLAS build (each forced through
@@ -48,6 +53,17 @@ TOEPLITZ_PRIMES = (3001, 1000003)
 TOEPLITZ_SIZES = (40, 120, 560, 1024)
 FROBENIUS_PRIMES = (47, 227, 1000003)
 FROBENIUS_SIZES = (4, 8, 12, 16, 24, 32, 64, 120, 240, 1000)
+# (len a, len b, coefficient bits)
+INTEGER_SHAPES = (
+    (2, 2, 30),
+    (10, 10, 60),
+    (30, 30, 100),
+    (60, 60, 400),
+    (210, 210, 568),
+    (100, 320, 1113),
+    (422, 211, 1113),
+    (422, 422, 1113),
+)
 
 
 def usec(fn, repeat=5) -> float:
@@ -61,6 +77,15 @@ def operands(len_a: int, len_b: int, p: int, rng):
     a = [rng.randrange(p) for _ in range(len_a - 1)] + [rng.randrange(1, p)]
     b = [rng.randrange(p) for _ in range(len_b - 1)] + [rng.randrange(1, p)]
     return a, b
+
+
+def schoolbook(a, b):
+    """The product of integer coefficient lists, one term at a time."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def quotient_by(newton: bool, a, b, p):
@@ -99,6 +124,20 @@ def toeplitz_apply(rng) -> None:
             pre._m = None  # the conv_mod path
             convs = usec(lambda: pre.apply(v))
             row(f"({n}, {p})", [convs, dense, build, dense + build / (2 * n)])
+
+
+def integer_product(rng) -> None:
+    print("integer product (len a, len b, bits), microseconds per call")
+    print(f"{'sizes':>16}{'schoolbook':>12}{'Kronecker':>12}")
+    for len_a, len_b, bits in INTEGER_SHAPES:
+        a, b = (
+            [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
+            for n in (len_a, len_b)
+        )
+        cells = [usec(lambda: schoolbook(a, b)), usec(lambda: poly._imul_lists(a, b))]
+        label = f"({len_a}, {len_b}, {bits})"
+        print(f"{label:>16}" + "".join(f"{c:>12.1f}" for c in cells))
+    print()
 
 
 def frobenius_build(rng) -> None:
@@ -194,11 +233,12 @@ def main() -> None:
             row(
                 str(length),
                 [
-                    usec(lambda: poly._strip([x % p for x in poly._imul_lists(a, b)])),
+                    usec(lambda: poly._strip([x % p for x in schoolbook(a, b)])),
                     usec(lambda: poly._mul_mod_lists(a, b, p)),
                 ],
             )
         print()
+    integer_product(rng)
     frobenius_build(rng)
     toeplitz_apply(rng)
 
