@@ -28,17 +28,22 @@ of two coefficients, which is two scaled subtractions
 divisor length) is small, and the moduli p^k of the Hensel lift, take
 ``_long_division``.
 
-Factoring over GF(p) works on int64 coefficient vectors.  Products modulo a
-fixed f are reduced with the Newton inverse of the reversed f computed once,
-two convolutions per reduction (``_Modulus``).  Distinct-degree splitting
-steps through X^(p^d) mod f with the Frobenius matrix of f
-(``_frobenius``) and takes one gcd per block of degrees.  From
-degree ``_FLOAT_FROBENIUS_MIN_N`` = 16, and while n * (p - 1)^2 < 2^53
-(``_float_sum_fits``), that matrix is built and applied by float64 BLAS
-products, each exact and reduced once per entry through int64 (after the
-exact float kernels of Dumas, Giorgi and Pernet, FFLAS/FFPACK, ACM TOMS
-2008).  Below that degree, and beyond the float rule (p = 2^31 - 1), its
-rows are products by ``_Modulus`` and it is applied in int64.
+Factoring over GF(p) works on int64 coefficient vectors.  A product modulo
+a fixed f of degree n (``_Modulus``) is one convolution and one int64
+product with the reduction matrix R, whose row j is X^(n+j) mod f, built
+once per modulus (``_reduction_matrix``), while n <= ``_REDUCTION_MAX_N``
+and n * (p - 1)^2 < 2^63; otherwise it is reduced with the Newton inverse of
+the reversed f, computed once, by two more convolutions.  Cantor-Zassenhaus
+builds one ``_Modulus`` per polynomial it splits and takes every draw's
+power in it.  Distinct-degree splitting steps through X^(p^d) mod f with
+the Frobenius matrix of f (``_frobenius``) and takes one gcd per block of
+degrees.  From degree ``_FLOAT_FROBENIUS_MIN_N`` = 16, and while
+n * (p - 1)^2 < 2^53 (``_float_sum_fits``), that matrix is built from R and
+applied by float64 BLAS products, each exact and reduced once per entry
+through int64 (after the exact float kernels of Dumas, Giorgi and Pernet,
+FFLAS/FFPACK, ACM TOMS 2008).  Below that degree, and beyond the float rule
+(p = 2^31 - 1), its rows are products by ``_Modulus`` and it is applied in
+int64.
 """
 
 from __future__ import annotations
@@ -67,17 +72,30 @@ _ARRAY_FIXED_STEPS = 64
 # 19.3); with one of 32 it wins at both (12.9 / 8.3 against 20.6 / 25.0).
 _GCD_ARRAY_CUTOFF = 16
 # The series recurrence takes about m * min(m, len(b)) steps for a quotient
-# of m coefficients, Newton a few convolutions per doubling of m.  They are
-# even near a work of 512 at 1000003 ((len a, len b) = (47, 16): 52 / 53 by
-# recurrence / Newton) and between 1,024 and 2,048 at 2^31 - 1, where the
-# convolutions split ((79, 16): 156 / 204; (95, 32): 246 / 185).
-_NEWTON_WORK = 1024
+# of m coefficients, Newton a few convolutions per doubling of m, so its cost
+# moves with p ("quotient" table, us by recurrence / Newton).  At 1000003 the
+# two are even near a work of 512 ((len a, len b) = (47, 16): 48 / 49; (71, 8),
+# also 512: 66 / 59; (79, 16), 1,024: 89 / 58).  Where convolutions of m terms
+# split (``_lazy_sum_fits``; every m > 2 at p = 2^31 - 1) they are even
+# between 1,024 and 2,048 ((79, 16), 1,024: 134 / 133; (135, 8), 1,024:
+# 207 / 262; (95, 32), 2,048: 203 / 138; (143, 16), 2,048: 326 / 243).
+_NEWTON_WORK = 512
+_NEWTON_WORK_SPLIT = 2048
 # The Frobenius matrix is built on float64 BLAS from degree 16 while the float
 # rule holds ("Frobenius build" table, ms at p = 47 / 227 / 1000003): at n = 12
-# its rows by `_Modulus.mul` take 0.32 / 0.28 / 0.49 against 0.30 / 0.36 /
-# 0.45, at n = 16 0.52 / 0.48 / 0.99 against 0.40 / 0.27 / 0.75, and at
-# n = 120 9.1 against 2.2 (p = 1000003).
+# its rows by `_Modulus.mul` take 0.12 / 0.12 / 0.21 against 0.13 / 0.13 /
+# 0.21, at n = 16 0.15 / 0.14 / 0.24 against 0.13 / 0.13 / 0.23, and at
+# n = 120 3.5 against 1.4 (p = 1000003, 0.67 of it the X^p power).
 _FLOAT_FROBENIUS_MIN_N = 16
+# `_Modulus` reduces by its matrix R up to degree 128 ("modular product" table,
+# us at p = 227 / 1000003 / 25782653).  Per product R is faster up to n = 600
+# (541 / 556 / 547 against 545 / 574 / 588 by two convolutions) and slower
+# from 1,000 (1,723 / 1,769 / 1,674 against 1,448 / 1,640 / 1,534), but its
+# build grows as n^3 and takes int64 products where the float rule fails:
+# at n = 120 it costs 177 / 178 / 448, the saving of 31 products at
+# 25782653, less than one Cantor-Zassenhaus power there (about 37), and at
+# n = 160 297 / 302 / 997, the saving of 48.
+_REDUCTION_MAX_N = 128
 
 
 class ComputationError(ArithmeticError):
@@ -119,7 +137,9 @@ def _lazy_sum_terms(p: int) -> int:
     Each product of two entries in [0, p) is at most (p - 1)^2, so a sum of
     ``terms`` of them stays at most the int64 maximum 2^63 - 1 while
     terms * (p - 1)^2 < 2^63 (2 terms for p = 2^31 - 1, about 2^23 for p
-    near 2^20).
+    near 2^20).  A reduction c[:n] + c[n:] @ R by `_Modulus` sums at most
+    n - 1 products and one residue, below n * (p - 1)^2, so it is exact
+    while ``_lazy_sum_fits(n, p)``.
     """
     return ((1 << 63) - 1) // (p - 1) ** 2
 
@@ -198,15 +218,17 @@ def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
 
     The quotient q has m = len(a) - deg b coefficients and rev(q) = rev(a) /
     rev(b) mod X^m, from the top m of each: by the series recurrence while
-    its work m * min(m, len(b)) is below ``_NEWTON_WORK`` (Euclid's steps
-    have m = 1 or 2), else by Newton.
+    its work m * min(m, len(b)) is below ``_NEWTON_WORK``, or
+    ``_NEWTON_WORK_SPLIT`` where convolutions of m terms split (Euclid's
+    steps have m = 1 or 2), else by Newton.
     """
     db = len(b) - 1
     m = len(a) - db
     if m <= 0:
         return a[:0], a
     ra = a[::-1][:m]
-    if m * min(m, len(b)) < _NEWTON_WORK:
+    work = _NEWTON_WORK if _lazy_sum_fits(m, p) else _NEWTON_WORK_SPLIT
+    if m * min(m, len(b)) < work:
         ra, rb = ra.tolist(), b[::-1][:m].tolist()
         inv = pow(rb[0], -1, p)
         rq = []
@@ -599,25 +621,59 @@ def poly_lcm(f, g):
     return ((f * g) // poly_gcd(f, g)).monic()
 
 
+def _reduction_matrix(low: np.ndarray, p: int) -> np.ndarray:
+    """The int64 (n - 1) x n matrix R whose row j is X^(n+j) mod f, for the
+    monic f = X^n + sum low[t] X^t over GF(p), while ``_lazy_sum_fits(n, p)``.
+
+    Row 0 is -low.  Given rows 0..k-1, the rows k..2k-1 are X^k times them:
+    each row shifted up by k, its k coefficients at X^n..X^(n+k-1) reduced
+    by rows 0..k-1 in one matrix product.  Each entry of that product sums
+    at most k <= n - 2 products of residues and one residue, so it is exact
+    in float64 while n * (p - 1)^2 < 2^53 (``_float_sum_fits``, where BLAS
+    takes it) and in int64 otherwise.
+    """
+    n = len(low)
+    dtype = np.float64 if _float_sum_fits(n, p) else np.int64
+    R = np.empty((n - 1, n), dtype=dtype)
+    R[:1] = -low % p
+    k = 1
+    while k < n - 1:
+        e = min(k, n - 1 - k)
+        block = R[:e, n - k :] @ R[:k]
+        block[:, k:] += R[:e, : n - k]
+        R[k : k + e] = block.astype(np.int64) % p
+        k += e
+    return R.astype(np.int64)
+
+
 class _Modulus:
     """Arithmetic on int64 coefficient vectors modulo a fixed f of degree n >= 1.
 
-    Vectors are reduced polynomials padded to length n.  A product has at
-    most 2n - 1 coefficients, so its quotient by the monic f has m <= n - 1,
-    and rev(quotient) = rev(product) * rev(f)^-1 mod X^m, as in
-    `_divmod_arrays`.  The inverse mod X^n, which holds every such prefix,
+    Vectors are reduced polynomials padded to length n.  A product c has at
+    most 2n - 1 coefficients.  Up to degree ``_REDUCTION_MAX_N``, and while
+    n * (p - 1)^2 < 2^63 (``_lazy_sum_fits``), it is reduced by one product
+    with the reduction matrix R of `_reduction_matrix`, built once:
+    c mod f = c[:n] + c[n:] @ R, each entry a sum of at most n - 1 products
+    of residues and one residue (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 9).  Otherwise its quotient by the monic f has m <= n - 1
+    coefficients and rev(quotient) = rev(c) * rev(f)^-1 mod X^m, as in
+    `_divmod_arrays`; the inverse mod X^n, which holds every such prefix,
     comes once from `_series_inverse`, after which every reduction is two
     convolutions.
     """
 
-    __slots__ = ("p", "n", "low", "inv")
+    __slots__ = ("p", "n", "low", "R", "inv")
 
     def __init__(self, f: FieldPoly):
         p, n = f.p, f.degree
         f = np.array(f.monic().coeffs, dtype=np.int64)
         self.p, self.n = p, n
         self.low = f[:n]
-        self.inv = _series_inverse(f[::-1][:n], p)
+        self.R = self.inv = None
+        if n <= _REDUCTION_MAX_N and _lazy_sum_fits(n, p):
+            self.R = _reduction_matrix(self.low, p)
+        else:
+            self.inv = _series_inverse(f[::-1][:n], p)
 
     def vector(self, g: FieldPoly) -> np.ndarray:
         out = np.zeros(self.n, dtype=np.int64)
@@ -633,20 +689,13 @@ class _Modulus:
         m = len(c) - n
         if m <= 0:
             return c
+        if self.R is not None:
+            return (c[:n] + c[n:] @ self.R[:m]) % p
         q = conv_mod(c[: n - 1 : -1], self.inv[:m], p)[m - 1 :: -1]
         return (c[:n] - conv_mod(q, self.low, p)[:n]) % p
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         return _power(a, e, self.vector(FieldPoly.one(self.p)), self.mul)
-
-
-def pow_mod(base: FieldPoly, exponent: int, modulus: FieldPoly) -> FieldPoly:
-    """base**exponent mod modulus by square-and-multiply."""
-    acc = base % modulus
-    if modulus.degree < 1:
-        return FieldPoly.one(base.p) if exponent == 0 else acc
-    m = _Modulus(modulus)
-    return m.poly(m.pow(m.vector(acc), exponent))
 
 
 def _shifts(c: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -667,9 +716,8 @@ def _frobenius_matrix(m: _Modulus) -> np.ndarray:
     Otherwise Q is float64 and every row comes from BLAS products.  The
     matrix of h -> h * g mod f has row r = X^r * g mod f: g shifted by r
     below X^n, plus its coefficients at X^(n+j) times the rows X^(n+j) mod f
-    of one matrix R.  Dividing X^(n+j) by f gives the quotient sum_s
-    inv[j - s] X^s (``_Modulus.inv``), so R[j, t] = -sum_s inv[j - s] *
-    low[t - s], a product of two Toeplitz matrices.  With M the matrix of
+    of the reduction matrix R: ``_Modulus.R`` where the products mod f use
+    it, else one `_reduction_matrix` build.  With M the matrix of
     xp, the first k = isqrt(n) rows are Q[i] = Q[i-1] @ M; with G that of
     X^(kp), each next block of k rows is the block before it times G.
     Every product sums at most n products of residues, so it is exact, and
@@ -694,7 +742,7 @@ def _frobenius_matrix(m: _Modulus) -> np.ndarray:
         T = _shifts(g, n, 2 * n - 1)
         return reduced(T[:, n:] @ R + T[:, :n])
 
-    R = reduced(-(_shifts(m.inv, n - 1, n - 1).T @ _shifts(m.low, n - 1, n)))
+    R = (m.R if m.R is not None else _reduction_matrix(m.low, p)).astype(np.float64)
     k = math.isqrt(n)
     M = times(xp)
     Q = np.zeros((n, n))
@@ -908,12 +956,14 @@ def _equal_degree(f: FieldPoly, d: int, rng):
     1/2 at least, and a correct gcd fails all ``_SPLIT_DRAWS`` = 64 draws
     (those of degree < 1 included) with probability near 2^-64.  Past them
     FactorizationError is raised: a faulty kernel ends the call instead of
-    looping forever.
+    looping forever.  Every draw's power is taken in one `_Modulus` of f,
+    so its reduction matrix is built once per polynomial split.
     """
     if f.degree == d:
         return [f]
     p = f.p
     exponent = (p**d - 1) // 2
+    m = _Modulus(f)
     for _ in range(_SPLIT_DRAWS):
         r = _random_poly(f.degree, p, rng)
         if r.degree < 1:
@@ -921,7 +971,7 @@ def _equal_degree(f: FieldPoly, d: int, rng):
         g = poly_gcd(f, r)
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
-        s = pow_mod(r, exponent, f)
+        s = m.poly(m.pow(m.vector(r), exponent))
         g = poly_gcd(f, s - FieldPoly.one(p))
         if 0 < g.degree < f.degree:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)

@@ -13,6 +13,7 @@ from bbcharpoly.poly import (
     BadPrimeError,
     FieldPoly,
     _distinct_degree,
+    _Modulus,
     divide_out,
     poly_gcd,
 )
@@ -61,6 +62,15 @@ def is_irreducible(f: FieldPoly) -> bool:
     some block of ``_distinct_degree`` splits it off.
     """
     return f.degree >= 1 and _distinct_degree(f.monic()) == [(f.monic(), f.degree)]
+
+
+def pow_mod(base: FieldPoly, exponent: int, modulus: FieldPoly) -> FieldPoly:
+    """base**exponent mod modulus by square-and-multiply."""
+    acc = base % modulus
+    if modulus.degree < 1:
+        return FieldPoly.one(base.p) if exponent == 0 else acc
+    m = _Modulus(modulus)
+    return m.poly(m.pow(m.vector(acc), exponent))
 
 
 def reference_gcd_free_basis(polys, target: FieldPoly):

@@ -20,12 +20,11 @@ from bbcharpoly.poly import (
     hensel_lift_basis,
     poly_gcd,
     poly_lcm,
-    pow_mod,
     product_of_powers,
     squarefree_part,
 )
 
-from helpers import is_irreducible
+from helpers import is_irreducible, pow_mod, rand_irreducible
 
 
 def fp(coeffs, p):
@@ -195,6 +194,37 @@ class TestFactor:
             fp([1, 1, 1], p): 2,
             linear(9, p): 1,
         }
+
+
+class TestOneModulusPerSplit:
+    def test_equal_degree_builds_one_modulus_per_polynomial_it_splits(
+        self, monkeypatch
+    ):
+        # every draw on one polynomial reuses its reduction matrix
+        p, d = 1000003, 2
+        rng = random.Random(5)
+        f = functools.reduce(
+            operator.mul, {rand_irreducible(d, p, rng) for _ in range(6)}
+        )
+        built, split = [], []
+        real_split = poly._equal_degree
+
+        class Counted(poly._Modulus):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+
+        def counted(g, degree, rng):
+            if g.degree > degree:
+                split.append(g)
+            return real_split(g, degree, rng)
+
+        monkeypatch.setattr(poly, "_Modulus", Counted)
+        monkeypatch.setattr(poly, "_equal_degree", counted)
+        parts = poly._equal_degree(f, d, rng)
+        assert functools.reduce(operator.mul, parts) == f
+        assert len(split) == len(parts) - 1 == f.degree // d - 1
+        assert built == split
 
 
 class TestSplitCap:

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bbcharpoly.ff import is_prime, next_prime
 from bbcharpoly.poly import (
     _ARRAY_FIXED_STEPS,
     _ARRAY_STEPS_PER_COEFF,
     _FLOAT_FROBENIUS_MIN_N,
     _NEWTON_WORK,
+    _NEWTON_WORK_SPLIT,
+    _REDUCTION_MAX_N,
     FieldPoly,
     IntPoly,
     _bezout_mod_p,
@@ -28,18 +31,20 @@ from bbcharpoly.poly import (
     _frobenius,
     _frobenius_matrix,
     _imul_lists,
+    _lazy_sum_fits,
     _long_division,
     _Modulus,
+    _reduction_matrix,
     conv_mod,
     factor,
     gcd_free_basis,
     poly_gcd,
-    pow_mod,
     product_of_powers,
 )
 from helpers import (
     distinct_irreducibles,
     is_irreducible,
+    pow_mod,
     rand_irreducible,
     reference_gcd_free_basis,
     schoolbook_product,
@@ -105,6 +110,80 @@ class TestFixedModulus:
         assert got == reference_pow(h, f.p, f)
 
 
+def largest_lazy_prime(n):
+    """The largest prime p with n * (p - 1)^2 < 2^63, for n >= 3."""
+    p = math.isqrt(((1 << 63) - 1) // n) + 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+def reduced_product(u, v, f):
+    """u * v mod f by a schoolbook product and `_long_division`."""
+    return _long_division(schoolbook_product(u, v), list(f.coeffs), f.p)[1]
+
+
+class TestReductionMatrix:
+    """`_Modulus.mul` by the reduction matrix R against a schoolbook
+    product reduced by `_long_division`, and the rule that picks R.
+
+    Each case also multiplies the all-(p - 1) vectors.  p = 2^31 - 1 and
+    the next prime above the lazy-sum edge take the two convolutions.
+    """
+
+    def check(self, data, p, n):
+        f = FieldPoly(data.draw(coefficient_lists(p, n)) + [1], p)
+        m = _Modulus(f)
+        assert (m.R is not None) == (n <= _REDUCTION_MAX_N and _lazy_sum_fits(n, p))
+        u, v = (
+            data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+            for _ in "uv"
+        )
+        for a, b in ((u, v), ([p - 1] * n, [p - 1] * n)):
+            got = m.mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+            assert list(m.poly(got).coeffs) == reduced_product(a, b, f)
+        return m
+
+    @SETTINGS
+    @given(st.data())
+    def test_both_sides_of_the_crossover(self, data):
+        p = data.draw(st.sampled_from([3, 227, 1000003]))
+        c = _REDUCTION_MAX_N
+        edge = st.sampled_from([c - 1, c, c + 1, c + 9])
+        n = data.draw(st.one_of(st.integers(1, 40), edge))
+        self.check(data, p, n)
+
+    @SETTINGS
+    @given(st.data(), st.integers(3, 40), st.booleans())
+    def test_lazy_sum_edge(self, data, n, above):
+        edge = largest_lazy_prime(n)
+        assert _lazy_sum_fits(n, edge) and not _lazy_sum_fits(n, next_prime(edge))
+        m = self.check(data, next_prime(edge) if above else edge, n)
+        assert (m.R is None) == above
+
+    @SETTINGS
+    @given(st.data(), st.integers(1, 40))
+    def test_large_prime(self, data, n):
+        # two products of residues mod 2^31 - 1 fit int64, three do not
+        assert (self.check(data, M31, n).R is None) == (n > 2)
+
+    @SETTINGS
+    @given(st.data())
+    def test_rows_are_powers_of_x(self, data):
+        # float64 BLAS builds R while n * (p - 1)^2 < 2^53, int64 beyond
+        p = data.draw(st.sampled_from([227, 1000003, 25782653]))
+        n = data.draw(st.integers(1, 70))
+        f = FieldPoly(data.draw(coefficient_lists(p, n)) + [1], p)
+        R = _reduction_matrix(_Modulus(f).low, p)
+        assert R.dtype == np.int64 and R.shape == (n - 1, n)
+        for j, row in enumerate(R.tolist()):
+            want = _long_division([0] * (n + j) + [1], list(f.coeffs), p)[1]
+            assert row == want + [0] * (n - len(want))
+
+
+M31 = (1 << 31) - 1
+
+
 def reference_rows(m):
     """The Frobenius matrix row by row: X^(ip) mod f = X^((i-1)p) * X^p mod f."""
     n = m.n
@@ -119,7 +198,6 @@ def reference_rows(m):
 
 
 P24 = (1 << 24) - 3  # the largest n with n * (p - 1)^2 < 2^53 is 32
-M31 = (1 << 31) - 1
 
 
 class TestFloatFrobenius:
@@ -219,8 +297,9 @@ class TestDivision:
 
     PRIMES = (3, 101, 1000003, (1 << 31) - 1)
 
-    def check(self, data, len_a, len_b):
-        p = data.draw(st.sampled_from(self.PRIMES))
+    def check(self, data, len_a, len_b, p=None):
+        if p is None:
+            p = data.draw(st.sampled_from(self.PRIMES))
         a = data.draw(coefficient_lists(p, len_a))
         b = data.draw(coefficient_lists(p, len_b))
         q, r = _long_division(a, b, p)
@@ -245,19 +324,21 @@ class TestDivision:
     @SETTINGS
     @given(st.data())
     def test_recurrence_newton_cutoff(self, data):
-        # the divisor lengths around m * min(m, len b) = w, for a quotient of m
-        w = _NEWTON_WORK
+        # the divisor lengths around m * min(m, len b) = w, for a quotient of
+        # m, where w is the edge of the split regime at p = 2^31 - 1
+        p = data.draw(st.sampled_from(self.PRIMES))
         m = data.draw(st.sampled_from([31, 32, 33, 64, 65, 200]))
+        w = _NEWTON_WORK if _lazy_sum_fits(m, p) else _NEWTON_WORK_SPLIT
         edge = -(-w // m)  # the shortest divisor that takes Newton
         len_b = data.draw(st.sampled_from([edge - 1, edge, edge + 1, 2 * m]))
-        self.check(data, m + len_b - 1, len_b)
+        self.check(data, m + len_b - 1, len_b, p)
 
     @SETTINGS
     @given(st.data())
     def test_divisor_shorter_than_quotient(self, data):
         # rev(b) has fewer terms than the quotient and is padded with zeros
         len_b = data.draw(st.integers(1, 8))
-        m = data.draw(st.integers(len_b + 1, 2 * _NEWTON_WORK // len_b))
+        m = data.draw(st.integers(len_b + 1, 2 * _NEWTON_WORK_SPLIT // len_b))
         self.check(data, m + len_b - 1, len_b)
 
     @SETTINGS

@@ -14,7 +14,8 @@ the 16-bit split path:
   ``_GCD_ARRAY_CUTOFF`` and at 120;
 * ``quotient``: `_divmod_arrays` by the series recurrence and by the Newton
   inverse, for quotient lengths m from 8 to 128 and divisor lengths around
-  the edge m * min(m, len b) = ``_NEWTON_WORK``;
+  the edge m * min(m, len b) = ``_NEWTON_WORK``, or ``_NEWTON_WORK_SPLIT``
+  where convolutions of m terms split;
 * ``product``: `_mul_mod_lists` (one convolution) against a schoolbook
   product of lists reduced mod p, by the shorter operand's length.
 
@@ -22,6 +23,12 @@ The ``integer product`` table times `_imul_lists` (one Kronecker product)
 against the schoolbook loop on signed coefficient lists, in microseconds,
 at the Hensel lift's shapes (lengths and coefficient bits) from 2 x 2 at 30
 bits to 422 x 422 at 1,113 bits.
+
+The ``modular product`` table times `_Modulus.mul` in microseconds, for n
+from 8 to 2600 and p in 227, 1000003 and 25782653: by two convolutions
+against the reduction matrix R (each path forced), and the build of R
+(`_reduction_matrix`, float64 BLAS while n * (p - 1)^2 < 2^53, int64
+beyond, as at 25782653 from n = 14).
 
 The ``Frobenius build`` table times `_frobenius_matrix` in milliseconds,
 for n in 4 to 1000 and p in 47, 227 and 1000003: its rows by
@@ -53,6 +60,8 @@ TOEPLITZ_PRIMES = (3001, 1000003)
 TOEPLITZ_SIZES = (40, 120, 560, 1024)
 FROBENIUS_PRIMES = (47, 227, 1000003)
 FROBENIUS_SIZES = (4, 8, 12, 16, 24, 32, 64, 120, 240, 1000)
+MODULAR_PRIMES = (227, 1000003, 25782653)
+MODULAR_SIZES = (8, 16, 26, 60, 120, 160, 200, 300, 400, 600, 1000, 2600)
 # (len a, len b, coefficient bits)
 INTEGER_SHAPES = (
     (2, 2, 30),
@@ -90,14 +99,14 @@ def schoolbook(a, b):
 
 def quotient_by(newton: bool, a, b, p):
     """`_divmod_arrays` with its recurrence/Newton choice forced."""
-    saved = poly._NEWTON_WORK
-    poly._NEWTON_WORK = 0 if newton else 1 << 60
+    saved = poly._NEWTON_WORK, poly._NEWTON_WORK_SPLIT
+    poly._NEWTON_WORK = poly._NEWTON_WORK_SPLIT = 0 if newton else 1 << 60
     try:
         av = np.array(a, dtype=np.int64)
         bv = np.array(b, dtype=np.int64)
         return usec(lambda: poly._divmod_arrays(av, bv, p))
     finally:
-        poly._NEWTON_WORK = saved
+        poly._NEWTON_WORK, poly._NEWTON_WORK_SPLIT = saved
 
 
 def row(label, cells, digits=1):
@@ -137,6 +146,43 @@ def integer_product(rng) -> None:
         cells = [usec(lambda: schoolbook(a, b)), usec(lambda: poly._imul_lists(a, b))]
         label = f"({len_a}, {len_b}, {bits})"
         print(f"{label:>16}" + "".join(f"{c:>12.1f}" for c in cells))
+    print()
+
+
+def modulus_by(rows: bool, f):
+    """`_Modulus(f)` with its reduction path forced: the matrix R or the
+    two convolutions."""
+    m = poly._Modulus(f)
+    if rows:
+        m.R, m.inv = poly._reduction_matrix(m.low, f.p), None
+    else:
+        fv = np.array(f.coeffs, dtype=np.int64)
+        m.R, m.inv = None, poly._series_inverse(fv[::-1][: f.degree], f.p)
+    return m
+
+
+def modular_product(rng) -> None:
+    c = poly._REDUCTION_MAX_N
+    print("modular product (n, p): `_Modulus.mul`, microseconds per call, by")
+    print("two convolutions and by the reduction matrix R, and the build of R;")
+    print(f"R while n <= _REDUCTION_MAX_N = {c} and n * (p - 1)^2 < 2^63")
+    print(f"{'sizes':>18}{'convolutions':>14}{'R':>12}{'R build':>12}")
+    for p in MODULAR_PRIMES:
+        for n in MODULAR_SIZES:
+            f = poly.FieldPoly([rng.randrange(p) for _ in range(n)] + [1], p)
+            a, b = (
+                np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+                for _ in range(2)
+            )
+            repeat = 1 if n >= 1000 else 5
+            cells = [
+                usec(lambda: m.mul(a, b), repeat)
+                for m in (modulus_by(False, f), modulus_by(True, f))
+            ]
+            low = poly._Modulus(f).low
+            cells.append(usec(lambda: poly._reduction_matrix(low, p), repeat))
+            label = f"({n}, {p})"
+            print(f"{label:>18}{cells[0]:>14.1f}{cells[1]:>12.1f}{cells[2]:>12.1f}")
     print()
 
 
@@ -203,15 +249,16 @@ def main() -> None:
                 ],
             )
 
-        w = poly._NEWTON_WORK
+        w, split = poly._NEWTON_WORK, poly._NEWTON_WORK_SPLIT
         print(
-            f"\nquotient (len a, len b), m = len a - len b + 1; "
-            f"recurrence while m * min(m, len b) < {w}"
+            f"\nquotient (len a, len b), m = len a - len b + 1; recurrence while "
+            f"m * min(m, len b) < {w}, or {split} where m terms split"
         )
         print(f"{'sizes':>14}{'list':>12}{'recurrence':>12}{'Newton':>12}")
         sizes = []
         for m in (8, 16, 32, 64, 128):
-            edge = -(-w // m)  # the shortest divisor that takes Newton
+            work = w if poly._lazy_sum_fits(m, p) else split
+            edge = -(-work // m)  # the shortest divisor that takes Newton
             for len_b in sorted({2, edge // 2, edge, 2 * edge, m}):
                 if 2 <= len_b <= m:
                     sizes.append((m + len_b - 1, len_b))
@@ -239,6 +286,7 @@ def main() -> None:
             )
         print()
     integer_product(rng)
+    modular_product(rng)
     frobenius_build(rng)
     toeplitz_apply(rng)
 
