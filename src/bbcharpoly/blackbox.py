@@ -39,6 +39,7 @@ from .poly import (
     _float_sum_fits,
     _lazy_sum_fits,
     _lazy_sum_terms,
+    _matmul_mod,
     _shifts,
     conv_mod,
     poly_lcm,
@@ -314,13 +315,12 @@ def _dense_toeplitz(lc, uc, d, p):
     """float64 U * D * L mod p: L lower unit-triangular Toeplitz with first
     column lc, U upper with first row uc, D = diag(d).
 
-    U * D is reduced first, so each entry of the one BLAS product sums n
-    products of residues, exact while ``_float_sum_fits(n, p)``; both are
-    reduced through int64."""
+    U * D is reduced first, so each entry of the one `_matmul_mod` product
+    sums n products of residues, one BLAS call while
+    ``_float_sum_fits(n, p)``."""
     n = len(d)
     ud = (_shifts(uc, n, n) * d).astype(np.int64) % p
-    m = (ud @ _shifts(lc, n, n).T).astype(np.int64) % p
-    return m.astype(np.float64)
+    return _matmul_mod(ud, _shifts(lc, n, n).T, p).astype(np.float64)
 
 
 class _Preconditioner(BlackBoxOperator):

@@ -37,13 +37,14 @@ the reversed f, computed once, by two more convolutions.  Cantor-Zassenhaus
 builds one ``_Modulus`` per polynomial it splits and takes every draw's
 power in it.  Distinct-degree splitting steps through X^(p^d) mod f with
 the Frobenius matrix of f (``_frobenius``) and takes one gcd per block of
-degrees.  From degree ``_FLOAT_FROBENIUS_MIN_N`` = 16, and while
-n * (p - 1)^2 < 2^53 (``_float_sum_fits``), that matrix is built from R and
-applied by float64 BLAS products, each exact and reduced once per entry
-through int64 (after the exact float kernels of Dumas, Giorgi and Pernet,
-FFLAS/FFPACK, ACM TOMS 2008).  Below that degree, and beyond the float rule
-(p = 2^31 - 1), its rows are products by ``_Modulus`` and it is applied in
-int64.
+degrees.  That matrix is built from R and applied by one kernel,
+``_matmul_mod``: float64 BLAS products, each exact and reduced once per
+entry through int64 (after the exact float kernels of Dumas, Giorgi and
+Pernet, FFLAS/FFPACK, ACM TOMS 2008).  While n * (p - 1)^2 < 2^53
+(``_float_sum_fits``) a product is one BLAS call; beyond, as for
+p = 2^31 - 1, the left operand is cut into limbs of w bits with
+n * (p - 1) * (2^w - 1) < 2^53, one BLAS call each, so the right matrix is
+stored once and the Frobenius matrix takes one n x n float64 array.
 """
 
 from __future__ import annotations
@@ -81,20 +82,14 @@ _GCD_ARRAY_CUTOFF = 16
 # 207 / 262; (95, 32), 2,048: 203 / 138; (143, 16), 2,048: 326 / 243).
 _NEWTON_WORK = 512
 _NEWTON_WORK_SPLIT = 2048
-# The Frobenius matrix is built on float64 BLAS from degree 16 while the float
-# rule holds ("Frobenius build" table, ms at p = 47 / 227 / 1000003): at n = 12
-# its rows by `_Modulus.mul` take 0.12 / 0.12 / 0.21 against 0.13 / 0.13 /
-# 0.21, at n = 16 0.15 / 0.14 / 0.24 against 0.13 / 0.13 / 0.23, and at
-# n = 120 3.5 against 1.4 (p = 1000003, 0.67 of it the X^p power).
-_FLOAT_FROBENIUS_MIN_N = 16
 # `_Modulus` reduces by its matrix R up to degree 128 ("modular product" table,
 # us at p = 227 / 1000003 / 25782653).  Per product R is faster up to n = 600
 # (541 / 556 / 547 against 545 / 574 / 588 by two convolutions) and slower
 # from 1,000 (1,723 / 1,769 / 1,674 against 1,448 / 1,640 / 1,534), but its
-# build grows as n^3 and takes int64 products where the float rule fails:
-# at n = 120 it costs 177 / 178 / 448, the saving of 31 products at
-# 25782653, less than one Cantor-Zassenhaus power there (about 37), and at
-# n = 160 297 / 302 / 997, the saving of 48.
+# build grows as n^3 and takes limbs where the float rule fails: at n = 120
+# it costs 257 / 257 / 413, the saving of 24 products at 25782653, less than
+# one Cantor-Zassenhaus power there (about 37), and at n = 160 547 / 540 /
+# 847, the saving of 47.
 _REDUCTION_MAX_N = 128
 
 
@@ -187,6 +182,31 @@ def conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     _check_split_sum(min(len(a), len(b)), p)
     ah, al = a >> 16, a & 0xFFFF
     return ((np.convolve(ah, b) % p << 16) + np.convolve(al, b) % p) % p
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, for arrays of residues mod p < 2^31, by float64 BLAS.
+
+    Each entry sums terms = len(b) products.  While ``_float_sum_fits`` holds
+    that is one float64 product.  Otherwise a is cut into limbs of w bits,
+    the largest w with terms * (p - 1) * (2^w - 1) < 2^53, so each limb's
+    product is exact; each is reduced through int64, and the limbs are
+    recombined from the top by acc <- (acc * 2^w + product) mod p, below
+    p^2 < 2^62 before each reduction.
+    """
+    terms = len(b)
+    if _float_sum_fits(terms, p):
+        return (a @ b).astype(np.int64) % p
+    w = (((1 << 53) - 1) // (terms * (p - 1)) + 1).bit_length() - 1
+    if w == 0:
+        raise OverflowError(f"a float64 sum of {terms} products mod {p} is inexact")
+    a = a.astype(np.int64)
+    mask, shift = (1 << w) - 1, pow(2, w, p)
+    acc = 0
+    for low in reversed(range(0, (p - 1).bit_length(), w)):
+        limb = (a >> low & mask).astype(np.float64)
+        acc = (acc * shift + (limb @ b).astype(np.int64)) % p
+    return acc
 
 
 def _mul_mod_lists(a, b, p):
@@ -623,25 +643,21 @@ def poly_lcm(f, g):
 
 def _reduction_matrix(low: np.ndarray, p: int) -> np.ndarray:
     """The int64 (n - 1) x n matrix R whose row j is X^(n+j) mod f, for the
-    monic f = X^n + sum low[t] X^t over GF(p), while ``_lazy_sum_fits(n, p)``.
+    monic f = X^n + sum low[t] X^t over GF(p).
 
     Row 0 is -low.  Given rows 0..k-1, the rows k..2k-1 are X^k times them:
     each row shifted up by k, its k coefficients at X^n..X^(n+k-1) reduced
-    by rows 0..k-1 in one matrix product.  Each entry of that product sums
-    at most k <= n - 2 products of residues and one residue, so it is exact
-    in float64 while n * (p - 1)^2 < 2^53 (``_float_sum_fits``, where BLAS
-    takes it) and in int64 otherwise.
+    by rows 0..k-1 in one `_matmul_mod`, plus the shifted residue.
     """
     n = len(low)
-    dtype = np.float64 if _float_sum_fits(n, p) else np.int64
-    R = np.empty((n - 1, n), dtype=dtype)
+    R = np.empty((n - 1, n))
     R[:1] = -low % p
     k = 1
     while k < n - 1:
         e = min(k, n - 1 - k)
-        block = R[:e, n - k :] @ R[:k]
-        block[:, k:] += R[:e, : n - k]
-        R[k : k + e] = block.astype(np.int64) % p
+        block = _matmul_mod(R[:e, n - k :], R[:k], p)
+        block[:, k:] += R[:e, : n - k].astype(np.int64)
+        R[k : k + e] = block % p
         k += e
     return R.astype(np.int64)
 
@@ -707,40 +723,26 @@ def _shifts(c: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _frobenius_matrix(m: _Modulus) -> np.ndarray:
-    """The n x n matrix Q whose row i is X^(ip) mod f, for n >= 2.
+    """The float64 n x n matrix Q whose row i is X^(ip) mod f, for n >= 2.
 
-    Row 1 is xp = X^p mod f, one power.  Below ``_FLOAT_FROBENIUS_MIN_N``, or
-    unless n * (p - 1)^2 < 2^53 (``_float_sum_fits``; p = 2^31 - 1 never
-    fits), each further row is one ``_Modulus.mul`` by xp and Q is int64.
-
-    Otherwise Q is float64 and every row comes from BLAS products.  The
-    matrix of h -> h * g mod f has row r = X^r * g mod f: g shifted by r
-    below X^n, plus its coefficients at X^(n+j) times the rows X^(n+j) mod f
-    of the reduction matrix R: ``_Modulus.R`` where the products mod f use
-    it, else one `_reduction_matrix` build.  With M the matrix of
-    xp, the first k = isqrt(n) rows are Q[i] = Q[i-1] @ M; with G that of
-    X^(kp), each next block of k rows is the block before it times G.
-    Every product sums at most n products of residues, so it is exact, and
-    it is reduced once per entry through int64.
+    Row 1 is xp = X^p mod f, one power; every other row comes from
+    `_matmul_mod` products.  The matrix of h -> h * g mod f has row
+    r = X^r * g mod f: g shifted by r below X^n, plus its coefficients at
+    X^(n+j) times the rows X^(n+j) mod f of the reduction matrix R:
+    ``_Modulus.R`` where the products mod f use it, else one
+    `_reduction_matrix` build.  With M the matrix of xp, the first
+    k = isqrt(n) rows are Q[i] = Q[i-1] @ M; with G that of X^(kp), each next
+    block of k rows is the block before it times G.
     """
     p, n = m.p, m.n
     x = np.zeros(n, dtype=np.int64)
     x[1] = 1
     xp = m.pow(x, p)
-    if n < _FLOAT_FROBENIUS_MIN_N or not _float_sum_fits(n, p):
-        Q = np.zeros((n, n), dtype=np.int64)
-        Q[0, 0] = 1
-        Q[1] = xp
-        for i in range(2, n):
-            Q[i] = m.mul(Q[i - 1], xp)
-        return Q
-
-    def reduced(x):
-        return (x.astype(np.int64) % p).astype(np.float64)
 
     def times(g):
         T = _shifts(g, n, 2 * n - 1)
-        return reduced(T[:, n:] @ R + T[:, :n])
+        high = _matmul_mod(T[:, n:], R, p)
+        return ((high + T[:, :n].astype(np.int64)) % p).astype(np.float64)
 
     R = (m.R if m.R is not None else _reduction_matrix(m.low, p)).astype(np.float64)
     k = math.isqrt(n)
@@ -748,31 +750,22 @@ def _frobenius_matrix(m: _Modulus) -> np.ndarray:
     Q = np.zeros((n, n))
     Q[0, 0] = 1
     for i in range(1, k + 1):
-        Q[i] = reduced(Q[i - 1] @ M)
+        Q[i] = _matmul_mod(Q[i - 1], M, p)
     G = times(Q[k])
     for i in range(k, n, k):
         end = min(i + k, n)
-        Q[i:end] = reduced(Q[i - k : end - k] @ G)
+        Q[i:end] = _matmul_mod(Q[i - k : end - k], G, p)
     return Q
 
 
 def _frobenius(m: _Modulus):
     """The GF(p)-linear map h -> h^p mod f on vectors of ``m``, for n >= 2.
 
-    (sum h_i X^i)^p = sum h_i X^(ip), so the map is the product with the
-    matrix of `_frobenius_matrix`: one float64 product reduced through int64
-    when that matrix is float64, else one int64 product (split into 16-bit
-    halves when n products of residues can overflow int64).
+    (sum h_i X^i)^p = sum h_i X^(ip), so the map is one `_matmul_mod` by
+    the matrix of `_frobenius_matrix`.
     """
-    p, n = m.p, m.n
-    Q = _frobenius_matrix(m)
-    if Q.dtype == np.float64:
-        return lambda h: (h @ Q).astype(np.int64) % p
-    if _lazy_sum_fits(n, p):
-        return lambda h: h @ Q % p
-    _check_split_sum(n, p)
-    qh, ql = Q >> 16, Q & 0xFFFF
-    return lambda h: ((h @ qh % p << 16) + h @ ql % p) % p
+    p, Q = m.p, _frobenius_matrix(m)
+    return lambda h: _matmul_mod(h, Q, p)
 
 
 def _bezout_mod_p(g: FieldPoly, h: FieldPoly):

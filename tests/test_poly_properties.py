@@ -1,8 +1,8 @@
 """Property tests of the polynomial kernels against the plain loops they replace.
 
 p = 2^31 - 1 makes every convolution whose shorter operand has more than 2
-coefficients, and every Frobenius matrix-vector product of degree above 2,
-take the 16-bit split path; it never takes the float64 Frobenius build.
+coefficients take the 16-bit split path, and every float64 product of
+`_matmul_mod` take two or more limbs.
 """
 
 import math
@@ -17,7 +17,6 @@ from bbcharpoly.ff import is_prime, next_prime
 from bbcharpoly.poly import (
     _ARRAY_FIXED_STEPS,
     _ARRAY_STEPS_PER_COEFF,
-    _FLOAT_FROBENIUS_MIN_N,
     _NEWTON_WORK,
     _NEWTON_WORK_SPLIT,
     _REDUCTION_MAX_N,
@@ -27,12 +26,12 @@ from bbcharpoly.poly import (
     _distinct_degree,
     _divmod_arrays,
     _euclid_remainder,
-    _float_sum_fits,
     _frobenius,
     _frobenius_matrix,
     _imul_lists,
     _lazy_sum_fits,
     _long_division,
+    _matmul_mod,
     _Modulus,
     _reduction_matrix,
     conv_mod,
@@ -170,8 +169,8 @@ class TestReductionMatrix:
     @SETTINGS
     @given(st.data())
     def test_rows_are_powers_of_x(self, data):
-        # float64 BLAS builds R while n * (p - 1)^2 < 2^53, int64 beyond
-        p = data.draw(st.sampled_from([227, 1000003, 25782653]))
+        # `_matmul_mod` takes limbs at 25782653 from n = 18, at 2^31 - 1 from n = 3
+        p = data.draw(st.sampled_from([227, 1000003, 25782653, M31]))
         n = data.draw(st.integers(1, 70))
         f = FieldPoly(data.draw(coefficient_lists(p, n)) + [1], p)
         R = _reduction_matrix(_Modulus(f).low, p)
@@ -200,18 +199,94 @@ def reference_rows(m):
 P24 = (1 << 24) - 3  # the largest n with n * (p - 1)^2 < 2^53 is 32
 
 
+def limb_count(terms, p):
+    """Limbs of w bits, the largest w with terms * (p - 1) * (2^w - 1) < 2^53,
+    that a residue takes; one while terms * (p - 1)^2 < 2^53."""
+    if terms * (p - 1) ** 2 < 1 << 53:
+        return 1
+    w = 1
+    while terms * (p - 1) * ((1 << (w + 1)) - 1) < 1 << 53:
+        w += 1
+    return -(-(p - 1).bit_length() // w)
+
+
+def residues(data, p, shape):
+    """An int64 array of residues mod p: uniform, within 3 of p - 1, or within
+    3 of 2^(L - 1) - 1 for the L bits of p - 1, whose limbs below the top are
+    all ones.  The last two bring the limb sums nearest to 2^53, and their odd
+    products show any rounding."""
+    ones = (1 << ((p - 1).bit_length() - 1)) - 1
+    low, high = data.draw(st.sampled_from([(0, p - 1), (p - 4, p - 1), (ones - 3, ones)]))
+    size = math.prod(shape)
+    entries = data.draw(st.lists(st.integers(low, high), min_size=size, max_size=size))
+    return np.array(entries, dtype=np.int64).reshape(shape)
+
+
+class TestMatmulMod:
+    """`_matmul_mod` against Python-int products, on one, two and three or
+    more limbs.
+
+    Each case draws its operands by `residues`, and also multiplies the
+    all-(p - 1) operands.
+    """
+
+    def check(self, data, p, terms):
+        rows = data.draw(st.sampled_from([(), (1,), (3,)]))
+        cols = data.draw(st.integers(1, 4))
+        a, b = residues(data, p, rows + (terms,)), residues(data, p, (terms, cols))
+        for u, v in ((a, b), (np.full_like(a, p - 1), np.full_like(b, p - 1))):
+            got = _matmul_mod(u, v.astype(np.float64), p)
+            assert got.dtype == np.int64 and got.shape == rows + (cols,)
+            # a Python-int product: no int64 or float64 rounding to share
+            want = [
+                [sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in v.T]
+                for row in u.reshape(-1, terms)
+            ]
+            assert got.reshape(-1, cols).tolist() == want
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from([32, 33]))
+    def test_float_rule_edge(self, data, terms):
+        assert limb_count(32, P24) == 1 and limb_count(33, P24) == 2
+        self.check(data, P24, terms)
+
+    @SETTINGS
+    @given(st.data(), st.integers(14, 200))
+    def test_two_limbs_mod_25782653(self, data, terms):
+        assert limb_count(13, 25782653) == 1 and limb_count(terms, 25782653) == 2
+        self.check(data, 25782653, terms)
+
+    @SETTINGS
+    @given(st.data(), st.one_of(st.integers(1, 300), st.sampled_from([64, 65, 300])))
+    def test_large_prime(self, data, terms):
+        assert limb_count(terms, M31) == (2 if terms < 65 else 3)
+        self.check(data, M31, terms)
+
+    def test_raises_where_one_bit_limbs_overflow(self):
+        # 2^22 terms of (2^31 - 2) * 1 stay below 2^53; one more does not
+        terms = 1 << 22
+        assert terms * (M31 - 1) < 1 << 53 <= (terms + 1) * (M31 - 1)
+        a = np.broadcast_to(np.zeros(1, dtype=np.int64), (terms + 1,))
+        b = np.broadcast_to(np.zeros((1, 1)), (terms + 1, 1))
+        with pytest.raises(OverflowError):
+            _matmul_mod(a, b, M31)
+
+
 class TestFloatFrobenius:
-    """The float64 Frobenius build against the int64 rows, Q and its products.
+    """The float64 Frobenius build against the rows X^(ip) mod f by
+    `_Modulus.mul`, Q and its products.
 
     Each case also applies the map to a random vector and to the all-(p - 1)
-    vector, whose products are the largest any vector gives.
+    vector, whose products are the largest any vector gives.  At P24 from
+    n = 33, at 25782653 from n = 14 and at 2^31 - 1 from n = 2 the products
+    take limbs.
     """
 
     def check(self, data, p, n):
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         m = _Modulus(FieldPoly(coeffs + [1], p))
-        Q, want = _frobenius_matrix(m), reference_rows(m)
-        assert np.array_equal(Q, want)
+        want = reference_rows(m)
+        assert np.array_equal(_frobenius_matrix(m), want)
         frobenius = _frobenius(m)
         h = np.array(
             data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)),
@@ -220,40 +295,34 @@ class TestFloatFrobenius:
         for v in (h, np.full(n, p - 1, dtype=np.int64)):
             got = frobenius(v)
             assert got.dtype == np.int64
-            # a Python-int product: no int64 or float64 rounding to share
             assert got.tolist() == [
                 sum(int(a) * int(b) for a, b in zip(v, col)) % p for col in want.T
             ]
-        return Q
 
     @SETTINGS
     @given(st.data())
-    def test_both_sides_of_the_crossover(self, data):
-        p = data.draw(st.sampled_from([47, 227, 65537, 1000003]))
-        c = _FLOAT_FROBENIUS_MIN_N
-        n = data.draw(st.sampled_from([2, 3, c - 1, c, c + 1, 2 * c + 1, 40]))
-        Q = self.check(data, p, n)
-        assert (Q.dtype == np.float64) == (n >= c)
+    def test_matches_the_rows(self, data):
+        p = data.draw(st.sampled_from([47, 227, 1000003, 25782653]))
+        n = data.draw(st.one_of(st.integers(2, 40), st.sampled_from([2, 3, 13, 14])))
+        self.check(data, p, n)
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from([32, 33]))
+    def test_float_rule_edge(self, data, n):
+        self.check(data, P24, n)
+
+    @SETTINGS
+    @given(st.data(), st.integers(2, 40))
+    def test_large_prime(self, data, n):
+        self.check(data, M31, n)
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())
     def test_large_degree(self, data):
         # isqrt(n) rows by M, then blocks by G, with a short last block
+        p = data.draw(st.sampled_from([1000003, 25782653, M31]))
         n = data.draw(st.sampled_from([99, 120, 130]))
-        assert self.check(data, 1000003, n).dtype == np.float64
-
-    @SETTINGS
-    @given(st.data(), st.sampled_from([32, 33]))
-    def test_float_rule_edge(self, data, n):
-        assert _float_sum_fits(32, P24) and not _float_sum_fits(33, P24)
-        Q = self.check(data, P24, n)
-        assert (Q.dtype == np.float64) == (n == 32)
-
-    @SETTINGS
-    @given(st.data())
-    def test_large_prime_takes_int64(self, data):
-        n = data.draw(st.integers(_FLOAT_FROBENIUS_MIN_N, 40))
-        assert self.check(data, M31, n).dtype == np.int64
+        self.check(data, p, n)
 
 
 class TestEuclidStep:
@@ -487,7 +556,7 @@ class TestDistinctDegreeBlocks:
     @SETTINGS
     @given(st.lists(st.integers(1, 8), min_size=1, max_size=8), seeds)
     def test_split_frobenius_products(self, degrees, seed):
-        # at p = 2^31 - 1 every Frobenius product of degree above 2 splits
+        # at p = 2^31 - 1 every Frobenius product takes two or more limbs
         self.check(degrees, (1 << 31) - 1, seed)
 
 

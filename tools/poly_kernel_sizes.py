@@ -27,13 +27,14 @@ bits to 422 x 422 at 1,113 bits.
 The ``modular product`` table times `_Modulus.mul` in microseconds, for n
 from 8 to 2600 and p in 227, 1000003 and 25782653: by two convolutions
 against the reduction matrix R (each path forced), and the build of R
-(`_reduction_matrix`, float64 BLAS while n * (p - 1)^2 < 2^53, int64
-beyond, as at 25782653 from n = 14).
+(`_reduction_matrix`, by `_matmul_mod`, which takes limbs where the float
+rule fails, as at 25782653 from n = 18).
 
-The ``Frobenius build`` table times `_frobenius_matrix` in milliseconds,
-for n in 4 to 1000 and p in 47, 227 and 1000003: its rows by
-`_Modulus.mul` against its float64 BLAS build (each forced through
-``_FLOAT_FROBENIUS_MIN_N``), and the power X^p mod f that both start from.
+The ``Frobenius build`` table times, in milliseconds, for n in 4 to 1000
+and p in 227, 1000003, 25782653 and 2^31 - 1: the rows X^(ip) mod f by
+`_Modulus.mul` (the reference the tests check the build against), the
+one build `_frobenius_matrix` by `_matmul_mod`, one application of the map
+(`_frobenius`) and the power X^p mod f that both start from.
 
 Last, the ``Toeplitz apply`` table times `blackbox._Preconditioner.apply`
 over an identity operator, for n in 40, 120, 560 and 1024 and p in 3001 and
@@ -58,8 +59,8 @@ from bbcharpoly import blackbox, poly
 PRIMES = (1000003, (1 << 31) - 1)
 TOEPLITZ_PRIMES = (3001, 1000003)
 TOEPLITZ_SIZES = (40, 120, 560, 1024)
-FROBENIUS_PRIMES = (47, 227, 1000003)
-FROBENIUS_SIZES = (4, 8, 12, 16, 24, 32, 64, 120, 240, 1000)
+FROBENIUS_PRIMES = (227, 1000003, 25782653, (1 << 31) - 1)
+FROBENIUS_SIZES = (4, 8, 12, 16, 24, 32, 60, 84, 120, 240, 300, 1000)
 MODULAR_PRIMES = (227, 1000003, 25782653)
 MODULAR_SIZES = (8, 16, 26, 60, 120, 160, 200, 300, 400, 600, 1000, 2600)
 # (len a, len b, coefficient bits)
@@ -186,26 +187,37 @@ def modular_product(rng) -> None:
     print()
 
 
+def frobenius_rows(m):
+    """The Frobenius matrix row by row, X^(ip) mod f = X^((i-1)p) * X^p mod f
+    by `_Modulus.mul`: the reference its build is timed against."""
+    Q = np.zeros((m.n, m.n), dtype=np.int64)
+    Q[0, 0] = 1
+    Q[1] = m.pow(m.vector(poly.FieldPoly.x(m.p)), m.p)
+    for i in range(2, m.n):
+        Q[i] = m.mul(Q[i - 1], Q[1])
+    return Q
+
+
 def frobenius_build(rng) -> None:
-    c = poly._FLOAT_FROBENIUS_MIN_N
-    print("Frobenius build (n, p), milliseconds per call; BLAS from")
-    print(f"n = _FLOAT_FROBENIUS_MIN_N = {c} while n * (p - 1)^2 < 2^53")
-    print(f"{'sizes':>14}{'rows':>12}{'BLAS':>12}{'X^p':>12}")
-    try:
-        for p in FROBENIUS_PRIMES:
-            for n in FROBENIUS_SIZES:
-                f = poly.FieldPoly([rng.randrange(p) for _ in range(n)] + [1], p)
-                m = poly._Modulus(f)
-                x = m.vector(poly.FieldPoly.x(p))
-                repeat = 2 if n >= 1000 else 5
-                cells = []
-                for crossover in (1 << 60, 0):
-                    poly._FLOAT_FROBENIUS_MIN_N = crossover
-                    cells.append(usec(lambda: poly._frobenius_matrix(m), repeat) / 1e3)
-                cells.append(usec(lambda: m.pow(x, p), repeat) / 1e3)
-                row(f"({n}, {p})", cells, digits=2)
-    finally:
-        poly._FLOAT_FROBENIUS_MIN_N = c
+    print("Frobenius build (n, p), milliseconds per call: the rows reference,")
+    print("the build by `_matmul_mod`, one application of the map and X^p")
+    print(f"{'sizes':>20}{'rows':>12}{'build':>12}{'apply':>12}{'X^p':>12}")
+    for p in FROBENIUS_PRIMES:
+        for n in FROBENIUS_SIZES:
+            f = poly.FieldPoly([rng.randrange(p) for _ in range(n)] + [1], p)
+            m = poly._Modulus(f)
+            x = m.vector(poly.FieldPoly.x(p))
+            h = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+            frobenius = poly._frobenius(m)
+            repeat = 2 if n >= 1000 else 5
+            cells = [
+                usec(lambda: frobenius_rows(m), repeat),
+                usec(lambda: poly._frobenius_matrix(m), repeat),
+                usec(lambda: frobenius(h), repeat),
+                usec(lambda: m.pow(x, p), repeat),
+            ]
+            label = f"({n}, {p})"
+            print(f"{label:>20}" + "".join(f"{c / 1e3:>12.4f}" for c in cells))
     print()
 
 
