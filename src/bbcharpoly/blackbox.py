@@ -2,17 +2,20 @@
 
 An operator exposes only its dimension and ``apply(vector)``; vectors are
 dense numpy int64 arrays with canonical entries in ``[0, p)``, and every
-apply returns a new canonical array and leaves its input unchanged.  The
-bounds below rely on that contract: a product of two canonical entries is at
-most (p - 1)^2.  Reduction is lazy: a kernel that sums ``terms`` products
-adds them raw and reduces once per output entry when
-``terms * (p - 1)^2 < 2^63`` (``_lazy_sum_fits``), so the sum cannot
-overflow int64.  Otherwise it reduces every product first.  The Toeplitz
-preconditioner's product U * D * L of its three outer factors is one dense
-float64 matrix, built once by BLAS and applied by BLAS, each reduced once
-per entry, while n * (p - 1)^2 < 2^53 (``_float_sum_fits``, exact in
-float64) and n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024; beyond either the
-factors are a scaling and two convolutions (``conv_mod``).
+apply returns a new canonical array and leaves its input unchanged.  An
+operator whose ``takes_blocks`` is true also takes an n x k block of such
+columns and returns the block of their images.  The bounds below rely on
+that contract: a product of two canonical entries is at most (p - 1)^2.
+Reduction is lazy: a kernel that sums ``terms`` products adds them raw and
+reduces once per output entry when ``terms * (p - 1)^2 < 2^63``
+(``_lazy_sum_fits``), so the sum cannot overflow int64.  Otherwise it
+reduces every product first.  The Toeplitz preconditioner stores the whole
+A * U * D * L as one dense float64 matrix: U * D * L is built once by BLAS,
+A is applied to its n columns (as one block where A takes blocks), and
+every apply after that is one BLAS product reduced once per entry, while
+n * (p - 1)^2 < 2^53 (``_float_sum_fits``, exact in float64) and
+n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024; beyond either each apply is a
+scaling and two convolutions (``conv_mod``) before an apply of A.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
 sequences, rank and determinant via a random preconditioner A * U * D * L
@@ -68,7 +71,13 @@ def _dot_mod(u: np.ndarray, v: np.ndarray, p: int, lazy: bool) -> int:
 
 
 class BlackBoxOperator:
-    """Linear map known only through matrix-vector products."""
+    """Linear map known only through matrix-vector products.
+
+    ``apply`` takes a canonical int64 vector.  An operator whose
+    ``takes_blocks`` is true also takes an n x k block whose columns are
+    such vectors, and returns A times it in the same shape."""
+
+    takes_blocks = False
 
     def __init__(self, dimension: int, p: int, cost: int, symmetric: bool = False):
         self.dimension = dimension
@@ -149,7 +158,9 @@ class SparseMatrix:
 
 class SparseOperator(BlackBoxOperator):
     """CSR apply of a SparseMatrix reduced mod p; ``applies`` counts the
-    calls of ``apply``."""
+    vectors applied to, k for a block of k columns."""
+
+    takes_blocks = True
 
     def __init__(self, matrix: SparseMatrix, p: int):
         kept = [(r, c, v % p) for r, c, v in matrix.entries if v % p]
@@ -177,6 +188,8 @@ class SparseOperator(BlackBoxOperator):
         self.applies = 0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        if v.ndim == 2:
+            return self._apply_block(v)
         self.applies += 1
         if len(self._vals) == 0:
             return np.zeros(self.dimension, dtype=np.int64)
@@ -189,6 +202,31 @@ class SparseOperator(BlackBoxOperator):
         out = np.zeros(self.dimension, dtype=np.int64)
         out[self._rows] = sums
         return out
+
+    def _apply_block(self, m: np.ndarray) -> np.ndarray:
+        """A * m for an n x k block m, in slices of at most n^2 / nnz
+        columns, so the gathered products of a slice never hold more than
+        n^2 entries."""
+        n, k = m.shape
+        self.applies += k
+        out = np.zeros(m.shape, dtype=np.int64)
+        if len(self._vals) == 0:
+            return out
+        rows = slice(None) if self._rows is None else self._rows
+        width = max(1, n * n // len(self._vals))
+        vals = self._vals[:, None]
+        for s in range(0, k, width):
+            t = m[self._cols, s : s + width]  # a new array, so multiplied in place
+            t *= vals
+            out[rows, s : s + width] = self._row_sums(t)
+        return out
+
+    def _row_sums(self, t: np.ndarray) -> np.ndarray:
+        """The sums mod p of the nonempty rows of t, one column per column
+        of a slice of gathered products, updating t in place."""
+        if not self._lazy:
+            t %= self.p
+        return np.add.reduceat(t, self._starts) % self.p
 
     def trace(self) -> int:
         return self._diag
@@ -212,6 +250,7 @@ class PolyOfMatrix(BlackBoxOperator):
         self.base = base
         self.poly = poly
         self.power = power
+        self.takes_blocks = base.takes_blocks
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         p = self.p
@@ -240,6 +279,7 @@ class ShiftedOperator(BlackBoxOperator):
         )
         self.base = base
         self.shift = shift % base.p
+        self.takes_blocks = base.takes_blocks
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return (self.shift * v - self.base.apply(v)) % self.p
@@ -301,26 +341,28 @@ def one_trial_suffices(c: int, n: int, q: int, kind: str) -> bool:
     return scaled * n * n <= 2 * q * (q - 1)
 
 
-# The largest n for which the Toeplitz preconditioner keeps U * D * L as one
-# dense float64 matrix (8 n^2 bytes, 8 MiB at the cap).  The "Toeplitz apply"
-# table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003: two
-# conv_mods against one dense product with its build amortised over 2n
-# applies, 9.6 / 3.5 us at n = 40, 36 / 5.7 at 120, 351 / 85 at 560 and
-# 1,101 / 374 at 1024.  The dense kernel wins at every n; the cap bounds its
-# memory.
+# The largest n for which the Toeplitz preconditioner stores A * U * D * L as
+# one dense float64 matrix (8 n^2 bytes, 8 MiB at the cap).  The "Toeplitz
+# apply" table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003,
+# per Krylov term over P(A), deg P = 1, A sparse with about 3 entries per row:
+# two conv_mods and an apply of P(A) against one product by the stored matrix
+# with its build amortised over 2n terms, 13 / 5.6 us at n = 40, 31 / 8.7 at
+# 120, 343 / 89 at 560 and 1,034 / 369 at 1024 (33 / 16, 62 / 24, 421 / 132
+# and 1,157 / 434 at deg P = 6).  The dense kernel wins at every n; the cap
+# bounds its memory.
 _DENSE_TOEPLITZ_MAX_N = 1024
 
 
 def _dense_toeplitz(lc, uc, d, p):
-    """float64 U * D * L mod p: L lower unit-triangular Toeplitz with first
-    column lc, U upper with first row uc, D = diag(d).
+    """int64 residues of U * D * L mod p: L lower unit-triangular Toeplitz
+    with first column lc, U upper with first row uc, D = diag(d).
 
     U * D is reduced first, so each entry of the one `_matmul_mod` product
     sums n products of residues, one BLAS call while
     ``_float_sum_fits(n, p)``."""
     n = len(d)
     ud = (_shifts(uc, n, n) * d).astype(np.int64) % p
-    return _matmul_mod(ud, _shifts(lc, n, n).T, p).astype(np.float64)
+    return _matmul_mod(ud, _shifts(lc, n, n).T, p)
 
 
 class _Preconditioner(BlackBoxOperator):
@@ -330,14 +372,17 @@ class _Preconditioner(BlackBoxOperator):
     draws L, U and D.  ``diagonal`` draws only D and takes L = U = I, that
     is A * D (``lc`` and ``uc`` are None).
 
-    A Toeplitz apply is one dense float64 product by M = U * D * L, built
-    once from ``lc``, ``uc`` and ``d`` (`_dense_toeplitz`), then one apply
-    of A; each product is reduced once per entry, while n * (p - 1)^2 < 2^53
+    A Toeplitz apply is one dense float64 product by B = A * U * D * L,
+    reduced once per entry.  B is built once per trial: M = U * D * L from
+    ``lc``, ``uc`` and ``d`` (`_dense_toeplitz`), then A applied to M's n
+    columns, as one block if A ``takes_blocks`` and one column at a time
+    otherwise, so the trial makes n applies of A however many terms its
+    round reads.  That holds while n * (p - 1)^2 < 2^53
     (``_float_sum_fits``: every partial sum is then exact) and
-    n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024 (M takes 8 n^2 bytes).  Beyond
-    either, as for p = 2^31 - 1 at every n and for n > 1024 at every p, it
-    is L, D and U in that order, two convolutions (``conv_mod``) around the
-    scaling.
+    n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024 (B takes 8 n^2 bytes).  Beyond
+    either, as for p = 2^31 - 1 at every n and for n > 1024 at every p, an
+    apply is L, D and U in that order, two convolutions (``conv_mod``)
+    around the scaling, then one apply of A.
 
     The arguments below are about L * A * U * D, and they hold for
     B' = A * U * D * L word for word.  B' = L^-1 (L * A * U * D) L is
@@ -420,17 +465,24 @@ class _Preconditioner(BlackBoxOperator):
         n, p = base.dimension, base.p
         toeplitz = preconditioner(base) == "toeplitz"
         dense = toeplitz and n <= _DENSE_TOEPLITZ_MAX_N and _float_sum_fits(n, p)
-        # one dense product; else the scaling and, for Toeplitz, two dense
-        # length-n convolutions
-        cost = n * n if dense else n + (2 * n * n if toeplitz else 0)
-        super().__init__(n, p, cost=base.cost + cost)
+        # one dense product; else an apply of A after the scaling and, for
+        # Toeplitz, two dense length-n convolutions
+        cost = n * n if dense else base.cost + n + (2 * n * n if toeplitz else 0)
+        super().__init__(n, p, cost=cost)
         self.base = base
         self.lc = self.uc = None
         if toeplitz:
             self.lc = np.concatenate(([1], random_vector(n - 1, p, rng)))
             self.uc = np.concatenate(([1], random_vector(n - 1, p, rng)))
         self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
-        self._m = _dense_toeplitz(self.lc, self.uc, self.d, p) if dense else None
+        self._m = None
+        if dense:  # A * (U * D * L), A applied to its n columns
+            udl = _dense_toeplitz(self.lc, self.uc, self.d, p)
+            if base.takes_blocks:
+                b = base.apply(udl)
+            else:
+                b = np.column_stack([base.apply(c) for c in udl.T])
+            self._m = b.astype(np.float64)
 
     def det_diag(self) -> int:
         out = 1
@@ -441,7 +493,7 @@ class _Preconditioner(BlackBoxOperator):
     def apply(self, v: np.ndarray) -> np.ndarray:
         n, p = self.dimension, self.p
         if self._m is not None:
-            return self.base.apply((self._m @ v).astype(np.int64) % p)
+            return (self._m @ v).astype(np.int64) % p
         if self.lc is None:
             return self.base.apply(self.d * v % p)
         w = conv_mod(self.lc, v, p)[:n]  # L: lc is its first column

@@ -543,15 +543,15 @@ class TestPinnedWork:
 
     SEEDS = range(1, 7)
     APPLIES = {  # (form, method) -> applies of the matrix, one per seed
-        (0, "auto"): [291, 293, 293, 322, 293, 293],
-        (0, "nullity-comb"): [593, 595, 595, 624, 624, 595],
-        (0, "index"): [291, 293, 293, 322, 293, 293],
-        (0, "hybrid"): [236, 209, 238, 209, 209, 296],
+        (0, "auto"): [249, 251, 251, 266, 251, 251],
+        (0, "nullity-comb"): [347, 349, 349, 364, 364, 349],
+        (0, "index"): [249, 251, 251, 266, 251, 251],
+        (0, "hybrid"): [152, 139, 154, 139, 139, 184],
         (0, "invfact"): [291, 293, 293, 322, 293, 380],
         (1, "auto"): [422, 316, 263, 261, 446, 316],
-        (1, "nullity-comb"): [2894, 2996, 2894, 2994, 2994, 2996],
+        (1, "nullity-comb"): [1562, 1616, 1562, 1614, 1614, 1616],
         (1, "index"): [422, 316, 263, 261, 446, 316],
-        (1, "hybrid"): [581, 528, 581, 526, 526, 528],
+        (1, "hybrid"): [347, 320, 347, 318, 318, 320],
         (1, "invfact"): [422, 316, 263, 261, 446, 316],
     }
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbcharpoly import blackbox
@@ -199,10 +199,13 @@ class _Draws:
 
 
 class _AllMax(BlackBoxOperator):
-    """Maps every vector to the all-(p - 1) vector; keeps its last input."""
+    """Maps every vector to the all-(p - 1) vector; keeps its inputs.  It
+    takes no blocks, so the dense build applies it one column at a time."""
+
+    seen = ()
 
     def apply(self, v):
-        self.seen = v.tolist()
+        self.seen = [*self.seen, v.tolist()]
         return vec([self.p - 1] * self.dimension)
 
 
@@ -220,7 +223,8 @@ class TestFloatBound:
     def test_toeplitz_apply_with_all_max_factors(self, n, dense):
         # lc = (1, p-1, ...), uc = (1, 1, ...), d = (p-1, ...): L is p - 1
         # below its unit diagonal and U * D is p - 1 on and above it, so an
-        # entry of U * D * L sums up to n products (p - 1)^2
+        # entry of U * D * L sums up to n products (p - 1)^2, and so does an
+        # entry of the stored all-(p - 1) A * U * D * L times v
         p = P24
         assert _float_sum_fits(n, p) == dense
         base = _AllMax(n, p, cost=0)
@@ -228,15 +232,17 @@ class TestFloatBound:
         pre = _Preconditioner(base, _Draws(draws))
         L = [[p - 1 if j < i else int(i == j) for j in range(n)] for i in range(n)]
         UD = [[p - 1 if j >= i else 0 for j in range(n)] for i in range(n)]
-        UDL = [reference_matvec(UD, col, p) for col in zip(*L)]  # its columns
-        UDL = [list(row) for row in zip(*UDL)]
+        columns = [reference_matvec(UD, col, p) for col in zip(*L)]
+        UDL = [list(row) for row in zip(*columns)]
+        v = vec([p - 1] * n)
         if dense:
-            assert pre._m.tolist() == UDL
+            assert base.seen == columns  # A's n applies, one per column
+            assert pre._m.tolist() == [[p - 1] * n] * n
+            assert pre.apply(v).tolist() == [n * (p - 1) ** 2 % p] * n
         else:
             assert pre._m is None
-        v = vec([p - 1] * n)
-        assert pre.apply(v).tolist() == [p - 1] * n
-        assert base.seen == reference_matvec(UDL, v, p)
+            assert pre.apply(v).tolist() == [p - 1] * n
+            assert base.seen == [reference_matvec(UDL, v, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +327,65 @@ def test_low_rank_matches_dense(case, data):
     uvv = reference_matvec(U, reference_matvec(V, v, p), p)
     want = [(y + z) % p for y, z in zip(reference_matvec(rows, v, p), uvv)]
     check_apply(LowRankPerturbation(matrix.operator(p), vec(U), vec(V)), v, want)
+
+
+@st.composite
+def block_case(draw):
+    """(p, SparseMatrix, n x k block of residues), k from 1 to n + 3."""
+    p, _, matrix, _ = draw(operator_case())
+    n = matrix.n
+    k = draw(st.integers(1, n + 3))
+    cells = st.lists(residues(p), min_size=n * k, max_size=n * k)
+    return p, matrix, vec(draw(cells)).reshape(n, k)
+
+
+def block_operator(kind, matrix, p, rng):
+    """An operator of the given kind over matrix mod p, its parameters from rng."""
+    op = matrix.operator(p)
+    if kind == "poly":
+        low = [rng.randrange(p) for _ in range(rng.randrange(4))]
+        return PolyOfMatrix(op, FieldPoly(low + [rng.randrange(1, p)], p), rng.randint(1, 3))
+    if kind == "shifted":
+        return ShiftedOperator(op, rng.randrange(p))
+    return op
+
+
+@SETTINGS
+@pytest.mark.parametrize("kind", ["sparse", "poly", "shifted"])
+@example(  # nnz = n^2: slices of one column
+    case=(M31, SparseMatrix.from_dense([[M31 - 1] * 3] * 3), vec(range(12)).reshape(3, 4)),
+    seed=0,
+)
+@example(case=(101, SparseMatrix(5, []), vec(range(40)).reshape(5, 8) % 101), seed=0)
+@given(block_case(), st.integers(0, (1 << 32) - 1))
+def test_block_apply_matches_columns(kind, case, seed):
+    # slices of n^2 / nnz columns: every case with nnz > n^2 / k crosses one,
+    # and the gathered products of none hold more than n^2 entries
+    p, matrix, block = case
+    n, k = block.shape
+    op = block_operator(kind, matrix, p, random.Random(seed))
+    assert op.takes_blocks
+    leaf, per = sparse_leaf(op)
+    row_sums, sizes = leaf._row_sums, []
+    leaf._row_sums = lambda t: sizes.append(t.size) or row_sums(t)
+    before = block.copy()
+    out = op.apply(block)
+    assert np.array_equal(block, before)
+    assert out.dtype == np.int64 and out.shape == (n, k)
+    assert leaf.applies == per * k
+    columns = [op.apply(block[:, j].copy()).tolist() for j in range(k)]
+    assert leaf.applies == 2 * per * k
+    assert out.T.tolist() == columns
+    assert max(sizes, default=0) <= n * n
+
+
+def test_wrappers_of_a_vector_only_operator_take_no_blocks():
+    base = _AllMax(4, 101, cost=0)
+    assert not base.takes_blocks
+    assert not PolyOfMatrix(base, FieldPoly([1, 1], 101)).takes_blocks
+    assert not ShiftedOperator(base, 3).takes_blocks
+    op = SparseMatrix(4, [(0, 1, 5)]).operator(101)
+    assert not LowRankPerturbation(op, vec([[1]] * 4), vec([[1] * 4])).takes_blocks
 
 
 # ---------------------------------------------------------------------------

@@ -304,39 +304,54 @@ def test_symmetric_round_terms_are_dv_b_k_v(case, seed, data):
 @SETTINGS
 @given(st.one_of(symmetric_case(LARGE), structured_case(LARGE)), SEEDS, st.data())
 def test_trial_round_applies(case, seed, data):
-    # t terms take t // 2 applies of A on the diagonal kind, t - 1 on Toeplitz
+    # t terms take t // 2 applies of A on the diagonal kind and t - 1 on the
+    # convolution side of Toeplitz; the dense Toeplitz kind applies A to the
+    # n columns of U * D * L once, at construction, and never in the round
     p, rows, op = case
     n = len(rows)
     leaf, per = sparse_leaf(op)
     pre = _Preconditioner(op, random.Random(seed))
+    built = leaf.applies
     bound = data.draw(st.integers(1, n))
     with recorded_rounds() as rounds:
         wiedemann_minpoly(pre, random.Random(seed + 1), trial_bound=bound)
     [terms] = rounds
+    round_applies = leaf.applies - built
     if preconditioner(op) == "diagonal":
-        assert leaf.applies == per * (len(terms) // 2) and len(terms) // 2 <= bound
+        assert built == 0
+        assert round_applies == per * (len(terms) // 2) and len(terms) // 2 <= bound
+    elif pre._m is not None:
+        assert built == per * n and round_applies == 0 and len(terms) <= 2 * bound
     else:
-        assert leaf.applies == per * (len(terms) - 1) and len(terms) - 1 <= 2 * bound - 1
+        assert built == 0
+        assert round_applies == per * (len(terms) - 1) and len(terms) - 1 <= 2 * bound - 1
 
 
 def test_full_trial_round_applies():
     # a generator of degree D needs all 2D terms: D applies of A on the
-    # diagonal kind, 2D - 1 on Toeplitz
-    p, n = 1000003, 12
+    # diagonal kind, 2D - 1 on the convolution side of Toeplitz (here
+    # p = 2^31 - 1), and none on the dense Toeplitz kind, which made its n
+    # at construction
+    n = 12
     diagonal = SparseMatrix(n, [(i, i, i + 1) for i in range(n)])
-    companion = build_companion(FieldPoly(list(range(1, n + 1)) + [1], p))
-    for matrix, kind, applies in (
-        (diagonal, "diagonal", n),
-        (companion, "toeplitz", 2 * n - 1),
+    for p, kind, built, applies in (
+        (1000003, "diagonal", 0, n),
+        (1000003, "toeplitz", n, 0),
+        (M31, "toeplitz", 0, 2 * n - 1),
     ):
+        matrix = diagonal
+        if kind == "toeplitz":
+            matrix = build_companion(FieldPoly(list(range(1, n + 1)) + [1], p))
         op = matrix.operator(p)
         assert preconditioner(op) == kind
         pre = _Preconditioner(op, random.Random(5))
+        assert (pre._m is not None) == (built > 0)
+        assert op.applies == built
         with recorded_rounds() as rounds:
             m = wiedemann_minpoly(pre, random.Random(6), trial_bound=n)
         assert m.degree == n
         assert len(rounds[0]) == 2 * n
-        assert op.applies == applies
+        assert op.applies == built + applies
 
 
 @SETTINGS
@@ -354,17 +369,25 @@ def test_preconditioner_is_a_u_d_l(case, seed):
         lc, uc = list(map(int, pre.lc)), list(map(int, pre.uc))
     d = list(map(int, pre.d))
     assert lc[0] == uc[0] == 1 and all(0 < x < p for x in d)
+
+    def audl(v):
+        w = [sum(lc[i - j] * v[j] for j in range(i + 1)) % p for i in range(n)]  # L
+        w = [d[j] * w[j] % p for j in range(n)]
+        w = [sum(uc[j - i] * w[j] for j in range(i, n)) % p for i in range(n)]  # U
+        return [sum(a * x for a, x in zip(row, w)) % p for row in rows]  # A
+
     v = [random.Random(seed + 1).randrange(p) for _ in range(n)]
-    w = [sum(lc[i - j] * v[j] for j in range(i + 1)) % p for i in range(n)]  # L
-    w = [d[j] * w[j] % p for j in range(n)]
-    w = [sum(uc[j - i] * w[j] for j in range(i, n)) % p for i in range(n)]  # U
-    w = [sum(a * x for a, x in zip(row, w)) % p for row in rows]  # A
-    assert pre.apply(np.array(v, dtype=np.int64)).tolist() == w
-    # one dense product with D folded in, or the scaling and two convolutions
+    assert pre.apply(np.array(v, dtype=np.int64)).tolist() == audl(v)
+    # one dense product by the stored A * U * D * L, or an apply of A after
+    # the scaling and two convolutions
     dense = pre._m is not None
     assert dense == (not diagonal and _float_sum_fits(n, p))
-    extra = n * n if dense else n + (0 if diagonal else 2 * n * n)
-    assert pre.cost == op.cost + extra
+    if dense:
+        columns = [audl([int(i == k) for i in range(n)]) for k in range(n)]
+        assert pre._m.tolist() == [list(row) for row in zip(*columns)]
+        assert pre.cost == n * n
+    else:
+        assert pre.cost == op.cost + n + (0 if diagonal else 2 * n * n)
     det_d = 1
     for x in d:
         det_d = det_d * x % p

@@ -36,11 +36,16 @@ and p in 227, 1000003, 25782653 and 2^31 - 1: the rows X^(ip) mod f by
 one build `_frobenius_matrix` by `_matmul_mod`, one application of the map
 (`_frobenius`) and the power X^p mod f that both start from.
 
-Last, the ``Toeplitz apply`` table times `blackbox._Preconditioner.apply`
-over an identity operator, for n in 40, 120, 560 and 1024 and p in 3001 and
-1000003: its two `conv_mod` calls against its one dense float64 product by
-U * D * L, the build of that matrix (`_dense_toeplitz`) alone, and the dense
-apply with the build amortised over 2n applies.
+Last, the ``Toeplitz apply`` table times one Krylov term of a dense
+Toeplitz trial, `blackbox._Preconditioner.apply`, in microseconds, over
+P(A) for P of degree d*j = 1 and 6 and a sparse A with about 3 entries per
+row, for n in 40, 120, 560 and 1024 and p in 3001 and 1000003.  The
+columns are: the convolution path (two `conv_mod` calls and the scaling,
+then d*j applies of A); one product by M = U * D * L then d*j applies, with
+the build of M (`_dense_toeplitz`) amortised over 2n terms; the build of the
+stored product B = P(A) * M (M, then one block apply of P(A) to its n
+columns); one product by B; and that product with B's build amortised over
+2n terms.
 
 Run from the root of a checkout, with one BLAS thread as the benchmark has:
 
@@ -114,26 +119,49 @@ def row(label, cells, digits=1):
     print(f"{label:>14}" + "".join(f"{c:>12.{digits}f}" for c in cells))
 
 
-class Identity(blackbox.BlackBoxOperator):
-    """The n x n identity, so that an apply times only the preconditioner."""
-
-    def apply(self, v):
-        return v
+def sparse_poly(n: int, p: int, dj: int, rng):
+    """P(A) for a random monic P of degree dj and a random n x n A with
+    about 3 entries per row."""
+    cells = {(rng.randrange(n), rng.randrange(n)): rng.randrange(1, p) for _ in range(3 * n)}
+    A = blackbox.SparseMatrix(n, [(r, c, x) for (r, c), x in cells.items()])
+    f = poly.FieldPoly([rng.randrange(p) for _ in range(dj)] + [1], p)
+    return blackbox.PolyOfMatrix(A.operator(p), f)
 
 
 def toeplitz_apply(rng) -> None:
-    print("Toeplitz apply (n, p), microseconds per call; dense while")
-    print(f"n <= {blackbox._DENSE_TOEPLITZ_MAX_N} and n * (p - 1)^2 < 2^53")
-    print(f"{'sizes':>14}{'conv_mod':>12}{'dense':>12}{'build':>12}{'amortised':>12}")
+    print("Toeplitz apply (n, p, d*j), microseconds per Krylov term over P(A);")
+    print(f"dense while n <= {blackbox._DENSE_TOEPLITZ_MAX_N} and n * (p - 1)^2 < 2^53")
+    print(
+        f"{'sizes':>20}{'conv_mod':>12}{'M + P(A)':>12}"
+        f"{'B build':>12}{'B product':>12}{'amortised':>12}"
+    )
     for p in TOEPLITZ_PRIMES:
         for n in TOEPLITZ_SIZES:
-            pre = blackbox._Preconditioner(Identity(n, p, cost=0), rng)
-            v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-            dense = usec(lambda: pre.apply(v))
-            build = usec(lambda: blackbox._dense_toeplitz(pre.lc, pre.uc, pre.d, p))
-            pre._m = None  # the conv_mod path
-            convs = usec(lambda: pre.apply(v))
-            row(f"({n}, {p})", [convs, dense, build, dense + build / (2 * n)])
+            for dj in (1, 6):
+                base = sparse_poly(n, p, dj, rng)
+                pre = blackbox._Preconditioner(base, rng)
+                v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+                repeat = 3 if n >= 560 else 5
+
+                def udl():
+                    return blackbox._dense_toeplitz(pre.lc, pre.uc, pre.d, p)
+
+                m = udl().astype(np.float64)
+                m_build = usec(udl, repeat)
+                m_term = usec(lambda: base.apply((m @ v).astype(np.int64) % p), repeat)
+                b_build = usec(lambda: base.apply(udl()).astype(np.float64), repeat)
+                b_term = usec(lambda: pre.apply(v), repeat)
+                pre._m = None  # the conv_mod path
+                convs = usec(lambda: pre.apply(v), repeat)
+                cells = [
+                    convs,
+                    m_term + m_build / (2 * n),
+                    b_build,
+                    b_term,
+                    b_term + b_build / (2 * n),
+                ]
+                label = f"({n}, {p}, {dj})"
+                print(f"{label:>20}" + "".join(f"{c:>12.1f}" for c in cells))
 
 
 def integer_product(rng) -> None:
