@@ -9,7 +9,8 @@ that contract: a product of two canonical entries is at most (p - 1)^2.
 Reduction is lazy: a kernel that sums ``terms`` products adds them raw and
 reduces once per output entry when ``terms * (p - 1)^2 < 2^63``
 (``_lazy_sum_fits``), so the sum cannot overflow int64.  Otherwise it
-reduces every product first.  The Toeplitz preconditioner stores the whole
+reduces every product first.  The Toeplitz preconditioner, which rank and
+determinant calls take above ``_ELIMINATION_MAX_N`` = 120, stores the whole
 A * U * D * L as one dense float64 matrix: U * D * L is built once by BLAS,
 A is applied to its n columns (as one block where A takes blocks), and
 every apply after that is one BLAS product reduced once per entry, while
@@ -19,9 +20,14 @@ scaling and two convolutions (``conv_mod``) before an apply of A.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
 sequences, rank and determinant via a random preconditioner A * U * D * L
-(`_Preconditioner`), and trace.  One rule, ``preconditioner``, picks for
-both kernels: a symmetric operator takes L = U = I, the cheaper A * D, where
-the field is large enough, and every other operator takes Toeplitz L and U.
+(`_Preconditioner`) or by elimination, and trace.  One rule,
+``preconditioner``, picks for both kernels: a symmetric operator takes
+L = U = I, the cheaper A * D, where the field is large enough, and every
+other operator takes Toeplitz L and U.  A Toeplitz-kind call with
+n <= ``_ELIMINATION_MAX_N`` takes no preconditioner: it applies the operator
+to the n columns of I, as one block where it takes blocks, and eliminates
+mod p (`_eliminate`), so its rank and determinant are exact in every field
+and it draws no random value.
 Only a minimal polynomial that is returned carries the annihilation
 certificate.  A rank or determinant trial reads its answer from one
 uncertified round's generator: a determinant from a generator whose degree
@@ -353,6 +359,14 @@ def one_trial_suffices(c: int, n: int, q: int, kind: str) -> bool:
 _DENSE_TOEPLITZ_MAX_N = 1024
 
 
+def _apply_columns(A: BlackBoxOperator, m: np.ndarray) -> np.ndarray:
+    """A * m for an n x k block m of canonical columns: one block apply
+    where A ``takes_blocks``, one apply per column otherwise."""
+    if A.takes_blocks:
+        return A.apply(m)
+    return np.column_stack([A.apply(c) for c in m.T])
+
+
 def _dense_toeplitz(lc, uc, d, p):
     """int64 residues of U * D * L mod p: L lower unit-triangular Toeplitz
     with first column lc, U upper with first row uc, D = diag(d).
@@ -478,11 +492,7 @@ class _Preconditioner(BlackBoxOperator):
         self._m = None
         if dense:  # A * (U * D * L), A applied to its n columns
             udl = _dense_toeplitz(self.lc, self.uc, self.d, p)
-            if base.takes_blocks:
-                b = base.apply(udl)
-            else:
-                b = np.column_stack([base.apply(c) for c in udl.T])
-            self._m = b.astype(np.float64)
+            self._m = _apply_columns(base, udl).astype(np.float64)
 
     def det_diag(self) -> int:
         out = 1
@@ -607,6 +617,55 @@ def _round_terms(A: BlackBoxOperator, rng, lazy: bool, symmetric: bool):
 _CERTIFIED_ROUNDS = 6  # rounds before a certified minimal polynomial gives up
 _RANK_STREAK = 2  # trials a best rank estimate stands, where one does not suffice
 
+# The largest n at which rank and determinant calls on a Toeplitz-kind
+# operator materialise it and eliminate (`_eliminate`) instead of running
+# Krylov trials.  The "dense elimination" table of tools/poly_kernel_sizes.py,
+# one BLAS thread, ms at p = 227 / 1000003, on its worst case, an input whose
+# elimination is dense from the first pivot: materialising and eliminating
+# took 4.7 / 4.9 at n = 120 against 3.6 / 3.3 for a Krylov rank call of one
+# trial, 10.2 / 9.9 against 5.6 / 6.3 at 160 and 35 / 35 against 14 / 13 at
+# 256; a rank call below its ceiling takes two trials at these p.  On sums
+# of companion blocks, as sparse as the census forms, it took 0.8 / 0.7
+# against 3.2 / 3.2 at n = 120, and at p = 2^31 - 1 it won at every n up to
+# 560.  The cap keeps the worst case within 1.5 times one trial.  Above it
+# the stored product of `_Preconditioner` serves Toeplitz-kind calls.
+_ELIMINATION_MAX_N = 120
+
+
+def _eliminates(A: BlackBoxOperator) -> bool:
+    """Whether rank and determinant calls on A take `_eliminate`."""
+    return A.dimension <= _ELIMINATION_MAX_N and preconditioner(A) == "toeplitz"
+
+
+def _eliminate(m: np.ndarray, p: int) -> tuple[int, int]:
+    """(rank, det) over GF(p), p < 2^31, of the square matrix m of canonical
+    int64 residues, by Gaussian elimination one pivot at a time; m is
+    overwritten.
+
+    Each pivot is one rank-1 update of the rows below it that are nonzero
+    in its column: the normalised pivot row times each row's entry (every
+    product below p^2 < 2^62), subtracted and reduced once.  det carries the
+    sign of the row swaps and is 0 below full rank."""
+    n = m.shape[0]
+    rank, det = 0, 1
+    for col in range(n):
+        below = np.flatnonzero(m[rank:, col]) + rank
+        if len(below) == 0:
+            det = 0
+            continue
+        top = below[0]
+        if top != rank:
+            m[[rank, top]] = m[[top, rank]]
+            det = -det
+        pivot = int(m[rank, col])
+        det = det * pivot % p
+        rows = below[1:]
+        if len(rows):
+            row = m[rank, col + 1 :] * pow(pivot, -1, p) % p
+            m[rows, col + 1 :] = (m[rows, col + 1 :] - m[rows, col, None] * row) % p
+        rank += 1
+    return rank, det
+
 
 def wiedemann_minpoly(
     A: BlackBoxOperator, rng, trial_bound: int | None = None
@@ -663,23 +722,30 @@ def wiedemann_minpoly(
 
 
 def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
-    """Rank via the minimal polynomial of a randomly preconditioned operator.
+    """Rank exactly by elimination, or via the minimal polynomial of a
+    randomly preconditioned operator.
 
-    Each trial wraps A in a fresh `_Preconditioner`, so that, except with
-    small probability, the minimal polynomial m has degree rank(A) plus one
-    when A is singular.  For rank r over GF(q) one trial fails with
-    probability at most r(r+1)/(2(q-1)) + r/q on the diagonal path A * D,
-    whose round projects with u = D v and takes two terms per apply (proved
-    in `_Preconditioner`), and at most r(r+1)/q + r(r+1)/(2(q-1)) on the
-    Toeplitz path A * U * D * L, whose trials are distributed as those of
-    the similar L * A * U * D (`_Preconditioner`): the first term for the
-    generic rank profile of L * A * U (Kaltofen and Saunders, 1991), the
-    second for D, by the same argument with 1 x 1 pivots.  In GF(2) and
-    GF(3) that bound says nothing and estimates do come out low with no
-    signal; that scope is still open.  On the test suite's rank strategies
-    (400 derandomized examples each) 104 of 502 calls at p <= 5 came out
-    low, and none of the 698 at p >= 59; but at GF(101), n <= 60, 132 of
-    5,797 Toeplitz trials of acceptance 4's planted forms came out low.
+    A Toeplitz-kind A (``preconditioner``) with n <= ``_ELIMINATION_MAX_N``
+    is applied to the n columns of I and its rank read off by `_eliminate`:
+    exact in every field, with no trial and no draw.  Every other call runs
+    trials.  Each trial wraps A in a fresh `_Preconditioner`, so that,
+    except with small probability, the minimal polynomial m has degree
+    rank(A) plus one when A is singular.  For rank r over GF(q) one trial
+    fails with probability at most r(r+1)/(2(q-1)) + r/q on the diagonal
+    path A * D, whose round projects with u = D v and takes two terms per
+    apply (proved in `_Preconditioner`), and at most r(r+1)/q +
+    r(r+1)/(2(q-1)) on the Toeplitz path A * U * D * L, whose trials are
+    distributed as those of the similar L * A * U * D (`_Preconditioner`):
+    the first term for the generic rank profile of L * A * U (Kaltofen and
+    Saunders, 1991), the second for D, by the same argument with 1 x 1
+    pivots.  In GF(2) and GF(3) that bound says nothing, and Krylov
+    estimates do come out low with no signal: every such call takes the
+    Toeplitz kind, so below the crossover it eliminates and is exact, and
+    above it the scope is still open.  On the Krylov path, on the test
+    suite's rank strategies (400 derandomized examples each) 104 of 502
+    calls at p <= 5 came out low, and none of the 698 at p >= 59; but at
+    GF(101), n <= 60, 132 of 5,797 Toeplitz trials of acceptance 4's planted
+    forms came out low.
     Estimates only err low (see below), so the max over trials is kept.
 
     ``ceiling`` c (default n) must be a proven bound on rank(A).  An
@@ -712,6 +778,8 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     An all-zero sequence gives g = 1 and the estimate 0.
     """
     n = A.dimension
+    if _eliminates(A):
+        return _eliminate(_apply_columns(A, np.eye(n, dtype=np.int64)), A.p)[0]
     c = n if ceiling is None else ceiling
     needed = 1 if one_trial_suffices(c, n, A.p, preconditioner(A)) else _RANK_STREAK
     best = 0
@@ -732,18 +800,25 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
 
 
 def det_blackbox(A: BlackBoxOperator, rng) -> int:
-    """Determinant via minpoly of a det-preserving preconditioned operator.
+    """Determinant exactly by elimination, or via the minimal polynomial of
+    a det-preserving preconditioned operator.
 
-    Each attempt wraps A in a fresh `_Preconditioner` and reads one
-    uncertified round's generator m (trial bound n), which divides the true
-    minpoly of the preconditioned operator.  Degree n certifies m as that
-    minpoly and det = (-1)^n * c0 / det(D), since A * U * D * L has
-    determinant det(A) * det(D) (L and U are unit triangular); any X factor
-    certifies singularity (0 is then an eigenvalue of the preconditioned
-    operator, hence of A up to the invertible factors).  Anything else
-    moves on to a fresh preconditioner; four are tried.
+    A Toeplitz-kind A with n <= ``_ELIMINATION_MAX_N`` is applied to the n
+    columns of I, through its own ``apply`` (for lambda*I - A, the shift's)
+    on every call, and `_eliminate` gives its determinant exactly, with the
+    sign of its row swaps.  Every other call wraps A in a fresh
+    `_Preconditioner` per attempt and reads one uncertified round's
+    generator m (trial bound n), which divides the true minpoly of the
+    preconditioned operator.  Degree n certifies m as that minpoly and det =
+    (-1)^n * c0 / det(D), since A * U * D * L has determinant det(A) *
+    det(D) (L and U are unit triangular); any X factor certifies singularity
+    (0 is then an eigenvalue of the preconditioned operator, hence of A up
+    to the invertible factors).  Anything else moves on to a fresh
+    preconditioner; four are tried.
     """
     n, p = A.dimension, A.p
+    if _eliminates(A):
+        return _eliminate(_apply_columns(A, np.eye(n, dtype=np.int64)), p)[1]
     for _ in range(4):
         pre = _Preconditioner(A, rng)
         m = wiedemann_minpoly(pre, rng, trial_bound=n)

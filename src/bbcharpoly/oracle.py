@@ -1,10 +1,10 @@
-"""Dense reference implementations used by tests and the CLI verify mode.
+"""Dense reference implementations used by the CLI verify mode and tests.
 
 Everything here is an O(n^3)-style correctness anchor, not a performance
-path: characteristic polynomial by Hessenberg reduction, rank/determinant by
-elimination, minimal polynomial by per-vector Krylov saturation, invariant
-factors by the Smith form of XI - A over GF(p)[X] at small n, and the
-integer characteristic polynomial by CRT of modular Hessenberg runs.
+path: characteristic polynomial by Hessenberg reduction, minimal polynomial
+by per-vector Krylov saturation, and the integer characteristic polynomial
+by CRT of modular Hessenberg runs.  The references that only tests use
+(rank, determinant, invariant factors, P(A)) live with the tests.
 
 The Hessenberg recurrence works on raw numpy coefficient rows so a 560x560
 verify run stays in seconds.
@@ -74,58 +74,6 @@ def dense_charpoly(matrix, p: int) -> FieldPoly:
     return FieldPoly([int(c) for c in polys[n]], p)
 
 
-def dense_rank(matrix, p: int) -> int:
-    A = _as_array(matrix, p)
-    m, n = A.shape
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, m):
-            if A[i, col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            A[[rank, pivot], :] = A[[pivot, rank], :]
-        inv = pow(int(A[rank, col]), -1, p)
-        A[rank, :] = A[rank, :] * inv % p
-        for i in range(rank + 1, m):
-            f = int(A[i, col])
-            if f:
-                A[i, :] = (A[i, :] - f * A[rank, :]) % p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def dense_det(matrix, p: int) -> int:
-    A = _as_array(matrix, p)
-    n = A.shape[0]
-    det = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if A[i, col]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            A[[col, pivot], :] = A[[pivot, col], :]
-            det = -det
-        v = int(A[col, col])
-        det = det * v % p
-        inv = pow(v, -1, p)
-        for i in range(col + 1, n):
-            f = int(A[i, col])
-            if f:
-                factor = f * inv % p
-                A[i, :] = (A[i, :] - factor * A[col, :]) % p
-    return det % p
-
-
 def _local_minpoly(B: np.ndarray, start: np.ndarray, p: int) -> FieldPoly:
     """Minimal polynomial of the Krylov chain of one start vector."""
     n = B.shape[0]
@@ -167,77 +115,6 @@ def dense_minpoly(matrix, p: int) -> FieldPoly:
     return m
 
 
-def dense_invariant_factors(matrix, p: int) -> list[FieldPoly]:
-    """Invariant factors of A, largest first, via the Smith form of XI - A.
-
-    Intended for small n (tests use n <= 25); entries are polynomials and
-    the reduction is the classical minimal-degree pivot sweep.
-    """
-    A = _as_array(matrix, p)
-    n = A.shape[0]
-    x = FieldPoly.x(p)
-    M = [
-        [
-            (x if i == j else FieldPoly.zero(p)) - FieldPoly([int(A[i, j])], p)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def min_entry(t):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if not M[i][j].is_zero:
-                    if best is None or M[i][j].degree < M[best[0]][best[1]].degree:
-                        best = (i, j)
-        return best
-
-    for t in range(n):
-        while True:
-            pos = min_entry(t)
-            if pos is None:
-                break
-            i, j = pos
-            if i != t:
-                M[t], M[i] = M[i], M[t]
-            if j != t:
-                for row in M:
-                    row[t], row[j] = row[j], row[t]
-            dirty = False
-            for i in range(t + 1, n):
-                if not M[i][t].is_zero:
-                    q = M[i][t] // M[t][t]
-                    for j in range(t, n):
-                        M[i][j] = M[i][j] - q * M[t][j]
-                    dirty = dirty or not M[i][t].is_zero
-            for j in range(t + 1, n):
-                if not M[t][j].is_zero:
-                    q = M[t][j] // M[t][t]
-                    for i in range(t, n):
-                        M[i][j] = M[i][j] - q * M[i][t]
-                    dirty = dirty or not M[t][j].is_zero
-            if dirty:
-                continue
-            # pivot must divide the remaining submatrix
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if not (M[i][j] % M[t][t]).is_zero:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, n):
-                M[t][j] = M[t][j] + M[offender][j]
-    diag = [M[i][i].monic() for i in range(n) if not M[i][i].is_zero]
-    factors = [d for d in diag if d.degree > 0]
-    factors.sort(key=lambda f: f.degree, reverse=True)
-    return factors
-
-
 def charpoly_coeff_bound(n: int, norm: int) -> int:
     """Conservative bound (1 + sqrt(n)*norm)**n on charpoly coefficients,
     computed exactly: the integer-plus-sqrt(n) expansion x + y*sqrt(n) is
@@ -276,24 +153,3 @@ def dense_integer_charpoly(matrix) -> IntPoly:
         residues.append(dense_charpoly(arr, prime))
         modulus *= prime
     return crt_combine(residues)
-
-
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """Matrix product mod p without int64 overflow (column-blocked)."""
-    n = A.shape[0]
-    out = np.zeros((n, B.shape[1]), dtype=np.int64)
-    for j in range(B.shape[1]):
-        out[:, j] = np.sum(A * B[:, j][None, :] % p, axis=1) % p
-    return out
-
-
-def dense_poly_of_matrix(matrix, p: int, poly: FieldPoly) -> np.ndarray:
-    """poly(A) as a dense matrix mod p (Horner)."""
-    A = _as_array(matrix, p)
-    n = A.shape[0]
-    acc = np.eye(n, dtype=np.int64) * (poly.coeffs[-1] % p) % p
-    for i in range(len(poly.coeffs) - 2, -1, -1):
-        acc = _matmul_mod(A, acc, p)
-        acc = (acc + np.eye(n, dtype=np.int64) * poly.coeffs[i]) % p
-    return acc
-

@@ -1,7 +1,15 @@
-"""Shared constructions for the test suite."""
+"""Shared constructions for the test suite, and the dense references that
+only tests use: rank and determinant by elimination, invariant factors by
+the Smith form of XI - A, and P(A) by Horner.  Like `bbcharpoly.oracle`
+they take nothing from the pipeline they check."""
 
 import hashlib
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+from bbcharpoly import blackbox
 from bbcharpoly.blackbox import (
     PolyOfMatrix,
     SparseMatrix,
@@ -9,6 +17,7 @@ from bbcharpoly.blackbox import (
     block_diagonal,
     build_block_jordan,
 )
+from bbcharpoly.oracle import _as_array
 from bbcharpoly.poly import (
     BadPrimeError,
     FieldPoly,
@@ -27,6 +36,31 @@ ROOK_CUBE_CHARPOLY_SHA256 = "4f2069ff7eb8ea166567170e20eb5b45bb4a0df66b9c791078b
 def coeffs_digest(coeffs) -> str:
     """sha256 of integer coefficients, constant term first, comma-joined."""
     return hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+
+
+@contextmanager
+def krylov_path():
+    """Rank and determinant calls take Krylov trials at every n, as they do
+    above `blackbox._ELIMINATION_MAX_N`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackbox, "_ELIMINATION_MAX_N", 0)
+        yield
+
+
+@contextmanager
+def counted_trials():
+    """Record the trial bound of every `wiedemann_minpoly` call, such as
+    the trials of `rank_blackbox` and `det_blackbox`."""
+    bounds = []
+    real = blackbox.wiedemann_minpoly
+
+    def counting(*args, trial_bound=None, **kwargs):
+        bounds.append(trial_bound)
+        return real(*args, trial_bound=trial_bound, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blackbox, "wiedemann_minpoly", counting)
+        yield bounds
 
 
 def sparse_leaf(op):
@@ -199,3 +233,146 @@ def random_sparse_integer_matrix(n, rng, lo=-9, hi=9, min_per_row=2, max_per_row
             if v:
                 entries[(i, j)] = v
     return SparseMatrix(n, [(i, j, v) for (i, j), v in entries.items()])
+
+
+def dense_rank(matrix, p: int) -> int:
+    A = _as_array(matrix, p)
+    m, n = A.shape
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for i in range(rank, m):
+            if A[i, col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            A[[rank, pivot], :] = A[[pivot, rank], :]
+        inv = pow(int(A[rank, col]), -1, p)
+        A[rank, :] = A[rank, :] * inv % p
+        for i in range(rank + 1, m):
+            f = int(A[i, col])
+            if f:
+                A[i, :] = (A[i, :] - f * A[rank, :]) % p
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def dense_det(matrix, p: int) -> int:
+    A = _as_array(matrix, p)
+    n = A.shape[0]
+    det = 1
+    for col in range(n):
+        pivot = None
+        for i in range(col, n):
+            if A[i, col]:
+                pivot = i
+                break
+        if pivot is None:
+            return 0
+        if pivot != col:
+            A[[col, pivot], :] = A[[pivot, col], :]
+            det = -det
+        v = int(A[col, col])
+        det = det * v % p
+        inv = pow(v, -1, p)
+        for i in range(col + 1, n):
+            f = int(A[i, col])
+            if f:
+                factor = f * inv % p
+                A[i, :] = (A[i, :] - factor * A[col, :]) % p
+    return det % p
+
+
+def dense_invariant_factors(matrix, p: int) -> list[FieldPoly]:
+    """Invariant factors of A, largest first, via the Smith form of XI - A.
+
+    Intended for small n (tests use n <= 25); entries are polynomials and
+    the reduction is the classical minimal-degree pivot sweep.
+    """
+    A = _as_array(matrix, p)
+    n = A.shape[0]
+    x = FieldPoly.x(p)
+    M = [
+        [
+            (x if i == j else FieldPoly.zero(p)) - FieldPoly([int(A[i, j])], p)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+    def min_entry(t):
+        best = None
+        for i in range(t, n):
+            for j in range(t, n):
+                if not M[i][j].is_zero:
+                    if best is None or M[i][j].degree < M[best[0]][best[1]].degree:
+                        best = (i, j)
+        return best
+
+    for t in range(n):
+        while True:
+            pos = min_entry(t)
+            if pos is None:
+                break
+            i, j = pos
+            if i != t:
+                M[t], M[i] = M[i], M[t]
+            if j != t:
+                for row in M:
+                    row[t], row[j] = row[j], row[t]
+            dirty = False
+            for i in range(t + 1, n):
+                if not M[i][t].is_zero:
+                    q = M[i][t] // M[t][t]
+                    for j in range(t, n):
+                        M[i][j] = M[i][j] - q * M[t][j]
+                    dirty = dirty or not M[i][t].is_zero
+            for j in range(t + 1, n):
+                if not M[t][j].is_zero:
+                    q = M[t][j] // M[t][t]
+                    for i in range(t, n):
+                        M[i][j] = M[i][j] - q * M[i][t]
+                    dirty = dirty or not M[t][j].is_zero
+            if dirty:
+                continue
+            # pivot must divide the remaining submatrix
+            offender = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, n):
+                    if not (M[i][j] % M[t][t]).is_zero:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for j in range(t, n):
+                M[t][j] = M[t][j] + M[offender][j]
+    diag = [M[i][i].monic() for i in range(n) if not M[i][i].is_zero]
+    factors = [d for d in diag if d.degree > 0]
+    factors.sort(key=lambda f: f.degree, reverse=True)
+    return factors
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """Matrix product mod p without int64 overflow (column-blocked)."""
+    n = A.shape[0]
+    out = np.zeros((n, B.shape[1]), dtype=np.int64)
+    for j in range(B.shape[1]):
+        out[:, j] = np.sum(A * B[:, j][None, :] % p, axis=1) % p
+    return out
+
+
+def dense_poly_of_matrix(matrix, p: int, poly: FieldPoly) -> np.ndarray:
+    """poly(A) as a dense matrix mod p (Horner)."""
+    A = _as_array(matrix, p)
+    n = A.shape[0]
+    acc = np.eye(n, dtype=np.int64) * (poly.coeffs[-1] % p) % p
+    for i in range(len(poly.coeffs) - 2, -1, -1):
+        acc = _matmul_mod(A, acc, p)
+        acc = (acc + np.eye(n, dtype=np.int64) * poly.coeffs[i]) % p
+    return acc

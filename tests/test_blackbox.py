@@ -23,15 +23,15 @@ from bbcharpoly.blackbox import (
     wiedemann_minpoly,
 )
 from bbcharpoly.poly import FieldPoly
-from bbcharpoly.oracle import (
-    dense_charpoly,
+from bbcharpoly.oracle import dense_charpoly, dense_minpoly
+
+from helpers import (
+    counted_trials,
     dense_det,
-    dense_minpoly,
     dense_poly_of_matrix,
     dense_rank,
+    rand_irreducible,
 )
-
-from helpers import rand_irreducible
 
 
 def linear(a, p):
@@ -181,7 +181,8 @@ class TestSymmetry:
     def test_diagonal_path_boundary(self, monkeypatch):
         # n = 2: 2n(n+1) = 12, so GF(13) is the smallest field the diagonal
         # path admits and GF(11) falls back to Toeplitz, for rank and
-        # determinant alike.
+        # determinant alike, on the Krylov path.
+        monkeypatch.setattr(blackbox, "_ELIMINATION_MAX_N", 0)
         built = []
 
         class Recording(blackbox._Preconditioner):
@@ -301,6 +302,7 @@ class TestRank:
             return np.zeros(n, dtype=np.int64)
 
         monkeypatch.setattr(blackbox, "random_vector", zeros)
+        monkeypatch.setattr(blackbox, "_ELIMINATION_MAX_N", 0)
         A = SparseMatrix.from_dense([[1, 2], [3, 4]]).operator(101)
         assert rank_blackbox(A, random.Random(1)) == 0
 
@@ -336,7 +338,12 @@ class TestOneTrialRule:
 
     A trial is one round of at most 2D terms, D = min(c + 1, n): at most
     2D - 1 applies, or D on the symmetric ``diagonal`` kind.  So a call
-    that took more applies than one round can take made two trials."""
+    that took more applies than one round can take made two trials.  The
+    calls take the Krylov path at every n."""
+
+    @pytest.fixture(autouse=True)
+    def krylov(self, monkeypatch):
+        monkeypatch.setattr(blackbox, "_ELIMINATION_MAX_N", 0)
 
     @staticmethod
     def low_rank(n, r, p, rng):
@@ -376,6 +383,85 @@ class TestOneTrialRule:
         assert not one_trial_suffices(n - 1, n, p, preconditioner(op))
         assert rank_blackbox(op, random.Random(seed), ceiling=n - 1) <= r
         assert op.applies > 2 * n - 1
+
+
+class _VectorOnly(BlackBoxOperator):
+    """A dense matrix mod p that takes single vectors only."""
+
+    def __init__(self, rows, p):
+        super().__init__(len(rows), p, cost=len(rows) ** 2)
+        self.rows = np.array(rows, dtype=np.int64) % p
+
+    def apply(self, v):
+        assert v.ndim == 1
+        return self.rows @ v % self.p
+
+
+class TestElimination:
+    """Rank and determinant calls on a Toeplitz-kind operator with
+    n <= ``_ELIMINATION_MAX_N`` apply it to the columns of I and eliminate;
+    every other call runs Krylov trials."""
+
+    def test_diagonal_kind_runs_krylov_trials(self):
+        p = 1000003
+        op = diag_matrix([1, 2, 3, 0, 0]).operator(p)
+        assert preconditioner(op) == "diagonal"
+        assert op.dimension <= blackbox._ELIMINATION_MAX_N
+        with counted_trials() as bounds:
+            assert rank_blackbox(op, random.Random(1)) == 3
+        assert bounds and set(bounds) == {5}
+        with counted_trials() as bounds:
+            assert det_blackbox(ShiftedOperator(op, 5), random.Random(2)) == 4 * 3 * 2 * 25
+        assert bounds and set(bounds) == {5}
+
+    def test_toeplitz_kind_eliminates_up_to_the_crossover(self, monkeypatch):
+        p, n = 101, 6
+        op = build_block_jordan(linear(0, p), n).operator(p)  # one nilpotent block
+        assert preconditioner(op) == "toeplitz"
+        monkeypatch.setattr(blackbox, "_ELIMINATION_MAX_N", n)
+        with counted_trials() as bounds:
+            assert rank_blackbox(op, random.Random(1)) == n - 1
+            assert det_blackbox(op, random.Random(1)) == 0
+        assert bounds == [] and op.applies == 2 * n  # one block of n columns each
+        monkeypatch.setattr(blackbox, "_ELIMINATION_MAX_N", n - 1)
+        with counted_trials() as bounds:
+            assert rank_blackbox(op, random.Random(1)) <= n - 1
+        assert bounds
+
+    def test_shifted_determinant_applies_the_shift(self, monkeypatch):
+        # every lambda materialises lambda*I - A afresh, through the shift
+        rng = random.Random(3)
+        p, n = 101, 8
+        f = FieldPoly([rng.randrange(p) for _ in range(n)] + [1], p)
+        matrix = build_companion(f)
+        A = matrix.operator(p)
+        shapes = []
+        real = ShiftedOperator.apply
+
+        def recording(self, v):
+            shapes.append(v.shape)
+            return real(self, v)
+
+        monkeypatch.setattr(ShiftedOperator, "apply", recording)
+        with counted_trials() as bounds:
+            for lam in (0, 7, 50):
+                rows = [
+                    [((lam if i == j else 0) - x) % p for j, x in enumerate(row)]
+                    for i, row in enumerate(matrix.to_dense())
+                ]
+                assert det_blackbox(ShiftedOperator(A, lam), rng) == dense_det(rows, p)
+                assert det_blackbox(ShiftedOperator(A, lam), rng) == f(lam)
+        assert shapes == [(n, n)] * 6 and bounds == []
+
+    def test_vector_only_operator_is_applied_column_by_column(self):
+        rng = random.Random(4)
+        p = 101
+        for n in (1, 5, 9):
+            rows = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+            op = _VectorOnly(rows, p)
+            assert preconditioner(op) == "toeplitz" and not op.takes_blocks
+            assert rank_blackbox(op, rng) == dense_rank(rows, p)
+            assert det_blackbox(op, rng) == dense_det(rows, p)
 
 
 def scalar(x, p):

@@ -6,7 +6,9 @@ inputs on both sides of that flip, where a lazy sum one step past it wraps
 int64 and gives a wrong residue; the property tests cover random operators.
 The Toeplitz preconditioner's dense float64 factors have the same kind of
 edge at n * (p - 1)^2 < 2^53, tested at its boundary and with all-(p - 1)
-factors at the largest n it admits.
+factors at the largest n it admits.  `_eliminate`, the exact rank and
+determinant of small Toeplitz-kind calls, is checked against the dense
+references at every p up to 2^31 - 1.
 
 The next section checks the early-terminated minimal polynomial and the
 rank ceiling against the dense oracle on operators whose minimal polynomial
@@ -48,10 +50,10 @@ from bbcharpoly.blackbox import (
 )
 from bbcharpoly.cli import main
 from bbcharpoly.integer import integer_minpoly
-from bbcharpoly.oracle import dense_det, dense_minpoly, dense_rank
+from bbcharpoly.oracle import dense_minpoly
 from bbcharpoly.poly import FieldPoly, _float_sum_fits, _lazy_sum_fits
 from bbcharpoly.sms import emit_sms
-from helpers import sparse_leaf
+from helpers import counted_trials, dense_det, dense_rank, krylov_path, sparse_leaf
 
 M31 = (1 << 31) - 1  # the Mersenne prime: 2 products of p - 1 fit, 3 do not
 P4 = 1358187923  # prime with 4 * (p - 1)^2 < 2^63 <= 5 * (p - 1)^2
@@ -379,6 +381,49 @@ def test_block_apply_matches_columns(kind, case, seed):
     assert max(sizes, default=0) <= n * n
 
 
+@st.composite
+def elimination_case(draw):
+    """(p, dense rows) for `_eliminate`, n from 1 to 12: all zero, sparse
+    with empty rows, of a planted rank r (an n x r times an r x n factor), or
+    the rows of a triangular matrix with a nonzero diagonal in a random
+    order, so that elimination needs row swaps."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["zero", "sparse", "planted-rank", "swapped"]))
+    entry = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    if kind == "zero":
+        return p, [[0] * n for _ in range(n)]
+    if kind == "sparse":
+        empty = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        cell = st.one_of(st.just(0), entry)
+        return p, [[0 if i in empty else draw(cell) for _ in range(n)] for i in range(n)]
+    if kind == "planted-rank":
+        r = draw(st.integers(0, n))
+        B = [[draw(entry) for _ in range(r)] for _ in range(n)]
+        C = [[draw(entry) for _ in range(n)] for _ in range(r)]
+        return p, [
+            [sum(B[i][k] * C[k][j] for k in range(r)) % p for j in range(n)]
+            for i in range(n)
+        ]
+    nonzero = st.integers(1, p - 1)
+    rows = [
+        [draw(nonzero) if i == j else draw(entry) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return p, [rows[i] for i in draw(st.permutations(range(n)))]
+
+
+@SETTINGS
+@example(case=(3, [[0]]))
+@example(case=(M31, [[M31 - 1]]))
+@example(case=(M31, [[0, M31 - 1], [M31 - 1, M31 - 1]]))  # one swap: det = -(p - 1)^2
+@given(elimination_case())
+def test_eliminate_matches_dense(case):
+    p, rows = case
+    got = blackbox._eliminate(np.array(rows, dtype=np.int64), p)
+    assert got == (dense_rank(rows, p), dense_det(rows, p))
+
+
 def test_wrappers_of_a_vector_only_operator_take_no_blocks():
     base = _AllMax(4, 101, cost=0)
     assert not base.takes_blocks
@@ -427,22 +472,6 @@ def low_degree_case(draw):
     perm = draw(st.permutations(range(matrix.n)))
     matrix = SparseMatrix(matrix.n, [(perm[r], perm[c], v) for r, c, v in matrix.entries])
     return p, [[x % p for x in row] for row in matrix.to_dense()], matrix
-
-
-@contextmanager
-def counted_trials():
-    """Record the trial bound of every `wiedemann_minpoly` call that
-    `rank_blackbox` makes."""
-    bounds = []
-    real = blackbox.wiedemann_minpoly
-
-    def counting(*args, trial_bound=None, **kwargs):
-        bounds.append(trial_bound)
-        return real(*args, trial_bound=trial_bound, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(blackbox, "wiedemann_minpoly", counting)
-        yield bounds
 
 
 @PINNED
@@ -534,11 +563,11 @@ def test_rank_under_a_ceiling_never_exceeds_dense(case, seed):
 def test_rank_at_its_ceiling_takes_one_trial(case, seed):
     # A first trial that reaches the ceiling ends the call; where its first
     # round is exact that is 2(c + 1) - 1 applies for a degree bound of
-    # c + 1, or 2n - 1 for a full rank.
+    # c + 1, or 2n - 1 for a full rank.  On the Krylov path at every n.
     p, rows, op, _ = case
     c = dense_rank(rows, p)
     leaf, per = sparse_leaf(op)
-    with counted_trials() as bounds:
+    with krylov_path(), counted_trials() as bounds:
         got = rank_blackbox(op, random.Random(seed), ceiling=c)
     assert bounds[0] == min(c + 1, len(rows))
     assert got <= c
@@ -546,6 +575,16 @@ def test_rank_at_its_ceiling_takes_one_trial(case, seed):
         assert got == c
         assert len(bounds) == 1
         assert leaf.applies <= per * 2 * (c + 1)
+
+
+@settings(PINNED, max_examples=200)
+@given(rank_case().filter(lambda case: case[0] <= 5), SEEDS)
+def test_small_field_ranks_are_exact_below_the_crossover(case, seed):
+    # GF(3) and GF(5) calls take the Toeplitz kind, so at n up to
+    # `_ELIMINATION_MAX_N` they eliminate, and no call comes out low
+    p, rows, op, ceiling = case
+    assert len(rows) <= blackbox._ELIMINATION_MAX_N
+    assert rank_blackbox(op, random.Random(seed), ceiling=ceiling) == dense_rank(rows, p)
 
 
 @SETTINGS

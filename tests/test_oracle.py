@@ -4,17 +4,10 @@ from pathlib import Path
 
 from bbcharpoly import oracle
 from bbcharpoly.blackbox import build_block_jordan, build_companion
-from bbcharpoly.oracle import (
-    dense_charpoly,
-    dense_det,
-    dense_integer_charpoly,
-    dense_invariant_factors,
-    dense_minpoly,
-    dense_rank,
-)
+from bbcharpoly.oracle import dense_charpoly, dense_integer_charpoly, dense_minpoly
 from bbcharpoly.poly import FieldPoly, IntPoly
 
-from helpers import rand_irreducible
+from helpers import dense_det, dense_invariant_factors, dense_rank, rand_irreducible
 
 
 def linear(a, p):

@@ -15,6 +15,10 @@ determinant where the field admits it, are Gram and congruence matrices
 X^T M X, diagonals with repeated entries, sums of isotropic rank-one
 nilpotents v v^T with v^T v = 0 (p = 1 mod 4), P(A)^j, and A - lambda*I at
 an eigenvalue.
+
+Every rank and determinant call here runs Krylov trials (`krylov_path`),
+as calls do above `blackbox._ELIMINATION_MAX_N`, except in the last test:
+there the small-field calls take their default path, elimination.
 """
 
 import random
@@ -41,9 +45,15 @@ from bbcharpoly.blackbox import (
     rank_blackbox,
     wiedemann_minpoly,
 )
-from bbcharpoly.oracle import dense_det, dense_poly_of_matrix, dense_rank
 from bbcharpoly.poly import FieldPoly, _float_sum_fits
-from helpers import linear, sparse_leaf
+from helpers import (
+    dense_det,
+    dense_poly_of_matrix,
+    dense_rank,
+    krylov_path,
+    linear,
+    sparse_leaf,
+)
 
 M31 = (1 << 31) - 1
 LARGE = (65537, 1000003, M31)  # rank is exact with high probability
@@ -206,7 +216,8 @@ def symmetric_case(draw, primes):
 @given(symmetric_case(ANY), SEEDS)
 def test_symmetric_rank_never_exceeds_dense(case, seed):
     p, rows, op = case
-    assert rank_blackbox(op, random.Random(seed)) <= dense_rank(rows, p)
+    with krylov_path():
+        assert rank_blackbox(op, random.Random(seed)) <= dense_rank(rows, p)
 
 
 @PINNED
@@ -214,7 +225,8 @@ def test_symmetric_rank_never_exceeds_dense(case, seed):
 def test_symmetric_rank_equals_dense_in_large_fields(case, seed):
     p, rows, op = case
     assert preconditioner(op) == "diagonal"
-    assert rank_blackbox(op, random.Random(seed)) == dense_rank(rows, p)
+    with krylov_path():
+        assert rank_blackbox(op, random.Random(seed)) == dense_rank(rows, p)
 
 
 @SETTINGS
@@ -222,7 +234,8 @@ def test_symmetric_rank_equals_dense_in_large_fields(case, seed):
 def test_symmetric_det_is_dense_or_uncertified(case, seed):
     p, rows, op = case
     try:
-        got = det_blackbox(op, random.Random(seed))
+        with krylov_path():
+            got = det_blackbox(op, random.Random(seed))
     except DetNotCertifiedError:
         return
     assert got == dense_det(rows, p)
@@ -233,7 +246,8 @@ def test_symmetric_det_is_dense_or_uncertified(case, seed):
 def test_symmetric_det_equals_dense_in_large_fields(case, seed):
     p, rows, op = case
     assert preconditioner(op) == "diagonal"
-    assert det_blackbox(op, random.Random(seed)) == dense_det(rows, p)
+    with krylov_path():
+        assert det_blackbox(op, random.Random(seed)) == dense_det(rows, p)
 
 
 @SETTINGS
@@ -413,14 +427,16 @@ def test_dense_and_convolution_paths_agree(case, seed, vseed):
 @given(structured_case(ANY), SEEDS)
 def test_rank_never_exceeds_dense(case, seed):
     p, rows, op = case
-    assert rank_blackbox(op, random.Random(seed)) <= dense_rank(rows, p)
+    with krylov_path():
+        assert rank_blackbox(op, random.Random(seed)) <= dense_rank(rows, p)
 
 
 @PINNED
 @given(structured_case(LARGE), SEEDS)
 def test_rank_equals_dense_in_large_fields(case, seed):
     p, rows, op = case
-    assert rank_blackbox(op, random.Random(seed)) == dense_rank(rows, p)
+    with krylov_path():
+        assert rank_blackbox(op, random.Random(seed)) == dense_rank(rows, p)
 
 
 @SETTINGS
@@ -428,7 +444,21 @@ def test_rank_equals_dense_in_large_fields(case, seed):
 def test_det_is_dense_or_uncertified(case, seed):
     p, rows, op = case
     try:
-        got = det_blackbox(op, random.Random(seed))
+        with krylov_path():
+            got = det_blackbox(op, random.Random(seed))
     except DetNotCertifiedError:
         return
     assert got == dense_det(rows, p)
+
+
+@settings(PINNED, max_examples=200)
+@given(st.one_of(structured_case((2, 3, 5)), symmetric_case((2, 3, 5))), SEEDS)
+def test_small_field_ranks_are_exact_below_the_crossover(case, seed):
+    # these fields admit the diagonal kind only at n = 1 and p = 5, so at n
+    # up to `_ELIMINATION_MAX_N` every other call eliminates, and none comes
+    # out low
+    p, rows, op = case
+    assume(preconditioner(op) == "toeplitz")
+    assert len(rows) <= blackbox._ELIMINATION_MAX_N
+    assert rank_blackbox(op, random.Random(seed)) == dense_rank(rows, p)
+    assert det_blackbox(op, random.Random(seed)) == dense_det(rows, p)

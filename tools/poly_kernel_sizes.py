@@ -36,7 +36,7 @@ and p in 227, 1000003, 25782653 and 2^31 - 1: the rows X^(ip) mod f by
 one build `_frobenius_matrix` by `_matmul_mod`, one application of the map
 (`_frobenius`) and the power X^p mod f that both start from.
 
-Last, the ``Toeplitz apply`` table times one Krylov term of a dense
+The ``Toeplitz apply`` table times one Krylov term of a dense
 Toeplitz trial, `blackbox._Preconditioner.apply`, in microseconds, over
 P(A) for P of degree d*j = 1 and 6 and a sparse A with about 3 entries per
 row, for n in 40, 120, 560 and 1024 and p in 3001 and 1000003.  The
@@ -47,14 +47,30 @@ stored product B = P(A) * M (M, then one block apply of P(A) to its n
 columns); one product by B; and that product with B's build amortised over
 2n terms.
 
+The ``dense elimination`` table times, in milliseconds, rank and
+determinant calls on Toeplitz-kind operators for n in 84 to 560 and p in
+227, 1000003 and 2^31 - 1: a Krylov rank call (the dense path switched off)
+and its number of trials, a Krylov determinant call, and the dense path's
+two steps, the operator applied to the n columns of I (`_apply_columns`)
+and `_eliminate`.  The inputs are nonsingular, so a Krylov rank call stops
+at its first exact trial.  ``sparse`` is a direct sum of companion
+matrices, whose elimination stays as sparse as the census forms' does;
+``dense fill`` is a sparse matrix with a full first row and column, whose
+elimination is dense from its first pivot on: the dense path's worst case.
+
 Run from the root of a checkout, with one BLAS thread as the benchmark has:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/poly_kernel_sizes.py
+
+Name tables (division, integer, modular, frobenius, toeplitz, elimination)
+to run only those.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import time
 import timeit
 
 import numpy as np
@@ -64,6 +80,8 @@ from bbcharpoly import blackbox, poly
 PRIMES = (1000003, (1 << 31) - 1)
 TOEPLITZ_PRIMES = (3001, 1000003)
 TOEPLITZ_SIZES = (40, 120, 560, 1024)
+ELIMINATION_PRIMES = (227, 1000003, (1 << 31) - 1)
+ELIMINATION_SIZES = (84, 120, 160, 200, 256, 560)
 FROBENIUS_PRIMES = (227, 1000003, 25782653, (1 << 31) - 1)
 FROBENIUS_SIZES = (4, 8, 12, 16, 24, 32, 60, 84, 120, 240, 300, 1000)
 MODULAR_PRIMES = (227, 1000003, 25782653)
@@ -164,6 +182,89 @@ def toeplitz_apply(rng) -> None:
                 print(f"{label:>20}" + "".join(f"{c:>12.1f}" for c in cells))
 
 
+def arrow_fill(n: int, p: int, rng):
+    """A sparse n x n A whose elimination is dense from its first pivot on:
+    a full first row and column, a nonzero diagonal and about 3 more entries
+    per row, so about 6n entries.  Nonsingular with high probability."""
+    cells = {(rng.randrange(n), rng.randrange(n)): rng.randrange(1, p) for _ in range(3 * n)}
+    cells.update({(i, i): rng.randrange(1, p) for i in range(n)})
+    cells.update({(0, i): rng.randrange(1, p) for i in range(n)})
+    cells.update({(i, 0): rng.randrange(1, p) for i in range(n)})
+    return blackbox.SparseMatrix(n, [(r, c, x) for (r, c), x in cells.items()])
+
+
+def companion_blocks(n: int, p: int, rng):
+    """A direct sum of companion matrices of random monic polynomials of
+    degree 1 to 3, with nonzero constant terms: nonsingular, and its
+    elimination stays as sparse as the census forms'."""
+    blocks, size = [], 0
+    while size < n:
+        d = min(rng.randrange(1, 4), n - size)
+        coeffs = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d - 1)] + [1]
+        blocks.append(blackbox.build_companion(poly.FieldPoly(coeffs, p)))
+        size += d
+    return blackbox.block_diagonal(blocks)
+
+
+def msec(fn, repeat) -> float:
+    """The best of ``repeat`` single calls, in milliseconds."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def krylov_calls(A, repeat):
+    """A Krylov rank call's milliseconds and trials, and a Krylov determinant
+    call's milliseconds and value, with the dense path switched off."""
+    trials = []
+    saved = blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly
+
+    def counted(*args, **kwargs):
+        trials.append(1)
+        return saved[1](*args, **kwargs)
+
+    blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly = 0, counted
+    try:
+        rank_ms = msec(lambda: blackbox.rank_blackbox(A, random.Random(1)), 1)
+        rank_trials = len(trials)
+        det_ms = msec(lambda: blackbox.det_blackbox(A, random.Random(2)), repeat)
+        return rank_ms, rank_trials, det_ms, blackbox.det_blackbox(A, random.Random(2))
+    finally:
+        blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly = saved
+
+
+def dense_elimination(rng) -> None:
+    c = blackbox._ELIMINATION_MAX_N
+    print("dense elimination (n, p, input), milliseconds per call: a Krylov rank")
+    print("call and its trials, a Krylov determinant call, and the dense path:")
+    print("A applied to the columns of I, then `_eliminate`; Toeplitz-kind calls")
+    print(f"take the dense path while n <= _ELIMINATION_MAX_N = {c}")
+    print(
+        f"{'sizes':>26}{'Krylov rank':>13}{'trials':>8}{'Krylov det':>12}"
+        f"{'materialise':>13}{'eliminate':>11}"
+    )
+    for p in ELIMINATION_PRIMES:
+        for n in ELIMINATION_SIZES:
+            for label, build in (("sparse", companion_blocks), ("dense fill", arrow_fill)):
+                A = build(n, p, rng).operator(p)
+                assert blackbox.preconditioner(A) == "toeplitz"
+                repeat = 1 if n >= 560 else 3
+                rank_ms, trials, det_ms, det = krylov_calls(A, repeat)
+                eye = np.eye(n, dtype=np.int64)
+                m = blackbox._apply_columns(A, eye)
+                assert blackbox._eliminate(m.copy(), p)[1] == det
+                name = f"({n}, {p}, {label})"
+                print(
+                    f"{name:>26}{rank_ms:>13.1f}{trials:>8d}{det_ms:>12.1f}"
+                    f"{msec(lambda: blackbox._apply_columns(A, eye), repeat):>13.1f}"
+                    f"{msec(lambda: blackbox._eliminate(m.copy(), p), repeat):>11.1f}"
+                )
+    print()
+
+
 def integer_product(rng) -> None:
     print("integer product (len a, len b, bits), microseconds per call")
     print(f"{'sizes':>16}{'schoolbook':>12}{'Kronecker':>12}")
@@ -249,8 +350,7 @@ def frobenius_build(rng) -> None:
     print()
 
 
-def main() -> None:
-    rng = random.Random(1)
+def division_tables(rng) -> None:
     for p in PRIMES:
         print(f"p = {p}, microseconds per call")
 
@@ -325,11 +425,23 @@ def main() -> None:
                 ],
             )
         print()
-    integer_product(rng)
-    modular_product(rng)
-    frobenius_build(rng)
-    toeplitz_apply(rng)
+
+
+TABLES = {
+    "division": division_tables,
+    "integer": integer_product,
+    "modular": modular_product,
+    "frobenius": frobenius_build,
+    "toeplitz": toeplitz_apply,
+    "elimination": dense_elimination,
+}
+
+
+def main(names) -> None:
+    rng = random.Random(1)
+    for name in names or TABLES:
+        TABLES[name](rng)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
