@@ -620,15 +620,16 @@ _RANK_STREAK = 2  # trials a best rank estimate stands, where one does not suffi
 # The largest n at which rank and determinant calls on a Toeplitz-kind
 # operator materialise it and eliminate (`_eliminate`) instead of running
 # Krylov trials.  The "dense elimination" table of tools/poly_kernel_sizes.py,
-# one BLAS thread, ms at p = 227 / 1000003, on its worst case, an input whose
-# elimination is dense from the first pivot: materialising and eliminating
-# took 4.7 / 4.9 at n = 120 against 3.6 / 3.3 for a Krylov rank call of one
-# trial, 10.2 / 9.9 against 5.6 / 6.3 at 160 and 35 / 35 against 14 / 13 at
-# 256; a rank call below its ceiling takes two trials at these p.  On sums
-# of companion blocks, as sparse as the census forms, it took 0.8 / 0.7
-# against 3.2 / 3.2 at n = 120, and at p = 2^31 - 1 it won at every n up to
-# 560.  The cap keeps the worst case within 1.5 times one trial.  Above it
-# the stored product of `_Preconditioner` serves Toeplitz-kind calls.
+# one BLAS thread, each time the best of three calls, ms at p = 227 /
+# 1000003, on its worst case, an input whose elimination is dense from the
+# first pivot: the dense path took 6.8 / 5.2 at n = 120 against 5.3 / 3.6
+# for a Krylov rank call of one trial, 12.8 / 10.7 against 8.3 / 5.9 at 160
+# and 37 / 37 against 12 / 12 at 256; a rank call below its ceiling takes
+# _RANK_STREAK trials.  On sums of companion blocks, as sparse as the census
+# forms, it took 1.2 / 0.8 against 4.8 / 3.5 at n = 120, and at
+# p = 2^31 - 1 it won on every row up to 560.  The cap is the largest
+# measured n that keeps the worst case within 1.5 times one trial.  Above
+# it the stored product of `_Preconditioner` serves Toeplitz-kind calls.
 _ELIMINATION_MAX_N = 120
 
 

@@ -47,12 +47,13 @@ stored product B = P(A) * M (M, then one block apply of P(A) to its n
 columns); one product by B; and that product with B's build amortised over
 2n terms.
 
-The ``dense elimination`` table times, in milliseconds, rank and
+Last, the ``dense elimination`` table times, in milliseconds, rank and
 determinant calls on Toeplitz-kind operators for n in 84 to 560 and p in
 227, 1000003 and 2^31 - 1: a Krylov rank call (the dense path switched off)
-and its number of trials, a Krylov determinant call, and the dense path's
-two steps, the operator applied to the n columns of I (`_apply_columns`)
-and `_eliminate`.  The inputs are nonsingular, so a Krylov rank call stops
+and its number of trials, a Krylov determinant call, and the dense path as
+one step, the operator applied to the n columns of I (`_apply_columns`)
+and then `_eliminate`.  Each time is the best of three calls, of one at
+n = 560.  The inputs are nonsingular, so a Krylov rank call stops
 at its first exact trial.  ``sparse`` is a direct sum of companion
 matrices, whose elimination stays as sparse as the census forms' does;
 ``dense fill`` is a sparse matrix with a full first row and column, whose
@@ -61,15 +62,11 @@ elimination is dense from its first pivot on: the dense path's worst case.
 Run from the root of a checkout, with one BLAS thread as the benchmark has:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/poly_kernel_sizes.py
-
-Name tables (division, integer, modular, frobenius, toeplitz, elimination)
-to run only those.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 import time
 import timeit
 
@@ -218,7 +215,8 @@ def msec(fn, repeat) -> float:
 
 def krylov_calls(A, repeat):
     """A Krylov rank call's milliseconds and trials, and a Krylov determinant
-    call's milliseconds and value, with the dense path switched off."""
+    call's milliseconds and value, with the dense path switched off.  Each
+    time is the best of ``repeat`` calls; the trials come from one more."""
     trials = []
     saved = blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly
 
@@ -226,25 +224,33 @@ def krylov_calls(A, repeat):
         trials.append(1)
         return saved[1](*args, **kwargs)
 
-    blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly = 0, counted
+    blackbox._ELIMINATION_MAX_N = 0
     try:
-        rank_ms = msec(lambda: blackbox.rank_blackbox(A, random.Random(1)), 1)
-        rank_trials = len(trials)
+        rank_ms = msec(lambda: blackbox.rank_blackbox(A, random.Random(1)), repeat)
         det_ms = msec(lambda: blackbox.det_blackbox(A, random.Random(2)), repeat)
-        return rank_ms, rank_trials, det_ms, blackbox.det_blackbox(A, random.Random(2))
+        blackbox.wiedemann_minpoly = counted
+        blackbox.rank_blackbox(A, random.Random(1))
+        return rank_ms, len(trials), det_ms, blackbox.det_blackbox(A, random.Random(2))
     finally:
         blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly = saved
+
+
+def dense_path(A):
+    """(rank, det) of A as a dense call takes them: A applied to the columns
+    of I, then `_eliminate`."""
+    eye = np.eye(A.dimension, dtype=np.int64)
+    return blackbox._eliminate(blackbox._apply_columns(A, eye), A.p)
 
 
 def dense_elimination(rng) -> None:
     c = blackbox._ELIMINATION_MAX_N
     print("dense elimination (n, p, input), milliseconds per call: a Krylov rank")
-    print("call and its trials, a Krylov determinant call, and the dense path:")
-    print("A applied to the columns of I, then `_eliminate`; Toeplitz-kind calls")
-    print(f"take the dense path while n <= _ELIMINATION_MAX_N = {c}")
+    print("call and its trials, a Krylov determinant call, and the dense path")
+    print("(A applied to the columns of I, then `_eliminate`); Toeplitz-kind")
+    print(f"calls take the dense path while n <= _ELIMINATION_MAX_N = {c}")
     print(
         f"{'sizes':>26}{'Krylov rank':>13}{'trials':>8}{'Krylov det':>12}"
-        f"{'materialise':>13}{'eliminate':>11}"
+        f"{'dense':>9}"
     )
     for p in ELIMINATION_PRIMES:
         for n in ELIMINATION_SIZES:
@@ -253,14 +259,11 @@ def dense_elimination(rng) -> None:
                 assert blackbox.preconditioner(A) == "toeplitz"
                 repeat = 1 if n >= 560 else 3
                 rank_ms, trials, det_ms, det = krylov_calls(A, repeat)
-                eye = np.eye(n, dtype=np.int64)
-                m = blackbox._apply_columns(A, eye)
-                assert blackbox._eliminate(m.copy(), p)[1] == det
+                assert dense_path(A)[1] == det
                 name = f"({n}, {p}, {label})"
                 print(
                     f"{name:>26}{rank_ms:>13.1f}{trials:>8d}{det_ms:>12.1f}"
-                    f"{msec(lambda: blackbox._apply_columns(A, eye), repeat):>13.1f}"
-                    f"{msec(lambda: blackbox._eliminate(m.copy(), p), repeat):>11.1f}"
+                    f"{msec(lambda: dense_path(A), repeat):>9.1f}"
                 )
     print()
 
@@ -350,7 +353,8 @@ def frobenius_build(rng) -> None:
     print()
 
 
-def division_tables(rng) -> None:
+def main() -> None:
+    rng = random.Random(1)
     for p in PRIMES:
         print(f"p = {p}, microseconds per call")
 
@@ -426,22 +430,12 @@ def division_tables(rng) -> None:
             )
         print()
 
-
-TABLES = {
-    "division": division_tables,
-    "integer": integer_product,
-    "modular": modular_product,
-    "frobenius": frobenius_build,
-    "toeplitz": toeplitz_apply,
-    "elimination": dense_elimination,
-}
-
-
-def main(names) -> None:
-    rng = random.Random(1)
-    for name in names or TABLES:
-        TABLES[name](rng)
+    integer_product(rng)
+    modular_product(rng)
+    frobenius_build(rng)
+    toeplitz_apply(rng)
+    dense_elimination(rng)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
