@@ -185,9 +185,10 @@ def nullity_comb_search(A: BlackBoxOperator, profiles, cfg: AdaptiveConfig, rng)
     factor, _RANK_STREAK runs: a rank call that reaches its proven ceiling
     stops after one run, so the estimate above runs high, and the rounds
     must not spend what it overstates.  These are Krylov prices: where
-    `blackbox._eliminates` holds, a rank call takes n * d applies and one
-    elimination with no trial, and a determinant one elimination, so there
-    both prices run high.  What the rounds leave of the rank
+    `blackbox._eliminates` holds, on every Toeplitz-kind call up to
+    n = 1024, a rank call takes n * d applies and one elimination with no
+    trial, and a determinant one elimination, so there both prices run
+    high.  What the rounds leave of the rank
     calls' applies caps the degree-feasible censuses the search may visit,
     a census counted like an apply.  With no room left every factor left
     is measured; when the search overflows the cap the cheapest one (least

@@ -9,14 +9,8 @@ that contract: a product of two canonical entries is at most (p - 1)^2.
 Reduction is lazy: a kernel that sums ``terms`` products adds them raw and
 reduces once per output entry when ``terms * (p - 1)^2 < 2^63``
 (``_lazy_sum_fits``), so the sum cannot overflow int64.  Otherwise it
-reduces every product first.  The Toeplitz preconditioner, which rank and
-determinant calls take above ``_ELIMINATION_MAX_N`` = 120, stores the whole
-A * U * D * L as one dense float64 matrix: U * D * L is built once by BLAS,
-A is applied to its n columns (as one block where A takes blocks), and
-every apply after that is one BLAS product reduced once per entry, while
-n * (p - 1)^2 < 2^53 (``_float_sum_fits``, exact in float64) and
-n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024; beyond either each apply is a
-scaling and two convolutions (``conv_mod``) before an apply of A.
+reduces every product first.  The Toeplitz preconditioner applies L, D
+and U as a scaling and two convolutions (``conv_mod``) before an apply of A.
 
 The kernels: minimal polynomial via Berlekamp-Massey on projected Krylov
 sequences, rank and determinant via a random preconditioner A * U * D * L
@@ -24,10 +18,11 @@ sequences, rank and determinant via a random preconditioner A * U * D * L
 ``preconditioner``, picks for both kernels: a symmetric operator takes
 L = U = I, the cheaper A * D, where the field is large enough, and every
 other operator takes Toeplitz L and U.  A Toeplitz-kind call with
-n <= ``_ELIMINATION_MAX_N`` takes no preconditioner: it applies the operator
-to the n columns of I, as one block where it takes blocks, and eliminates
-mod p (`_eliminate`), so its rank and determinant are exact in every field
-and it draws no random value.
+n <= ``_ELIMINATION_MAX_N`` = 1024 takes no preconditioner: it applies the
+operator to the n columns of I, as one block where it takes blocks, and
+eliminates mod p (`_eliminate`), so its rank and determinant are exact in
+every field and it draws no random value.  Only larger Toeplitz-kind calls
+run Toeplitz trials.
 Only a minimal polynomial that is returned carries the annihilation
 certificate.  A rank or determinant trial reads its answer from one
 uncertified round's generator: a determinant from a generator whose degree
@@ -45,11 +40,8 @@ import numpy as np
 from .poly import (
     ComputationError,
     FieldPoly,
-    _float_sum_fits,
     _lazy_sum_fits,
     _lazy_sum_terms,
-    _matmul_mod,
-    _shifts,
     conv_mod,
     poly_lcm,
 )
@@ -347,38 +339,6 @@ def one_trial_suffices(c: int, n: int, q: int, kind: str) -> bool:
     return scaled * n * n <= 2 * q * (q - 1)
 
 
-# The largest n for which the Toeplitz preconditioner stores A * U * D * L as
-# one dense float64 matrix (8 n^2 bytes, 8 MiB at the cap).  The "Toeplitz
-# apply" table of tools/poly_kernel_sizes.py, one BLAS thread, at p = 1000003,
-# per Krylov term over P(A), deg P = 1, A sparse with about 3 entries per row:
-# two conv_mods and an apply of P(A) against one product by the stored matrix
-# with its build amortised over 2n terms, 13 / 5.6 us at n = 40, 31 / 8.7 at
-# 120, 343 / 89 at 560 and 1,034 / 369 at 1024 (33 / 16, 62 / 24, 421 / 132
-# and 1,157 / 434 at deg P = 6).  The dense kernel wins at every n; the cap
-# bounds its memory.
-_DENSE_TOEPLITZ_MAX_N = 1024
-
-
-def _apply_columns(A: BlackBoxOperator, m: np.ndarray) -> np.ndarray:
-    """A * m for an n x k block m of canonical columns: one block apply
-    where A ``takes_blocks``, one apply per column otherwise."""
-    if A.takes_blocks:
-        return A.apply(m)
-    return np.column_stack([A.apply(c) for c in m.T])
-
-
-def _dense_toeplitz(lc, uc, d, p):
-    """int64 residues of U * D * L mod p: L lower unit-triangular Toeplitz
-    with first column lc, U upper with first row uc, D = diag(d).
-
-    U * D is reduced first, so each entry of the one `_matmul_mod` product
-    sums n products of residues, one BLAS call while
-    ``_float_sum_fits(n, p)``."""
-    n = len(d)
-    ud = (_shifts(uc, n, n) * d).astype(np.int64) % p
-    return _matmul_mod(ud, _shifts(lc, n, n).T, p)
-
-
 class _Preconditioner(BlackBoxOperator):
     """A * U * D * L with unit-triangular Toeplitz L, U and a diagonal D.
 
@@ -386,17 +346,10 @@ class _Preconditioner(BlackBoxOperator):
     draws L, U and D.  ``diagonal`` draws only D and takes L = U = I, that
     is A * D (``lc`` and ``uc`` are None).
 
-    A Toeplitz apply is one dense float64 product by B = A * U * D * L,
-    reduced once per entry.  B is built once per trial: M = U * D * L from
-    ``lc``, ``uc`` and ``d`` (`_dense_toeplitz`), then A applied to M's n
-    columns, as one block if A ``takes_blocks`` and one column at a time
-    otherwise, so the trial makes n applies of A however many terms its
-    round reads.  That holds while n * (p - 1)^2 < 2^53
-    (``_float_sum_fits``: every partial sum is then exact) and
-    n <= ``_DENSE_TOEPLITZ_MAX_N`` = 1024 (B takes 8 n^2 bytes).  Beyond
-    either, as for p = 2^31 - 1 at every n and for n > 1024 at every p, an
-    apply is L, D and U in that order, two convolutions (``conv_mod``)
-    around the scaling, then one apply of A.
+    A Toeplitz apply is L, D and U in that order, two convolutions
+    (``conv_mod``) around the scaling, then one apply of A.  Rank and
+    determinant calls build the Toeplitz kind only above
+    ``_ELIMINATION_MAX_N``; below it they eliminate.
 
     The arguments below are about L * A * U * D, and they hold for
     B' = A * U * D * L word for word.  B' = L^-1 (L * A * U * D) L is
@@ -478,21 +431,15 @@ class _Preconditioner(BlackBoxOperator):
     def __init__(self, base: BlackBoxOperator, rng):
         n, p = base.dimension, base.p
         toeplitz = preconditioner(base) == "toeplitz"
-        dense = toeplitz and n <= _DENSE_TOEPLITZ_MAX_N and _float_sum_fits(n, p)
-        # one dense product; else an apply of A after the scaling and, for
-        # Toeplitz, two dense length-n convolutions
-        cost = n * n if dense else base.cost + n + (2 * n * n if toeplitz else 0)
-        super().__init__(n, p, cost=cost)
+        # an apply of A after the scaling and, for Toeplitz, two dense
+        # length-n convolutions
+        super().__init__(n, p, cost=base.cost + n + (2 * n * n if toeplitz else 0))
         self.base = base
         self.lc = self.uc = None
         if toeplitz:
             self.lc = np.concatenate(([1], random_vector(n - 1, p, rng)))
             self.uc = np.concatenate(([1], random_vector(n - 1, p, rng)))
         self.d = np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
-        self._m = None
-        if dense:  # A * (U * D * L), A applied to its n columns
-            udl = _dense_toeplitz(self.lc, self.uc, self.d, p)
-            self._m = _apply_columns(base, udl).astype(np.float64)
 
     def det_diag(self) -> int:
         out = 1
@@ -502,8 +449,6 @@ class _Preconditioner(BlackBoxOperator):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         n, p = self.dimension, self.p
-        if self._m is not None:
-            return (self._m @ v).astype(np.int64) % p
         if self.lc is None:
             return self.base.apply(self.d * v % p)
         w = conv_mod(self.lc, v, p)[:n]  # L: lc is its first column
@@ -618,24 +563,34 @@ _CERTIFIED_ROUNDS = 6  # rounds before a certified minimal polynomial gives up
 _RANK_STREAK = 2  # trials a best rank estimate stands, where one does not suffice
 
 # The largest n at which rank and determinant calls on a Toeplitz-kind
-# operator materialise it and eliminate (`_eliminate`) instead of running
-# Krylov trials.  The "dense elimination" table of tools/poly_kernel_sizes.py,
-# one BLAS thread, each time the best of three calls, ms at p = 227 /
-# 1000003, on its worst case, an input whose elimination is dense from the
-# first pivot: the dense path took 6.8 / 5.2 at n = 120 against 5.3 / 3.6
-# for a Krylov rank call of one trial, 12.8 / 10.7 against 8.3 / 5.9 at 160
-# and 37 / 37 against 12 / 12 at 256; a rank call below its ceiling takes
-# _RANK_STREAK trials.  On sums of companion blocks, as sparse as the census
-# forms, it took 1.2 / 0.8 against 4.8 / 3.5 at n = 120, and at
-# p = 2^31 - 1 it won on every row up to 560.  The cap is the largest
-# measured n that keeps the worst case within 1.5 times one trial.  Above
-# it the stored product of `_Preconditioner` serves Toeplitz-kind calls.
-_ELIMINATION_MAX_N = 120
+# operator materialise it and eliminate (`_eliminate_operator`) instead of
+# running Krylov trials; the n x n int64 matrix takes 8 MiB at the cap.  The
+# "dense elimination" table of tools/poly_kernel_sizes.py (one full run, one
+# BLAS thread, each time the best of three calls, of one from n = 560), ms
+# against a one-trial Krylov rank call: on its worst case, an input whose
+# elimination is dense from the first pivot, 1,238 against 1,206 at n = 800
+# and 2,617 against 2,515 at 1024 for p = 1000003 (3,079 against 3,739 at
+# 1024 for p = 227); on P(A), deg P = 3, 2,061 against 2,797 at 1024; on
+# sums of companion blocks, as sparse as the census forms, 31 against 2,918.
+# At p = 2^31 - 1 it won on every row.  The cap keeps the worst case within
+# 1.5 times one trial at every measured n; above it Toeplitz-kind calls run
+# trials.
+_ELIMINATION_MAX_N = 1024
 
 
 def _eliminates(A: BlackBoxOperator) -> bool:
     """Whether rank and determinant calls on A take `_eliminate`."""
     return A.dimension <= _ELIMINATION_MAX_N and preconditioner(A) == "toeplitz"
+
+
+def _eliminate_operator(A: BlackBoxOperator) -> tuple[int, int]:
+    """(rank, det) of A by `_eliminate`, after applying A to the n columns
+    of I: as one block where A ``takes_blocks``, one column at a time
+    otherwise."""
+    eye = np.eye(A.dimension, dtype=np.int64)
+    if A.takes_blocks:
+        return _eliminate(A.apply(eye), A.p)
+    return _eliminate(np.column_stack([A.apply(c) for c in eye]), A.p)
 
 
 def _eliminate(m: np.ndarray, p: int) -> tuple[int, int]:
@@ -727,9 +682,10 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     randomly preconditioned operator.
 
     A Toeplitz-kind A (``preconditioner``) with n <= ``_ELIMINATION_MAX_N``
-    is applied to the n columns of I and its rank read off by `_eliminate`:
-    exact in every field, with no trial and no draw.  Every other call runs
-    trials.  Each trial wraps A in a fresh `_Preconditioner`, so that,
+    = 1024 is applied to the n columns of I and its rank read off by
+    `_eliminate`: exact in every field, with no trial and no draw.  Every
+    other call, a diagonal-kind one or a Toeplitz-kind one above the cap,
+    runs trials.  Each trial wraps A in a fresh `_Preconditioner`, so that,
     except with small probability, the minimal polynomial m has degree
     rank(A) plus one when A is singular.  For rank r over GF(q) one trial
     fails with probability at most r(r+1)/(2(q-1)) + r/q on the diagonal
@@ -741,8 +697,8 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     Saunders, 1991), the second for D, by the same argument with 1 x 1
     pivots.  In GF(2) and GF(3) that bound says nothing, and Krylov
     estimates do come out low with no signal: every such call takes the
-    Toeplitz kind, so below the crossover it eliminates and is exact, and
-    above it the scope is still open.  On the Krylov path, on the test
+    Toeplitz kind, so up to the cap it eliminates and is exact, and above
+    it the scope is still open.  On the Krylov path, on the test
     suite's rank strategies (400 derandomized examples each) 104 of 502
     calls at p <= 5 came out low, and none of the 698 at p >= 59; but at
     GF(101), n <= 60, 132 of 5,797 Toeplitz trials of acceptance 4's planted
@@ -762,8 +718,9 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     that set it included), or after 8 trials; one exact trial would give
     the answer, so the call errs only if all its trials, at least two, came
     out low, with probability at most the square of the per-trial bound.
-    Integer runs pick their field so that the first rule holds wherever the
-    fast exact kernels allow it (`integer._field_prime_floor`).
+    Integer runs on a symmetric matrix pick their field so that the first
+    rule holds wherever the lazy int64 kernels allow it
+    (`integer._field_prime_floor`).
 
     Why a trial needs no annihilation certificate.  The preconditioned
     operator has rank r = rank(A), as its outer factors are invertible.  Let
@@ -780,7 +737,7 @@ def rank_blackbox(A: BlackBoxOperator, rng, ceiling: int | None = None) -> int:
     """
     n = A.dimension
     if _eliminates(A):
-        return _eliminate(_apply_columns(A, np.eye(n, dtype=np.int64)), A.p)[0]
+        return _eliminate_operator(A)[0]
     c = n if ceiling is None else ceiling
     needed = 1 if one_trial_suffices(c, n, A.p, preconditioner(A)) else _RANK_STREAK
     best = 0
@@ -804,10 +761,10 @@ def det_blackbox(A: BlackBoxOperator, rng) -> int:
     """Determinant exactly by elimination, or via the minimal polynomial of
     a det-preserving preconditioned operator.
 
-    A Toeplitz-kind A with n <= ``_ELIMINATION_MAX_N`` is applied to the n
-    columns of I, through its own ``apply`` (for lambda*I - A, the shift's)
-    on every call, and `_eliminate` gives its determinant exactly, with the
-    sign of its row swaps.  Every other call wraps A in a fresh
+    A Toeplitz-kind A with n <= ``_ELIMINATION_MAX_N`` = 1024 is applied to
+    the n columns of I, through its own ``apply`` (for lambda*I - A, the
+    shift's) on every call, and `_eliminate` gives its determinant exactly,
+    with the sign of its row swaps.  Every other call wraps A in a fresh
     `_Preconditioner` per attempt and reads one uncertified round's
     generator m (trial bound n), which divides the true minpoly of the
     preconditioned operator.  Degree n certifies m as that minpoly and det =
@@ -819,7 +776,7 @@ def det_blackbox(A: BlackBoxOperator, rng) -> int:
     """
     n, p = A.dimension, A.p
     if _eliminates(A):
-        return _eliminate(_apply_columns(A, np.eye(n, dtype=np.int64)), p)[1]
+        return _eliminate_operator(A)[1]
     for _ in range(4):
         pre = _Preconditioner(A, rng)
         m = wiedemann_minpoly(pre, rng, trial_bound=n)

@@ -35,7 +35,6 @@ from .poly import (
     ComputationError,
     FieldPoly,
     IntPoly,
-    _float_sum_fits,
     _lazy_sum_fits,
     crt_combine,
     gcd_free_basis,
@@ -187,32 +186,34 @@ def _field_prime_floor(n: int, symmetric: bool) -> tuple[int, bool]:
     """Field size floor for the modular charpoly run, and whether the
     one-trial rank bound raised it.
 
-    The floor is min(max(2n + 1, 4n^2, 2^12), 2^30), raised to the least q*
-    at which one rank trial of the kind A takes ("diagonal" when symmetric,
-    "toeplitz" otherwise) errs with probability at most 1/n^2 at rank n
-    (`blackbox.one_trial_suffices`), about n^3 (n + 3)/2 and 3n^3 (n + 1)/2,
-    so that the run's rank calls take one trial each.  It is raised only
-    where q* <= 2^30 keeps that kind's fast exact kernels: lazy int64 sums of
-    n + 1 products for "diagonal" (sparse rows, dots and Berlekamp-Massey
-    discrepancies; symmetric n up to about 148), and the dense float64
-    Toeplitz matrix for "toeplitz" (n up to about 53).  Elsewhere a rank
-    call takes two agreeing trials, and the 1/n^2 of the determinant rounds
+    The floor is min(max(2n + 1, 4n^2, 2^12), 2^30).  For a symmetric A it
+    is raised to the least q* at which one diagonal-kind rank trial errs
+    with probability at most 1/n^2 at rank n (`blackbox.one_trial_suffices`),
+    about n^3 (n + 3)/2, so that the run's rank calls take one trial each.
+    It is raised only where q* <= 2^30 keeps lazy int64 sums of n + 1
+    products (sparse rows, dots and Berlekamp-Massey discrepancies;
+    symmetric n up to about 148).  An asymmetric A keeps the floor: its rank
+    calls eliminate up to `blackbox._ELIMINATION_MAX_N`, and a larger q
+    would only slow `factor` and discrete logarithms.  Elsewhere a rank call
+    takes two agreeing trials, and the 1/n^2 of the determinant rounds
     (`multiplicity.det_rounds`) still holds.
     """
     floor = min(max(2 * n + 1, 4 * n * n, 1 << 12), 1 << 30)
-    kind = "diagonal" if symmetric else "toeplitz"
     top = 1 << 30
-    if one_trial_suffices(n, n, floor, kind) or not one_trial_suffices(n, n, top, kind):
+    if (
+        not symmetric
+        or one_trial_suffices(n, n, floor, "diagonal")
+        or not one_trial_suffices(n, n, top, "diagonal")
+    ):
         return floor, False
     low = floor  # the predicate fails at low and holds at top
     while top - low > 1:
         mid = (low + top) // 2
-        if one_trial_suffices(n, n, mid, kind):
+        if one_trial_suffices(n, n, mid, "diagonal"):
             top = mid
         else:
             low = mid
-    fast = _lazy_sum_fits(n + 1, top) if symmetric else _float_sum_fits(n, top)
-    return (top, True) if fast else (floor, False)
+    return (top, True) if _lazy_sum_fits(n + 1, top) else (floor, False)
 
 
 @dataclass

@@ -453,6 +453,31 @@ class TestElimination:
                 assert det_blackbox(ShiftedOperator(A, lam), rng) == f(lam)
         assert shapes == [(n, n)] * 6 and bounds == []
 
+    @pytest.mark.parametrize("p", [3, (1 << 31) - 1])
+    def test_toeplitz_kind_above_120_eliminates_with_no_draw(self, p):
+        # companion sums of n = 130: one with a singular block for the rank,
+        # one with every block nonsingular for the determinant
+        n = 130
+        assert n <= blackbox._ELIMINATION_MAX_N
+        draws = random.Random(p)
+        singular, nonsingular = [], []
+        for k in range(n // 2):
+            tail = [draws.randrange(p)]
+            singular.append(build_companion(FieldPoly([0 if k == 0 else 1, *tail, 1], p)))
+            nonsingular.append(build_companion(FieldPoly([1 + k % (p - 1), *tail, 1], p)))
+        rng = random.Random(9)
+        state = rng.getstate()
+        with counted_trials() as bounds:
+            for blocks, kernel, dense in (
+                (singular, rank_blackbox, dense_rank),
+                (nonsingular, det_blackbox, dense_det),
+            ):
+                matrix = block_diagonal(blocks)
+                op = matrix.operator(p)
+                assert preconditioner(op) == "toeplitz" and op.dimension == n
+                assert kernel(op, rng) == dense(matrix.to_dense(), p)
+        assert bounds == [] and rng.getstate() == state
+
     def test_vector_only_operator_is_applied_column_by_column(self):
         rng = random.Random(4)
         p = 101

@@ -4,9 +4,9 @@ A kernel that sums ``terms`` raw products of residues takes the lazy path
 only while terms * (p - 1)^2 < 2^63.  The bound tests put all-(p - 1)
 inputs on both sides of that flip, where a lazy sum one step past it wraps
 int64 and gives a wrong residue; the property tests cover random operators.
-The Toeplitz preconditioner's dense float64 factors have the same kind of
-edge at n * (p - 1)^2 < 2^53, tested at its boundary and with all-(p - 1)
-factors at the largest n it admits.  `_eliminate`, the exact rank and
+The float64 rule n * (p - 1)^2 < 2^53 is tested at its boundary, and the
+Toeplitz preconditioner's convolutions with all-(p - 1) factors on both
+paths of ``conv_mod``.  `_eliminate`, the exact rank and
 determinant of small Toeplitz-kind calls, is checked against the dense
 references at every p up to 2^31 - 1.
 
@@ -201,8 +201,7 @@ class _Draws:
 
 
 class _AllMax(BlackBoxOperator):
-    """Maps every vector to the all-(p - 1) vector; keeps its inputs.  It
-    takes no blocks, so the dense build applies it one column at a time."""
+    """Maps every vector to the all-(p - 1) vector; keeps its inputs."""
 
     seen = ()
 
@@ -221,14 +220,14 @@ class TestFloatBound:
         assert _float_sum_fits(n, p)
         assert not _float_sum_fits(n + 1, p)
 
-    @pytest.mark.parametrize("n, dense", [(32, True), (33, False)])
-    def test_toeplitz_apply_with_all_max_factors(self, n, dense):
+    @pytest.mark.parametrize("p", [P24, M31])
+    def test_toeplitz_apply_with_all_max_factors(self, p):
         # lc = (1, p-1, ...), uc = (1, 1, ...), d = (p-1, ...): L is p - 1
         # below its unit diagonal and U * D is p - 1 on and above it, so an
-        # entry of U * D * L sums up to n products (p - 1)^2, and so does an
-        # entry of the stored all-(p - 1) A * U * D * L times v
-        p = P24
-        assert _float_sum_fits(n, p) == dense
+        # entry of either convolution sums up to n products (p - 1)^2, as it
+        # is at P24 and on the 16-bit split path at 2^31 - 1
+        n = 33
+        assert _lazy_sum_fits(n, p) == (p == P24)
         base = _AllMax(n, p, cost=0)
         draws = [p - 1] * (n - 1) + [1] * (n - 1) + [p - 1] * n
         pre = _Preconditioner(base, _Draws(draws))
@@ -237,14 +236,8 @@ class TestFloatBound:
         columns = [reference_matvec(UD, col, p) for col in zip(*L)]
         UDL = [list(row) for row in zip(*columns)]
         v = vec([p - 1] * n)
-        if dense:
-            assert base.seen == columns  # A's n applies, one per column
-            assert pre._m.tolist() == [[p - 1] * n] * n
-            assert pre.apply(v).tolist() == [n * (p - 1) ** 2 % p] * n
-        else:
-            assert pre._m is None
-            assert pre.apply(v).tolist() == [p - 1] * n
-            assert base.seen == [reference_matvec(UDL, v, p)]
+        assert pre.apply(v).tolist() == [p - 1] * n
+        assert base.seen == [reference_matvec(UDL, v, p)]
 
 
 # ---------------------------------------------------------------------------

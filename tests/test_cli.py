@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -707,14 +708,29 @@ def test_readme_library_example_runs_as_documented():
     assert blackbox_charpoly_field(m.operator(101)) == want.reduce(101)
 
 
+def load_tool(name):
+    """The script tools/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_seeded_corpus_answers_are_pinned():
     # every command, method and output of tools/seeded_cli_digest.py on its
     # 21 matrices; only the answers are pinned, as --explain fields may move
     # with the random draws
-    spec = importlib.util.spec_from_file_location(
-        "seeded_cli_digest", ROOT / "tools" / "seeded_cli_digest.py"
-    )
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    answers, _ = tool.digest_all()
+    answers, _ = load_tool("seeded_cli_digest").digest_all()
     assert answers == "b9106749ff94bc21babd88885a51a0f06ab8884a4e48dced149f223e8b068a47"
+
+
+def test_dense_elimination_table_runs(monkeypatch, capsys):
+    # the table that measures `_ELIMINATION_MAX_N`, at one small size, so a
+    # kernel it times cannot be renamed or removed under it
+    tool = load_tool("poly_kernel_sizes")
+    monkeypatch.setattr(tool, "ELIMINATION_SIZES", (8,))
+    monkeypatch.setattr(tool, "ELIMINATION_PRIMES", (227,))
+    tool.dense_elimination(random.Random(1))
+    out = capsys.readouterr().out
+    for label in ("sparse", "P(A)", "dense fill"):
+        assert f"(8, 227, {label})" in out

@@ -5,10 +5,8 @@ matrices with empty rows, powers of nilpotent block-Jordan matrices and of
 their transposes,
 identity-like blocks of one repeated eigenvalue, and lambda*I - A at an
 eigenvalue lambda of A.  The rng seed is part of each example.  The Toeplitz
-kind multiplies by one dense float64 matrix U * D * L while
-n * (p - 1)^2 < 2^53: in the small fields at every n, at p = 20000003 up to
-n = 22.  Beyond that it takes ``conv_mod``, at p = 2^31 - 1 on the 16-bit
-split path.
+kind applies L and U by ``conv_mod``, at p = 2^31 - 1 on the 16-bit split
+path.
 
 Symmetric inputs, which the diagonal kind A * D serves for rank and
 determinant where the field admits it, are Gram and congruence matrices
@@ -45,7 +43,7 @@ from bbcharpoly.blackbox import (
     rank_blackbox,
     wiedemann_minpoly,
 )
-from bbcharpoly.poly import FieldPoly, _float_sum_fits
+from bbcharpoly.poly import FieldPoly
 from helpers import (
     dense_det,
     dense_poly_of_matrix,
@@ -58,7 +56,6 @@ from helpers import (
 M31 = (1 << 31) - 1
 LARGE = (65537, 1000003, M31)  # rank is exact with high probability
 ANY = (2, 3, 59, 101) + LARGE
-FLOAT_EDGE = 20000003  # prime; 22 * (p - 1)^2 < 2^53 <= 23 * (p - 1)^2
 # the smallest prime p = 1 mod 4 with 2n(n + 1) <= p - 1 at n = MAX_N, so
 # every symmetric case there takes the diagonal kind
 SMALL_DIAGONAL = 3301
@@ -319,39 +316,31 @@ def test_symmetric_round_terms_are_dv_b_k_v(case, seed, data):
 @given(st.one_of(symmetric_case(LARGE), structured_case(LARGE)), SEEDS, st.data())
 def test_trial_round_applies(case, seed, data):
     # t terms take t // 2 applies of A on the diagonal kind and t - 1 on the
-    # convolution side of Toeplitz; the dense Toeplitz kind applies A to the
-    # n columns of U * D * L once, at construction, and never in the round
+    # Toeplitz kind, and building the preconditioner makes no apply
     p, rows, op = case
     n = len(rows)
     leaf, per = sparse_leaf(op)
     pre = _Preconditioner(op, random.Random(seed))
-    built = leaf.applies
+    assert leaf.applies == 0
     bound = data.draw(st.integers(1, n))
     with recorded_rounds() as rounds:
         wiedemann_minpoly(pre, random.Random(seed + 1), trial_bound=bound)
     [terms] = rounds
-    round_applies = leaf.applies - built
     if preconditioner(op) == "diagonal":
-        assert built == 0
-        assert round_applies == per * (len(terms) // 2) and len(terms) // 2 <= bound
-    elif pre._m is not None:
-        assert built == per * n and round_applies == 0 and len(terms) <= 2 * bound
+        assert leaf.applies == per * (len(terms) // 2) and len(terms) // 2 <= bound
     else:
-        assert built == 0
-        assert round_applies == per * (len(terms) - 1) and len(terms) - 1 <= 2 * bound - 1
+        assert leaf.applies == per * (len(terms) - 1) and len(terms) - 1 <= 2 * bound - 1
 
 
 def test_full_trial_round_applies():
     # a generator of degree D needs all 2D terms: D applies of A on the
-    # diagonal kind, 2D - 1 on the convolution side of Toeplitz (here
-    # p = 2^31 - 1), and none on the dense Toeplitz kind, which made its n
-    # at construction
+    # diagonal kind and 2D - 1 on the Toeplitz kind, none at construction
     n = 12
     diagonal = SparseMatrix(n, [(i, i, i + 1) for i in range(n)])
-    for p, kind, built, applies in (
-        (1000003, "diagonal", 0, n),
-        (1000003, "toeplitz", n, 0),
-        (M31, "toeplitz", 0, 2 * n - 1),
+    for p, kind, applies in (
+        (1000003, "diagonal", n),
+        (1000003, "toeplitz", 2 * n - 1),
+        (M31, "toeplitz", 2 * n - 1),
     ):
         matrix = diagonal
         if kind == "toeplitz":
@@ -359,17 +348,16 @@ def test_full_trial_round_applies():
         op = matrix.operator(p)
         assert preconditioner(op) == kind
         pre = _Preconditioner(op, random.Random(5))
-        assert (pre._m is not None) == (built > 0)
-        assert op.applies == built
+        assert op.applies == 0
         with recorded_rounds() as rounds:
             m = wiedemann_minpoly(pre, random.Random(6), trial_bound=n)
         assert m.degree == n
         assert len(rounds[0]) == 2 * n
-        assert op.applies == built + applies
+        assert op.applies == applies
 
 
 @SETTINGS
-@given(structured_case(ANY + (FLOAT_EDGE,)), SEEDS)
+@given(structured_case(ANY), SEEDS)
 def test_preconditioner_is_a_u_d_l(case, seed):
     # a symmetric A in a large enough field takes the case L = U = I
     p, rows, op = case
@@ -392,35 +380,12 @@ def test_preconditioner_is_a_u_d_l(case, seed):
 
     v = [random.Random(seed + 1).randrange(p) for _ in range(n)]
     assert pre.apply(np.array(v, dtype=np.int64)).tolist() == audl(v)
-    # one dense product by the stored A * U * D * L, or an apply of A after
-    # the scaling and two convolutions
-    dense = pre._m is not None
-    assert dense == (not diagonal and _float_sum_fits(n, p))
-    if dense:
-        columns = [audl([int(i == k) for i in range(n)]) for k in range(n)]
-        assert pre._m.tolist() == [list(row) for row in zip(*columns)]
-        assert pre.cost == n * n
-    else:
-        assert pre.cost == op.cost + n + (0 if diagonal else 2 * n * n)
+    # an apply of A after the scaling and, for Toeplitz, two convolutions
+    assert pre.cost == op.cost + n + (0 if diagonal else 2 * n * n)
     det_d = 1
     for x in d:
         det_d = det_d * x % p
     assert pre.det_diag() == det_d
-
-
-@SETTINGS
-@given(structured_case(ANY + (FLOAT_EDGE,)), SEEDS, SEEDS)
-def test_dense_and_convolution_paths_agree(case, seed, vseed):
-    # the same draws give the same vector on the dense path as on the
-    # convolution path it falls back to
-    p, rows, op = case
-    n = len(rows)
-    pre = _Preconditioner(op, random.Random(seed))
-    assume(pre._m is not None)
-    v = np.array([random.Random(vseed).randrange(p) for _ in range(n)], dtype=np.int64)
-    dense = pre.apply(v)
-    pre._m = None
-    assert pre.apply(v).tolist() == dense.tolist()
 
 
 @SETTINGS

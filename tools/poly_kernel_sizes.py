@@ -36,28 +36,20 @@ and p in 227, 1000003, 25782653 and 2^31 - 1: the rows X^(ip) mod f by
 one build `_frobenius_matrix` by `_matmul_mod`, one application of the map
 (`_frobenius`) and the power X^p mod f that both start from.
 
-The ``Toeplitz apply`` table times one Krylov term of a dense
-Toeplitz trial, `blackbox._Preconditioner.apply`, in microseconds, over
-P(A) for P of degree d*j = 1 and 6 and a sparse A with about 3 entries per
-row, for n in 40, 120, 560 and 1024 and p in 3001 and 1000003.  The
-columns are: the convolution path (two `conv_mod` calls and the scaling,
-then d*j applies of A); one product by M = U * D * L then d*j applies, with
-the build of M (`_dense_toeplitz`) amortised over 2n terms; the build of the
-stored product B = P(A) * M (M, then one block apply of P(A) to its n
-columns); one product by B; and that product with B's build amortised over
-2n terms.
-
 Last, the ``dense elimination`` table times, in milliseconds, rank and
-determinant calls on Toeplitz-kind operators for n in 84 to 560 and p in
-227, 1000003 and 2^31 - 1: a Krylov rank call (the dense path switched off)
-and its number of trials, a Krylov determinant call, and the dense path as
-one step, the operator applied to the n columns of I (`_apply_columns`)
-and then `_eliminate`.  Each time is the best of three calls, of one at
-n = 560.  The inputs are nonsingular, so a Krylov rank call stops
-at its first exact trial.  ``sparse`` is a direct sum of companion
-matrices, whose elimination stays as sparse as the census forms' does;
-``dense fill`` is a sparse matrix with a full first row and column, whose
-elimination is dense from its first pivot on: the dense path's worst case.
+determinant calls on Toeplitz-kind operators for n in 84 to 1024 and p in
+227, 1000003 and 2^31 - 1: a Krylov rank call (elimination switched off, so
+each trial is a Toeplitz trial of two `conv_mod` calls and the scaling
+before every apply) and its number of trials, a Krylov determinant call,
+and elimination as one step, the operator applied to the n columns of I
+and then `_eliminate` (`_eliminate_operator`).  Each time is the best of
+three calls, of one from n = 560.  The inputs are nonsingular with high
+probability, so a Krylov rank call stops at its first exact trial.
+``sparse`` is a direct sum of companion matrices, whose elimination stays
+as sparse as the census forms' does; ``P(A)`` is P(A) for a random monic P
+of degree 3 and a random sparse A (`sparse_poly`); ``dense fill`` is a
+sparse matrix with a full first row and column, whose elimination is dense
+from its first pivot on: elimination's worst case.
 
 Run from the root of a checkout, with one BLAS thread as the benchmark has:
 
@@ -75,10 +67,8 @@ import numpy as np
 from bbcharpoly import blackbox, poly
 
 PRIMES = (1000003, (1 << 31) - 1)
-TOEPLITZ_PRIMES = (3001, 1000003)
-TOEPLITZ_SIZES = (40, 120, 560, 1024)
 ELIMINATION_PRIMES = (227, 1000003, (1 << 31) - 1)
-ELIMINATION_SIZES = (84, 120, 160, 200, 256, 560)
+ELIMINATION_SIZES = (84, 120, 160, 200, 256, 560, 800, 1024)
 FROBENIUS_PRIMES = (227, 1000003, 25782653, (1 << 31) - 1)
 FROBENIUS_SIZES = (4, 8, 12, 16, 24, 32, 60, 84, 120, 240, 300, 1000)
 MODULAR_PRIMES = (227, 1000003, 25782653)
@@ -143,42 +133,6 @@ def sparse_poly(n: int, p: int, dj: int, rng):
     return blackbox.PolyOfMatrix(A.operator(p), f)
 
 
-def toeplitz_apply(rng) -> None:
-    print("Toeplitz apply (n, p, d*j), microseconds per Krylov term over P(A);")
-    print(f"dense while n <= {blackbox._DENSE_TOEPLITZ_MAX_N} and n * (p - 1)^2 < 2^53")
-    print(
-        f"{'sizes':>20}{'conv_mod':>12}{'M + P(A)':>12}"
-        f"{'B build':>12}{'B product':>12}{'amortised':>12}"
-    )
-    for p in TOEPLITZ_PRIMES:
-        for n in TOEPLITZ_SIZES:
-            for dj in (1, 6):
-                base = sparse_poly(n, p, dj, rng)
-                pre = blackbox._Preconditioner(base, rng)
-                v = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-                repeat = 3 if n >= 560 else 5
-
-                def udl():
-                    return blackbox._dense_toeplitz(pre.lc, pre.uc, pre.d, p)
-
-                m = udl().astype(np.float64)
-                m_build = usec(udl, repeat)
-                m_term = usec(lambda: base.apply((m @ v).astype(np.int64) % p), repeat)
-                b_build = usec(lambda: base.apply(udl()).astype(np.float64), repeat)
-                b_term = usec(lambda: pre.apply(v), repeat)
-                pre._m = None  # the conv_mod path
-                convs = usec(lambda: pre.apply(v), repeat)
-                cells = [
-                    convs,
-                    m_term + m_build / (2 * n),
-                    b_build,
-                    b_term,
-                    b_term + b_build / (2 * n),
-                ]
-                label = f"({n}, {p}, {dj})"
-                print(f"{label:>20}" + "".join(f"{c:>12.1f}" for c in cells))
-
-
 def arrow_fill(n: int, p: int, rng):
     """A sparse n x n A whose elimination is dense from its first pivot on:
     a full first row and column, a nonzero diagonal and about 3 more entries
@@ -215,7 +169,7 @@ def msec(fn, repeat) -> float:
 
 def krylov_calls(A, repeat):
     """A Krylov rank call's milliseconds and trials, and a Krylov determinant
-    call's milliseconds and value, with the dense path switched off.  Each
+    call's milliseconds and value, with elimination switched off.  Each
     time is the best of ``repeat`` calls; the trials come from one more."""
     trials = []
     saved = blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly
@@ -235,35 +189,34 @@ def krylov_calls(A, repeat):
         blackbox._ELIMINATION_MAX_N, blackbox.wiedemann_minpoly = saved
 
 
-def dense_path(A):
-    """(rank, det) of A as a dense call takes them: A applied to the columns
-    of I, then `_eliminate`."""
-    eye = np.eye(A.dimension, dtype=np.int64)
-    return blackbox._eliminate(blackbox._apply_columns(A, eye), A.p)
-
-
 def dense_elimination(rng) -> None:
     c = blackbox._ELIMINATION_MAX_N
     print("dense elimination (n, p, input), milliseconds per call: a Krylov rank")
-    print("call and its trials, a Krylov determinant call, and the dense path")
+    print("call and its trials, a Krylov determinant call, and elimination")
     print("(A applied to the columns of I, then `_eliminate`); Toeplitz-kind")
-    print(f"calls take the dense path while n <= _ELIMINATION_MAX_N = {c}")
+    print(f"calls eliminate while n <= _ELIMINATION_MAX_N = {c}")
     print(
-        f"{'sizes':>26}{'Krylov rank':>13}{'trials':>8}{'Krylov det':>12}"
-        f"{'dense':>9}"
+        f"{'sizes':>32}{'Krylov rank':>13}{'trials':>8}{'Krylov det':>12}"
+        f"{'eliminate':>11}"
+    )
+    inputs = (
+        ("sparse", lambda n, p: companion_blocks(n, p, rng).operator(p)),
+        ("P(A)", lambda n, p: sparse_poly(n, p, 3, rng)),
+        ("dense fill", lambda n, p: arrow_fill(n, p, rng).operator(p)),
     )
     for p in ELIMINATION_PRIMES:
         for n in ELIMINATION_SIZES:
-            for label, build in (("sparse", companion_blocks), ("dense fill", arrow_fill)):
-                A = build(n, p, rng).operator(p)
+            for label, build in inputs:
+                A = build(n, p)
                 assert blackbox.preconditioner(A) == "toeplitz"
                 repeat = 1 if n >= 560 else 3
                 rank_ms, trials, det_ms, det = krylov_calls(A, repeat)
-                assert dense_path(A)[1] == det
+                assert blackbox._eliminate_operator(A)[1] == det
+                elim_ms = msec(lambda: blackbox._eliminate_operator(A), repeat)
                 name = f"({n}, {p}, {label})"
                 print(
-                    f"{name:>26}{rank_ms:>13.1f}{trials:>8d}{det_ms:>12.1f}"
-                    f"{msec(lambda: dense_path(A), repeat):>9.1f}"
+                    f"{name:>32}{rank_ms:>13.1f}{trials:>8d}{det_ms:>12.1f}"
+                    f"{elim_ms:>11.1f}"
                 )
     print()
 
@@ -433,7 +386,6 @@ def main() -> None:
     integer_product(rng)
     modular_product(rng)
     frobenius_build(rng)
-    toeplitz_apply(rng)
     dense_elimination(rng)
 
 
